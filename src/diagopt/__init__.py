@@ -3,16 +3,16 @@
 The toolkit evaluates item/method assignments against a weighted examinee
 population, encodes the three optimization settings as binary programs with
 LP text export, and solves them natively by exact branch-and-bound verified
-against an exhaustive oracle.
+against an exhaustive oracle. ``diagopt.problem`` holds ``Instance`` and
+``SETTINGS``, the one definition of each setting's sense, objective and side
+rows; the shipped instances are ``fileio.InstanceDoc`` templates.
 """
 from .candidates import (
     CandidateFamily,
     CategoryFamily,
-    TypePartition,
     build_family,
     category_filter,
     neighborhood,
-    partition_by_type,
     role_restrict,
 )
 from .core import (
@@ -26,7 +26,6 @@ from .core import (
     MethodUniverse,
     Population,
     evaluate,
-    gamma,
     item_indicator,
     route,
     validate_diagram,
@@ -50,7 +49,6 @@ from .datagen import (
 from .encoder import (
     BuildError,
     DecodeError,
-    Instance,
     IPModel,
     VariablePoint,
     build_model,
@@ -58,10 +56,10 @@ from .encoder import (
     encode_assignment,
     export_lp,
 )
-from .instances import InstanceTemplate, build_instance, instance_template
+from .instances import build_instance, instance_template
+from .problem import Instance
 from .solver import (
     EnumerationCapError,
-    SearchState,
     Solution,
     VerificationReport,
     bound,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import ExamineeType, InputError, ItemSet, ItemUniverse, Vertex, item_indicator
+from .core import InputError, ItemSet, ItemUniverse, Vertex
 
 Family = frozenset[ItemSet]
 
@@ -52,15 +52,6 @@ class CandidateFamily:
     def ordered(self) -> tuple[ItemSet, ...]:
         """Canonical candidate order: lexicographic on the sorted item tuple."""
         return tuple(sorted(self.candidates, key=lambda c: tuple(sorted(c))))
-
-
-@dataclass(frozen=True)
-class TypePartition:
-    """Split of a family by the indicator outcome of one examinee type."""
-
-    vertex: Vertex
-    zero: Family
-    one: Family
 
 
 def neighborhood(base: ItemSet | Iterable[int], universe: ItemUniverse) -> set[ItemSet]:
@@ -112,11 +103,3 @@ def build_family(
 ) -> CandidateFamily:
     """Full pipeline: neighborhood, then category filter, then role restriction."""
     return role_restrict(vertex, category_filter(neighborhood(base, universe), categories), role)
-
-
-def partition_by_type(
-    fam: CandidateFamily, t: ExamineeType, items: ItemUniverse
-) -> TypePartition:
-    """Split a family by whether each candidate tests positive for ``t``."""
-    one = frozenset(c for c in fam.candidates if item_indicator(c, t, items))
-    return TypePartition(vertex=fam.vertex, zero=fam.candidates - one, one=one)

@@ -229,9 +229,6 @@ class Diagram:
                 return a
         raise InputError(f"vertex {u} has no out-arc labeled {label}")
 
-    def has_vertex(self, v: Vertex) -> bool:
-        return v in self._out
-
 
 @dataclass(frozen=True)
 class Assignment:
@@ -303,8 +300,7 @@ def validate_diagram(d: Diagram) -> ValidationReport:
             continue
         if len(out) != 2:
             violations.append(f"vertex {v} has out-degree {len(out)}, expected 2")
-        labels = sorted(a.label for a in out)
-        if len(out) == 2 and labels != [0, 1]:
+        if len(out) == 2 and out[0].label == out[1].label:
             violations.append(f"duplicate arc label at {v}")
 
     return ValidationReport(ok=not violations, violations=tuple(violations))
@@ -329,15 +325,6 @@ def route(d: Diagram, phi: Assignment, t: ExamineeType, items: ItemUniverse) -> 
         v = d.out_arc(v, label).head
         visited.append(v)
     return RouteResult(method=phi.sink_methods[v], visited=frozenset(visited))
-
-
-def gamma(d: Diagram, v: Vertex, label: int) -> frozenset[Vertex]:
-    """All internal vertices with a ``label``-labeled arc into ``v``."""
-    if not d.has_vertex(v):
-        raise InputError(f"unknown vertex {v}")
-    if label not in (0, 1):
-        raise InputError(f"label must be 0 or 1, got {label}")
-    return frozenset(a.tail for a in d._in[v] if a.label == label)
 
 
 def evaluate(d: Diagram, phi: Assignment, phi_in: Assignment, pop: Population) -> Metrics:

@@ -341,7 +341,3 @@ def default_threshold_table() -> ThresholdTable:
         (48, bit("hypertension_treatment_interruption")),
     ]
     return ThresholdTable(entries=tuple(entries))
-
-
-def default_gen_config(n: int, seed: int) -> GenConfig:
-    return GenConfig(n=n, seed=seed)

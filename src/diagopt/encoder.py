@@ -16,27 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .candidates import CandidateFamily
-from .core import (
-    Assignment,
-    Diagram,
-    InputError,
-    ItemSet,
-    Metrics,
-    Population,
-    Vertex,
-)
+from .core import Assignment, InputError, ItemSet, Metrics, Vertex
+from .problem import FIELDS, SETTINGS, Goal, Instance
 
 Term = tuple[int | Fraction, int]
-
-SETTINGS = (1, 2, 3)
-MAXIMIZE = "Maximize"
-MINIMIZE = "Minimize"
 
 _LINE_WIDTH = 72
 
@@ -47,66 +35,6 @@ class BuildError(ValueError):
 
 class DecodeError(ValueError):
     """Raised when a variable point does not describe a unique assignment."""
-
-
-@dataclass(frozen=True)
-class Instance:
-    """One optimization problem: diagram, population, families, initial labels, bounds."""
-
-    diagram: Diagram
-    population: Population
-    families: Mapping[Vertex, CandidateFamily]
-    initial: Assignment
-    budget: int
-    targets: tuple[int, int, int]
-
-    def __post_init__(self) -> None:
-        if set(self.families) != set(self.diagram.internals):
-            raise InputError("candidate families must cover exactly the internal vertices")
-        if not self.initial.covers(self.diagram):
-            raise InputError("initial assignment must cover the diagram")
-        if any(th < 1 for th in self.targets):
-            raise InputError("targets must be positive")
-        if self.budget < 0:
-            raise InputError("budget must be non-negative")
-        for s, m in self.initial.sink_methods.items():
-            if m not in self.population.methods:
-                raise InputError(f"initial method at {s} not in method universe")
-
-    def candidate_order(self, u: Vertex) -> tuple[ItemSet, ...]:
-        return self.families[u].ordered
-
-    def is_feasible(self, phi: Assignment) -> bool:
-        """Candidate membership at every internal vertex, known method at every sink."""
-        return (
-            phi.covers(self.diagram)
-            and all(phi.node_items[u] in self.families[u] for u in self.diagram.internals)
-            and all(phi.sink_methods[s] in self.population.methods for s in self.diagram.sinks)
-        )
-
-    @cached_property
-    def x_matrix(self) -> np.ndarray:
-        """Boolean (|T| x |I|) item matrix in population/universe order."""
-        return np.array([t.x for t in self.population.types], dtype=bool).reshape(
-            len(self.population.types), len(self.population.items)
-        )
-
-    @cached_property
-    def _indicator_cache(self) -> dict[ItemSet, np.ndarray]:
-        return {}
-
-    def indicator_column(self, c: ItemSet) -> np.ndarray:
-        """Per-type 0/1 outcome of testing item set ``c``, as a boolean |T|-vector."""
-        cached = self._indicator_cache.get(c)
-        if cached is None:
-            if c:
-                pos = [self.population.items.index(i) for i in c]
-                cached = self.x_matrix[:, pos].any(axis=1)
-            else:
-                cached = np.zeros(len(self.population.types), dtype=bool)
-            cached.setflags(write=False)
-            self._indicator_cache[c] = cached
-        return cached
 
 
 @dataclass(frozen=True)
@@ -141,6 +69,7 @@ class IPModel:
             raise BuildError(f"unknown setting {setting}, expected 1, 2 or 3")
         self.instance = instance
         self.setting = setting
+        goal = Goal(instance, setting)
 
         d = instance.diagram
         pop = instance.population
@@ -158,8 +87,8 @@ class IPModel:
 
         self._build_registry()
         self._build_expressions()
-        self._build_rows()
-        self._build_objective()
+        self._build_rows(goal)
+        self._build_objective(goal)
 
     # ------------------------------------------------------------------
     # registry
@@ -290,7 +219,7 @@ class IPModel:
         cols = [inst.indicator_column(c) for c in inst.candidate_order(u)]
         return np.stack(cols) if cols else np.zeros((0, self.n_types), dtype=bool)
 
-    def _build_rows(self) -> None:
+    def _build_rows(self, goal: Goal) -> None:
         inst = self.instance
         d = inst.diagram
         rows: list[LinRow] = []
@@ -400,33 +329,26 @@ class IPModel:
                     )
 
         # per-setting side rows
-        th1, th2, th3 = self.instance.targets
-        if self.setting in (1, 3):
-            rows.append(LinRow("budget", self.cost_expr, "<=", self.instance.budget))
-        if self.setting == 2:
-            rows.append(LinRow("target_obj1", self.obj_exprs[0], ">=", Fraction(th1, 2)))
-        if self.setting in (2, 3):
-            rows.append(LinRow("target_obj2", self.obj_exprs[1], ">=", th2))
-            rows.append(LinRow("target_obj3", self.obj_exprs[2], ">=", th3))
+        exprs = dict(zip(FIELDS, (self.cost_expr,) + self.obj_exprs))
+        for name, field, sense, rhs in goal.rows:
+            rows.append(LinRow(name, exprs[field], sense, rhs))
 
         self.rows: tuple[LinRow, ...] = tuple(rows)
 
-    def _build_objective(self) -> None:
-        if self.setting == 1:
-            th1, th2, th3 = self.instance.targets
-            merged: dict[int, Fraction] = {}
-            for expr, th in zip(self.obj_exprs, (th1, th2, th3)):
-                for coef, idx in expr:
-                    merged[idx] = merged.get(idx, Fraction(0)) + Fraction(coef, th)
-            terms = tuple((coef, idx) for idx, coef in sorted(merged.items()) if coef)
-            self.objective_sense = MAXIMIZE
-            self.objective: tuple[Term, ...] = terms
-        elif self.setting == 2:
-            self.objective_sense = MINIMIZE
-            self.objective = self.cost_expr
-        else:
-            self.objective_sense = MAXIMIZE
-            self.objective = self.obj_exprs[0]
+    def _build_objective(self, goal: Goal) -> None:
+        merged: dict[int, int] = {}
+        for expr, w in zip((self.cost_expr,) + self.obj_exprs, goal.weights):
+            if not w:
+                continue
+            for coef, idx in expr:
+                merged[idx] = merged.get(idx, 0) + coef * w
+        d = goal.divisor
+        self.objective_sense = goal.sense
+        self.objective: tuple[Term, ...] = tuple(
+            (coef if d is None else Fraction(coef, d), idx)
+            for idx, coef in sorted(merged.items())
+            if coef
+        )
 
     @property
     def num_constraints(self) -> int:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping
@@ -19,10 +19,12 @@ from .core import (
     Assignment,
     Diagram,
     ExamineeType,
+    InputError,
     ItemUniverse,
     MethodUniverse,
     Population,
     Vertex,
+    validate_diagram,
 )
 from .datagen import (
     AttributeSpec,
@@ -32,12 +34,10 @@ from .datagen import (
     ThresholdTable,
     TruncatedNormal,
     default_attribute_specs,
-    default_item_universe,
     default_method_universe,
     default_threshold_table,
 )
-from .encoder import Instance
-from .instances import InstanceTemplate
+from .problem import Instance
 from .solver import Solution
 
 CONFIG_DIR_ENV = "DIAGOPT_CONFIG_DIR"
@@ -318,7 +318,10 @@ def read_generator_doc(path: str | Path) -> GeneratorDoc:
 
 @dataclass(frozen=True)
 class InstanceDoc:
-    """Parsed instance file; ``build`` resolves the population and families."""
+    """An instance file's contents; ``instance`` assembles it over a population.
+
+    The shipped instances are docs without a population (see ``instances``).
+    """
 
     items: tuple[int, ...]
     methods: tuple[tuple[int, int], ...]  # (id, cost) pairs
@@ -361,34 +364,39 @@ class InstanceDoc:
     @staticmethod
     def from_obj(obj: Mapping[str, Any]) -> "InstanceDoc":
         ctx = "instance"
-        initial = _expect(obj, "initial", ctx)
-        doc = InstanceDoc(
-            items=tuple(int(i) for i in _expect(obj, "items", ctx)),
-            methods=tuple((int(m), int(c)) for m, c in _expect(obj, "methods", ctx)),
-            vertices=tuple(str(v) for v in _expect(obj, "vertices", ctx)),
-            arcs=tuple(
-                (str(t), str(h), int(l)) for t, h, l in _expect(obj, "arcs", ctx)
-            ),
-            roles={
-                str(u): tuple(sorted(int(i) for i in r))
-                for u, r in _expect(obj, "roles", ctx).items()
-            },
-            categories=tuple(
-                tuple(sorted(int(i) for i in c)) for c in _expect(obj, "categories", ctx)
-            ),
-            initial_nodes={
-                str(u): tuple(sorted(int(i) for i in c))
-                for u, c in _expect(initial, "nodes", ctx).items()
-            },
-            initial_sinks={
-                str(s): int(m) for s, m in _expect(initial, "sinks", ctx).items()
-            },
-            budget=int(_expect(obj, "budget", ctx)),
-            targets=tuple(int(t) for t in _expect(obj, "targets", ctx)),
-            population_inline=obj.get("population"),
-            population_path=obj.get("population_path"),
-            gen_config=obj.get("gen_config"),
-        )
+        try:
+            initial = _expect(obj, "initial", ctx)
+            doc = InstanceDoc(
+                items=tuple(int(i) for i in _expect(obj, "items", ctx)),
+                methods=tuple((int(m), int(c)) for m, c in _expect(obj, "methods", ctx)),
+                vertices=tuple(str(v) for v in _expect(obj, "vertices", ctx)),
+                arcs=tuple(
+                    (str(t), str(h), int(l)) for t, h, l in _expect(obj, "arcs", ctx)
+                ),
+                roles={
+                    str(u): tuple(sorted(int(i) for i in r))
+                    for u, r in _expect(obj, "roles", ctx).items()
+                },
+                categories=tuple(
+                    tuple(sorted(int(i) for i in c)) for c in _expect(obj, "categories", ctx)
+                ),
+                initial_nodes={
+                    str(u): tuple(sorted(int(i) for i in c))
+                    for u, c in _expect(initial, "nodes", ctx).items()
+                },
+                initial_sinks={
+                    str(s): int(m) for s, m in _expect(initial, "sinks", ctx).items()
+                },
+                budget=int(_expect(obj, "budget", ctx)),
+                targets=tuple(int(t) for t in _expect(obj, "targets", ctx)),
+                population_inline=obj.get("population"),
+                population_path=obj.get("population_path"),
+                gen_config=obj.get("gen_config"),
+            )
+        except FormatError:
+            raise
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise FormatError(f"{ctx}: malformed document ({exc})") from exc
         if len(doc.targets) != 3:
             raise FormatError(f"{ctx}: targets must have exactly three entries")
         if doc.population_inline is None and doc.population_path is None:
@@ -404,32 +412,37 @@ class InstanceDoc:
             p = base_dir / p
         return read_population(p)
 
-    def build(self, base_dir: Path | None = None) -> Instance:
-        pop = self.load_population(base_dir)
-        if pop.items.items != self.items:
-            raise FormatError("population item universe differs from the instance's")
-        if pop.methods.methods != tuple(m for m, _ in self.methods) or pop.methods.costs != tuple(
-            c for _, c in self.methods
-        ):
-            raise FormatError("population method universe differs from the instance's")
+    @property
+    def initial_assignment(self) -> Assignment:
+        return Assignment.build(self.initial_nodes, self.initial_sinks)
 
+    def instance(self, pop: Population) -> Instance:
+        """Assemble the instance over ``pop``, which must use the doc's universes.
+
+        Candidate families are built from the initial labels through the
+        neighborhood, category, and role pipeline.
+        """
+        if pop.items.items != self.items:
+            raise InputError("population item universe differs from the instance's")
+        if tuple(zip(pop.methods.methods, pop.methods.costs)) != self.methods:
+            raise InputError("population method universe differs from the instance's")
         diagram = Diagram(
             vertices=self.vertices,
             arcs=tuple(Arc(t, h, l) for t, h, l in self.arcs),
         )
+        report = validate_diagram(diagram)
+        if not report.ok:
+            raise InputError(f"invalid diagram: {'; '.join(report.violations)}")
         if set(self.roles) != set(diagram.internals):
-            raise FormatError("roles must cover exactly the internal vertices")
+            raise InputError("roles must cover exactly the internal vertices")
+        initial = self.initial_assignment
+        if not initial.covers(diagram):
+            raise InputError("initial labels must cover exactly the diagram's vertices")
         categories = CategoryFamily.build(self.categories)
         families = {
-            u: build_family(
-                u, frozenset(self.initial_nodes[u]), pop.items, categories, self.roles[u]
-            )
+            u: build_family(u, initial.node_items[u], pop.items, categories, self.roles[u])
             for u in diagram.internals
         }
-        initial = Assignment.build(
-            {u: frozenset(c) for u, c in self.initial_nodes.items()},
-            dict(self.initial_sinks),
-        )
         return Instance(
             diagram=diagram,
             population=pop,
@@ -439,35 +452,23 @@ class InstanceDoc:
             targets=self.targets,
         )
 
+    def build(self, base_dir: Path | None = None) -> Instance:
+        """Load the doc's population and assemble the instance over it."""
+        pop = self.load_population(base_dir)
+        try:
+            return self.instance(pop)
+        except InputError as exc:
+            raise FormatError(str(exc)) from exc
 
-def instance_doc_from_template(
-    tpl: "InstanceTemplate",
-    population_path: str | None = None,
-    population_inline: Mapping[str, Any] | None = None,
-    gen_config: Mapping[str, Any] | None = None,
-) -> InstanceDoc:
-    """Serialize a shipped template so topologies and roles stay editable."""
-    methods = default_method_universe()
-    return InstanceDoc(
-        items=default_item_universe().items,
-        methods=tuple(zip(methods.methods, methods.costs)),
-        vertices=tpl.vertices,
-        arcs=tuple((a.tail, a.head, a.label) for a in tpl.arcs),
-        roles={u: tuple(sorted(r)) for u, r in tpl.roles.items()},
-        categories=tuple(tuple(sorted(c)) for c in tpl.categories),
-        initial_nodes={u: tuple(sorted(c)) for u, c in tpl.node_labels.items()},
-        initial_sinks=dict(tpl.sink_labels),
-        budget=tpl.budget,
-        targets=tpl.targets,
-        population_inline=dict(population_inline) if population_inline else None,
-        population_path=population_path,
-        gen_config=dict(gen_config) if gen_config else None,
-    )
+
+def instance_doc_from_template(doc: InstanceDoc, population_path: str | None = None) -> InstanceDoc:
+    """A shipped instance referencing a population file, ready to write."""
+    return replace(doc, population_path=population_path)
 
 
 def read_instance_doc(path: str | Path) -> InstanceDoc:
     obj = load_json(path)
-    if obj.get("kind") != "instance":
+    if not isinstance(obj, dict) or obj.get("kind") != "instance":
         raise FormatError(f"{path}: not an instance document")
     return InstanceDoc.from_obj(obj)
 

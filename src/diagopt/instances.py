@@ -9,21 +9,10 @@ the walk at the first sink.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
-
-from .candidates import CandidateFamily, CategoryFamily, build_family
-from .core import (
-    Arc,
-    Assignment,
-    Diagram,
-    InputError,
-    ItemSet,
-    Population,
-    Vertex,
-)
+from .core import InputError, Population, Vertex
 from .datagen import default_item_universe, default_method_universe
-from .encoder import Instance
+from .fileio import InstanceDoc
+from .problem import Instance
 
 ITEM_CATEGORIES: tuple[tuple[int, ...], ...] = (
     (1, 2),
@@ -35,111 +24,89 @@ ITEM_CATEGORIES: tuple[tuple[int, ...], ...] = (
     (25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35),
 )
 
-
-@dataclass(frozen=True)
-class InstanceTemplate:
-    """Editable description of one shipped instance."""
-
-    id: int
-    vertices: tuple[Vertex, ...]
-    arcs: tuple[Arc, ...]
-    roles: Mapping[Vertex, ItemSet]
-    node_labels: Mapping[Vertex, ItemSet]
-    sink_labels: Mapping[Vertex, int]
-    budget: int
-    targets: tuple[int, int, int]
-    categories: tuple[tuple[int, ...], ...] = ITEM_CATEGORIES
-
-    @property
-    def diagram(self) -> Diagram:
-        return Diagram(vertices=self.vertices, arcs=self.arcs)
-
-    @property
-    def initial_assignment(self) -> Assignment:
-        return Assignment.build(self.node_labels, self.sink_labels)
+_SINKS = ("s1", "s2")
 
 
-def _chain(internals: tuple[Vertex, ...], sinks: tuple[Vertex, ...]) -> tuple[Arc, ...]:
-    next_on_zero = list(internals[1:]) + [sinks[1]]
-    arcs: list[Arc] = []
+def _chain(internals: tuple[Vertex, ...]) -> tuple[tuple[Vertex, Vertex, int], ...]:
+    next_on_zero = list(internals[1:]) + [_SINKS[1]]
+    arcs: list[tuple[Vertex, Vertex, int]] = []
     for u, succ in zip(internals, next_on_zero):
-        arcs.append(Arc(u, sinks[0], 1))
-        arcs.append(Arc(u, succ, 0))
+        arcs.append((u, _SINKS[0], 1))
+        arcs.append((u, succ, 0))
     return tuple(arcs)
 
 
-def _template_1() -> InstanceTemplate:
-    internals = ("r", "v1", "v2", "v3")
-    sinks = ("s1", "s2")
-    return InstanceTemplate(
-        id=1,
-        vertices=internals + sinks,
-        arcs=_chain(internals, sinks),
+def _template(
+    roles: dict[Vertex, tuple[int, ...]],
+    node_labels: dict[Vertex, tuple[int, ...]],
+    sink_labels: dict[Vertex, int],
+    budget: int,
+    targets: tuple[int, int, int],
+) -> InstanceDoc:
+    """A chain over the roles' vertices, in order, on the default universes."""
+    internals = tuple(roles)
+    methods = default_method_universe()
+    return InstanceDoc(
+        items=default_item_universe().items,
+        methods=tuple(zip(methods.methods, methods.costs)),
+        vertices=internals + _SINKS,
+        arcs=_chain(internals),
+        roles=roles,
+        categories=ITEM_CATEGORIES,
+        initial_nodes=node_labels,
+        initial_sinks=sink_labels,
+        budget=budget,
+        targets=targets,
+    )
+
+
+def _template_1() -> InstanceDoc:
+    return _template(
         roles={
-            "r": frozenset({0}),
-            "v1": frozenset(range(1, 18)),
-            "v2": frozenset({38, 39, 42, 44, 46, 47, 48}),
-            "v3": frozenset({36, 40, 43}),
+            "r": (0,),
+            "v1": tuple(range(1, 18)),
+            "v2": (38, 39, 42, 44, 46, 47, 48),
+            "v3": (36, 40, 43),
         },
-        node_labels={
-            "r": frozenset({0}),
-            "v1": frozenset({1, 4, 8}),
-            "v2": frozenset({44}),
-            "v3": frozenset({40}),
-        },
+        node_labels={"r": (0,), "v1": (1, 4, 8), "v2": (44,), "v3": (40,)},
         sink_labels={"s1": 1, "s2": 0},
         budget=35000,
         targets=(6, 15, 9),
     )
 
 
-def _template_2() -> InstanceTemplate:
-    internals = ("r", "v1", "v2", "v3")
-    sinks = ("s1", "s2")
-    return InstanceTemplate(
-        id=2,
-        vertices=internals + sinks,
-        arcs=_chain(internals, sinks),
+def _template_2() -> InstanceDoc:
+    return _template(
         roles={
-            "r": frozenset({0}),
-            "v1": frozenset(range(1, 18)),
-            "v2": frozenset(range(18, 36)),
-            "v3": frozenset(range(36, 46)),
+            "r": (0,),
+            "v1": tuple(range(1, 18)),
+            "v2": tuple(range(18, 36)),
+            "v3": tuple(range(36, 46)),
         },
-        node_labels={
-            "r": frozenset({0}),
-            "v1": frozenset({8}),
-            "v2": frozenset({23}),
-            "v3": frozenset({45}),
-        },
+        node_labels={"r": (0,), "v1": (8,), "v2": (23,), "v3": (45,)},
         sink_labels={"s1": 0, "s2": 1},
         budget=373333,
         targets=(6, 160, 96),
     )
 
 
-def _template_3() -> InstanceTemplate:
-    internals = ("r", "v1", "v2", "v3", "v4", "v5")
-    sinks = ("s1", "s2")
-    return InstanceTemplate(
-        id=3,
-        vertices=internals + sinks,
-        arcs=_chain(internals, sinks),
+def _template_3() -> InstanceDoc:
+    return _template(
         roles={
-            "r": frozenset({0}),
-            "v1": frozenset(range(1, 18)),
-            "v2": frozenset(range(36, 46)),
-            "v3": frozenset(range(36, 46)),
-            "v4": frozenset({38, 39, 42, 44, 46, 47, 48}),
-            "v5": frozenset({36, 40, 43}),
+            "r": (0,),
+            "v1": tuple(range(1, 18)),
+            "v2": tuple(range(36, 46)),
+            "v3": tuple(range(36, 46)),
+            "v4": (38, 39, 42, 44, 46, 47, 48),
+            "v5": (36, 40, 43),
         },
         node_labels={
-            "r": frozenset({0}),
-            "v1": frozenset({1, 8}),
-            "v2": frozenset({44}),
-            "v3": frozenset({45}),
-            "v4": frozenset({39}),
-            "v5": frozenset({36}),
+            "r": (0,),
+            "v1": (1, 8),
+            "v2": (44,),
+            "v3": (45,),
+            "v4": (39,),
+            "v5": (36,),
         },
         sink_labels={"s1": 1, "s2": 0},
         budget=483000,
@@ -150,7 +117,8 @@ def _template_3() -> InstanceTemplate:
 _TEMPLATES = {1: _template_1, 2: _template_2, 3: _template_3}
 
 
-def instance_template(id: int) -> InstanceTemplate:
+def instance_template(id: int) -> InstanceDoc:
+    """The shipped instance ``id`` as a doc with no population."""
     try:
         return _TEMPLATES[id]()
     except KeyError:
@@ -160,31 +128,6 @@ def instance_template(id: int) -> InstanceTemplate:
 def build_instance(id: int, pop: Population) -> Instance:
     """Assemble a shipped instance over the given population.
 
-    The population must use the 49-item and 4-method universes; candidate
-    families are built from the initial labels through the neighborhood,
-    category, and role pipeline.
+    The population must use the 49-item and 4-method universes.
     """
-    if pop.items.items != default_item_universe().items:
-        raise InputError("population must use the 49-item universe")
-    if pop.methods.methods != default_method_universe().methods:
-        raise InputError("population must use the 4-method universe")
-
-    tpl = instance_template(id)
-    return instance_from_template(tpl, pop)
-
-
-def instance_from_template(tpl: InstanceTemplate, pop: Population) -> Instance:
-    diagram = tpl.diagram
-    categories = CategoryFamily.build(tpl.categories)
-    families: dict[Vertex, CandidateFamily] = {
-        u: build_family(u, tpl.node_labels[u], pop.items, categories, tpl.roles[u])
-        for u in diagram.internals
-    }
-    return Instance(
-        diagram=diagram,
-        population=pop,
-        families=families,
-        initial=tpl.initial_assignment,
-        budget=tpl.budget,
-        targets=tpl.targets,
-    )
+    return instance_template(id).instance(pop)

@@ -1,0 +1,187 @@
+"""The optimization problem: an instance, and the three settings posed over it.
+
+``SETTINGS`` is the one definition of each setting's sense, objective and
+side rows. The encoder writes it out as LP rows; the search, the brute-force
+oracle and ``verify`` all check and score ``Metrics`` through :class:`Goal`.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+from math import ceil, floor
+from typing import Callable, Mapping
+
+import numpy as np
+
+from .candidates import CandidateFamily
+from .core import Assignment, Diagram, InputError, ItemSet, Metrics, Population, Vertex
+
+MAXIMIZE = "Maximize"
+MINIMIZE = "Minimize"
+
+FIELDS = ("cost", "obj1", "obj2", "obj3")  # the Metrics fields, in order
+
+Targets = tuple[int, int, int]
+Weights = tuple[int, int, int, int]  # one integer per field of FIELDS
+
+
+@dataclass(frozen=True)
+class Instance:
+    """One problem's data: diagram, population, families, initial labels, bounds."""
+
+    diagram: Diagram
+    population: Population
+    families: Mapping[Vertex, CandidateFamily]
+    initial: Assignment
+    budget: int
+    targets: tuple[int, int, int]
+
+    def __post_init__(self) -> None:
+        if set(self.families) != set(self.diagram.internals):
+            raise InputError("candidate families must cover exactly the internal vertices")
+        if not self.initial.covers(self.diagram):
+            raise InputError("initial assignment must cover the diagram")
+        if any(th < 1 for th in self.targets):
+            raise InputError("targets must be positive")
+        if self.budget < 0:
+            raise InputError("budget must be non-negative")
+        for s, m in self.initial.sink_methods.items():
+            if m not in self.population.methods:
+                raise InputError(f"initial method at {s} not in method universe")
+
+    def candidate_order(self, u: Vertex) -> tuple[ItemSet, ...]:
+        return self.families[u].ordered
+
+    def is_feasible(self, phi: Assignment) -> bool:
+        """Candidate membership at every internal vertex, known method at every sink."""
+        return (
+            phi.covers(self.diagram)
+            and all(phi.node_items[u] in self.families[u] for u in self.diagram.internals)
+            and all(phi.sink_methods[s] in self.population.methods for s in self.diagram.sinks)
+        )
+
+    @cached_property
+    def x_matrix(self) -> np.ndarray:
+        """Boolean (|T| x |I|) item matrix in population/universe order."""
+        return np.array([t.x for t in self.population.types], dtype=bool).reshape(
+            len(self.population.types), len(self.population.items)
+        )
+
+    @cached_property
+    def _indicator_cache(self) -> dict[ItemSet, np.ndarray]:
+        return {}
+
+    def indicator_column(self, c: ItemSet) -> np.ndarray:
+        """Per-type 0/1 outcome of testing item set ``c``, as a boolean |T|-vector."""
+        cached = self._indicator_cache.get(c)
+        if cached is None:
+            if c:
+                pos = [self.population.items.index(i) for i in c]
+                cached = self.x_matrix[:, pos].any(axis=1)
+            else:
+                cached = np.zeros(len(self.population.types), dtype=bool)
+            cached.setflags(write=False)
+            self._indicator_cache[c] = cached
+        return cached
+
+
+def side_rows(inst: Instance) -> dict[str, tuple[str, str, int | Fraction]]:
+    """Every side row by name, as (Metrics field, sense, right-hand side).
+
+    The search checks rows on optimistic Metrics (cost from below, indicators
+    from above), which stays admissible only while every row caps the cost
+    or floors an indicator.
+    """
+    th1, th2, th3 = inst.targets
+    return {
+        "budget": ("cost", "<=", inst.budget),
+        "target_obj1": ("obj1", ">=", Fraction(th1, 2)),
+        "target_obj2": ("obj2", ">=", th2),
+        "target_obj3": ("obj3", ">=", th3),
+    }
+
+
+@dataclass(frozen=True)
+class Setting:
+    """Sense, objective and side rows of one setting.
+
+    ``objective`` maps the targets to integer weights over FIELDS and a
+    divisor: the objective is the weighted sum, divided exactly (as a
+    ``Fraction``) unless the divisor is ``None``. As with the rows, bounds
+    stay admissible only while a maximized objective weighs indicators and
+    a minimized one weighs cost. ``rows`` names entries of :func:`side_rows`.
+    """
+
+    sense: str
+    objective: Callable[[Targets], tuple[Weights, int | None]]
+    rows: tuple[str, ...]
+
+
+def _normalized_sum(targets: Targets) -> tuple[Weights, int]:
+    """obj1/th1 + obj2/th2 + obj3/th3, over the common denominator."""
+    th1, th2, th3 = targets
+    return (0, th2 * th3, th1 * th3, th1 * th2), th1 * th2 * th3
+
+
+SETTINGS: dict[int, Setting] = {
+    1: Setting(MAXIMIZE, _normalized_sum, ("budget",)),
+    2: Setting(
+        MINIMIZE, lambda _: ((1, 0, 0, 0), None), ("target_obj1", "target_obj2", "target_obj3")
+    ),
+    3: Setting(MAXIMIZE, lambda _: ((0, 1, 0, 0), None), ("budget", "target_obj2", "target_obj3")),
+}
+
+
+class Goal:
+    """One setting bound to one instance's budget and targets.
+
+    ``feasible`` checks the side rows on a ``Metrics``; ``score`` is the
+    integer objective signed so that larger is better under either sense;
+    ``value`` turns a score back into the objective value. Both are bound
+    once here, since the search calls them at every node.
+    """
+
+    def __init__(self, inst: Instance, setting: int):
+        spec = SETTINGS.get(setting)
+        if spec is None:
+            raise InputError(f"unknown setting {setting}, expected 1, 2 or 3")
+        self.sense = spec.sense
+        self.weights, self.divisor = spec.objective(inst.targets)
+        every_row = side_rows(inst)
+        self.rows = tuple((name, *every_row[name]) for name in spec.rows)
+
+        # integer metrics satisfy a row exactly when they sit within its
+        # rounded right-hand side; a field with no row gets a range wider
+        # than any value it can take (integers keep the check cheap)
+        pop = inst.population
+        top = (max(pop.methods.costs) + 1) * pop.total_weight + len(inst.diagram.vertices)
+        lo = [0] * len(FIELDS)
+        hi = [top] * len(FIELDS)
+        for _, field, sense, rhs in self.rows:
+            k = FIELDS.index(field)
+            if sense == "<=":
+                hi[k] = min(hi[k], floor(rhs))
+            else:
+                lo[k] = max(lo[k], ceil(rhs))
+        (lc, l1, l2, l3), (hc, h1, h2, h3) = lo, hi
+        self._sign = 1 if spec.sense == MAXIMIZE else -1
+        wc, w1, w2, w3 = (self._sign * w for w in self.weights)
+
+        def feasible(m: Metrics) -> bool:
+            return (
+                lc <= m.cost <= hc
+                and l1 <= m.obj1 <= h1
+                and l2 <= m.obj2 <= h2
+                and l3 <= m.obj3 <= h3
+            )
+
+        def score(m: Metrics) -> int:
+            return wc * m.cost + w1 * m.obj1 + w2 * m.obj2 + w3 * m.obj3
+
+        self.feasible: Callable[[Metrics], bool] = feasible
+        self.score: Callable[[Metrics], int] = score
+
+    def value(self, score: int) -> int | Fraction:
+        v = self._sign * score
+        return v if self.divisor is None else Fraction(v, self.divisor)

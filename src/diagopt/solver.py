@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Assignment, InputError, Metrics, Vertex, evaluate
-from .encoder import Instance, SETTINGS
+from .core import Assignment, Metrics, Vertex, evaluate
+from .problem import Goal, Instance
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -61,18 +61,6 @@ class Solution:
         if self.objective_value is None or self.best_bound is None:
             return None
         return abs(self.best_bound - self.objective_value)
-
-
-@dataclass(frozen=True)
-class SearchState:
-    """A prefix of choices over the pinned decision order.
-
-    ``choices[k]`` is the canonical candidate index at the k-th decision
-    vertex (for sinks, the method's position in the method universe).
-    """
-
-    instance: Instance
-    choices: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -163,17 +151,9 @@ class _Tables:
         return sum((mask & pm).bit_count() << k for k, pm in self.planes)
 
 
-@dataclass(frozen=True)
-class _Bounds:
-    """Exact-or-optimistic scores of a partial state; exact once all fixed."""
-
-    obj1_ub: int
-    obj2_ub: int
-    obj3_ub: int
-    cost_lb: int
-
-
-def _partial_bounds(tb: _Tables, choices: Sequence[int]) -> _Bounds:
+def _partial_bounds(tb: _Tables, choices: Sequence[int]) -> Metrics:
+    """Optimistic metrics of a choice prefix: cost from below, indicators
+    from above; exact once every choice is fixed."""
     inst = tb.inst
     fixed = len(choices)
 
@@ -254,34 +234,19 @@ def _partial_bounds(tb: _Tables, choices: Sequence[int]) -> _Bounds:
         else:
             obj1_ub += int(match is not None)
 
-    return _Bounds(obj1_ub=obj1_ub, obj2_ub=obj2_ub, obj3_ub=obj3_ub, cost_lb=cost_lb)
+    return Metrics(cost=cost_lb, obj1=obj1_ub, obj2=obj2_ub, obj3=obj3_ub)
 
 
-def _scaled_objective(b: _Bounds, setting: int, targets: tuple[int, int, int]) -> int:
-    """Objective bound in exact integer arithmetic (setting 1 scaled by the targets)."""
-    th1, th2, th3 = targets
-    if setting == 1:
-        return b.obj1_ub * th2 * th3 + b.obj2_ub * th1 * th3 + b.obj3_ub * th1 * th2
-    if setting == 2:
-        return b.cost_lb
-    return b.obj1_ub
+def bound(inst: Instance, choices: Sequence[int], setting: int) -> int | Fraction:
+    """Admissible objective bound of a choice prefix.
 
-
-def bound(state: SearchState, setting: int) -> int | Fraction:
-    """Admissible objective bound of a partial state.
-
-    Upper bound for the maximization settings, lower cost bound for the
-    minimization one; equals the exact objective when the state is complete.
+    ``choices[k]`` is the canonical candidate index at the k-th decision
+    vertex (for sinks, the method's position in the method universe). Upper
+    bound for the maximization settings, lower cost bound for the
+    minimization one; equals the exact objective when the prefix is complete.
     """
-    if setting not in SETTINGS:
-        raise InputError(f"unknown setting {setting}")
-    tb = _Tables(state.instance)
-    b = _partial_bounds(tb, state.choices)
-    scaled = _scaled_objective(b, setting, state.instance.targets)
-    if setting == 1:
-        th1, th2, th3 = state.instance.targets
-        return Fraction(scaled, th1 * th2 * th3)
-    return scaled
+    goal = Goal(inst, setting)
+    return goal.value(goal.score(_partial_bounds(_Tables(inst), choices)))
 
 
 def _assignment_from_choices(tb: _Tables, choices: Sequence[int]) -> Assignment:
@@ -303,21 +268,20 @@ def assignment_choice_vector(inst: Instance, phi: Assignment) -> tuple[int, ...]
 
 
 class _Search:
+    """Depth-first branch-and-bound that maximizes the goal's score."""
+
     def __init__(
         self,
         inst: Instance,
-        setting: int,
+        goal: Goal,
         node_limit: int | None,
         time_limit: float | None,
     ):
-        self.inst = inst
-        self.setting = setting
+        self.goal = goal
+        self.feasible = goal.feasible
+        self.score = goal.score
         self.tb = _Tables(inst)
-        self.targets = inst.targets
-        self.budget = inst.budget
-        self.maximize = setting in (1, 3)
         self.node_limit = node_limit
-        self.time_limit = time_limit
         self.deadline = None if time_limit is None else time.perf_counter() + time_limit
 
         self.nodes = 0
@@ -343,36 +307,17 @@ class _Search:
         return False
 
     def _note_open(self, scaled: int) -> None:
-        if self.open_bound is None:
+        if self.open_bound is None or scaled > self.open_bound:
             self.open_bound = scaled
-        elif self.maximize:
-            self.open_bound = max(self.open_bound, scaled)
-        else:
-            self.open_bound = min(self.open_bound, scaled)
-
-    def _feasible_prefix(self, b: _Bounds) -> bool:
-        th1, th2, th3 = self.targets
-        if self.setting in (1, 3) and b.cost_lb > self.budget:
-            return False
-        if self.setting in (2, 3) and (b.obj2_ub < th2 or b.obj3_ub < th3):
-            return False
-        if self.setting == 2 and 2 * b.obj1_ub < th1:
-            return False
-        return True
 
     def _prunable(self, scaled: int, choices: tuple[int, ...]) -> bool:
-        if self.inc_obj is None:
+        if self.inc_obj is None or scaled > self.inc_obj:
             return False
-        if self.maximize:
-            if scaled < self.inc_obj:
-                return True
-        elif scaled > self.inc_obj:
-            return True
         if scaled == self.inc_obj:
             # an equal-bound subtree can only matter through the tie-break
             pad = choices + (0,) * (self.n_decisions - len(choices))
             return pad >= self.inc_vec
-        return False
+        return True
 
     def run(self) -> None:
         self._dfs(())
@@ -381,10 +326,10 @@ class _Search:
         if self.aborted:
             return
         self.nodes += 1
-        b = _partial_bounds(self.tb, choices)
-        if not self._feasible_prefix(b):
+        m = _partial_bounds(self.tb, choices)
+        if not self.feasible(m):
             return
-        scaled = _scaled_objective(b, self.setting, self.targets)
+        scaled = self.score(m)
         if self._hit_limit():
             self.aborted = True
             self._note_open(scaled)
@@ -396,8 +341,7 @@ class _Search:
         if k == self.n_decisions:
             if (
                 self.inc_obj is None
-                or (self.maximize and scaled > self.inc_obj)
-                or (not self.maximize and scaled < self.inc_obj)
+                or scaled > self.inc_obj
                 or (scaled == self.inc_obj and choices < self.inc_vec)
             ):
                 self.inc_obj = scaled
@@ -418,10 +362,9 @@ def solve(
     time_limit: float | None = None,
 ) -> Solution:
     """Branch-and-bound to proven optimality (or the best incumbent at a limit)."""
-    if setting not in SETTINGS:
-        raise InputError(f"unknown setting {setting}, expected 1, 2 or 3")
+    goal = Goal(inst, setting)
     started = time.perf_counter()
-    search = _Search(inst, setting, node_limit, time_limit)
+    search = _Search(inst, goal, node_limit, time_limit)
     search.run()
     wall = time.perf_counter() - started
     stats = SolveStats(nodes=search.nodes, wall_time=wall)
@@ -431,14 +374,7 @@ def solve(
 def _solution_from_search(
     inst: Instance, setting: int, search: _Search, stats: SolveStats
 ) -> Solution:
-    th1, th2, th3 = inst.targets
-    scale = th1 * th2 * th3
-
-    def unscale(v: int | None) -> int | Fraction | None:
-        if v is None:
-            return None
-        return Fraction(v, scale) if setting == 1 else v
-
+    value = search.goal.value
     if search.inc_vec is None:
         if search.aborted:
             return Solution(
@@ -447,7 +383,7 @@ def _solution_from_search(
                 assignment=None,
                 metrics=None,
                 objective_value=None,
-                best_bound=unscale(search.open_bound),
+                best_bound=None if search.open_bound is None else value(search.open_bound),
                 stats=stats,
             )
         return Solution(
@@ -462,22 +398,18 @@ def _solution_from_search(
 
     phi = _assignment_from_choices(search.tb, search.inc_vec)
     metrics = evaluate(inst.diagram, phi, inst.initial, inst.population)
-    objective = unscale(search.inc_obj)
+    objective = value(search.inc_obj)
     if search.aborted:
         best = search.inc_obj
         if search.open_bound is not None:
-            best = (
-                max(best, search.open_bound)
-                if search.maximize
-                else min(best, search.open_bound)
-            )
+            best = max(best, search.open_bound)
         return Solution(
             setting=setting,
             status=STATUS_LIMIT,
             assignment=phi,
             metrics=metrics,
             objective_value=objective,
-            best_bound=unscale(best),
+            best_bound=value(best),
             stats=stats,
         )
     return Solution(
@@ -491,28 +423,10 @@ def _solution_from_search(
     )
 
 
-def _setting_feasible(setting: int, m: Metrics, inst: Instance) -> bool:
-    th1, th2, th3 = inst.targets
-    if setting == 1:
-        return m.cost <= inst.budget
-    if setting == 2:
-        return 2 * m.obj1 >= th1 and m.obj2 >= th2 and m.obj3 >= th3
-    return m.cost <= inst.budget and m.obj2 >= th2 and m.obj3 >= th3
-
-
-def _setting_objective(setting: int, m: Metrics, inst: Instance) -> int | Fraction:
-    th1, th2, th3 = inst.targets
-    if setting == 1:
-        return Fraction(m.obj1, th1) + Fraction(m.obj2, th2) + Fraction(m.obj3, th3)
-    if setting == 2:
-        return m.cost
-    return m.obj1
-
-
 def brute_force(inst: Instance, setting: int, cap: int = BRUTE_FORCE_CAP) -> Solution:
     """Exhaustive oracle: score every assignment through the scalar evaluator."""
-    if setting not in SETTINGS:
-        raise InputError(f"unknown setting {setting}, expected 1, 2 or 3")
+    goal = Goal(inst, setting)
+    feasible, score = goal.feasible, goal.score
     d = inst.diagram
     space = 1
     for u in d.internals:
@@ -524,9 +438,8 @@ def brute_force(inst: Instance, setting: int, cap: int = BRUTE_FORCE_CAP) -> Sol
     started = time.perf_counter()
     orders = [inst.candidate_order(u) for u in d.internals]
     methods = inst.population.methods.methods
-    maximize = setting in (1, 3)
 
-    best_obj: int | Fraction | None = None
+    best_score: int | None = None
     best_phi: Assignment | None = None
     best_metrics: Metrics | None = None
     count = 0
@@ -539,11 +452,11 @@ def brute_force(inst: Instance, setting: int, cap: int = BRUTE_FORCE_CAP) -> Sol
         }
         phi = Assignment(node_items=node_items, sink_methods=sink_methods)
         m = evaluate(d, phi, inst.initial, inst.population)
-        if not _setting_feasible(setting, m, inst):
+        if not feasible(m):
             continue
-        obj = _setting_objective(setting, m, inst)
-        if best_obj is None or (obj > best_obj if maximize else obj < best_obj):
-            best_obj, best_phi, best_metrics = obj, phi, m
+        scaled = score(m)
+        if best_score is None or scaled > best_score:
+            best_score, best_phi, best_metrics = scaled, phi, m
 
     wall = time.perf_counter() - started
     stats = SolveStats(nodes=count, wall_time=wall)
@@ -557,6 +470,7 @@ def brute_force(inst: Instance, setting: int, cap: int = BRUTE_FORCE_CAP) -> Sol
             best_bound=None,
             stats=stats,
         )
+    best_obj = goal.value(best_score)
     return Solution(
         setting=setting,
         status=STATUS_OPTIMAL,
@@ -570,6 +484,7 @@ def brute_force(inst: Instance, setting: int, cap: int = BRUTE_FORCE_CAP) -> Sol
 
 def verify(sol: Solution, inst: Instance, setting: int) -> VerificationReport:
     """Re-derive everything the solution claims and flag each mismatch."""
+    goal = Goal(inst, setting)
     issues: list[str] = []
     if sol.setting != setting:
         issues.append(f"solution is for setting {sol.setting}, not {setting}")
@@ -594,9 +509,9 @@ def verify(sol: Solution, inst: Instance, setting: int) -> VerificationReport:
     m = evaluate(inst.diagram, phi, inst.initial, inst.population)
     if sol.metrics is not None and m != sol.metrics:
         issues.append(f"metrics mismatch: recomputed {m}, reported {sol.metrics}")
-    if not _setting_feasible(setting, m, inst):
+    if not goal.feasible(m):
         issues.append("candidate/constraint violation: setting side constraints fail")
-    recomputed = _setting_objective(setting, m, inst)
+    recomputed = goal.value(goal.score(m))
     if sol.objective_value is not None and recomputed != sol.objective_value:
         issues.append(
             f"objective mismatch: recomputed {recomputed}, reported {sol.objective_value}"

@@ -1,4 +1,4 @@
-"""Candidate family construction: neighborhoods, filters, partitions."""
+"""Candidate family construction: neighborhoods and filters."""
 from __future__ import annotations
 
 import pytest
@@ -11,14 +11,11 @@ from diagopt.candidates import (
     build_family,
     category_filter,
     neighborhood,
-    partition_by_type,
     role_restrict,
 )
-from diagopt.core import InputError, ItemUniverse, MethodUniverse
-from conftest import make_type
+from diagopt.core import InputError, ItemUniverse
 
 FULL = ItemUniverse(tuple(range(49)))
-METHODS = MethodUniverse(methods=(0, 1, 2, 3), costs=(0, 200, 500, 700))
 
 CATEGORIES = CategoryFamily.build(
     [
@@ -149,40 +146,3 @@ class TestRoleRestrict:
         fam = build_family("v2", frozenset({44}), FULL, CATEGORIES, role)
         assert fam.candidates == family_oracle(frozenset({44}), role, CATEGORIES)
         assert len(fam) == 14
-
-
-class TestPartitionByType:
-    def test_two_member_family(self):
-        fam = CandidateFamily(
-            vertex="u",
-            candidates=frozenset({frozenset(), frozenset({3})}),
-            role=frozenset({3}),
-        )
-        t = make_type(0, 1, {3}, set(), 0, FULL, METHODS)
-        part = partition_by_type(fam, t, FULL)
-        assert part.zero == {frozenset()}
-        assert part.one == {frozenset({3})}
-
-    def test_all_negative_type(self):
-        fam = build_family("v3", frozenset({40}), FULL, CATEGORIES, frozenset({36, 40, 43}))
-        t = make_type(0, 1, set(), set(), 0, FULL, METHODS)
-        part = partition_by_type(fam, t, FULL)
-        assert part.zero == fam.candidates
-        assert part.one == frozenset()
-
-    def test_instance_one_example(self):
-        fam = build_family("v3", frozenset({40}), FULL, CATEGORIES, frozenset({36, 40, 43}))
-        t = make_type(0, 1, {36}, set(), 0, FULL, METHODS)
-        part = partition_by_type(fam, t, FULL)
-        assert part.one == {frozenset({36}), frozenset({36, 40})}
-
-    @given(st.sets(st.integers(0, 48), max_size=6), st.sets(st.integers(0, 48), max_size=8))
-    @settings(max_examples=40)
-    def test_true_partition(self, base_set, positive):
-        base = frozenset(base_set)
-        fam = build_family("u", base, FULL, CATEGORIES, frozenset(FULL.items))
-        t = make_type(0, 1, positive, set(), 0, FULL, METHODS)
-        part = partition_by_type(fam, t, FULL)
-        assert part.zero | part.one == fam.candidates
-        assert not part.zero & part.one
-        assert len(part.zero) + len(part.one) == len(fam)

@@ -273,7 +273,49 @@ class TestConfigDir:
         assert len(pop.items) == 1
 
 
+def _arc_with_two_fields(obj):
+    obj["arcs"][0] = obj["arcs"][0][:2]
+
+
+def _missing_initial_label(obj):
+    del obj["initial"]["nodes"]["v1"]
+
+
+def _string_targets(obj):
+    obj["targets"] = ["six", "fifteen", "nine"]
+
+
+def _null_budget(obj):
+    obj["budget"] = None
+
+
+def _arc_labeled_seven(obj):
+    obj["arcs"][0][2] = 7
+
+
 class TestErrors:
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            _arc_with_two_fields,
+            _missing_initial_label,
+            _string_targets,
+            _null_budget,
+            _arc_labeled_seven,
+        ],
+    )
+    def test_malformed_instance_is_one_error_line(self, workspace, tmp_path, capsys, corrupt):
+        _, _, inst_path = workspace
+        obj = json.loads(inst_path.read_text())
+        corrupt(obj)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["solve", "--instance", str(bad), "--setting", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main([
             "solve", "--instance", str(tmp_path / "nope.json"), "--setting", "1",

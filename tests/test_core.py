@@ -18,7 +18,6 @@ from diagopt.core import (
     MethodUniverse,
     Population,
     evaluate,
-    gamma,
     item_indicator,
     route,
     validate_diagram,
@@ -206,40 +205,6 @@ class TestRouteProperties:
         assert len(set(path)) == len(path)
         assert got.visited == frozenset(path)
         assert got.method == phi.sink_methods[path[-1]]
-
-
-class TestGamma:
-    def diamond(self) -> Diagram:
-        return Diagram(
-            vertices=("r", "u1", "u2", "v", "sa"),
-            arcs=(
-                Arc("r", "u1", 0),
-                Arc("r", "u2", 1),
-                Arc("u1", "v", 0),
-                Arc("u1", "sa", 1),
-                Arc("u2", "v", 0),
-                Arc("u2", "sa", 1),
-                Arc("v", "sa", 0),
-                Arc("v", "sa", 1),
-            ),
-        )
-
-    def test_single_arc(self):
-        d = one_test_diagram()
-        assert gamma(d, "s1", 1) == frozenset({"r"})
-
-    def test_no_incoming_arcs_with_label(self):
-        d = one_test_diagram()
-        assert gamma(d, "s1", 0) == frozenset()
-
-    def test_diamond_collects_both_tails(self):
-        assert gamma(self.diamond(), "v", 0) == frozenset({"u1", "u2"})
-
-    def test_unknown_vertex_rejected(self):
-        with pytest.raises(InputError):
-            gamma(one_test_diagram(), "nope", 0)
-        with pytest.raises(InputError):
-            gamma(one_test_diagram(), "s1", 2)
 
 
 class TestEvaluate:

@@ -16,7 +16,6 @@ from diagopt.solver import (
     STATUS_LIMIT,
     STATUS_OPTIMAL,
     EnumerationCapError,
-    SearchState,
     assignment_choice_vector,
     bound,
     brute_force,
@@ -196,8 +195,7 @@ class TestBound:
             sizes += [len(inst.population.methods)] * len(inst.diagram.sinks)
             for k in range(n_decisions + 1):
                 prefix = tuple(rng.randrange(sizes[i]) for i in range(k))
-                state = SearchState(instance=inst, choices=prefix)
-                b = bound(state, setting)
+                b = bound(inst, prefix, setting)
                 best = None
                 for phi in enumerate_completions(inst, prefix):
                     m = evaluate(inst.diagram, phi, inst.initial, inst.population)
@@ -214,14 +212,14 @@ class TestBound:
                         assert b >= best
         assert checked > 20
 
-    def test_complete_state_bound_is_exact(self, rng):
+    @pytest.mark.parametrize("setting", [1, 2, 3])
+    def test_complete_state_bound_is_exact(self, rng, setting):
         inst = random_toy_instance(rng)
-        sol = solve(inst, 3)
+        sol = solve(inst, setting)
         if sol.status != STATUS_OPTIMAL:
             pytest.skip("sampled instance infeasible for this check")
         vec = assignment_choice_vector(inst, sol.assignment)
-        state = SearchState(instance=inst, choices=vec)
-        assert bound(state, 3) == sol.metrics.obj1
+        assert bound(inst, vec, setting) == setting_objective(inst, setting, sol.metrics)
 
     def test_root_bound_covers_the_optimum(self, rng):
         for _ in range(10):
@@ -229,7 +227,7 @@ class TestBound:
             sol = solve(inst, 1)
             if sol.status != STATUS_OPTIMAL:
                 continue
-            root = bound(SearchState(instance=inst, choices=()), 1)
+            root = bound(inst, (), 1)
             assert root >= sol.objective_value
 
 
