@@ -311,6 +311,38 @@ def item_indicator(c: ItemSet | Iterable[int], t: ExamineeType, items: ItemUnive
     return int(any(t.x[items.index(i)] for i in c))
 
 
+# a decorated vertex's carried item positions, then its 0- and 1-successors
+_Step = tuple[tuple[int, ...], Vertex, Vertex]
+
+
+def _walk_table(d: Diagram, phi: Assignment, items: ItemUniverse) -> dict[Vertex, _Step]:
+    """Every decorated vertex's step, resolved once per assignment."""
+    return {
+        u: (
+            tuple(items.index(i) for i in phi.node_items[u]),
+            d.out_arc(u, 0).head,
+            d.out_arc(u, 1).head,
+        )
+        for u in d.vertices
+        if u in phi.node_items
+    }
+
+
+def _walk(source: Vertex, table: Mapping[Vertex, _Step], x: tuple[int, ...]) -> list[Vertex]:
+    """The vertices visited by a type with item vector ``x``, source to sink."""
+    v = source
+    path = [v]
+    while v in table:
+        # the 0-successor, unless some carried item is positive
+        positions, v, head1 = table[v]
+        for p in positions:
+            if x[p]:
+                v = head1
+                break
+        path.append(v)
+    return path
+
+
 def route(d: Diagram, phi: Assignment, t: ExamineeType, items: ItemUniverse) -> RouteResult:
     """Walk ``t`` from the source to a sink, following the tested labels.
 
@@ -318,13 +350,8 @@ def route(d: Diagram, phi: Assignment, t: ExamineeType, items: ItemUniverse) -> 
     visited vertices, endpoints included. Terminates in at most |V| steps on
     any valid diagram.
     """
-    v = d.source
-    visited = [v]
-    while v in phi.node_items:
-        label = item_indicator(phi.node_items[v], t, items)
-        v = d.out_arc(v, label).head
-        visited.append(v)
-    return RouteResult(method=phi.sink_methods[v], visited=frozenset(visited))
+    path = _walk(d.source, _walk_table(d, phi, items), t.x)
+    return RouteResult(method=phi.sink_methods[path[-1]], visited=frozenset(path))
 
 
 def evaluate(d: Diagram, phi: Assignment, phi_in: Assignment, pop: Population) -> Metrics:
@@ -337,13 +364,15 @@ def evaluate(d: Diagram, phi: Assignment, phi_in: Assignment, pop: Population) -
     - obj2: examinees reacting positively to their assigned method,
     - obj3: the obj2 subpopulation whose tracked item also improves.
     """
+    source = d.source
+    table = _walk_table(d, phi, pop.items)
     cost = 0
     obj2 = 0
     obj3 = 0
     for t in pop.types:
-        m = route(d, phi, t, pop.items).method
-        cost += pop.methods.cost(m) * t.weight
-        if t.y[pop.methods.index(m)]:
+        mi = pop.methods.index(phi.sink_methods[_walk(source, table, t.x)[-1]])
+        cost += pop.methods.costs[mi] * t.weight
+        if t.y[mi]:
             obj2 += t.weight
             if t.z:
                 obj3 += t.weight

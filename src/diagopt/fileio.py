@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, TypeVar
 
 from .candidates import CategoryFamily, build_family
 from .core import (
@@ -41,6 +41,8 @@ from .problem import Instance
 from .solver import Solution
 
 CONFIG_DIR_ENV = "DIAGOPT_CONFIG_DIR"
+
+_Doc = TypeVar("_Doc")
 
 
 class FormatError(ValueError):
@@ -76,6 +78,26 @@ def load_json(path: str | Path) -> Any:
 def write_text(path: str | Path, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _from_doc(
+    obj: Any, kind: str, from_obj: Callable[[Mapping[str, Any]], _Doc], where: str | Path
+) -> _Doc:
+    """Parse a document of ``kind``: any schema error is a FormatError."""
+    if not isinstance(obj, dict) or obj.get("kind") != kind:
+        raise FormatError(f"{where}: not a document of kind {kind!r}")
+    try:
+        return from_obj(obj)
+    except FormatError:
+        raise
+    except (AttributeError, TypeError, ValueError, KeyError) as exc:
+        raise FormatError(f"{where}: malformed {kind} document ({exc})") from exc
+
+
+def _read_doc(
+    path: str | Path, kind: str, from_obj: Callable[[Mapping[str, Any]], _Doc]
+) -> _Doc:
+    return _from_doc(load_json(path), kind, from_obj, path)
 
 
 def _expect(obj: Mapping[str, Any], key: str, ctx: str) -> Any:
@@ -138,10 +160,7 @@ def write_population(pop: Population, path: str | Path) -> None:
 
 
 def read_population(path: str | Path) -> Population:
-    obj = load_json(path)
-    if obj.get("kind") != "population":
-        raise FormatError(f"{path}: not a population document")
-    return population_from_obj(obj)
+    return _read_doc(path, "population", population_from_obj)
 
 
 # ----------------------------------------------------------------------
@@ -171,10 +190,7 @@ def write_assignment(phi: Assignment, path: str | Path) -> None:
 
 
 def read_assignment(path: str | Path) -> Assignment:
-    obj = load_json(path)
-    if obj.get("kind") != "assignment":
-        raise FormatError(f"{path}: not an assignment document")
-    return assignment_from_obj(obj)
+    return _read_doc(path, "assignment", assignment_from_obj)
 
 
 # ----------------------------------------------------------------------
@@ -305,10 +321,7 @@ class GeneratorDoc:
 
 
 def read_generator_doc(path: str | Path) -> GeneratorDoc:
-    obj = load_json(path)
-    if obj.get("kind") != "genconfig":
-        raise FormatError(f"{path}: not a generator configuration document")
-    return GeneratorDoc.from_obj(obj)
+    return _read_doc(path, "genconfig", GeneratorDoc.from_obj)
 
 
 # ----------------------------------------------------------------------
@@ -364,48 +377,43 @@ class InstanceDoc:
     @staticmethod
     def from_obj(obj: Mapping[str, Any]) -> "InstanceDoc":
         ctx = "instance"
-        try:
-            initial = _expect(obj, "initial", ctx)
-            doc = InstanceDoc(
-                items=tuple(int(i) for i in _expect(obj, "items", ctx)),
-                methods=tuple((int(m), int(c)) for m, c in _expect(obj, "methods", ctx)),
-                vertices=tuple(str(v) for v in _expect(obj, "vertices", ctx)),
-                arcs=tuple(
-                    (str(t), str(h), int(l)) for t, h, l in _expect(obj, "arcs", ctx)
-                ),
-                roles={
-                    str(u): tuple(sorted(int(i) for i in r))
-                    for u, r in _expect(obj, "roles", ctx).items()
-                },
-                categories=tuple(
-                    tuple(sorted(int(i) for i in c)) for c in _expect(obj, "categories", ctx)
-                ),
-                initial_nodes={
-                    str(u): tuple(sorted(int(i) for i in c))
-                    for u, c in _expect(initial, "nodes", ctx).items()
-                },
-                initial_sinks={
-                    str(s): int(m) for s, m in _expect(initial, "sinks", ctx).items()
-                },
-                budget=int(_expect(obj, "budget", ctx)),
-                targets=tuple(int(t) for t in _expect(obj, "targets", ctx)),
-                population_inline=obj.get("population"),
-                population_path=obj.get("population_path"),
-                gen_config=obj.get("gen_config"),
-            )
-        except FormatError:
-            raise
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise FormatError(f"{ctx}: malformed document ({exc})") from exc
+        initial = _expect(obj, "initial", ctx)
+        doc = InstanceDoc(
+            items=tuple(int(i) for i in _expect(obj, "items", ctx)),
+            methods=tuple((int(m), int(c)) for m, c in _expect(obj, "methods", ctx)),
+            vertices=tuple(str(v) for v in _expect(obj, "vertices", ctx)),
+            arcs=tuple((str(t), str(h), int(l)) for t, h, l in _expect(obj, "arcs", ctx)),
+            roles={
+                str(u): tuple(sorted(int(i) for i in r))
+                for u, r in _expect(obj, "roles", ctx).items()
+            },
+            categories=tuple(
+                tuple(sorted(int(i) for i in c)) for c in _expect(obj, "categories", ctx)
+            ),
+            initial_nodes={
+                str(u): tuple(sorted(int(i) for i in c))
+                for u, c in _expect(initial, "nodes", ctx).items()
+            },
+            initial_sinks={str(s): int(m) for s, m in _expect(initial, "sinks", ctx).items()},
+            budget=int(_expect(obj, "budget", ctx)),
+            targets=tuple(int(t) for t in _expect(obj, "targets", ctx)),
+            population_inline=obj.get("population"),
+            population_path=obj.get("population_path"),
+            gen_config=obj.get("gen_config"),
+        )
         if len(doc.targets) != 3:
             raise FormatError(f"{ctx}: targets must have exactly three entries")
         if doc.population_inline is None and doc.population_path is None:
             raise FormatError(f"{ctx}: needs either population or population_path")
+        if not isinstance(doc.population_path, (str, type(None))):
+            raise FormatError(f"{ctx}: population_path must be a string")
         return doc
 
     def load_population(self, base_dir: Path | None = None) -> Population:
         if self.population_inline is not None:
-            return population_from_obj(self.population_inline)
+            return _from_doc(
+                self.population_inline, "population", population_from_obj, "inline population"
+            )
         assert self.population_path is not None
         p = Path(self.population_path)
         if not p.is_absolute() and base_dir is not None and (base_dir / p).exists():
@@ -467,10 +475,7 @@ def instance_doc_from_template(doc: InstanceDoc, population_path: str | None = N
 
 
 def read_instance_doc(path: str | Path) -> InstanceDoc:
-    obj = load_json(path)
-    if not isinstance(obj, dict) or obj.get("kind") != "instance":
-        raise FormatError(f"{path}: not an instance document")
-    return InstanceDoc.from_obj(obj)
+    return _read_doc(path, "instance", InstanceDoc.from_obj)
 
 
 def read_instance(path: str | Path) -> Instance:

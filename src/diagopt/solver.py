@@ -1,10 +1,14 @@
 """Exact native optimization over the assignment space.
 
 ``solve`` runs depth-first branch-and-bound over the pinned decision order
-(internal vertices in topological order, then sinks). Routing during search
-is bitset-vectorized: one Python int per vertex holds the reachability bit
-of every examinee type, and weighted tallies decompose the weights into
-bit-planes so a weighted sum costs one popcount per plane.
+(internal vertices in topological order, then sinks). Every per-vertex table
+(candidates, successor positions, branch order, deployed-label match) is a
+list indexed by that decision position, and every arc points to a later
+position, so bounding a node is one forward pass over the positions.
+Routing during search is bitset-vectorized: one Python int per position
+holds the reachability bit of every examinee type, and weighted tallies
+decompose the weights into bit-planes so a weighted sum costs one popcount
+per plane.
 
 ``brute_force`` is the ground-truth oracle: it enumerates every assignment
 and scores it through the scalar evaluation path, sharing no routing code
@@ -17,6 +21,7 @@ so repeated runs and both solvers agree on the exact same assignment.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,53 +79,63 @@ def _mask_from_bool(col: np.ndarray) -> int:
 
 
 class _Tables:
-    """Per-instance bitset precomputation shared by bound and search."""
+    """Per-instance bitset tables shared by bound and search.
+
+    Every per-vertex table is a list indexed by decision position: internal
+    vertices in topological order, then sinks. Every arc points to a later
+    position, so reach propagates in one forward pass over the positions.
+    """
 
     def __init__(self, inst: Instance):
-        self.inst = inst
         d = inst.diagram
         pop = inst.population
-        n_t = len(pop.types)
-
-        self.decision_order: tuple[Vertex, ...] = d.internals + d.sinks
-        self.decision_pos = {v: k for k, v in enumerate(self.decision_order)}
+        initial = inst.initial
+        order = d.internals + d.sinks
+        pos = {v: k for k, v in enumerate(order)}
+        self.order: tuple[Vertex, ...] = order
+        self.source = pos[d.source]
         self.n_internal = len(d.internals)
         self.methods = pop.methods.methods
         self.costs = pop.methods.costs
         self.cost_order = sorted(range(len(self.methods)), key=lambda mi: self.costs[mi])
-        self.full = (1 << n_t) - 1
+        self.full = (1 << len(pop.types)) - 1
 
-        self.candidates = {u: inst.candidate_order(u) for u in d.internals}
-        self.ones = {
-            u: [_mask_from_bool(inst.indicator_column(c)) for c in self.candidates[u]]
-            for u in d.internals
-        }
+        # a sink's candidates are the methods, so a choice vector indexes
+        # candidates[k] at every position
+        self.candidates: list[tuple] = [inst.candidate_order(u) for u in d.internals]
+        self.candidates += [self.methods] * len(d.sinks)
+        self.ones = [
+            [_mask_from_bool(inst.indicator_column(c)) for c in self.candidates[k]]
+            for k in range(self.n_internal)
+        ]
+        self.heads = [
+            (pos[d.out_arc(u, 0).head], pos[d.out_arc(u, 1).head]) for u in d.internals
+        ]
 
-        # branch order: candidates closest to the initial label first
-        initial = inst.initial
-        self.branch_order: dict[Vertex, list[int]] = {}
-        for u in d.internals:
-            base = initial.node_items[u]
-            self.branch_order[u] = sorted(
-                range(len(self.candidates[u])),
-                key=lambda ci: (-len(self.candidates[u][ci] & base), tuple(sorted(self.candidates[u][ci]))),
+        # initial-label position for the similarity objective, and branch
+        # order: internal candidates closest to the initial label first, the
+        # initial method first at sinks
+        deployed = [initial.node_items[u] for u in d.internals]
+        deployed += [initial.sink_methods[s] for s in d.sinks]
+        self.match: list[int | None] = [
+            cands.index(base) if base in cands else None
+            for cands, base in zip(self.candidates, deployed)
+        ]
+        self.children: list[list[int]] = [
+            sorted(
+                range(len(cands)),
+                key=lambda ci: (-len(cands[ci] & base), tuple(sorted(cands[ci]))),
             )
-        self.sink_branch_order: dict[Vertex, list[int]] = {}
-        for s in d.sinks:
-            mi0 = pop.methods.index(initial.sink_methods[s])
-            self.sink_branch_order[s] = [mi0] + [
-                mi for mi in range(len(self.methods)) if mi != mi0
-            ]
-
-        # initial-label positions for the similarity objective
-        self.match_choice: dict[Vertex, int | None] = {}
-        for u in d.internals:
-            base = initial.node_items[u]
-            self.match_choice[u] = (
-                self.candidates[u].index(base) if base in self.candidates[u] else None
-            )
-        for s in d.sinks:
-            self.match_choice[s] = pop.methods.index(initial.sink_methods[s])
+            for cands, base in zip(self.candidates, deployed[: self.n_internal])
+        ]
+        self.children += [
+            [mi] + [j for j in range(len(self.methods)) if j != mi]
+            for mi in self.match[self.n_internal :]
+        ]
+        # open_matches[k]: positions at or after k that can still match
+        self.open_matches = [
+            sum(m is not None for m in self.match[k:]) for k in range(len(order) + 1)
+        ]
 
         self.y_masks = [0] * len(self.methods)
         self.yz_masks = [0] * len(self.methods)
@@ -142,83 +157,74 @@ class _Tables:
                     mask |= 1 << ti
             self.planes.append((k, mask))
 
-        self.topo = d.topo_order
-        self.arc_heads = {
-            u: (d.out_arc(u, 0).head, d.out_arc(u, 1).head) for u in d.internals
-        }
-
     def wsum(self, mask: int) -> int:
         return sum((mask & pm).bit_count() << k for k, pm in self.planes)
+
+    def assignment(self, choices: Sequence[int]) -> Assignment:
+        n = self.n_internal
+        labels = [cands[c] for cands, c in zip(self.candidates, choices)]
+        return Assignment(
+            node_items=dict(zip(self.order[:n], labels[:n])),
+            sink_methods=dict(zip(self.order[n:], labels[n:])),
+        )
 
 
 def _partial_bounds(tb: _Tables, choices: Sequence[int]) -> Metrics:
     """Optimistic metrics of a choice prefix: cost from below, indicators
     from above; exact once every choice is fixed."""
-    inst = tb.inst
     fixed = len(choices)
+    full = tb.full
 
     # possible reach: fixed vertices split their types exactly, open vertices
     # forward every incoming type to both successors
-    reach = {v: 0 for v in tb.topo}
-    reach[inst.diagram.source] = tb.full
-    for v in tb.topo:
-        if v not in tb.arc_heads:
-            continue
-        r = reach[v]
+    reach = [0] * len(tb.order)
+    reach[tb.source] = full
+    for k, (h0, h1) in enumerate(tb.heads):
+        r = reach[k]
         if not r:
             continue
-        head0, head1 = tb.arc_heads[v]
-        pos = tb.decision_pos[v]
-        if pos < fixed:
-            ones = tb.ones[v][choices[pos]]
-            reach[head1] |= r & ones
-            reach[head0] |= r & (tb.full ^ ones)
+        if k < fixed:
+            ones = tb.ones[k][choices[k]]
+            reach[h1] |= r & ones
+            reach[h0] |= r & (full ^ ones)
         else:
-            reach[head1] |= r
-            reach[head0] |= r
+            reach[h1] |= r
+            reach[h0] |= r
 
-    # per-method attainability over sinks
+    # per-method attainability over sinks, and the per-sink reaction bound:
+    # every sink serves its possible audience with its single best method
+    # (tight while sinks are open)
     n_m = len(tb.methods)
     pm = [0] * n_m
-    for s in inst.diagram.sinks:
-        pos = tb.decision_pos[s]
-        if pos < fixed:
-            pm[choices[pos]] |= reach[s]
+    per_sink2 = 0
+    per_sink3 = 0
+    for k in range(tb.n_internal, len(tb.order)):
+        r = reach[k]
+        if not r:
+            continue
+        if k < fixed:
+            mi = choices[k]
+            pm[mi] |= r
+            per_sink2 += tb.wsum(r & tb.y_masks[mi])
+            per_sink3 += tb.wsum(r & tb.yz_masks[mi])
         else:
             for mi in range(n_m):
-                pm[mi] |= reach[s]
+                pm[mi] |= r
+            per_sink2 += max(tb.wsum(r & tb.y_masks[mi]) for mi in range(n_m))
+            per_sink3 += max(tb.wsum(r & tb.yz_masks[mi]) for mi in range(n_m))
 
-    # two admissible reaction bounds: every type independently takes its
-    # best attainable method (tight once sinks are fixed), and every sink
-    # serves its possible audience with its single best method (tight while
-    # sinks are open); take the smaller
+    # the other reaction bound: every type independently takes its best
+    # attainable method (tight once sinks are fixed); take the smaller
     got2 = 0
     got3 = 0
     for mi in range(n_m):
         got2 |= pm[mi] & tb.y_masks[mi]
         got3 |= pm[mi] & tb.yz_masks[mi]
-    obj2_ub = tb.wsum(got2)
-    obj3_ub = tb.wsum(got3)
-
-    per_sink2 = 0
-    per_sink3 = 0
-    for s in inst.diagram.sinks:
-        r = reach[s]
-        if not r:
-            continue
-        pos = tb.decision_pos[s]
-        if pos < fixed:
-            mi = choices[pos]
-            per_sink2 += tb.wsum(r & tb.y_masks[mi])
-            per_sink3 += tb.wsum(r & tb.yz_masks[mi])
-        else:
-            per_sink2 += max(tb.wsum(r & tb.y_masks[mi]) for mi in range(n_m))
-            per_sink3 += max(tb.wsum(r & tb.yz_masks[mi]) for mi in range(n_m))
-    obj2_ub = min(obj2_ub, per_sink2)
-    obj3_ub = min(obj3_ub, per_sink3)
+    obj2_ub = min(tb.wsum(got2), per_sink2)
+    obj3_ub = min(tb.wsum(got3), per_sink3)
 
     cost_lb = 0
-    remaining = tb.full
+    remaining = full
     for mi in tb.cost_order:
         take = remaining & pm[mi]
         if take:
@@ -226,13 +232,7 @@ def _partial_bounds(tb: _Tables, choices: Sequence[int]) -> Metrics:
             remaining ^= take
     # types with no reachable sink method cannot occur: every type reaches a sink
 
-    obj1_ub = 0
-    for k, v in enumerate(tb.decision_order):
-        match = tb.match_choice[v]
-        if k < fixed:
-            obj1_ub += int(match is not None and choices[k] == match)
-        else:
-            obj1_ub += int(match is not None)
+    obj1_ub = sum(c == m for c, m in zip(choices, tb.match)) + tb.open_matches[fixed]
 
     return Metrics(cost=cost_lb, obj1=obj1_ub, obj2=obj2_ub, obj3=obj3_ub)
 
@@ -249,17 +249,6 @@ def bound(inst: Instance, choices: Sequence[int], setting: int) -> int | Fractio
     return goal.value(goal.score(_partial_bounds(_Tables(inst), choices)))
 
 
-def _assignment_from_choices(tb: _Tables, choices: Sequence[int]) -> Assignment:
-    node_items = {
-        u: tb.candidates[u][choices[tb.decision_pos[u]]]
-        for u in tb.inst.diagram.internals
-    }
-    sink_methods = {
-        s: tb.methods[choices[tb.decision_pos[s]]] for s in tb.inst.diagram.sinks
-    }
-    return Assignment(node_items=node_items, sink_methods=sink_methods)
-
-
 def assignment_choice_vector(inst: Instance, phi: Assignment) -> tuple[int, ...]:
     """Canonical candidate-index vector used for tie-breaking."""
     vec = [inst.candidate_order(u).index(phi.node_items[u]) for u in inst.diagram.internals]
@@ -270,17 +259,11 @@ def assignment_choice_vector(inst: Instance, phi: Assignment) -> tuple[int, ...]
 class _Search:
     """Depth-first branch-and-bound that maximizes the goal's score."""
 
-    def __init__(
-        self,
-        inst: Instance,
-        goal: Goal,
-        node_limit: int | None,
-        time_limit: float | None,
-    ):
-        self.goal = goal
+    def __init__(self, tb: _Tables, goal: Goal, node_limit: int | None, time_limit: float | None):
         self.feasible = goal.feasible
         self.score = goal.score
-        self.tb = _Tables(inst)
+        self.tb = tb
+        self.n_decisions = len(tb.order)
         self.node_limit = node_limit
         self.deadline = None if time_limit is None else time.perf_counter() + time_limit
 
@@ -289,15 +272,6 @@ class _Search:
         self.inc_obj: int | None = None
         self.inc_vec: tuple[int, ...] | None = None
         self.open_bound: int | None = None
-
-        order = self.tb.decision_order
-        self.n_decisions = len(order)
-        self.children: list[list[int]] = []
-        for v in order:
-            if v in self.tb.branch_order:
-                self.children.append(self.tb.branch_order[v])
-            else:
-                self.children.append(self.tb.sink_branch_order[v])
 
     def _hit_limit(self) -> bool:
         if self.node_limit is not None and self.nodes >= self.node_limit:
@@ -348,11 +322,40 @@ class _Search:
                 self.inc_vec = choices
             return
 
-        for ci in self.children[k]:
+        for ci in self.tb.children[k]:
             self._dfs(choices + (ci,))
             if self.aborted:
                 self._note_open(scaled)
                 return
+
+
+def _solution(
+    inst: Instance,
+    setting: int,
+    goal: Goal,
+    phi: Assignment | None,
+    score: int | None,
+    open_bound: int | None,
+    stats: SolveStats,
+) -> Solution:
+    """The one way a solve ends: ``phi`` scores ``score`` (both ``None`` when
+    nothing feasible was found), and ``open_bound`` is set when a limit left
+    subtrees of that score unexplored."""
+    if open_bound is not None:
+        status = STATUS_LIMIT
+    else:
+        status = STATUS_INFEASIBLE if phi is None else STATUS_OPTIMAL
+    scores = [s for s in (score, open_bound) if s is not None]
+    d = inst.diagram
+    return Solution(
+        setting=setting,
+        status=status,
+        assignment=phi,
+        metrics=None if phi is None else evaluate(d, phi, inst.initial, inst.population),
+        objective_value=None if score is None else goal.value(score),
+        best_bound=goal.value(max(scores)) if scores else None,
+        stats=stats,
+    )
 
 
 def solve(
@@ -364,63 +367,11 @@ def solve(
     """Branch-and-bound to proven optimality (or the best incumbent at a limit)."""
     goal = Goal(inst, setting)
     started = time.perf_counter()
-    search = _Search(inst, goal, node_limit, time_limit)
+    search = _Search(_Tables(inst), goal, node_limit, time_limit)
     search.run()
-    wall = time.perf_counter() - started
-    stats = SolveStats(nodes=search.nodes, wall_time=wall)
-    return _solution_from_search(inst, setting, search, stats)
-
-
-def _solution_from_search(
-    inst: Instance, setting: int, search: _Search, stats: SolveStats
-) -> Solution:
-    value = search.goal.value
-    if search.inc_vec is None:
-        if search.aborted:
-            return Solution(
-                setting=setting,
-                status=STATUS_LIMIT,
-                assignment=None,
-                metrics=None,
-                objective_value=None,
-                best_bound=None if search.open_bound is None else value(search.open_bound),
-                stats=stats,
-            )
-        return Solution(
-            setting=setting,
-            status=STATUS_INFEASIBLE,
-            assignment=None,
-            metrics=None,
-            objective_value=None,
-            best_bound=None,
-            stats=stats,
-        )
-
-    phi = _assignment_from_choices(search.tb, search.inc_vec)
-    metrics = evaluate(inst.diagram, phi, inst.initial, inst.population)
-    objective = value(search.inc_obj)
-    if search.aborted:
-        best = search.inc_obj
-        if search.open_bound is not None:
-            best = max(best, search.open_bound)
-        return Solution(
-            setting=setting,
-            status=STATUS_LIMIT,
-            assignment=phi,
-            metrics=metrics,
-            objective_value=objective,
-            best_bound=value(best),
-            stats=stats,
-        )
-    return Solution(
-        setting=setting,
-        status=STATUS_OPTIMAL,
-        assignment=phi,
-        metrics=metrics,
-        objective_value=objective,
-        best_bound=objective,
-        stats=stats,
-    )
+    stats = SolveStats(nodes=search.nodes, wall_time=time.perf_counter() - started)
+    phi = None if search.inc_vec is None else search.tb.assignment(search.inc_vec)
+    return _solution(inst, setting, goal, phi, search.inc_obj, search.open_bound, stats)
 
 
 def brute_force(inst: Instance, setting: int, cap: int = BRUTE_FORCE_CAP) -> Solution:
@@ -428,58 +379,30 @@ def brute_force(inst: Instance, setting: int, cap: int = BRUTE_FORCE_CAP) -> Sol
     goal = Goal(inst, setting)
     feasible, score = goal.feasible, goal.score
     d = inst.diagram
-    space = 1
-    for u in d.internals:
-        space *= len(inst.families[u])
-    space *= len(inst.population.methods) ** len(d.sinks)
+    orders = [inst.candidate_order(u) for u in d.internals]
+    orders += [inst.population.methods.methods] * len(d.sinks)
+    space = math.prod(len(o) for o in orders)
     if space > cap:
         raise EnumerationCapError(f"{space} assignments exceed the cap of {cap}")
 
     started = time.perf_counter()
-    orders = [inst.candidate_order(u) for u in d.internals]
-    methods = inst.population.methods.methods
-
     best_score: int | None = None
     best_phi: Assignment | None = None
-    best_metrics: Metrics | None = None
-    count = 0
-    ranges = [range(len(o)) for o in orders] + [range(len(methods))] * len(d.sinks)
-    for combo in itertools.product(*ranges):
-        count += 1
-        node_items = {u: orders[i][combo[i]] for i, u in enumerate(d.internals)}
-        sink_methods = {
-            s: methods[combo[len(orders) + j]] for j, s in enumerate(d.sinks)
-        }
-        phi = Assignment(node_items=node_items, sink_methods=sink_methods)
+    n = len(d.internals)
+    for labels in itertools.product(*orders):
+        phi = Assignment(
+            node_items=dict(zip(d.internals, labels[:n])),
+            sink_methods=dict(zip(d.sinks, labels[n:])),
+        )
         m = evaluate(d, phi, inst.initial, inst.population)
         if not feasible(m):
             continue
         scaled = score(m)
         if best_score is None or scaled > best_score:
-            best_score, best_phi, best_metrics = scaled, phi, m
+            best_score, best_phi = scaled, phi
 
-    wall = time.perf_counter() - started
-    stats = SolveStats(nodes=count, wall_time=wall)
-    if best_phi is None:
-        return Solution(
-            setting=setting,
-            status=STATUS_INFEASIBLE,
-            assignment=None,
-            metrics=None,
-            objective_value=None,
-            best_bound=None,
-            stats=stats,
-        )
-    best_obj = goal.value(best_score)
-    return Solution(
-        setting=setting,
-        status=STATUS_OPTIMAL,
-        assignment=best_phi,
-        metrics=best_metrics,
-        objective_value=best_obj,
-        best_bound=best_obj,
-        stats=stats,
-    )
+    stats = SolveStats(nodes=space, wall_time=time.perf_counter() - started)
+    return _solution(inst, setting, goal, best_phi, best_score, None, stats)
 
 
 def verify(sol: Solution, inst: Instance, setting: int) -> VerificationReport:

@@ -2,21 +2,28 @@
 from __future__ import annotations
 
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagopt.cli import main
 from diagopt.core import evaluate
 from diagopt.encoder import build_model
 from diagopt.fileio import (
     FormatError,
+    GeneratorDoc,
     InstanceDoc,
+    assignment_to_obj,
     dump_canonical,
     objective_from_obj,
     read_instance,
     read_instance_doc,
     read_population,
+    population_to_obj,
     write_assignment,
 )
 from diagopt.instances import instance_template
@@ -36,15 +43,15 @@ def workspace(tmp_path_factory):
     return tmp_path, pop_path, inst_path
 
 
-@pytest.fixture(scope="module")
-def toy_instance_file(tmp_path_factory):
-    """A hand-written toy instance small enough for the enumeration oracle."""
-    from diagopt.fileio import population_to_obj
+def toy_docs(population_path: str | None = None) -> dict:
+    """A hand-written toy instance small enough for the enumeration oracle,
+    with its population inline or at ``population_path``, and an assignment.
+    """
     from conftest import tiny_instance
 
-    tmp_path = tmp_path_factory.mktemp("toy")
     inst = tiny_instance(budget=10**6, weights=(2, 5), positive=({0}, set()),
                          responds=({1}, {2}), improves=(1, 0))
+    pop = population_to_obj(inst.population)
     doc = InstanceDoc(
         items=(0, 1),
         methods=((0, 0), (1, 200), (2, 400), (3, 600)),
@@ -56,10 +63,20 @@ def toy_instance_file(tmp_path_factory):
         initial_sinks={"s0": 0, "s1": 1},
         budget=10**6,
         targets=(3, 1, 1),
-        population_inline=population_to_obj(inst.population),
+        population_inline=None if population_path else pop,
+        population_path=population_path,
     )
-    path = tmp_path / "toy.json"
-    path.write_text(dump_canonical(doc.to_obj()))
+    return {
+        "instance": doc.to_obj(),
+        "population": pop,
+        "assignment": assignment_to_obj(doc.initial_assignment),
+    }
+
+
+@pytest.fixture(scope="module")
+def toy_instance_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("toy") / "toy.json"
+    path.write_text(dump_canonical(toy_docs()["instance"]))
     return path
 
 
@@ -333,3 +350,115 @@ class TestErrors:
         assert main([
             "solve", "--instance", str(inst_path), "--setting", "1", "--brute",
         ]) == 1
+
+
+def _null_weight(docs):
+    docs["population"]["types"][0]["weight"] = None
+
+
+def _population_list(docs):
+    docs["population"] = [docs["population"]]
+
+
+def _assignment_list(docs):
+    docs["assignment"] = [docs["assignment"]]
+
+
+def _null_node_label(docs):
+    docs["assignment"]["nodes"]["r"] = None
+
+
+def _genconfig_list(docs):
+    docs["genconfig"] = [docs["genconfig"]]
+
+
+def _run_on_files(tmp: Path, kind: str, docs: dict) -> int:
+    """Write the documents and run the command that reads the one of ``kind``."""
+    paths = {name: tmp / f"{name}.json" for name in docs}
+    for name, obj in docs.items():
+        paths[name].write_text(json.dumps(obj))
+    if kind == "genconfig":
+        argv = ["generate", "--config", str(paths[kind]), "--seed", "1", "--n", "5",
+                "--out", str(tmp / "out.json")]
+    elif kind == "assignment":
+        argv = ["eval", "--instance", str(paths["instance"]),
+                "--assignment", str(paths["assignment"])]
+    else:
+        argv = ["solve", "--instance", str(paths["instance"]), "--setting", "1"]
+    return main(argv)
+
+
+def _file_docs() -> dict:
+    docs = toy_docs(population_path="population.json")
+    docs["genconfig"] = GeneratorDoc.default().to_obj()
+    return docs
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "kind, corrupt",
+        [
+            ("population", _null_weight),
+            ("population", _population_list),
+            ("assignment", _assignment_list),
+            ("assignment", _null_node_label),
+            ("genconfig", _genconfig_list),
+        ],
+    )
+    def test_one_error_line(self, tmp_path, capsys, kind, corrupt):
+        docs = _file_docs()
+        assert _run_on_files(tmp_path, kind, docs) == 0
+        corrupt(docs)
+        capsys.readouterr()
+        assert _run_on_files(tmp_path, kind, docs) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def _locations(obj, at=()):
+    """Every key path into a JSON document, containers before their members."""
+    if isinstance(obj, dict):
+        children = obj.items()
+    elif isinstance(obj, list):
+        children = enumerate(obj)
+    else:
+        return
+    for key, value in children:
+        yield at + (key,)
+        yield from _locations(value, at + (key,))
+
+
+_DROP = object()
+_replacements = st.one_of(
+    st.just(_DROP),
+    st.none(),
+    st.text(max_size=4),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-1, 3), max_size=2),
+)
+
+
+@st.composite
+def _mutated_docs(draw):
+    kind = draw(st.sampled_from(["population", "instance", "assignment"]))
+    docs = _file_docs()
+    at = draw(st.sampled_from(list(_locations(docs[kind]))))
+    parent = docs[kind]
+    for key in at[:-1]:
+        parent = parent[key]
+    value = draw(_replacements)
+    if value is _DROP:
+        del parent[at[-1]]
+    else:
+        parent[at[-1]] = value
+    return kind, docs
+
+
+class TestFuzzDocuments:
+    @settings(max_examples=80, deadline=None)
+    @given(mutated=_mutated_docs())
+    def test_mutated_document_never_raises(self, mutated):
+        kind, docs = mutated
+        with tempfile.TemporaryDirectory() as tmp:
+            assert _run_on_files(Path(tmp), kind, docs) in (0, 1, 2, 3)

@@ -80,10 +80,10 @@ class TestSolveBasics:
 
     def test_unreachable_reaction_target_is_infeasible(self):
         inst = tiny_instance(targets=(3, 99, 1))  # total weight is 1
-        sol = solve(inst, 2)
-        assert sol.status == STATUS_INFEASIBLE
-        assert sol.assignment is None and sol.objective_value is None
-        assert brute_force(inst, 2).status == STATUS_INFEASIBLE
+        for sol in (solve(inst, 2), brute_force(inst, 2)):
+            assert sol.status == STATUS_INFEASIBLE
+            assert sol.assignment is None and sol.metrics is None
+            assert sol.objective_value is None and sol.best_bound is None
 
     def test_invalid_setting(self):
         with pytest.raises(InputError):
@@ -239,26 +239,44 @@ class TestLimits:
         assert sol.stats.nodes == 1
         assert sol.best_bound is not None
 
-    def test_node_limit_keeps_best_incumbent(self, rng):
-        inst = random_toy_instance(rng)
+    @pytest.mark.parametrize("setting", [1, 2, 3])
+    def test_node_limit_without_incumbent(self, setting):
+        inst = tiny_instance(budget=10**6)
+        sol = solve(inst, setting, node_limit=1)
+        assert sol.status == STATUS_LIMIT
+        assert sol.assignment is None and sol.metrics is None and sol.objective_value is None
+        assert sol.best_bound == bound(inst, (), setting)
+
+    def test_node_limit_keeps_best_incumbent(self):
+        # a seed and limit where the search stops with a suboptimal incumbent
+        inst = random_toy_instance(random.Random(14), "full")
         full = solve(inst, 1)
-        if full.status != STATUS_OPTIMAL:
-            pytest.skip("sampled instance infeasible for this check")
-        sol = solve(inst, 1, node_limit=max(8, full.stats.nodes // 2))
-        if sol.status == STATUS_OPTIMAL:
-            assert sol.objective_value == full.objective_value
-        else:
-            assert sol.status == STATUS_LIMIT
-            assert sol.best_bound >= full.objective_value
-            if sol.objective_value is not None:
-                assert sol.objective_value <= full.objective_value
-                assert sol.gap == sol.best_bound - sol.objective_value
-                assert verify(sol, inst, 1).ok
+        assert full.status == STATUS_OPTIMAL and full.objective_value == Fraction(127, 22)
+        sol = solve(inst, 1, node_limit=16)
+        assert sol.status == STATUS_LIMIT
+        assert sol.objective_value == Fraction(59, 11)
+        assert sol.best_bound == Fraction(91, 11)
+        assert sol.objective_value < full.objective_value <= sol.best_bound
+        assert sol.gap == sol.best_bound - sol.objective_value
+        assert verify(sol, inst, 1).ok
 
     def test_time_limit_zero(self):
         inst = tiny_instance(budget=10**6)
         sol = solve(inst, 1, time_limit=0.0)
         assert sol.status == STATUS_LIMIT
+
+
+class TestSearchOrder:
+    # node counts of the pinned decision order, branch order, bounds and
+    # tie-break; any change to one of them shows here first
+    @pytest.mark.parametrize(
+        "seed, nodes",
+        [(1, (708, 144, 292)), (17, (91, 45, 56)), (44, (197, 30, 26))],
+    )
+    def test_node_counts_are_pinned(self, seed, nodes):
+        inst = random_toy_instance(random.Random(seed), "full")
+        got = tuple(solve(inst, setting).stats.nodes for setting in (1, 2, 3))
+        assert got == nodes
 
 
 class TestBruteForce:
