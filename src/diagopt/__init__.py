@@ -26,7 +26,6 @@ from .core import (
     MethodUniverse,
     Population,
     evaluate,
-    item_indicator,
     route,
     validate_diagram,
 )

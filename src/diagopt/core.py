@@ -88,9 +88,6 @@ class MethodUniverse:
         except KeyError:
             raise InputError(f"method {method} not in universe") from None
 
-    def cost(self, method: int) -> int:
-        return self.costs[self.index(method)]
-
 
 @dataclass(frozen=True)
 class ExamineeType:
@@ -306,11 +303,6 @@ def validate_diagram(d: Diagram) -> ValidationReport:
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
-def item_indicator(c: ItemSet | Iterable[int], t: ExamineeType, items: ItemUniverse) -> int:
-    """1 iff some item in ``c`` is positive for ``t``; the empty set yields 0."""
-    return int(any(t.x[items.index(i)] for i in c))
-
-
 # a decorated vertex's carried item positions, then its 0- and 1-successors
 _Step = tuple[tuple[int, ...], Vertex, Vertex]
 
@@ -354,6 +346,15 @@ def route(d: Diagram, phi: Assignment, t: ExamineeType, items: ItemUniverse) -> 
     return RouteResult(method=phi.sink_methods[path[-1]], visited=frozenset(path))
 
 
+def reached_sinks(d: Diagram, phi: Assignment, pop: Population) -> list[Vertex]:
+    """The sink each type of ``pop`` reaches under ``phi``, in population order.
+
+    Resolves the walk once for all types, where ``route`` resolves it per call.
+    """
+    table = _walk_table(d, phi, pop.items)
+    return [_walk(d.source, table, t.x)[-1] for t in pop.types]
+
+
 def evaluate(d: Diagram, phi: Assignment, phi_in: Assignment, pop: Population) -> Metrics:
     """Compute cost and all three objectives of ``phi`` against ``pop``.
 
@@ -364,13 +365,11 @@ def evaluate(d: Diagram, phi: Assignment, phi_in: Assignment, pop: Population) -
     - obj2: examinees reacting positively to their assigned method,
     - obj3: the obj2 subpopulation whose tracked item also improves.
     """
-    source = d.source
-    table = _walk_table(d, phi, pop.items)
     cost = 0
     obj2 = 0
     obj3 = 0
-    for t in pop.types:
-        mi = pop.methods.index(phi.sink_methods[_walk(source, table, t.x)[-1]])
+    for t, s in zip(pop.types, reached_sinks(d, phi, pop)):
+        mi = pop.methods.index(phi.sink_methods[s])
         cost += pop.methods.costs[mi] * t.weight
         if t.y[mi]:
             obj2 += t.weight

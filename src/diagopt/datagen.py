@@ -129,10 +129,6 @@ class ThresholdTable:
     def item_ids(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.entries)
 
-    def validate_against(self, items: ItemUniverse) -> None:
-        if self.item_ids != items.items:
-            raise InputError("threshold table does not cover the item universe exactly once")
-
 
 @dataclass(frozen=True)
 class GenConfig:
@@ -218,7 +214,6 @@ def generate_population(
     specs = tuple(specs) if specs is not None else default_attribute_specs()
     tbl = tbl if tbl is not None else default_threshold_table()
     items = ItemUniverse(tbl.item_ids)
-    tbl.validate_against(items)
 
     rng = random.Random(cfg.seed)
     weights: dict[tuple[tuple[int, ...], tuple[int, ...], int], int] = {}

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from itertools import product
+from math import ceil, floor
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -24,9 +25,11 @@ from scipy import sparse
 from .core import Assignment, InputError, ItemSet, Metrics, Vertex
 from .problem import FIELDS, SETTINGS, Goal, Instance
 
-Term = tuple[int | Fraction, int]
+Term = tuple[int, int]  # (coefficient, variable index)
+ObjTerm = tuple[int | Fraction, int]  # setting 1 divides its objective exactly
 
 _LINE_WIDTH = 72
+_SENSES = {"<=": -1, "=": 0, ">=": 1}
 
 
 class BuildError(ValueError):
@@ -47,21 +50,33 @@ class LinRow:
     rhs: int | Fraction
 
 
-def expr_value(terms: Sequence[Term], values: np.ndarray) -> int | Fraction:
+def expr_value(terms: Sequence[ObjTerm], values: np.ndarray) -> int | Fraction:
     """Exact value of a linear expression at a 0/1 point."""
-    total: int | Fraction = 0
-    for coef, idx in terms:
-        if values[idx]:
-            total += coef
-    return total
+    return sum(coef for coef, idx in terms if values[idx])
 
 
 class IPModel:
     """Immutable binary program for one instance and setting.
 
-    Holds the pinned variable registry, the constraint rows in family order,
-    the objective, and the linear expressions for cost and the three
-    indicators. Safe to share read-only.
+    The variable layout is decided once, in ``_build_layout``: each block is
+    a numpy array of indices into ``names``, and the blocks follow one
+    another, type-major, in this order:
+
+    - ``p[ui][ci]``: internal vertex ``ui`` carries ``candidates[ui][ci]``
+      (one array per internal vertex, in candidate order);
+    - ``q[si, mi]``: sink ``si`` carries method ``methods[mi]``;
+    - ``alpha[ti, vi]``: type ``ti`` visits ``vertex_order[vi]``
+      (internals, then sinks, so ``vi == ui`` for an internal vertex);
+    - ``beta[ti, ui, label]``: type ``ti`` leaves ``ui`` along its
+      ``label`` arc;
+    - ``gamma[ti, si, mi]``: type ``ti`` ends at sink ``si``, which carries
+      ``methods[mi]``;
+    - ``z[ti, mi]``: type ``ti`` ends up with ``methods[mi]``.
+
+    The names, the rows, ``encode_assignment``, ``decode`` and
+    ``variable_counts`` all read these arrays. The model also holds the
+    constraint rows in family order, the objective, and the linear
+    expressions for cost and the three indicators. Safe to share read-only.
     """
 
     def __init__(self, instance: Instance, setting: int):
@@ -85,81 +100,38 @@ class IPModel:
                     f"initial assignment infeasible: label at {u} is not a candidate"
                 )
 
-        self._build_registry()
+        self._build_layout()
         self._build_expressions()
         self._build_rows(goal)
         self._build_objective(goal)
 
     # ------------------------------------------------------------------
-    # registry
+    # variable layout
     # ------------------------------------------------------------------
 
-    def _build_registry(self) -> None:
-        inst = self.instance
+    def _build_layout(self) -> None:
         names: list[str] = []
 
-        self.p_index: dict[Vertex, dict[ItemSet, int]] = {}
-        for ui, u in enumerate(self.internals):
-            block: dict[ItemSet, int] = {}
-            for ci, c in enumerate(inst.candidate_order(u)):
-                block[c] = len(names)
-                names.append(f"p_u{ui}_c{ci}")
-            self.p_index[u] = block
+        def block(prefix: str, keys: str, shape: tuple[int, ...]) -> np.ndarray:
+            """Name a block's variables in index order, e.g. ``a_t{ti}_v{vi}``."""
+            start = len(names)
+            fmt = prefix + "".join(f"_{k}{{}}" for k in keys)
+            names.extend(fmt.format(*at) for at in product(*map(range, shape)))
+            return np.arange(start, len(names)).reshape(shape)
 
-        self.q_index: dict[Vertex, dict[int, int]] = {}
-        for si, s in enumerate(self.sinks):
-            block = {}
-            for mi, m in enumerate(self.methods):
-                block[m] = len(names)
-                names.append(f"q_s{si}_m{mi}")
-            self.q_index[s] = block
-
-        n_v = len(self.vertex_order)
-        n_u = len(self.internals)
-        n_s = len(self.sinks)
-        n_m = len(self.methods)
-
-        self._alpha0 = len(names)
-        for ti in range(self.n_types):
-            for vi in range(n_v):
-                names.append(f"a_t{ti}_v{vi}")
-        self._beta0 = len(names)
-        for ti in range(self.n_types):
-            for ui in range(n_u):
-                for label in (0, 1):
-                    names.append(f"b_t{ti}_u{ui}_l{label}")
-        self._gamma0 = len(names)
-        for ti in range(self.n_types):
-            for si in range(n_s):
-                for mi in range(n_m):
-                    names.append(f"g_t{ti}_s{si}_m{mi}")
-        self._z0 = len(names)
-        for ti in range(self.n_types):
-            for mi in range(n_m):
-                names.append(f"z_t{ti}_m{mi}")
-
+        n_t, n_u, n_s, n_m = self.n_types, len(self.internals), len(self.sinks), len(self.methods)
+        self.candidates = tuple(self.instance.candidate_order(u) for u in self.internals)
+        self.p = [block(f"p_u{ui}", "c", (len(c),)) for ui, c in enumerate(self.candidates)]
+        self.q = block("q", "sm", (n_s, n_m))
+        self.alpha = block("a", "tv", (n_t, n_u + n_s))
+        self.beta = block("b", "tul", (n_t, n_u, 2))
+        self.gamma = block("g", "tsm", (n_t, n_s, n_m))
+        self.z = block("z", "tm", (n_t, n_m))
         self.names: tuple[str, ...] = tuple(names)
-        self._vpos = {v: i for i, v in enumerate(self.vertex_order)}
-        self._upos = {u: i for i, u in enumerate(self.internals)}
-        self._spos = {s: i for i, s in enumerate(self.sinks)}
-        self._mpos = {m: i for i, m in enumerate(self.methods)}
 
     @cached_property
     def name_index(self) -> dict[str, int]:
         return {n: i for i, n in enumerate(self.names)}
-
-    def alpha_idx(self, ti: int, v: Vertex) -> int:
-        return self._alpha0 + ti * len(self.vertex_order) + self._vpos[v]
-
-    def beta_idx(self, ti: int, u: Vertex, label: int) -> int:
-        return self._beta0 + (ti * len(self.internals) + self._upos[u]) * 2 + label
-
-    def gamma_idx(self, ti: int, s: Vertex, m: int) -> int:
-        n_m = len(self.methods)
-        return self._gamma0 + (ti * len(self.sinks) + self._spos[s]) * n_m + self._mpos[m]
-
-    def z_idx(self, ti: int, m: int) -> int:
-        return self._z0 + ti * len(self.methods) + self._mpos[m]
 
     @property
     def num_variables(self) -> int:
@@ -167,15 +139,10 @@ class IPModel:
 
     @property
     def variable_counts(self) -> dict[str, int]:
-        n_t, n_m, n_s = self.n_types, len(self.methods), len(self.sinks)
-        return {
-            "p": sum(len(b) for b in self.p_index.values()),
-            "q": n_s * n_m,
-            "alpha": n_t * len(self.vertex_order),
-            "beta": 2 * n_t * len(self.internals),
-            "gamma": n_t * n_s * n_m,
-            "z": n_t * n_m,
-        }
+        sizes = {"p": sum(b.size for b in self.p)}
+        for k in ("q", "alpha", "beta", "gamma", "z"):
+            sizes[k] = getattr(self, k).size
+        return sizes
 
     # ------------------------------------------------------------------
     # expressions and rows
@@ -184,26 +151,27 @@ class IPModel:
     def _build_expressions(self) -> None:
         inst = self.instance
         pop = inst.population
+        z = self.z.tolist()
 
         cost_terms: list[Term] = []
         obj2_terms: list[Term] = []
         obj3_terms: list[Term] = []
         for ti, t in enumerate(pop.types):
-            for mi, m in enumerate(self.methods):
-                zi = self.z_idx(ti, m)
-                c = pop.methods.costs[mi]
+            for mi, c in enumerate(pop.methods.costs):
                 if c:
-                    cost_terms.append((c * t.weight, zi))
+                    cost_terms.append((c * t.weight, z[ti][mi]))
                 if t.y[mi]:
-                    obj2_terms.append((t.weight, zi))
+                    obj2_terms.append((t.weight, z[ti][mi]))
                     if t.z:
-                        obj3_terms.append((t.weight, zi))
+                        obj3_terms.append((t.weight, z[ti][mi]))
 
         obj1_terms: list[Term] = [
-            (1, self.p_index[u][inst.initial.node_items[u]]) for u in self.internals
+            (1, int(self.p[ui][cands.index(inst.initial.node_items[u])]))
+            for ui, (u, cands) in enumerate(zip(self.internals, self.candidates))
         ]
         obj1_terms += [
-            (1, self.q_index[s][inst.initial.sink_methods[s]]) for s in self.sinks
+            (1, int(self.q[si, pop.methods.index(inst.initial.sink_methods[s])]))
+            for si, s in enumerate(self.sinks)
         ]
 
         self.cost_expr: tuple[Term, ...] = tuple(cost_terms)
@@ -213,46 +181,43 @@ class IPModel:
             tuple(obj3_terms),
         )
 
-    def _partition_one_indices(self, u: Vertex) -> np.ndarray:
-        """Boolean (n_candidates x |T|) matrix of candidate indicator outcomes."""
-        inst = self.instance
-        cols = [inst.indicator_column(c) for c in inst.candidate_order(u)]
-        return np.stack(cols) if cols else np.zeros((0, self.n_types), dtype=bool)
-
     def _build_rows(self, goal: Goal) -> None:
         inst = self.instance
         d = inst.diagram
+        n_u = len(self.internals)
+        p = [b.tolist() for b in self.p]
+        q, alpha, beta, gamma, z = (
+            b.tolist() for b in (self.q, self.alpha, self.beta, self.gamma, self.z)
+        )
         rows: list[LinRow] = []
 
         # assignment rows: one candidate per vertex, one method per sink
-        for ui, u in enumerate(self.internals):
-            terms = tuple((1, idx) for idx in self.p_index[u].values())
-            rows.append(LinRow(f"asg_u{ui}", terms, "=", 1))
-        for si, s in enumerate(self.sinks):
-            terms = tuple((1, idx) for idx in self.q_index[s].values())
-            rows.append(LinRow(f"asg_s{si}", terms, "=", 1))
+        for ui, pu in enumerate(p):
+            rows.append(LinRow(f"asg_u{ui}", tuple((1, i) for i in pu), "=", 1))
+        for si, qs in enumerate(q):
+            rows.append(LinRow(f"asg_s{si}", tuple((1, i) for i in qs), "=", 1))
 
         # routing rows: the source is always visited; any other vertex is
         # visited exactly when some predecessor forwards the walk into it
-        in_arcs: dict[Vertex, list[tuple[Vertex, int]]] = {v: [] for v in self.vertex_order}
+        # (ui, label) of each arc into a vertex: a tail is internal, and the
+        # internals lead vertex_order, so a tail's vertex position is its ui
+        vpos = {v: vi for vi, v in enumerate(self.vertex_order)}
+        in_arcs: list[list[tuple[int, int]]] = [[] for _ in self.vertex_order]
         for a in d.arcs:
-            in_arcs[a.head].append((a.tail, a.label))
-        root = d.source
-        for ti in range(self.n_types):
-            rows.append(LinRow(f"rt_src_t{ti}", ((1, self.alpha_idx(ti, root)),), "=", 1))
-            for v in self.vertex_order:
-                if v == root:
+            in_arcs[vpos[a.head]].append((vpos[a.tail], a.label))
+        root = vpos[d.source]
+        for ti, (a_t, b_t) in enumerate(zip(alpha, beta)):
+            rows.append(LinRow(f"rt_src_t{ti}", ((1, a_t[root]),), "=", 1))
+            for vi, arcs_in in enumerate(in_arcs):
+                if vi == root:
                     continue
-                vi = self._vpos[v]
-                ai = self.alpha_idx(ti, v)
-                ub_terms: list[Term] = [(1, ai)]
-                ub_terms += [(-1, self.beta_idx(ti, w, lb)) for w, lb in in_arcs[v]]
-                rows.append(LinRow(f"rt_ub_t{ti}_v{vi}", tuple(ub_terms), "<=", 0))
-                for w, lb in in_arcs[v]:
+                ub_terms = ((1, a_t[vi]),) + tuple((-1, b_t[ui][lb]) for ui, lb in arcs_in)
+                rows.append(LinRow(f"rt_ub_t{ti}_v{vi}", ub_terms, "<=", 0))
+                for ui, lb in arcs_in:
                     rows.append(
                         LinRow(
-                            f"rt_lb_t{ti}_v{vi}_u{self._upos[w]}_l{lb}",
-                            ((1, ai), (-1, self.beta_idx(ti, w, lb))),
+                            f"rt_lb_t{ti}_v{vi}_u{ui}_l{lb}",
+                            ((1, a_t[vi]), (-1, b_t[ui][lb])),
                             ">=",
                             0,
                         )
@@ -260,17 +225,16 @@ class IPModel:
 
         # linking rows: beta fires exactly when the vertex is visited and the
         # chosen candidate's indicator equals the label
-        part_one = {u: self._partition_one_indices(u) for u in self.internals}
-        p_cols = {u: list(self.p_index[u].values()) for u in self.internals}
-        for ti in range(self.n_types):
-            for u in self.internals:
-                ui = self._upos[u]
-                ai = self.alpha_idx(ti, u)
-                ones = part_one[u][:, ti]
+        fires = [
+            np.stack([inst.indicator_column(c) for c in cands], axis=1).tolist()
+            for cands in self.candidates
+        ]  # per vertex, (types x candidates); every family holds the initial label
+        for ti, (a_t, b_t) in enumerate(zip(alpha, beta)):
+            for ui, pu in enumerate(p):
+                ai = a_t[ui]
                 for label in (0, 1):
-                    bi = self.beta_idx(ti, u, label)
-                    member = np.nonzero(ones if label else ~ones)[0]
-                    p_terms = tuple((-1, p_cols[u][k]) for k in member)
+                    bi = b_t[ui][label]
+                    p_terms = tuple((-1, pi) for pi, f in zip(pu, fires[ui][ti]) if f == label)
                     rows.append(
                         LinRow(f"ln_a_t{ti}_u{ui}_l{label}", ((1, bi), (-1, ai)), "<=", 0)
                     )
@@ -287,14 +251,10 @@ class IPModel:
                     )
 
         # sink rows: gamma is the AND of reaching the sink and its method choice
-        for ti in range(self.n_types):
-            for s in self.sinks:
-                si = self._spos[s]
-                ai = self.alpha_idx(ti, s)
-                for m in self.methods:
-                    mi = self._mpos[m]
-                    gi = self.gamma_idx(ti, s, m)
-                    qi = self.q_index[s][m]
+        for ti, (a_t, g_t) in enumerate(zip(alpha, gamma)):
+            for si, (g_ts, q_s) in enumerate(zip(g_t, q)):
+                ai = a_t[n_u + si]
+                for mi, (gi, qi) in enumerate(zip(g_ts, q_s)):
                     rows.append(
                         LinRow(f"sk_q_t{ti}_s{si}_m{mi}", ((1, gi), (-1, qi)), "<=", 0)
                     )
@@ -311,22 +271,12 @@ class IPModel:
                     )
 
         # aggregation rows: z collects gamma over sinks
-        for ti in range(self.n_types):
-            for m in self.methods:
-                mi = self._mpos[m]
-                zi = self.z_idx(ti, m)
-                g_terms = tuple((-1, self.gamma_idx(ti, s, m)) for s in self.sinks)
+        for ti, (z_t, g_t) in enumerate(zip(z, gamma)):
+            for mi, zi in enumerate(z_t):
+                g_terms = tuple((-1, g_ts[mi]) for g_ts in g_t)
                 rows.append(LinRow(f"ag_ub_t{ti}_m{mi}", ((1, zi),) + g_terms, "<=", 0))
-                for s in self.sinks:
-                    si = self._spos[s]
-                    rows.append(
-                        LinRow(
-                            f"ag_lb_t{ti}_s{si}_m{mi}",
-                            ((1, zi), (-1, self.gamma_idx(ti, s, m))),
-                            ">=",
-                            0,
-                        )
-                    )
+                for si, g in enumerate(g_terms):
+                    rows.append(LinRow(f"ag_lb_t{ti}_s{si}_m{mi}", ((1, zi), g), ">=", 0))
 
         # per-setting side rows
         exprs = dict(zip(FIELDS, (self.cost_expr,) + self.obj_exprs))
@@ -344,7 +294,7 @@ class IPModel:
                 merged[idx] = merged.get(idx, 0) + coef * w
         d = goal.divisor
         self.objective_sense = goal.sense
-        self.objective: tuple[Term, ...] = tuple(
+        self.objective: tuple[ObjTerm, ...] = tuple(
             (coef if d is None else Fraction(coef, d), idx)
             for idx, coef in sorted(merged.items())
             if coef
@@ -360,25 +310,25 @@ class IPModel:
 
     @cached_property
     def _compiled(self) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
-        """Integer-scaled (A, sense, rhs) for exact vectorized row checking."""
+        """Integer (A, sense, rhs) for exact vectorized row checking.
+
+        Every coefficient is an integer, so a fractional right-hand side is
+        rounded as :class:`Goal` rounds it, keeping the row's integer
+        solutions: down for ``<=``, up for ``>=``.
+        """
         data: list[int] = []
         indices: list[int] = []
         indptr = [0]
-        senses = np.zeros(len(self.rows), dtype=np.int8)
-        rhs = np.zeros(len(self.rows), dtype=np.int64)
-        for ri, row in enumerate(self.rows):
-            scale = 1
-            for coef, _ in row.terms:
-                if isinstance(coef, Fraction):
-                    scale = scale * coef.denominator // gcd(scale, coef.denominator)
-            if isinstance(row.rhs, Fraction):
-                scale = scale * row.rhs.denominator // gcd(scale, row.rhs.denominator)
+        for row in self.rows:
             for coef, idx in row.terms:
-                data.append(int(coef * scale))
+                data.append(coef)
                 indices.append(idx)
             indptr.append(len(data))
-            senses[ri] = {"<=": -1, "=": 0, ">=": 1}[row.sense]
-            rhs[ri] = int(row.rhs * scale)
+        senses = np.array([_SENSES[row.sense] for row in self.rows], dtype=np.int8)
+        rhs = np.array(
+            [floor(row.rhs) if row.sense == "<=" else ceil(row.rhs) for row in self.rows],
+            dtype=np.int64,
+        )
         a = sparse.csr_matrix(
             (np.array(data, dtype=np.int64), np.array(indices, dtype=np.int64), indptr),
             shape=(len(self.rows), self.num_variables),
@@ -394,16 +344,10 @@ class IPModel:
         )
         return tuple(self.rows[i].name for i in np.nonzero(bad)[0])
 
-    def satisfies(self, point: "VariablePoint") -> bool:
-        return not self.violations(point)
-
     def metrics_at(self, point: "VariablePoint") -> Metrics:
         """Cost and objective expressions evaluated at the point."""
         return Metrics(
-            cost=int(expr_value(self.cost_expr, point.values)),
-            obj1=int(expr_value(self.obj_exprs[0], point.values)),
-            obj2=int(expr_value(self.obj_exprs[1], point.values)),
-            obj3=int(expr_value(self.obj_exprs[2], point.values)),
+            *(expr_value(e, point.values) for e in (self.cost_expr,) + self.obj_exprs)
         )
 
     def objective_value(self, point: "VariablePoint") -> int | Fraction:
@@ -444,10 +388,11 @@ def encode_assignment(model: IPModel, phi: Assignment) -> VariablePoint:
         raise BuildError("assignment is not feasible for this instance")
 
     x = np.zeros(model.num_variables, dtype=np.int8)
-    for u in model.internals:
-        x[model.p_index[u][phi.node_items[u]]] = 1
-    for s in model.sinks:
-        x[model.q_index[s][phi.sink_methods[s]]] = 1
+    for ui, u in enumerate(model.internals):
+        x[model.p[ui][model.candidates[ui].index(phi.node_items[u])]] = 1
+    sink_mi = [model.methods.index(phi.sink_methods[s]) for s in model.sinks]
+    for si, mi in enumerate(sink_mi):
+        x[model.q[si, mi]] = 1
 
     n_t = model.n_types
     reach: dict[Vertex, np.ndarray] = {v: np.zeros(n_t, dtype=bool) for v in d.vertices}
@@ -459,47 +404,38 @@ def encode_assignment(model: IPModel, phi: Assignment) -> VariablePoint:
         reach[d.out_arc(u, 1).head] |= reach[u] & ones
         reach[d.out_arc(u, 0).head] |= reach[u] & ~ones
 
-    t_stride = np.arange(n_t)
-    n_v = len(model.vertex_order)
-    for v in model.vertex_order:
-        idx = model.alpha_idx(0, v) + n_v * t_stride
-        x[idx] = reach[v]
-    n_u = len(model.internals)
-    for u in model.internals:
+    for vi, v in enumerate(model.vertex_order):
+        x[model.alpha[:, vi]] = reach[v]
+    for ui, u in enumerate(model.internals):
         ones = inst.indicator_column(phi.node_items[u])
-        for label in (0, 1):
-            idx = model.beta_idx(0, u, label) + 2 * n_u * t_stride
-            x[idx] = reach[u] & (ones if label else ~ones)
-    n_s, n_m = len(model.sinks), len(model.methods)
-    for s in model.sinks:
-        idx = model.gamma_idx(0, s, phi.sink_methods[s]) + n_s * n_m * t_stride
-        x[idx] = reach[s]
-    for m in model.methods:
-        got = np.zeros(n_t, dtype=bool)
-        for s in model.sinks:
-            if phi.sink_methods[s] == m:
-                got |= reach[s]
-        idx = model.z_idx(0, m) + n_m * t_stride
-        x[idx] = got
+        x[model.beta[:, ui, 1]] = reach[u] & ones
+        x[model.beta[:, ui, 0]] = reach[u] & ~ones
+    for si, (s, mi) in enumerate(zip(model.sinks, sink_mi)):
+        x[model.gamma[:, si, mi]] = reach[s]
+        x[model.z[:, mi]] |= reach[s]
 
     x.setflags(write=False)
     return VariablePoint(model=model, values=x)
 
 
+def _chosen(point: VariablePoint, block: np.ndarray, where: str, what: str) -> int:
+    """Position of the one set variable in ``block``."""
+    hits = np.nonzero(point.values[block])[0]
+    if len(hits) != 1:
+        raise DecodeError(f"{where}: {len(hits)} {what} selected, expected 1")
+    return int(hits[0])
+
+
 def decode(model: IPModel, point: VariablePoint) -> Assignment:
     """Read the assignment back from the p/q blocks of a point."""
-    node_items: dict[Vertex, ItemSet] = {}
-    for u in model.internals:
-        chosen = [c for c, idx in model.p_index[u].items() if point.values[idx]]
-        if len(chosen) != 1:
-            raise DecodeError(f"vertex {u}: {len(chosen)} candidates selected, expected 1")
-        node_items[u] = chosen[0]
-    sink_methods: dict[Vertex, int] = {}
-    for s in model.sinks:
-        chosen_m = [m for m, idx in model.q_index[s].items() if point.values[idx]]
-        if len(chosen_m) != 1:
-            raise DecodeError(f"sink {s}: {len(chosen_m)} methods selected, expected 1")
-        sink_methods[s] = chosen_m[0]
+    node_items: dict[Vertex, ItemSet] = {
+        u: cands[_chosen(point, block, f"vertex {u}", "candidates")]
+        for u, cands, block in zip(model.internals, model.candidates, model.p)
+    }
+    sink_methods: dict[Vertex, int] = {
+        s: model.methods[_chosen(point, block, f"sink {s}", "methods")]
+        for s, block in zip(model.sinks, model.q)
+    }
     return Assignment(node_items=node_items, sink_methods=sink_methods)
 
 
@@ -516,7 +452,7 @@ def _fmt_number(x: int | Fraction) -> str:
     return str(x)
 
 
-def _fmt_terms(terms: Sequence[Term], names: Sequence[str]) -> Iterator[str]:
+def _fmt_terms(terms: Sequence[ObjTerm], names: Sequence[str]) -> Iterator[str]:
     """Tokens of a linear expression: sign, optional magnitude, variable name."""
     if not terms:
         yield f"0 {names[0]}"

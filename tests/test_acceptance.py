@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from diagopt.candidates import CategoryFamily
-from diagopt.core import Population, evaluate, route
+from diagopt.core import Population, evaluate, reached_sinks
 from diagopt.datagen import GenConfig, generate_population
 from diagopt.encoder import VariablePoint, build_model, encode_assignment, export_lp
 from diagopt.instances import ITEM_CATEGORIES, build_instance
@@ -106,13 +106,10 @@ def test_encoding_soundness_and_objective_consistency(desk_pop):
                 checked_rows += model.num_constraints
 
             # the z block must agree with scalar routing for every type
-            for ti, t in enumerate(inst.population.types):
-                m = route(inst.diagram, phi, t, inst.population.items).method
-                assert pt.values[base.z_idx(ti, m)] == 1
-            z0 = base.z_idx(0, base.methods[0])
-            n_m = len(base.methods)
-            z_block = pt.values[z0 : z0 + base.n_types * n_m]
-            assert int(z_block.sum()) == base.n_types
+            for ti, s in enumerate(reached_sinks(inst.diagram, phi, inst.population)):
+                m = phi.sink_methods[s]
+                assert pt.values[base.z[ti, base.methods.index(m)]] == 1
+            assert int(pt.values[base.z].sum()) == base.n_types
 
             # objective consistency, exact integers and the scaled scalar
             want = evaluate(inst.diagram, phi, inst.initial, inst.population)

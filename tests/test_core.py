@@ -18,7 +18,6 @@ from diagopt.core import (
     MethodUniverse,
     Population,
     evaluate,
-    item_indicator,
     route,
     validate_diagram,
 )
@@ -47,8 +46,8 @@ class TestUniverses:
             ITEMS.index(99)
 
     def test_method_costs(self):
-        assert METHODS.cost(0) == 0
-        assert METHODS.cost(3) == 700
+        assert METHODS.costs[METHODS.index(0)] == 0
+        assert METHODS.costs[METHODS.index(3)] == 700
         with pytest.raises(InputError):
             MethodUniverse(methods=(0, 1), costs=(0, -5))
         with pytest.raises(InputError):
@@ -117,34 +116,6 @@ class TestValidateDiagram:
             Diagram(vertices=("r",), arcs=(Arc("r", "ghost", 0),))
 
 
-class TestItemIndicator:
-    def test_one_positive_item_fires(self):
-        t = t_with({4})
-        assert item_indicator(frozenset({1, 4, 8}), t, ITEMS) == 1
-
-    def test_empty_set_never_fires(self):
-        t = t_with({0, 1, 2, 3})
-        assert item_indicator(frozenset(), t, ITEMS) == 0
-
-    def test_all_negative(self):
-        t = t_with({3})
-        assert item_indicator(frozenset({4}), t, ITEMS) == 0
-
-    def test_unknown_item_rejected(self):
-        with pytest.raises(InputError):
-            item_indicator(frozenset({77}), t_with(set()), ITEMS)
-
-    @given(st.data())
-    def test_monotone_in_the_item_set(self, data):
-        sub = data.draw(st.sets(st.integers(0, 9)))
-        extra = data.draw(st.sets(st.integers(0, 9)))
-        positive = data.draw(st.sets(st.integers(0, 9)))
-        t = t_with(positive)
-        small = frozenset(sub)
-        big = small | frozenset(extra)
-        assert item_indicator(small, t, ITEMS) <= item_indicator(big, t, ITEMS)
-
-
 class TestRoute:
     def test_one_step_positive(self):
         d = one_test_diagram()
@@ -199,7 +170,7 @@ class TestRouteProperties:
         # re-walk step by step and require a repeat-free path of <= |V| vertices
         path = [d.source]
         while path[-1] in phi.node_items:
-            label = item_indicator(phi.node_items[path[-1]], t, ITEMS)
+            label = int(any(t.x[ITEMS.index(i)] for i in phi.node_items[path[-1]]))
             path.append(d.out_arc(path[-1], label).head)
             assert len(path) <= len(d.vertices)
         assert len(set(path)) == len(path)

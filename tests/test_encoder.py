@@ -1,6 +1,7 @@
-"""Binary-program encoding: registry, rows, point semantics, LP export."""
+"""Binary-program encoding: variable layout, rows, point semantics, LP export."""
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagopt.candidates import CandidateFamily
-from diagopt.core import Assignment, evaluate, route
+from diagopt.core import Assignment, evaluate, reached_sinks
+from diagopt.datagen import GenConfig, generate_population
 from diagopt.encoder import (
     BuildError,
     DecodeError,
@@ -20,15 +22,35 @@ from diagopt.encoder import (
     encode_assignment,
     export_lp,
 )
+from diagopt.instances import build_instance
 from conftest import random_feasible_assignment as random_feasible
 from conftest import random_toy_instance, tiny_instance, valid_diagram
 from lp_reader import parse_lp
 
 SIDE_ROWS = ("budget", "target_obj1", "target_obj2", "target_obj3")
 
+# sha256 of export_lp for each shipped (instance, setting) on this population
+PINNED_POP = GenConfig(n=120, seed=7)
+PINNED_LP_SHA256 = {
+    (1, 1): "152d913ec96fadc072098ce6635741a716fff2d5ac84cf47db22a6c8c096ddcd",
+    (1, 2): "ad0dd4ac3cfc60d2f87aa1d31449172ae0f8be64181c3149f7c674a1aef9df83",
+    (1, 3): "3dc005036ebb6fbe32dcd42ab783d7e1eda0c4a9ac0971635a49c4811c476bc1",
+    (2, 1): "ca88c2a437809a83237f571c630feaba85531fd56839d7da833fd6d284459981",
+    (2, 2): "412babf3d5d56eb75c674bcdf5867bd7600ceea1172b27716e55f266527784f2",
+    (2, 3): "d8b812c56ccd6d9100d7b738eee03da755108289ecb976cf88fbffaef4c35bbc",
+    (3, 1): "dbaf41e8f2823f282118433816655185bfc597eb01655ad232f943fb1d4a3532",
+    (3, 2): "1f30760339bd8ef4b21c3e0315d85f68ae7035c8ed784c86be977b68dbfb694c",
+    (3, 3): "31b82af2c9d3b906ba67479a60a0b936bef25c5ad5983f9daadce09541e135b2",
+}
+
 
 def structural_violations(model, point) -> tuple[str, ...]:
     return tuple(v for v in model.violations(point) if not v.startswith(SIDE_ROWS))
+
+
+@pytest.fixture(scope="module")
+def pinned_pop():
+    return generate_population(PINNED_POP)
 
 
 class TestRegistry:
@@ -54,6 +76,25 @@ class TestRegistry:
         assert counts["beta"] == 2 * n_t * n_u
         assert counts["gamma"] == n_t * n_s * n_m
         assert counts["z"] == n_t * n_m
+
+    def test_blocks_name_and_cover_every_variable(self, rng):
+        for _ in range(5):
+            model = build_model(random_toy_instance(rng, "full"), 1)
+            names = model.names
+            for ui, block in enumerate(model.p):
+                assert [names[i] for i in block] == [f"p_u{ui}_c{ci}" for ci in range(len(block))]
+            for fmt, block in (
+                ("q_s{}_m{}", model.q),
+                ("a_t{}_v{}", model.alpha),
+                ("b_t{}_u{}_l{}", model.beta),
+                ("g_t{}_s{}_m{}", model.gamma),
+                ("z_t{}_m{}", model.z),
+            ):
+                for at, i in np.ndenumerate(block):
+                    assert names[i] == fmt.format(*at)
+            blocks = model.p + [model.q, model.alpha, model.beta, model.gamma, model.z]
+            every = np.concatenate([b.ravel() for b in blocks])
+            assert sorted(every.tolist()) == list(range(model.num_variables))
 
     def test_row_count_formula(self, rng):
         inst = random_toy_instance(rng)
@@ -123,7 +164,7 @@ class TestSettingShapes:
         inst = tiny_instance(targets=(3, 5, 7))
         model = build_model(inst, 1)
         coefs = dict((idx, c) for c, idx in model.objective)
-        p_initial = model.p_index["r"][frozenset({0})]
+        p_initial = model.p[0][model.candidates[0].index(frozenset({0}))]
         assert coefs[p_initial] == Fraction(1, 3)
 
 
@@ -148,10 +189,8 @@ class TestEncode:
         model = build_model(inst, 1)
         phi = random_feasible(inst, rng)
         pt = encode_assignment(model, phi)
-        n_m = len(model.methods)
         for ti in range(model.n_types):
-            zs = [pt.values[model.z_idx(ti, m)] for m in model.methods]
-            assert sum(zs) == 1
+            assert pt.values[model.z[ti]].sum() == 1
 
     def test_identity_assignment_scores_full_similarity(self):
         inst = tiny_instance()
@@ -183,11 +222,11 @@ class TestEncode:
             model = build_model(inst, 1)
             phi = random_feasible(inst, rng)
             pt = encode_assignment(model, phi)
-            for ti, t in enumerate(inst.population.types):
-                m = route(inst.diagram, phi, t, inst.population.items).method
-                for other in model.methods:
+            for ti, s in enumerate(reached_sinks(inst.diagram, phi, inst.population)):
+                m = phi.sink_methods[s]
+                for mi, other in enumerate(model.methods):
                     want = 1 if other == m else 0
-                    assert pt.values[model.z_idx(ti, other)] == want
+                    assert pt.values[model.z[ti, mi]] == want
 
     def test_objective_expressions_match_scalar_metrics(self, rng):
         for _ in range(10):
@@ -267,9 +306,9 @@ class TestEncodeProperty:
         assert model.metrics_at(pt) == evaluate(
             inst.diagram, phi, inst.initial, inst.population
         )
-        for ti, t in enumerate(inst.population.types):
-            m = route(inst.diagram, phi, t, items).method
-            assert pt.values[model.z_idx(ti, m)] == 1
+        for ti, s in enumerate(reached_sinks(inst.diagram, phi, inst.population)):
+            m = phi.sink_methods[s]
+            assert pt.values[model.z[ti, model.methods.index(m)]] == 1
 
 
 class TestDecode:
@@ -291,10 +330,9 @@ class TestDecode:
         inst = tiny_instance()
         model = build_model(inst, 1)
         values = np.zeros(model.num_variables, dtype=np.int8)
-        values[model.p_index["r"][frozenset({0})]] = 1
-        for m in (0, 1):
-            values[model.q_index["s0"][m]] = 1
-        values[model.q_index["s1"][0]] = 1
+        values[model.p[0][model.candidates[0].index(frozenset({0}))]] = 1
+        values[model.q[0, [0, 1]]] = 1  # sink s0 gets methods 0 and 1
+        values[model.q[1, 0]] = 1
         with pytest.raises(DecodeError):
             decode(model, VariablePoint(model=model, values=values))
 
@@ -370,9 +408,8 @@ class TestParallelArcs:
         phi = Assignment.build({"r": {0}, "v": set()}, {"s": 1})
         pt = encode_assignment(model, phi)
         assert structural_violations(model, pt) == ()
-        for ti in range(model.n_types):
-            assert pt.values[model.alpha_idx(ti, "v")] == 1
-            assert pt.values[model.alpha_idx(ti, "s")] == 1
+        vi = [model.vertex_order.index(v) for v in ("v", "s")]
+        assert pt.values[model.alpha[:, vi]].all()
         m = model.metrics_at(pt)
         assert (m.cost, m.obj2, m.obj3) == (500, 5, 2)
         assert m == evaluate(inst.diagram, phi, inst.initial, inst.population)
@@ -478,11 +515,16 @@ class TestExportLp:
             for name, coef in want.items():
                 assert float(got.terms[name]) == pytest.approx(float(coef))
 
+    @pytest.mark.parametrize("iid,setting", sorted(PINNED_LP_SHA256))
+    def test_lp_bytes_are_pinned(self, pinned_pop, iid, setting):
+        text = export_lp(build_model(build_instance(iid, pinned_pop), setting))
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_LP_SHA256[iid, setting]
+
     def test_fractional_objective_survives_round_trip(self):
         inst = tiny_instance(targets=(3, 5, 7))
         model = build_model(inst, 1)
         parsed = parse_lp(export_lp(model))
-        p_initial = model.names[model.p_index["r"][frozenset({0})]]
+        p_initial = model.names[model.p[0][model.candidates[0].index(frozenset({0}))]]
         assert float(parsed.objective.terms[p_initial]) == pytest.approx(1 / 3)
 
     def test_long_rows_wrap_into_continuation_lines(self):
