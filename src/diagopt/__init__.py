@@ -38,7 +38,6 @@ from .datagen import (
     TruncatedNormal,
     binarize,
     default_attribute_specs,
-    default_item_universe,
     default_method_universe,
     default_threshold_table,
     generate_population,

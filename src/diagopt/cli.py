@@ -12,14 +12,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from .core import InputError, Metrics, evaluate
-from .datagen import GenerationError, generate_population
+from .datagen import GenConfig, GenerationError, generate_population
 from .encoder import BuildError, build_model, export_lp
 from .fileio import (
     FormatError,
-    GeneratorDoc,
     instance_doc_from_template,
     read_assignment,
-    read_generator_doc,
+    read_genconfig,
     read_instance,
     write_instance_doc,
     write_population,
@@ -64,9 +63,11 @@ def _fmt_objective(value) -> str:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    doc = read_generator_doc(args.config) if args.config else GeneratorDoc.default()
-    cfg = doc.gen_config(n=args.n, seed=args.seed)
-    pop = generate_population(cfg, doc.specs, doc.thresholds)
+    if args.config:
+        cfg = read_genconfig(args.config, n=args.n, seed=args.seed)
+    else:
+        cfg = GenConfig(n=args.n, seed=args.seed)
+    pop = generate_population(cfg)
     if args.n == 0:
         print("warning: generated an empty population (n = 0)", file=sys.stderr)
     write_population(pop, args.out)

@@ -111,6 +111,8 @@ class Predicate:
             return int(v == self.value)
         if self.op == "band":
             return int(self.value <= v < self.upper)
+        if v not in (0, 1):
+            raise InputError(f"bit attribute {self.attr!r} drew {v}, expected 0 or 1")
         return int(v)
 
 
@@ -132,10 +134,12 @@ class ThresholdTable:
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Record count, seed, and the response/improvement probabilities."""
+    """Record count, seed, and the tables a draw reads (the shipped ones by default)."""
 
     n: int
     seed: int
+    specs: tuple[AttributeSpec, ...] = field(default_factory=lambda: default_attribute_specs())
+    thresholds: ThresholdTable = field(default_factory=lambda: default_threshold_table())
     methods: MethodUniverse = field(default_factory=lambda: default_method_universe())
     response_probs: Mapping[int, float] = field(
         default_factory=lambda: dict(DEFAULT_RESPONSE_PROBS)
@@ -200,26 +204,20 @@ def sample_response(cfg: GenConfig, rng: random.Random) -> tuple[tuple[int, ...]
     return tuple(y), z
 
 
-def generate_population(
-    cfg: GenConfig,
-    specs: Iterable[AttributeSpec] | None = None,
-    tbl: ThresholdTable | None = None,
-) -> Population:
+def generate_population(cfg: GenConfig) -> Population:
     """Draw ``cfg.n`` records and aggregate identical (X, Y, z) triples.
 
     Weights count the collapsed records, so they always sum to ``cfg.n``.
     Type ids follow first occurrence; the whole result is a pure function of
-    the seed.
+    the config.
     """
-    specs = tuple(specs) if specs is not None else default_attribute_specs()
-    tbl = tbl if tbl is not None else default_threshold_table()
-    items = ItemUniverse(tbl.item_ids)
+    items = ItemUniverse(cfg.thresholds.item_ids)
 
     rng = random.Random(cfg.seed)
     weights: dict[tuple[tuple[int, ...], tuple[int, ...], int], int] = {}
     for _ in range(cfg.n):
-        raw = sample_raw(specs, rng)
-        x = binarize(raw, tbl)
+        raw = sample_raw(cfg.specs, rng)
+        x = binarize(raw, cfg.thresholds)
         y, z = sample_response(cfg, rng)
         key = (x, y, z)
         weights[key] = weights.get(key, 0) + 1
@@ -229,10 +227,6 @@ def generate_population(
         for i, ((x, y, z), w) in enumerate(weights.items())
     )
     return Population(items=items, methods=cfg.methods, types=types)
-
-
-def default_item_universe() -> ItemUniverse:
-    return ItemUniverse(tuple(range(49)))
 
 
 def default_method_universe() -> MethodUniverse:

@@ -26,7 +26,6 @@ from .core import Assignment, InputError, ItemSet, Metrics, Vertex
 from .problem import FIELDS, SETTINGS, Goal, Instance
 
 Term = tuple[int, int]  # (coefficient, variable index)
-ObjTerm = tuple[int | Fraction, int]  # setting 1 divides its objective exactly
 
 _LINE_WIDTH = 72
 _SENSES = {"<=": -1, "=": 0, ">=": 1}
@@ -50,7 +49,7 @@ class LinRow:
     rhs: int | Fraction
 
 
-def expr_value(terms: Sequence[ObjTerm], values: np.ndarray) -> int | Fraction:
+def expr_value(terms: Sequence[Term], values: np.ndarray) -> int:
     """Exact value of a linear expression at a 0/1 point."""
     return sum(coef for coef, idx in terms if values[idx])
 
@@ -75,7 +74,8 @@ class IPModel:
 
     The names, the rows, ``encode_assignment``, ``decode`` and
     ``variable_counts`` all read these arrays. The model also holds the
-    constraint rows in family order, the objective, and the linear
+    constraint rows in family order, the objective (integer terms, divided
+    exactly by ``objective_divisor`` unless it is ``None``), and the linear
     expressions for cost and the three indicators. Safe to share read-only.
     """
 
@@ -292,13 +292,11 @@ class IPModel:
                 continue
             for coef, idx in expr:
                 merged[idx] = merged.get(idx, 0) + coef * w
-        d = goal.divisor
         self.objective_sense = goal.sense
-        self.objective: tuple[ObjTerm, ...] = tuple(
-            (coef if d is None else Fraction(coef, d), idx)
-            for idx, coef in sorted(merged.items())
-            if coef
+        self.objective: tuple[Term, ...] = tuple(
+            (coef, idx) for idx, coef in sorted(merged.items()) if coef
         )
+        self.objective_divisor: int | None = goal.divisor
 
     @property
     def num_constraints(self) -> int:
@@ -351,7 +349,8 @@ class IPModel:
         )
 
     def objective_value(self, point: "VariablePoint") -> int | Fraction:
-        return expr_value(self.objective, point.values)
+        v = expr_value(self.objective, point.values)
+        return v if self.objective_divisor is None else Fraction(v, self.objective_divisor)
 
 
 @dataclass(frozen=True)
@@ -452,7 +451,7 @@ def _fmt_number(x: int | Fraction) -> str:
     return str(x)
 
 
-def _fmt_terms(terms: Sequence[ObjTerm], names: Sequence[str]) -> Iterator[str]:
+def _fmt_terms(terms: Sequence[tuple[int | Fraction, int]], names: Sequence[str]) -> Iterator[str]:
     """Tokens of a linear expression: sign, optional magnitude, variable name."""
     if not terms:
         yield f"0 {names[0]}"
@@ -493,8 +492,10 @@ def export_lp(model: IPModel) -> str:
     function of the model, so repeated exports are byte-identical.
     """
     names = model.names
+    d = model.objective_divisor
+    objective = model.objective if d is None else [(Fraction(c, d), i) for c, i in model.objective]
     out: list[str] = [model.objective_sense]
-    out += _wrap(" obj:", _fmt_terms(model.objective, names), "")
+    out += _wrap(" obj:", _fmt_terms(objective, names), "")
     out.append("Subject To")
     for row in model.rows:
         tail = f"{row.sense} {_fmt_number(row.rhs)}"

@@ -1,8 +1,12 @@
-"""Stable JSON formats for populations, instances, assignments, and reports.
+"""Stable JSON formats for populations, instances, assignments, generator
+configs, and reports.
 
 One structured-text format for everything, canonically serialized (sorted
 keys, two-space indent, sorted item lists) so that write -> read -> write is
-byte-identical and files diff cleanly.
+byte-identical and files diff cleanly. A block several formats share has one
+codec: methods (``_methods_to_obj`` / ``_methods_from_obj``) and assignment
+labels (``_labels_to_obj`` / ``assignment_from_obj``). Every reader goes
+through ``_from_doc``, so a schema error is one ``FormatError`` naming the file.
 """
 from __future__ import annotations
 
@@ -33,9 +37,6 @@ from .datagen import (
     Predicate,
     ThresholdTable,
     TruncatedNormal,
-    default_attribute_specs,
-    default_method_universe,
-    default_threshold_table,
 )
 from .problem import Instance
 from .solver import Solution
@@ -83,14 +84,14 @@ def write_text(path: str | Path, text: str) -> None:
 def _from_doc(
     obj: Any, kind: str, from_obj: Callable[[Mapping[str, Any]], _Doc], where: str | Path
 ) -> _Doc:
-    """Parse a document of ``kind``: any schema error is a FormatError."""
+    """Parse a document of ``kind``: any schema error is a FormatError naming ``where``."""
     if not isinstance(obj, dict) or obj.get("kind") != kind:
         raise FormatError(f"{where}: not a document of kind {kind!r}")
     try:
         return from_obj(obj)
-    except FormatError:
-        raise
-    except (AttributeError, TypeError, ValueError, KeyError) as exc:
+    except KeyError as exc:
+        raise FormatError(f"{where}: malformed {kind} document (missing key {exc})") from exc
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{where}: malformed {kind} document ({exc})") from exc
 
 
@@ -100,10 +101,35 @@ def _read_doc(
     return _from_doc(load_json(path), kind, from_obj, path)
 
 
-def _expect(obj: Mapping[str, Any], key: str, ctx: str) -> Any:
-    if key not in obj:
-        raise FormatError(f"{ctx}: missing required key {key!r}")
-    return obj[key]
+# ----------------------------------------------------------------------
+# shared blocks
+# ----------------------------------------------------------------------
+
+
+def _methods_to_obj(methods: MethodUniverse) -> list[list[int]]:
+    return [[m, c] for m, c in zip(methods.methods, methods.costs)]
+
+
+def _methods_from_obj(rows: Any) -> MethodUniverse:
+    return MethodUniverse(
+        methods=tuple(int(m) for m, _ in rows),
+        costs=tuple(int(c) for _, c in rows),
+    )
+
+
+def _labels_to_obj(phi: Assignment) -> dict[str, Any]:
+    return {
+        "nodes": {u: sorted(c) for u, c in phi.node_items.items()},
+        "sinks": dict(phi.sink_methods),
+    }
+
+
+def assignment_from_obj(obj: Mapping[str, Any]) -> Assignment:
+    """The assignment an object's ``nodes`` and ``sinks`` labels describe."""
+    return Assignment.build(
+        {str(u): (int(i) for i in c) for u, c in obj["nodes"].items()},
+        {str(s): int(m) for s, m in obj["sinks"].items()},
+    )
 
 
 # ----------------------------------------------------------------------
@@ -117,7 +143,7 @@ def population_to_obj(pop: Population) -> dict[str, Any]:
     return {
         "kind": "population",
         "items": list(items.items),
-        "methods": [[m, methods.costs[i]] for i, m in enumerate(methods.methods)],
+        "methods": _methods_to_obj(methods),
         "types": [
             {
                 "id": t.id,
@@ -132,24 +158,19 @@ def population_to_obj(pop: Population) -> dict[str, Any]:
 
 
 def population_from_obj(obj: Mapping[str, Any]) -> Population:
-    ctx = "population"
-    items = ItemUniverse(tuple(int(i) for i in _expect(obj, "items", ctx)))
-    raw_methods = _expect(obj, "methods", ctx)
-    methods = MethodUniverse(
-        methods=tuple(int(m) for m, _ in raw_methods),
-        costs=tuple(int(c) for _, c in raw_methods),
-    )
+    items = ItemUniverse(tuple(int(i) for i in obj["items"]))
+    methods = _methods_from_obj(obj["methods"])
     types = []
-    for row in _expect(obj, "types", ctx):
-        x1 = set(int(i) for i in _expect(row, "x1", f"{ctx} type"))
-        y1 = set(int(m) for m in _expect(row, "y1", f"{ctx} type"))
+    for row in obj["types"]:
+        x1 = set(int(i) for i in row["x1"])
+        y1 = set(int(m) for m in row["y1"])
         types.append(
             ExamineeType(
-                id=int(_expect(row, "id", f"{ctx} type")),
-                weight=int(_expect(row, "weight", f"{ctx} type")),
+                id=int(row["id"]),
+                weight=int(row["weight"]),
                 x=tuple(int(i in x1) for i in items.items),
                 y=tuple(int(m in y1) for m in methods.methods),
-                z=int(_expect(row, "z", f"{ctx} type")),
+                z=int(row["z"]),
             )
         )
     return Population(items=items, methods=methods, types=tuple(types))
@@ -169,20 +190,7 @@ def read_population(path: str | Path) -> Population:
 
 
 def assignment_to_obj(phi: Assignment) -> dict[str, Any]:
-    return {
-        "kind": "assignment",
-        "nodes": {u: sorted(c) for u, c in phi.node_items.items()},
-        "sinks": dict(phi.sink_methods),
-    }
-
-
-def assignment_from_obj(obj: Mapping[str, Any]) -> Assignment:
-    nodes = _expect(obj, "nodes", "assignment")
-    sinks = _expect(obj, "sinks", "assignment")
-    return Assignment.build(
-        {str(u): frozenset(int(i) for i in c) for u, c in nodes.items()},
-        {str(s): int(m) for s, m in sinks.items()},
-    )
+    return {"kind": "assignment", **_labels_to_obj(phi)}
 
 
 def write_assignment(phi: Assignment, path: str | Path) -> None:
@@ -199,22 +207,20 @@ def read_assignment(path: str | Path) -> Assignment:
 
 
 def _attribute_from_obj(obj: Mapping[str, Any]) -> AttributeSpec:
-    kind = _expect(obj, "kind", "attribute")
-    name = str(_expect(obj, "name", "attribute"))
+    kind = obj["kind"]
+    name = str(obj["name"])
     if kind == "truncnormal":
         return TruncatedNormal(
             name=name,
-            lo=float(_expect(obj, "lo", name)),
-            hi=float(_expect(obj, "hi", name)),
-            mean=float(_expect(obj, "mean", name)),
-            sd=float(_expect(obj, "sd", name)),
+            lo=float(obj["lo"]),
+            hi=float(obj["hi"]),
+            mean=float(obj["mean"]),
+            sd=float(obj["sd"]),
         )
     if kind == "categorical":
-        table = tuple(
-            (float(v), float(p)) for v, p in _expect(obj, "table", name)
-        )
+        table = tuple((float(v), float(p)) for v, p in obj["table"])
         return Categorical(name=name, table=table)
-    raise FormatError(f"attribute {name}: unknown kind {kind!r}")
+    raise ValueError(f"attribute {name}: unknown kind {kind!r}")
 
 
 def _attribute_to_obj(spec: AttributeSpec) -> dict[str, Any]:
@@ -236,8 +242,8 @@ def _attribute_to_obj(spec: AttributeSpec) -> dict[str, Any]:
 
 def _predicate_from_obj(obj: Mapping[str, Any]) -> Predicate:
     return Predicate(
-        op=str(_expect(obj, "op", "predicate")),
-        attr=str(_expect(obj, "attr", "predicate")),
+        op=str(obj["op"]),
+        attr=str(obj["attr"]),
         value=float(obj.get("value", 0.0)),
         upper=float(obj.get("upper", 0.0)),
     )
@@ -252,76 +258,38 @@ def _predicate_to_obj(pred: Predicate) -> dict[str, Any]:
     return obj
 
 
-@dataclass(frozen=True)
-class GeneratorDoc:
-    """Parsed generator configuration: attributes, thresholds, probabilities."""
-
-    specs: tuple[AttributeSpec, ...]
-    thresholds: ThresholdTable
-    methods: MethodUniverse
-    response_probs: dict[int, float]
-    improvement_prob: float
-
-    def gen_config(self, n: int, seed: int) -> GenConfig:
-        return GenConfig(
-            n=n,
-            seed=seed,
-            methods=self.methods,
-            response_probs=dict(self.response_probs),
-            improvement_prob=self.improvement_prob,
-        )
-
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "kind": "genconfig",
-            "attributes": [_attribute_to_obj(s) for s in self.specs],
-            "thresholds": [
-                [item, _predicate_to_obj(pred)] for item, pred in self.thresholds.entries
-            ],
-            "methods": [
-                [m, self.methods.costs[i]] for i, m in enumerate(self.methods.methods)
-            ],
-            "response_probs": {str(m): p for m, p in sorted(self.response_probs.items())},
-            "improvement_prob": self.improvement_prob,
-        }
-
-    @staticmethod
-    def from_obj(obj: Mapping[str, Any]) -> "GeneratorDoc":
-        ctx = "genconfig"
-        raw_methods = _expect(obj, "methods", ctx)
-        methods = MethodUniverse(
-            methods=tuple(int(m) for m, _ in raw_methods),
-            costs=tuple(int(c) for _, c in raw_methods),
-        )
-        return GeneratorDoc(
-            specs=tuple(_attribute_from_obj(a) for a in _expect(obj, "attributes", ctx)),
-            thresholds=ThresholdTable(
-                entries=tuple(
-                    (int(item), _predicate_from_obj(p))
-                    for item, p in _expect(obj, "thresholds", ctx)
-                )
-            ),
-            methods=methods,
-            response_probs={
-                int(m): float(p) for m, p in _expect(obj, "response_probs", ctx).items()
-            },
-            improvement_prob=float(_expect(obj, "improvement_prob", ctx)),
-        )
-
-    @staticmethod
-    def default() -> "GeneratorDoc":
-        cfg = GenConfig(n=0, seed=0)
-        return GeneratorDoc(
-            specs=default_attribute_specs(),
-            thresholds=default_threshold_table(),
-            methods=default_method_universe(),
-            response_probs=dict(cfg.response_probs),
-            improvement_prob=cfg.improvement_prob,
-        )
+def genconfig_to_obj(cfg: GenConfig) -> dict[str, Any]:
+    """The generator-config document: all of ``cfg`` but ``n`` and ``seed``."""
+    return {
+        "kind": "genconfig",
+        "attributes": [_attribute_to_obj(s) for s in cfg.specs],
+        "thresholds": [
+            [item, _predicate_to_obj(pred)] for item, pred in cfg.thresholds.entries
+        ],
+        "methods": _methods_to_obj(cfg.methods),
+        "response_probs": {str(m): p for m, p in sorted(cfg.response_probs.items())},
+        "improvement_prob": cfg.improvement_prob,
+    }
 
 
-def read_generator_doc(path: str | Path) -> GeneratorDoc:
-    return _read_doc(path, "genconfig", GeneratorDoc.from_obj)
+def _genconfig_from_obj(obj: Mapping[str, Any]) -> GenConfig:
+    return GenConfig(
+        n=0,
+        seed=0,
+        specs=tuple(_attribute_from_obj(a) for a in obj["attributes"]),
+        thresholds=ThresholdTable(
+            tuple((int(item), _predicate_from_obj(p)) for item, p in obj["thresholds"])
+        ),
+        methods=_methods_from_obj(obj["methods"]),
+        response_probs={int(m): float(p) for m, p in obj["response_probs"].items()},
+        improvement_prob=float(obj["improvement_prob"]),
+    )
+
+
+def read_genconfig(path: str | Path, n: int, seed: int) -> GenConfig:
+    """The generator config in ``path``, drawing ``n`` records from ``seed``."""
+    # n and seed are set after parsing, so a bad count is not blamed on the file
+    return replace(_read_doc(path, "genconfig", _genconfig_from_obj), n=n, seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -336,33 +304,28 @@ class InstanceDoc:
     The shipped instances are docs without a population (see ``instances``).
     """
 
-    items: tuple[int, ...]
-    methods: tuple[tuple[int, int], ...]  # (id, cost) pairs
+    items: ItemUniverse
+    methods: MethodUniverse
     vertices: tuple[Vertex, ...]
     arcs: tuple[tuple[Vertex, Vertex, int], ...]
     roles: dict[Vertex, tuple[int, ...]]
     categories: tuple[tuple[int, ...], ...]
-    initial_nodes: dict[Vertex, tuple[int, ...]]
-    initial_sinks: dict[Vertex, int]
+    initial: Assignment
     budget: int
     targets: tuple[int, int, int]
     population_inline: dict[str, Any] | None = None
     population_path: str | None = None
-    gen_config: dict[str, Any] | None = None
 
     def to_obj(self) -> dict[str, Any]:
         obj: dict[str, Any] = {
             "kind": "instance",
-            "items": list(self.items),
-            "methods": [[m, c] for m, c in self.methods],
+            "items": list(self.items.items),
+            "methods": _methods_to_obj(self.methods),
             "vertices": list(self.vertices),
             "arcs": [[t, h, l] for t, h, l in self.arcs],
             "roles": {u: sorted(r) for u, r in self.roles.items()},
             "categories": [sorted(c) for c in self.categories],
-            "initial": {
-                "nodes": {u: sorted(c) for u, c in self.initial_nodes.items()},
-                "sinks": dict(self.initial_sinks),
-            },
+            "initial": _labels_to_obj(self.initial),
             "budget": self.budget,
             "targets": list(self.targets),
         }
@@ -370,43 +333,29 @@ class InstanceDoc:
             obj["population"] = self.population_inline
         if self.population_path is not None:
             obj["population_path"] = self.population_path
-        if self.gen_config is not None:
-            obj["gen_config"] = self.gen_config
         return obj
 
     @staticmethod
     def from_obj(obj: Mapping[str, Any]) -> "InstanceDoc":
-        ctx = "instance"
-        initial = _expect(obj, "initial", ctx)
         doc = InstanceDoc(
-            items=tuple(int(i) for i in _expect(obj, "items", ctx)),
-            methods=tuple((int(m), int(c)) for m, c in _expect(obj, "methods", ctx)),
-            vertices=tuple(str(v) for v in _expect(obj, "vertices", ctx)),
-            arcs=tuple((str(t), str(h), int(l)) for t, h, l in _expect(obj, "arcs", ctx)),
-            roles={
-                str(u): tuple(sorted(int(i) for i in r))
-                for u, r in _expect(obj, "roles", ctx).items()
-            },
-            categories=tuple(
-                tuple(sorted(int(i) for i in c)) for c in _expect(obj, "categories", ctx)
-            ),
-            initial_nodes={
-                str(u): tuple(sorted(int(i) for i in c))
-                for u, c in _expect(initial, "nodes", ctx).items()
-            },
-            initial_sinks={str(s): int(m) for s, m in _expect(initial, "sinks", ctx).items()},
-            budget=int(_expect(obj, "budget", ctx)),
-            targets=tuple(int(t) for t in _expect(obj, "targets", ctx)),
+            items=ItemUniverse(tuple(int(i) for i in obj["items"])),
+            methods=_methods_from_obj(obj["methods"]),
+            vertices=tuple(str(v) for v in obj["vertices"]),
+            arcs=tuple((str(t), str(h), int(l)) for t, h, l in obj["arcs"]),
+            roles={str(u): tuple(sorted(int(i) for i in r)) for u, r in obj["roles"].items()},
+            categories=tuple(tuple(sorted(int(i) for i in c)) for c in obj["categories"]),
+            initial=assignment_from_obj(obj["initial"]),
+            budget=int(obj["budget"]),
+            targets=tuple(int(t) for t in obj["targets"]),
             population_inline=obj.get("population"),
             population_path=obj.get("population_path"),
-            gen_config=obj.get("gen_config"),
         )
         if len(doc.targets) != 3:
-            raise FormatError(f"{ctx}: targets must have exactly three entries")
+            raise ValueError("targets must have exactly three entries")
         if doc.population_inline is None and doc.population_path is None:
-            raise FormatError(f"{ctx}: needs either population or population_path")
+            raise ValueError("needs either population or population_path")
         if not isinstance(doc.population_path, (str, type(None))):
-            raise FormatError(f"{ctx}: population_path must be a string")
+            raise ValueError("population_path must be a string")
         return doc
 
     def load_population(self, base_dir: Path | None = None) -> Population:
@@ -420,19 +369,15 @@ class InstanceDoc:
             p = base_dir / p
         return read_population(p)
 
-    @property
-    def initial_assignment(self) -> Assignment:
-        return Assignment.build(self.initial_nodes, self.initial_sinks)
-
     def instance(self, pop: Population) -> Instance:
         """Assemble the instance over ``pop``, which must use the doc's universes.
 
         Candidate families are built from the initial labels through the
         neighborhood, category, and role pipeline.
         """
-        if pop.items.items != self.items:
+        if pop.items != self.items:
             raise InputError("population item universe differs from the instance's")
-        if tuple(zip(pop.methods.methods, pop.methods.costs)) != self.methods:
+        if pop.methods != self.methods:
             raise InputError("population method universe differs from the instance's")
         diagram = Diagram(
             vertices=self.vertices,
@@ -443,7 +388,7 @@ class InstanceDoc:
             raise InputError(f"invalid diagram: {'; '.join(report.violations)}")
         if set(self.roles) != set(diagram.internals):
             raise InputError("roles must cover exactly the internal vertices")
-        initial = self.initial_assignment
+        initial = self.initial
         if not initial.covers(diagram):
             raise InputError("initial labels must cover exactly the diagram's vertices")
         categories = CategoryFamily.build(self.categories)
@@ -500,14 +445,6 @@ def _objective_to_obj(value: int | Fraction | None) -> int | str | None:
     return value
 
 
-def objective_from_obj(value: int | str | None) -> int | Fraction | None:
-    if value is None:
-        return None
-    if isinstance(value, str):
-        return Fraction(value)
-    return int(value)
-
-
 def report_to_obj(sol: Solution, solver_name: str) -> dict[str, Any]:
     obj: dict[str, Any] = {
         "kind": "report",
@@ -526,10 +463,7 @@ def report_to_obj(sol: Solution, solver_name: str) -> dict[str, Any]:
             "obj3": sol.metrics.obj3,
         }
     if sol.assignment is not None:
-        obj["assignment"] = {
-            "nodes": {u: sorted(c) for u, c in sol.assignment.node_items.items()},
-            "sinks": dict(sol.assignment.sink_methods),
-        }
+        obj["assignment"] = _labels_to_obj(sol.assignment)
     return obj
 
 

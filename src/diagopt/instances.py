@@ -9,8 +9,8 @@ the walk at the first sink.
 """
 from __future__ import annotations
 
-from .core import InputError, Population, Vertex
-from .datagen import default_item_universe, default_method_universe
+from .core import Assignment, InputError, ItemUniverse, Population, Vertex
+from .datagen import default_method_universe, default_threshold_table
 from .fileio import InstanceDoc
 from .problem import Instance
 
@@ -45,16 +45,14 @@ def _template(
 ) -> InstanceDoc:
     """A chain over the roles' vertices, in order, on the default universes."""
     internals = tuple(roles)
-    methods = default_method_universe()
     return InstanceDoc(
-        items=default_item_universe().items,
-        methods=tuple(zip(methods.methods, methods.costs)),
+        items=ItemUniverse(default_threshold_table().item_ids),
+        methods=default_method_universe(),
         vertices=internals + _SINKS,
         arcs=_chain(internals),
         roles=roles,
         categories=ITEM_CATEGORIES,
-        initial_nodes=node_labels,
-        initial_sinks=sink_labels,
+        initial=Assignment.build(node_labels, sink_labels),
         budget=budget,
         targets=targets,
     )

@@ -1,6 +1,7 @@
 """Command-line workflows and the stable file formats behind them."""
 from __future__ import annotations
 
+import hashlib
 import json
 import tempfile
 from fractions import Fraction
@@ -11,15 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagopt.cli import main
-from diagopt.core import evaluate
+from diagopt.core import Assignment, ItemUniverse, MethodUniverse, evaluate
+from diagopt.datagen import GenConfig
 from diagopt.encoder import build_model
 from diagopt.fileio import (
     FormatError,
-    GeneratorDoc,
     InstanceDoc,
     assignment_to_obj,
     dump_canonical,
-    objective_from_obj,
+    genconfig_to_obj,
     read_instance,
     read_instance_doc,
     read_population,
@@ -28,6 +29,18 @@ from diagopt.fileio import (
 )
 from diagopt.instances import instance_template
 from lp_reader import parse_lp
+
+# sha256 of the files `generate --seed 7 --n 120` and `make-instance` write,
+# of instance 1's initial labels as an assignment file, and of the setting 3
+# report on instance 1 without its "stats" block (which holds a wall time)
+PINNED_JSON_SHA256 = {
+    "pop.json": "1d018b527f2543d572293aacdf7f43989ab1686999089993911d9caaaf467878",
+    "inst1.json": "9e04ea71b9f640d6330a819d86e8753a780b6cae3569ae7b2d0ae3611372b1ce",
+    "inst2.json": "d4a08f382d94fe2f6a4c7fa6cd30a2e4930359657508d388ca3868df6eac86dc",
+    "inst3.json": "3dc635da43996c141244917df887a981ab096397c9fd434ea49a4b962d297f0d",
+    "assignment.json": "aa570691a588830cf8f45b436b926d6e6e50e63e5ff9a4ce2c82ffb767dfa502",
+    "report.json": "2a88f1b10f5f88267a04c200379fadad46831b53b8059110c52745055f551d58",
+}
 
 
 @pytest.fixture(scope="module")
@@ -53,14 +66,13 @@ def toy_docs(population_path: str | None = None) -> dict:
                          responds=({1}, {2}), improves=(1, 0))
     pop = population_to_obj(inst.population)
     doc = InstanceDoc(
-        items=(0, 1),
-        methods=((0, 0), (1, 200), (2, 400), (3, 600)),
+        items=ItemUniverse((0, 1)),
+        methods=MethodUniverse(methods=(0, 1, 2, 3), costs=(0, 200, 400, 600)),
         vertices=("r", "s0", "s1"),
         arcs=(("r", "s0", 0), ("r", "s1", 1)),
         roles={"r": (0, 1)},
         categories=(),
-        initial_nodes={"r": (0,)},
-        initial_sinks={"s0": 0, "s1": 1},
+        initial=Assignment.build({"r": (0,)}, {"s0": 0, "s1": 1}),
         budget=10**6,
         targets=(3, 1, 1),
         population_inline=None if population_path else pop,
@@ -69,7 +81,7 @@ def toy_docs(population_path: str | None = None) -> dict:
     return {
         "instance": doc.to_obj(),
         "population": pop,
-        "assignment": assignment_to_obj(doc.initial_assignment),
+        "assignment": assignment_to_obj(doc.initial),
     }
 
 
@@ -105,6 +117,37 @@ class TestGenerate:
         assert f"|T| = {len(pop)}" in out
         assert pop.total_weight == 1000
 
+    def test_default_genconfig_file_gives_the_same_bytes(self, tmp_path):
+        cfg_path = tmp_path / "genconfig.json"
+        cfg_path.write_text(dump_canonical(genconfig_to_obj(GenConfig(0, 0))))
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["generate", "--seed", "7", "--n", "300", "--out", str(a)]) == 0
+        assert main([
+            "generate", "--config", str(cfg_path), "--seed", "7", "--n", "300", "--out", str(b),
+        ]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
+class TestJsonBytes:
+    def test_json_bytes_are_pinned(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "--seed", "7", "--n", "120", "--out", "pop.json"]) == 0
+        for iid in (1, 2, 3):
+            assert main([
+                "make-instance", "--id", str(iid), "--population", "pop.json",
+                "--out", f"inst{iid}.json",
+            ]) == 0
+        write_assignment(read_instance("inst1.json").initial, "assignment.json")
+        assert main([
+            "solve", "--instance", "inst1.json", "--setting", "3", "--out", "report.json",
+        ]) == 0
+        report = json.loads(Path("report.json").read_text())
+        del report["stats"]
+        Path("report.json").write_text(dump_canonical(report))
+        got = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+               for name in PINNED_JSON_SHA256}
+        assert got == PINNED_JSON_SHA256
+
 
 class TestInstanceFiles:
     def test_round_trip_is_byte_identical(self, workspace):
@@ -119,7 +162,7 @@ class TestInstanceFiles:
         tpl = instance_template(1)
         assert inst.budget == tpl.budget
         assert inst.targets == tpl.targets
-        assert inst.initial == tpl.initial_assignment
+        assert inst.initial == tpl.initial
 
     def test_population_mismatch_rejected(self, workspace, tmp_path):
         _, pop_path, inst_path = workspace
@@ -221,7 +264,7 @@ class TestSolveCommand:
         }
         th1, th2, th3 = inst.targets
         want = Fraction(m.obj1, th1) + Fraction(m.obj2, th2) + Fraction(m.obj3, th3)
-        assert objective_from_obj(report["objective"]) == want
+        assert Fraction(report["objective"]) == want
 
 
 class TestEvalCommand:
@@ -306,6 +349,10 @@ def _null_budget(obj):
     obj["budget"] = None
 
 
+def _infinite_budget(obj):
+    obj["budget"] = float("inf")  # json writes Infinity, which int() cannot take
+
+
 def _arc_labeled_seven(obj):
     obj["arcs"][0][2] = 7
 
@@ -318,6 +365,7 @@ class TestErrors:
             _missing_initial_label,
             _string_targets,
             _null_budget,
+            _infinite_budget,
             _arc_labeled_seven,
         ],
     )
@@ -372,6 +420,10 @@ def _genconfig_list(docs):
     docs["genconfig"] = [docs["genconfig"]]
 
 
+def _nameless_attribute(docs):
+    del docs["genconfig"]["attributes"][0]["name"]
+
+
 def _run_on_files(tmp: Path, kind: str, docs: dict) -> int:
     """Write the documents and run the command that reads the one of ``kind``."""
     paths = {name: tmp / f"{name}.json" for name in docs}
@@ -390,7 +442,7 @@ def _run_on_files(tmp: Path, kind: str, docs: dict) -> int:
 
 def _file_docs() -> dict:
     docs = toy_docs(population_path="population.json")
-    docs["genconfig"] = GeneratorDoc.default().to_obj()
+    docs["genconfig"] = genconfig_to_obj(GenConfig(0, 0))
     return docs
 
 
@@ -403,6 +455,7 @@ class TestMalformedDocuments:
             ("assignment", _assignment_list),
             ("assignment", _null_node_label),
             ("genconfig", _genconfig_list),
+            ("genconfig", _nameless_attribute),
         ],
     )
     def test_one_error_line(self, tmp_path, capsys, kind, corrupt):
@@ -414,6 +467,7 @@ class TestMalformedDocuments:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert str(tmp_path / f"{kind}.json") in err
 
 
 def _locations(obj, at=()):
@@ -441,7 +495,7 @@ _replacements = st.one_of(
 
 @st.composite
 def _mutated_docs(draw):
-    kind = draw(st.sampled_from(["population", "instance", "assignment"]))
+    kind = draw(st.sampled_from(["population", "instance", "assignment", "genconfig"]))
     docs = _file_docs()
     at = draw(st.sampled_from(list(_locations(docs[kind]))))
     parent = docs[kind]

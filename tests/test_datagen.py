@@ -119,6 +119,11 @@ class TestBinarize:
         x = binarize(raw_with(diabetes_medication=1), default_threshold_table())
         assert x[44] == 1 and x[36] == 0
 
+    @pytest.mark.parametrize("value", [2.0, float("inf"), float("nan")])
+    def test_bit_attribute_outside_0_1_raises(self, value):
+        with pytest.raises(InputError):
+            binarize(raw_with(diabetes_medication=value), default_threshold_table())
+
     def test_missing_attribute_raises(self):
         record = RawRecord(values={"hba1c": 5.0})
         with pytest.raises(InputError):
@@ -170,18 +175,19 @@ class TestGeneratePopulation:
         assert a != b
 
     def test_duplicate_triples_are_aggregated(self):
+        from diagopt.datagen import ThresholdTable
+
+        # collapse X to a near-constant vector so duplicates actually occur
+        tbl_entries = [e for e in default_threshold_table().entries if e[0] == 0]
         cfg = GenConfig(
             n=2000,
             seed=4,
+            specs=(Categorical.bernoulli("health_checkup_history", 0.5),),
+            thresholds=ThresholdTable(entries=tuple(tbl_entries)),
             response_probs={1: 0.0, 2: 0.0, 3: 0.0},
             improvement_prob=0.0,
         )
-        # collapse X to a near-constant vector so duplicates actually occur
-        specs = (Categorical.bernoulli("health_checkup_history", 0.5),)
-        tbl_entries = [e for e in default_threshold_table().entries if e[0] == 0]
-        from diagopt.datagen import ThresholdTable
-
-        pop = generate_population(cfg, specs, ThresholdTable(entries=tuple(tbl_entries)))
+        pop = generate_population(cfg)
         assert len(pop) == 2
         assert pop.total_weight == 2000
         assert all(t.weight > 1 for t in pop.types)

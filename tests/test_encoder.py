@@ -163,7 +163,7 @@ class TestSettingShapes:
     def test_setting1_objective_coefficients(self):
         inst = tiny_instance(targets=(3, 5, 7))
         model = build_model(inst, 1)
-        coefs = dict((idx, c) for c, idx in model.objective)
+        coefs = {idx: Fraction(c, model.objective_divisor) for c, idx in model.objective}
         p_initial = model.p[0][model.candidates[0].index(frozenset({0}))]
         assert coefs[p_initial] == Fraction(1, 3)
 
