@@ -26,7 +26,6 @@ from .core import (
     MethodUniverse,
     Population,
     evaluate,
-    route,
     validate_diagram,
 )
 from .datagen import (

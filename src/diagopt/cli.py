@@ -78,7 +78,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_make_instance(args: argparse.Namespace) -> int:
     tpl = instance_template(args.id)
     doc = instance_doc_from_template(tpl, population_path=args.population)
-    inst = doc.build(base_dir=Path(args.out).parent)
+    inst = doc.build(Path(args.out))
     write_instance_doc(doc, args.out)
     sizes = ", ".join(
         f"{u}:{len(inst.families[u])}" for u in inst.diagram.internals

@@ -265,11 +265,6 @@ class ValidationReport(NamedTuple):
     violations: tuple[str, ...]
 
 
-class RouteResult(NamedTuple):
-    method: int
-    visited: frozenset[Vertex]
-
-
 def validate_diagram(d: Diagram) -> ValidationReport:
     """Check the structural invariants and report every violation found."""
     violations: list[str] = []
@@ -321,7 +316,10 @@ def _walk_table(d: Diagram, phi: Assignment, items: ItemUniverse) -> dict[Vertex
 
 
 def _walk(source: Vertex, table: Mapping[Vertex, _Step], x: tuple[int, ...]) -> list[Vertex]:
-    """The vertices visited by a type with item vector ``x``, source to sink."""
+    """The vertices visited by a type with item vector ``x``, source to sink.
+
+    Terminates in at most |V| steps on any valid diagram.
+    """
     v = source
     path = [v]
     while v in table:
@@ -335,22 +333,8 @@ def _walk(source: Vertex, table: Mapping[Vertex, _Step], x: tuple[int, ...]) -> 
     return path
 
 
-def route(d: Diagram, phi: Assignment, t: ExamineeType, items: ItemUniverse) -> RouteResult:
-    """Walk ``t`` from the source to a sink, following the tested labels.
-
-    Returns the notification method at the reached sink and the full set of
-    visited vertices, endpoints included. Terminates in at most |V| steps on
-    any valid diagram.
-    """
-    path = _walk(d.source, _walk_table(d, phi, items), t.x)
-    return RouteResult(method=phi.sink_methods[path[-1]], visited=frozenset(path))
-
-
 def reached_sinks(d: Diagram, phi: Assignment, pop: Population) -> list[Vertex]:
-    """The sink each type of ``pop`` reaches under ``phi``, in population order.
-
-    Resolves the walk once for all types, where ``route`` resolves it per call.
-    """
+    """The sink each type of ``pop`` reaches under ``phi``, in population order."""
     table = _walk_table(d, phi, pop.items)
     return [_walk(d.source, table, t.x)[-1] for t in pop.types]
 

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy import sparse
 
-from .core import Assignment, InputError, ItemSet, Metrics, Vertex
+from .core import Assignment, InputError, Vertex
 from .problem import FIELDS, SETTINGS, Goal, Instance
 
 Term = tuple[int, int]  # (coefficient, variable index)
@@ -49,11 +49,6 @@ class LinRow:
     rhs: int | Fraction
 
 
-def expr_value(terms: Sequence[Term], values: np.ndarray) -> int:
-    """Exact value of a linear expression at a 0/1 point."""
-    return sum(coef for coef, idx in terms if values[idx])
-
-
 class IPModel:
     """Immutable binary program for one instance and setting.
 
@@ -72,11 +67,13 @@ class IPModel:
       ``methods[mi]``;
     - ``z[ti, mi]``: type ``ti`` ends up with ``methods[mi]``.
 
-    The names, the rows, ``encode_assignment``, ``decode`` and
-    ``variable_counts`` all read these arrays. The model also holds the
-    constraint rows in family order, the objective (integer terms, divided
-    exactly by ``objective_divisor`` unless it is ``None``), and the linear
-    expressions for cost and the three indicators. Safe to share read-only.
+    ``choice_blocks`` holds one p or q array per decision position, indexed
+    like ``Instance.choices``. The names, the rows, ``encode_assignment``,
+    ``decode`` and ``variable_counts`` all read these arrays. The model also
+    holds the constraint rows in family order, the objective (integer terms,
+    divided exactly by ``objective_divisor`` unless it is ``None``), and the
+    linear expressions for cost and the three indicators. Safe to share
+    read-only.
     """
 
     def __init__(self, instance: Instance, setting: int):
@@ -90,15 +87,9 @@ class IPModel:
         pop = instance.population
         self.internals = d.internals
         self.sinks = d.sinks
-        self.vertex_order: tuple[Vertex, ...] = d.internals + d.sinks
+        self.vertex_order = instance.positions
         self.methods = pop.methods.methods
         self.n_types = len(pop.types)
-
-        for u in self.internals:
-            if instance.initial.node_items[u] not in instance.families[u]:
-                raise BuildError(
-                    f"initial assignment infeasible: label at {u} is not a candidate"
-                )
 
         self._build_layout()
         self._build_expressions()
@@ -120,9 +111,10 @@ class IPModel:
             return np.arange(start, len(names)).reshape(shape)
 
         n_t, n_u, n_s, n_m = self.n_types, len(self.internals), len(self.sinks), len(self.methods)
-        self.candidates = tuple(self.instance.candidate_order(u) for u in self.internals)
+        self.candidates = self.instance.choices[:n_u]
         self.p = [block(f"p_u{ui}", "c", (len(c),)) for ui, c in enumerate(self.candidates)]
         self.q = block("q", "sm", (n_s, n_m))
+        self.choice_blocks: tuple[np.ndarray, ...] = (*self.p, *self.q)
         self.alpha = block("a", "tv", (n_t, n_u + n_s))
         self.beta = block("b", "tul", (n_t, n_u, 2))
         self.gamma = block("g", "tsm", (n_t, n_s, n_m))
@@ -165,14 +157,7 @@ class IPModel:
                     if t.z:
                         obj3_terms.append((t.weight, z[ti][mi]))
 
-        obj1_terms: list[Term] = [
-            (1, int(self.p[ui][cands.index(inst.initial.node_items[u])]))
-            for ui, (u, cands) in enumerate(zip(self.internals, self.candidates))
-        ]
-        obj1_terms += [
-            (1, int(self.q[si, pop.methods.index(inst.initial.sink_methods[s])]))
-            for si, s in enumerate(self.sinks)
-        ]
+        obj1_terms = [(1, int(b[k])) for b, k in zip(self.choice_blocks, inst.deployed)]
 
         self.cost_expr: tuple[Term, ...] = tuple(cost_terms)
         self.obj_exprs: tuple[tuple[Term, ...], ...] = (
@@ -228,7 +213,7 @@ class IPModel:
         fires = [
             np.stack([inst.indicator_column(c) for c in cands], axis=1).tolist()
             for cands in self.candidates
-        ]  # per vertex, (types x candidates); every family holds the initial label
+        ]  # per vertex, (types x candidates)
         for ti, (a_t, b_t) in enumerate(zip(alpha, beta)):
             for ui, pu in enumerate(p):
                 ai = a_t[ui]
@@ -342,16 +327,6 @@ class IPModel:
         )
         return tuple(self.rows[i].name for i in np.nonzero(bad)[0])
 
-    def metrics_at(self, point: "VariablePoint") -> Metrics:
-        """Cost and objective expressions evaluated at the point."""
-        return Metrics(
-            *(expr_value(e, point.values) for e in (self.cost_expr,) + self.obj_exprs)
-        )
-
-    def objective_value(self, point: "VariablePoint") -> int | Fraction:
-        v = expr_value(self.objective, point.values)
-        return v if self.objective_divisor is None else Fraction(v, self.objective_divisor)
-
 
 @dataclass(frozen=True)
 class VariablePoint:
@@ -371,7 +346,7 @@ class VariablePoint:
 
 
 def build_model(inst: Instance, setting: int) -> IPModel:
-    """Encode the instance for one setting; rejects infeasible initial labels."""
+    """Encode the instance for one setting."""
     return IPModel(inst, setting)
 
 
@@ -387,11 +362,9 @@ def encode_assignment(model: IPModel, phi: Assignment) -> VariablePoint:
         raise BuildError("assignment is not feasible for this instance")
 
     x = np.zeros(model.num_variables, dtype=np.int8)
-    for ui, u in enumerate(model.internals):
-        x[model.p[ui][model.candidates[ui].index(phi.node_items[u])]] = 1
-    sink_mi = [model.methods.index(phi.sink_methods[s]) for s in model.sinks]
-    for si, mi in enumerate(sink_mi):
-        x[model.q[si, mi]] = 1
+    vec = inst.choice_vector(phi)
+    for b, k in zip(model.choice_blocks, vec):
+        x[b[k]] = 1
 
     n_t = model.n_types
     reach: dict[Vertex, np.ndarray] = {v: np.zeros(n_t, dtype=bool) for v in d.vertices}
@@ -409,7 +382,7 @@ def encode_assignment(model: IPModel, phi: Assignment) -> VariablePoint:
         ones = inst.indicator_column(phi.node_items[u])
         x[model.beta[:, ui, 1]] = reach[u] & ones
         x[model.beta[:, ui, 0]] = reach[u] & ~ones
-    for si, (s, mi) in enumerate(zip(model.sinks, sink_mi)):
+    for si, (s, mi) in enumerate(zip(model.sinks, vec[len(model.internals) :])):
         x[model.gamma[:, si, mi]] = reach[s]
         x[model.z[:, mi]] |= reach[s]
 
@@ -417,25 +390,15 @@ def encode_assignment(model: IPModel, phi: Assignment) -> VariablePoint:
     return VariablePoint(model=model, values=x)
 
 
-def _chosen(point: VariablePoint, block: np.ndarray, where: str, what: str) -> int:
-    """Position of the one set variable in ``block``."""
-    hits = np.nonzero(point.values[block])[0]
-    if len(hits) != 1:
-        raise DecodeError(f"{where}: {len(hits)} {what} selected, expected 1")
-    return int(hits[0])
-
-
 def decode(model: IPModel, point: VariablePoint) -> Assignment:
     """Read the assignment back from the p/q blocks of a point."""
-    node_items: dict[Vertex, ItemSet] = {
-        u: cands[_chosen(point, block, f"vertex {u}", "candidates")]
-        for u, cands, block in zip(model.internals, model.candidates, model.p)
-    }
-    sink_methods: dict[Vertex, int] = {
-        s: model.methods[_chosen(point, block, f"sink {s}", "methods")]
-        for s, block in zip(model.sinks, model.q)
-    }
-    return Assignment(node_items=node_items, sink_methods=sink_methods)
+    vec: list[int] = []
+    for v, block in zip(model.vertex_order, model.choice_blocks):
+        hits = np.nonzero(point.values[block])[0]
+        if len(hits) != 1:
+            raise DecodeError(f"vertex {v}: {len(hits)} labels selected, expected 1")
+        vec.append(int(hits[0]))
+    return model.instance.assignment(vec)
 
 
 # ----------------------------------------------------------------------

@@ -388,6 +388,9 @@ class InstanceDoc:
             raise InputError(f"invalid diagram: {'; '.join(report.violations)}")
         if set(self.roles) != set(diagram.internals):
             raise InputError("roles must cover exactly the internal vertices")
+        for u, role in self.roles.items():
+            if not set(role) <= set(pop.items):
+                raise InputError(f"role at {u} names an item outside the universe")
         initial = self.initial
         if not initial.covers(diagram):
             raise InputError("initial labels must cover exactly the diagram's vertices")
@@ -405,13 +408,17 @@ class InstanceDoc:
             targets=self.targets,
         )
 
-    def build(self, base_dir: Path | None = None) -> Instance:
-        """Load the doc's population and assemble the instance over it."""
-        pop = self.load_population(base_dir)
+    def build(self, path: Path) -> Instance:
+        """Load the doc's population and assemble the instance over it.
+
+        ``path`` is the instance file: a relative population path is looked
+        up beside it, and a construction error names it.
+        """
+        pop = self.load_population(path.parent)
         try:
             return self.instance(pop)
         except InputError as exc:
-            raise FormatError(str(exc)) from exc
+            raise FormatError(f"{path}: {exc}") from exc
 
 
 def instance_doc_from_template(doc: InstanceDoc, population_path: str | None = None) -> InstanceDoc:
@@ -425,7 +432,7 @@ def read_instance_doc(path: str | Path) -> InstanceDoc:
 
 def read_instance(path: str | Path) -> Instance:
     p = resolve_path(path)
-    return read_instance_doc(p).build(base_dir=p.parent)
+    return read_instance_doc(p).build(p)
 
 
 def write_instance_doc(doc: InstanceDoc, path: str | Path) -> None:

@@ -1,5 +1,13 @@
 """The optimization problem: an instance, and the three settings posed over it.
 
+``Instance`` defines the decision space once: ``positions`` orders the
+decision vertices (internal vertices in topological order, then sinks),
+``choices`` lists each position's labels in canonical order (item sets at
+internal vertices, methods at sinks), and a choice vector holds one index
+into ``choices`` per position. The search, the brute-force oracle, the
+encoder and ``verify`` all read it; ties between optimal assignments break
+toward the smallest choice vector. Every deployed label is a candidate.
+
 ``SETTINGS`` is the one definition of each setting's sense, objective and
 side rows. The encoder writes it out as LP rows; the search, the brute-force
 oracle and ``verify`` all check and score ``Metrics`` through :class:`Goal`.
@@ -10,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, floor
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,6 +30,7 @@ MINIMIZE = "Minimize"
 
 FIELDS = ("cost", "obj1", "obj2", "obj3")  # the Metrics fields, in order
 
+Label = ItemSet | int  # an item set at an internal vertex, a method at a sink
 Targets = tuple[int, int, int]
 Weights = tuple[int, int, int, int]  # one integer per field of FIELDS
 
@@ -46,19 +55,52 @@ class Instance:
             raise InputError("targets must be positive")
         if self.budget < 0:
             raise InputError("budget must be non-negative")
-        for s, m in self.initial.sink_methods.items():
-            if m not in self.population.methods:
-                raise InputError(f"initial method at {s} not in method universe")
+        for v, labels, label in zip(self.positions, self.choices, self.labels(self.initial)):
+            if label not in labels:
+                raise InputError(f"initial label at {v} is not a candidate")
 
-    def candidate_order(self, u: Vertex) -> tuple[ItemSet, ...]:
-        return self.families[u].ordered
+    @cached_property
+    def positions(self) -> tuple[Vertex, ...]:
+        """The decision order: internal vertices in topological order, then sinks."""
+        return self.diagram.internals + self.diagram.sinks
+
+    @cached_property
+    def choices(self) -> tuple[tuple[Label, ...], ...]:
+        """Each position's labels in canonical order; at a sink, the methods."""
+        methods = self.population.methods.methods
+        return tuple(
+            self.families[v].ordered if v in self.families else methods for v in self.positions
+        )
+
+    def labels(self, phi: Assignment) -> tuple[Label, ...]:
+        """``phi``'s label at each position."""
+        d = self.diagram
+        return tuple(phi.node_items[u] for u in d.internals) + tuple(
+            phi.sink_methods[s] for s in d.sinks
+        )
+
+    def assignment(self, vec: Sequence[int]) -> Assignment:
+        """The assignment a choice vector picks."""
+        n = len(self.diagram.internals)
+        picked = [labels[k] for labels, k in zip(self.choices, vec)]
+        return Assignment(
+            node_items=dict(zip(self.positions[:n], picked[:n])),
+            sink_methods=dict(zip(self.positions[n:], picked[n:])),
+        )
+
+    def choice_vector(self, phi: Assignment) -> tuple[int, ...]:
+        """The choice vector of a candidate-feasible ``phi``."""
+        return tuple(labels.index(label) for labels, label in zip(self.choices, self.labels(phi)))
+
+    @cached_property
+    def deployed(self) -> tuple[int, ...]:
+        """The choice vector of the initial labels."""
+        return self.choice_vector(self.initial)
 
     def is_feasible(self, phi: Assignment) -> bool:
-        """Candidate membership at every internal vertex, known method at every sink."""
-        return (
-            phi.covers(self.diagram)
-            and all(phi.node_items[u] in self.families[u] for u in self.diagram.internals)
-            and all(phi.sink_methods[s] in self.population.methods for s in self.diagram.sinks)
+        """Whether ``phi`` covers the diagram with one of ``choices`` at every position."""
+        return phi.covers(self.diagram) and all(
+            label in labels for labels, label in zip(self.choices, self.labels(phi))
         )
 
     @cached_property

@@ -1,10 +1,11 @@
 """Exact native optimization over the assignment space.
 
-``solve`` runs depth-first branch-and-bound over the pinned decision order
-(internal vertices in topological order, then sinks). Every per-vertex table
-(candidates, successor positions, branch order, deployed-label match) is a
-list indexed by that decision position, and every arc points to a later
-position, so bounding a node is one forward pass over the positions.
+``solve`` runs depth-first branch-and-bound over ``Instance.positions``, the
+pinned decision order (internal vertices in topological order, then sinks),
+and branches on indices into ``Instance.choices``. Every per-vertex table
+(indicator masks, successor positions, branch order) is a list indexed by
+decision position, and every arc points to a later position, so bounding a
+node is one forward pass over the positions.
 Routing during search is bitset-vectorized: one Python int per position
 holds the reachability bit of every examinee type, and weighted tallies
 decompose the weights into bit-planes so a weighted sum costs one popcount
@@ -15,8 +16,8 @@ and scores it through the scalar evaluation path, sharing no routing code
 with the search. ``verify`` independently re-checks any returned solution.
 
 Ties between optimal assignments break toward the lexicographically smallest
-vector of canonical candidate indices (internal vertices first, then sinks),
-so repeated runs and both solvers agree on the exact same assignment.
+choice vector (one index into ``Instance.choices`` per position), so repeated
+runs and both solvers agree on the exact same assignment.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Assignment, Metrics, Vertex, evaluate
+from .core import Assignment, Metrics, evaluate
 from .problem import Goal, Instance
 
 STATUS_OPTIMAL = "optimal"
@@ -81,60 +82,41 @@ def _mask_from_bool(col: np.ndarray) -> int:
 class _Tables:
     """Per-instance bitset tables shared by bound and search.
 
-    Every per-vertex table is a list indexed by decision position: internal
-    vertices in topological order, then sinks. Every arc points to a later
-    position, so reach propagates in one forward pass over the positions.
+    Every per-vertex table is a list indexed by decision position
+    (``Instance.positions``). Every arc points to a later position, so
+    reach propagates in one forward pass over the positions.
     """
 
     def __init__(self, inst: Instance):
         d = inst.diagram
         pop = inst.population
-        initial = inst.initial
-        order = d.internals + d.sinks
-        pos = {v: k for k, v in enumerate(order)}
-        self.order: tuple[Vertex, ...] = order
+        pos = {v: k for k, v in enumerate(inst.positions)}
+        self.n_positions = len(pos)
         self.source = pos[d.source]
-        self.n_internal = len(d.internals)
+        self.n_internal = n = len(d.internals)
         self.methods = pop.methods.methods
         self.costs = pop.methods.costs
         self.cost_order = sorted(range(len(self.methods)), key=lambda mi: self.costs[mi])
         self.full = (1 << len(pop.types)) - 1
 
-        # a sink's candidates are the methods, so a choice vector indexes
-        # candidates[k] at every position
-        self.candidates: list[tuple] = [inst.candidate_order(u) for u in d.internals]
-        self.candidates += [self.methods] * len(d.sinks)
         self.ones = [
-            [_mask_from_bool(inst.indicator_column(c)) for c in self.candidates[k]]
-            for k in range(self.n_internal)
+            [_mask_from_bool(inst.indicator_column(c)) for c in cands]
+            for cands in inst.choices[:n]
         ]
         self.heads = [
             (pos[d.out_arc(u, 0).head], pos[d.out_arc(u, 1).head]) for u in d.internals
         ]
 
-        # initial-label position for the similarity objective, and branch
-        # order: internal candidates closest to the initial label first, the
-        # initial method first at sinks
-        deployed = [initial.node_items[u] for u in d.internals]
-        deployed += [initial.sink_methods[s] for s in d.sinks]
-        self.match: list[int | None] = [
-            cands.index(base) if base in cands else None
-            for cands, base in zip(self.candidates, deployed)
-        ]
+        # the deployed choice per position, for the similarity objective, and
+        # branch order: internal candidates closest to the deployed label
+        # first (ties in canonical order), the deployed method first at sinks
+        self.match = inst.deployed
         self.children: list[list[int]] = [
-            sorted(
-                range(len(cands)),
-                key=lambda ci: (-len(cands[ci] & base), tuple(sorted(cands[ci]))),
-            )
-            for cands, base in zip(self.candidates, deployed[: self.n_internal])
+            sorted(range(len(cands)), key=lambda ci: -len(cands[ci] & cands[m]))
+            for cands, m in zip(inst.choices[:n], self.match)
         ]
         self.children += [
-            [mi] + [j for j in range(len(self.methods)) if j != mi]
-            for mi in self.match[self.n_internal :]
-        ]
-        # open_matches[k]: positions at or after k that can still match
-        self.open_matches = [
-            sum(m is not None for m in self.match[k:]) for k in range(len(order) + 1)
+            sorted(range(len(self.methods)), key=lambda mi: mi != m) for m in self.match[n:]
         ]
 
         self.y_masks = [0] * len(self.methods)
@@ -160,14 +142,6 @@ class _Tables:
     def wsum(self, mask: int) -> int:
         return sum((mask & pm).bit_count() << k for k, pm in self.planes)
 
-    def assignment(self, choices: Sequence[int]) -> Assignment:
-        n = self.n_internal
-        labels = [cands[c] for cands, c in zip(self.candidates, choices)]
-        return Assignment(
-            node_items=dict(zip(self.order[:n], labels[:n])),
-            sink_methods=dict(zip(self.order[n:], labels[n:])),
-        )
-
 
 def _partial_bounds(tb: _Tables, choices: Sequence[int]) -> Metrics:
     """Optimistic metrics of a choice prefix: cost from below, indicators
@@ -177,7 +151,7 @@ def _partial_bounds(tb: _Tables, choices: Sequence[int]) -> Metrics:
 
     # possible reach: fixed vertices split their types exactly, open vertices
     # forward every incoming type to both successors
-    reach = [0] * len(tb.order)
+    reach = [0] * tb.n_positions
     reach[tb.source] = full
     for k, (h0, h1) in enumerate(tb.heads):
         r = reach[k]
@@ -198,7 +172,7 @@ def _partial_bounds(tb: _Tables, choices: Sequence[int]) -> Metrics:
     pm = [0] * n_m
     per_sink2 = 0
     per_sink3 = 0
-    for k in range(tb.n_internal, len(tb.order)):
+    for k in range(tb.n_internal, tb.n_positions):
         r = reach[k]
         if not r:
             continue
@@ -232,7 +206,7 @@ def _partial_bounds(tb: _Tables, choices: Sequence[int]) -> Metrics:
             remaining ^= take
     # types with no reachable sink method cannot occur: every type reaches a sink
 
-    obj1_ub = sum(c == m for c, m in zip(choices, tb.match)) + tb.open_matches[fixed]
+    obj1_ub = sum(c == m for c, m in zip(choices, tb.match)) + tb.n_positions - fixed
 
     return Metrics(cost=cost_lb, obj1=obj1_ub, obj2=obj2_ub, obj3=obj3_ub)
 
@@ -240,20 +214,13 @@ def _partial_bounds(tb: _Tables, choices: Sequence[int]) -> Metrics:
 def bound(inst: Instance, choices: Sequence[int], setting: int) -> int | Fraction:
     """Admissible objective bound of a choice prefix.
 
-    ``choices[k]`` is the canonical candidate index at the k-th decision
-    vertex (for sinks, the method's position in the method universe). Upper
-    bound for the maximization settings, lower cost bound for the
-    minimization one; equals the exact objective when the prefix is complete.
+    ``choices[k]`` indexes ``inst.choices[k]``, the labels of the k-th
+    decision position. Upper bound for the maximization settings, lower cost
+    bound for the minimization one; equals the exact objective when the
+    prefix is complete.
     """
     goal = Goal(inst, setting)
     return goal.value(goal.score(_partial_bounds(_Tables(inst), choices)))
-
-
-def assignment_choice_vector(inst: Instance, phi: Assignment) -> tuple[int, ...]:
-    """Canonical candidate-index vector used for tie-breaking."""
-    vec = [inst.candidate_order(u).index(phi.node_items[u]) for u in inst.diagram.internals]
-    vec += [inst.population.methods.index(phi.sink_methods[s]) for s in inst.diagram.sinks]
-    return tuple(vec)
 
 
 class _Search:
@@ -263,7 +230,7 @@ class _Search:
         self.feasible = goal.feasible
         self.score = goal.score
         self.tb = tb
-        self.n_decisions = len(tb.order)
+        self.n_decisions = tb.n_positions
         self.node_limit = node_limit
         self.deadline = None if time_limit is None else time.perf_counter() + time_limit
 
@@ -370,7 +337,7 @@ def solve(
     search = _Search(_Tables(inst), goal, node_limit, time_limit)
     search.run()
     stats = SolveStats(nodes=search.nodes, wall_time=time.perf_counter() - started)
-    phi = None if search.inc_vec is None else search.tb.assignment(search.inc_vec)
+    phi = None if search.inc_vec is None else inst.assignment(search.inc_vec)
     return _solution(inst, setting, goal, phi, search.inc_obj, search.open_bound, stats)
 
 
@@ -379,21 +346,16 @@ def brute_force(inst: Instance, setting: int, cap: int = BRUTE_FORCE_CAP) -> Sol
     goal = Goal(inst, setting)
     feasible, score = goal.feasible, goal.score
     d = inst.diagram
-    orders = [inst.candidate_order(u) for u in d.internals]
-    orders += [inst.population.methods.methods] * len(d.sinks)
-    space = math.prod(len(o) for o in orders)
+    sizes = [len(labels) for labels in inst.choices]
+    space = math.prod(sizes)
     if space > cap:
         raise EnumerationCapError(f"{space} assignments exceed the cap of {cap}")
 
     started = time.perf_counter()
     best_score: int | None = None
     best_phi: Assignment | None = None
-    n = len(d.internals)
-    for labels in itertools.product(*orders):
-        phi = Assignment(
-            node_items=dict(zip(d.internals, labels[:n])),
-            sink_methods=dict(zip(d.sinks, labels[n:])),
-        )
+    for vec in itertools.product(*map(range, sizes)):
+        phi = inst.assignment(vec)
         m = evaluate(d, phi, inst.initial, inst.population)
         if not feasible(m):
             continue
@@ -420,12 +382,9 @@ def verify(sol: Solution, inst: Instance, setting: int) -> VerificationReport:
     if not phi.covers(inst.diagram):
         issues.append("assignment does not cover the diagram")
         return VerificationReport(ok=False, issues=tuple(issues))
-    for u in inst.diagram.internals:
-        if phi.node_items[u] not in inst.families[u]:
-            issues.append(f"candidate/constraint violation: label at {u} not permitted")
-    for s in inst.diagram.sinks:
-        if phi.sink_methods[s] not in inst.population.methods:
-            issues.append(f"candidate/constraint violation: unknown method at {s}")
+    for v, labels, label in zip(inst.positions, inst.choices, inst.labels(phi)):
+        if label not in labels:
+            issues.append(f"candidate/constraint violation: label at {v} not permitted")
     if issues:
         return VerificationReport(ok=False, issues=tuple(issues))
 

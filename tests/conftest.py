@@ -14,6 +14,7 @@ from diagopt.core import (
     Diagram,
     ExamineeType,
     ItemUniverse,
+    Metrics,
     MethodUniverse,
     Population,
 )
@@ -181,11 +182,17 @@ def valid_diagram(draw, max_internal: int = 4, max_sinks: int = 3):
 
 
 def random_feasible_assignment(inst: Instance, rng: random.Random) -> Assignment:
-    node_items = {u: rng.choice(inst.candidate_order(u)) for u in inst.diagram.internals}
+    node_items = {u: rng.choice(inst.families[u].ordered) for u in inst.diagram.internals}
     sink_methods = {
         s: rng.choice(inst.population.methods.methods) for s in inst.diagram.sinks
     }
     return Assignment(node_items=node_items, sink_methods=sink_methods)
+
+
+def point_metrics(model, pt) -> Metrics:
+    """The model's cost and indicator expressions, summed exactly at a 0/1 point."""
+    exprs = (model.cost_expr, *model.obj_exprs)
+    return Metrics(*(sum(coef for coef, idx in e if pt.values[idx]) for e in exprs))
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from diagopt.datagen import GenConfig, generate_population
 from diagopt.encoder import VariablePoint, build_model, encode_assignment, export_lp
 from diagopt.instances import ITEM_CATEGORIES, build_instance
 from diagopt.solver import STATUS_OPTIMAL, brute_force, solve, verify
-from conftest import random_feasible_assignment, random_toy_instance
+from conftest import point_metrics, random_feasible_assignment, random_toy_instance
 from lp_reader import parse_lp
 
 # pinned budgets and tolerances
@@ -113,10 +113,12 @@ def test_encoding_soundness_and_objective_consistency(desk_pop):
 
             # objective consistency, exact integers and the scaled scalar
             want = evaluate(inst.diagram, phi, inst.initial, inst.population)
-            got = base.metrics_at(pt)
+            got = point_metrics(base, pt)
             assert got == want
             th1, th2, th3 = inst.targets
-            scalar = models[0].objective_value(pt)
+            scalar = Fraction(
+                sum(coef for coef, idx in base.objective if pt.values[idx]), base.objective_divisor
+            )
             exact = Fraction(want.obj1, th1) + Fraction(want.obj2, th2) + Fraction(want.obj3, th3)
             assert scalar == exact
             assert abs(float(scalar) - float(exact)) <= SETTING1_TOLERANCE

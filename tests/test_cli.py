@@ -170,8 +170,9 @@ class TestInstanceFiles:
         obj["items"] = obj["items"][:-1]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as excinfo:
             read_instance(bad)
+        assert str(bad) in str(excinfo.value)
 
     def test_missing_population_key_rejected(self, workspace, tmp_path):
         _, _, inst_path = workspace
@@ -357,6 +358,18 @@ def _arc_labeled_seven(obj):
     obj["arcs"][0][2] = 7
 
 
+def _role_outside_universe(obj):
+    obj["roles"]["v1"] = [99]
+
+
+def _role_with_item_outside_universe(obj):
+    obj["roles"]["v1"].append(99)
+
+
+def _role_without_deployed_label(obj):
+    obj["roles"]["v1"] = [2, 3]  # the deployed label {1, 4, 8} is no longer a candidate
+
+
 class TestErrors:
     @pytest.mark.parametrize(
         "corrupt",
@@ -367,6 +380,9 @@ class TestErrors:
             _null_budget,
             _infinite_budget,
             _arc_labeled_seven,
+            _role_outside_universe,
+            _role_with_item_outside_universe,
+            _role_without_deployed_label,
         ],
     )
     def test_malformed_instance_is_one_error_line(self, workspace, tmp_path, capsys, corrupt):
@@ -376,10 +392,12 @@ class TestErrors:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
         capsys.readouterr()
-        assert main(["solve", "--instance", str(bad), "--setting", "1"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        for command in (["solve"], ["encode", "--out", str(tmp_path / "bad.lp")]):
+            assert main([*command, "--instance", str(bad), "--setting", "1"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "Traceback" not in err
+            assert str(bad) in err
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main([

@@ -17,8 +17,10 @@ from diagopt.core import (
     Metrics,
     MethodUniverse,
     Population,
+    _walk,
+    _walk_table,
     evaluate,
-    route,
+    reached_sinks,
     validate_diagram,
 )
 from conftest import make_type, one_test_diagram, valid_diagram
@@ -116,21 +118,29 @@ class TestValidateDiagram:
             Diagram(vertices=("r",), arcs=(Arc("r", "ghost", 0),))
 
 
+def route(d, phi, t):
+    """The method ``t`` ends up with and the vertices its walk visits."""
+    path = _walk(d.source, _walk_table(d, phi, ITEMS), t.x)
+    pop = Population(items=ITEMS, methods=METHODS, types=(t,))
+    assert reached_sinks(d, phi, pop) == [path[-1]]
+    return phi.sink_methods[path[-1]], frozenset(path)
+
+
 class TestRoute:
     def test_one_step_positive(self):
         d = one_test_diagram()
         phi = Assignment.build({"r": {0}}, {"s0": 0, "s1": 2})
-        got = route(d, phi, t_with({0}), ITEMS)
-        assert got.method == 2
-        assert got.visited == frozenset({"r", "s1"})
+        method, visited = route(d, phi, t_with({0}))
+        assert method == 2
+        assert visited == frozenset({"r", "s1"})
 
     def test_empty_label_forces_zero_arc(self):
         d = one_test_diagram()
         phi = Assignment.build({"r": set()}, {"s0": 3, "s1": 1})
         for positive in (set(), {0}, {0, 1}):
-            got = route(d, phi, t_with(positive), ITEMS)
-            assert got.method == 3
-            assert got.visited == frozenset({"r", "s0"})
+            method, visited = route(d, phi, t_with(positive))
+            assert method == 3
+            assert visited == frozenset({"r", "s0"})
 
     def test_two_step_walk(self):
         d = Diagram(
@@ -143,16 +153,16 @@ class TestRoute:
             ),
         )
         phi = Assignment.build({"r": {2}, "v": {5}}, {"sa": 0, "s1": 1, "s2": 3})
-        got = route(d, phi, t_with({2}), ITEMS)  # fires at r, not at v
-        assert got.method == 3
-        assert got.visited == frozenset({"r", "v", "s2"})
+        method, visited = route(d, phi, t_with({2}))  # fires at r, not at v
+        assert method == 3
+        assert visited == frozenset({"r", "v", "s2"})
 
     def test_single_vertex_diagram_routes_to_itself(self):
         d = Diagram(vertices=("r",), arcs=())
         phi = Assignment.build({}, {"r": 1})
-        got = route(d, phi, t_with(set()), ITEMS)
-        assert got.method == 1
-        assert got.visited == frozenset({"r"})
+        method, visited = route(d, phi, t_with(set()))
+        assert method == 1
+        assert visited == frozenset({"r"})
 
 
 class TestRouteProperties:
@@ -165,7 +175,7 @@ class TestRouteProperties:
             {s: data.draw(st.sampled_from(METHODS.methods)) for s in d.sinks},
         )
         t = t_with(data.draw(st.sets(st.integers(0, 9))))
-        got = route(d, phi, t, ITEMS)
+        method, visited = route(d, phi, t)
 
         # re-walk step by step and require a repeat-free path of <= |V| vertices
         path = [d.source]
@@ -174,8 +184,8 @@ class TestRouteProperties:
             path.append(d.out_arc(path[-1], label).head)
             assert len(path) <= len(d.vertices)
         assert len(set(path)) == len(path)
-        assert got.visited == frozenset(path)
-        assert got.method == phi.sink_methods[path[-1]]
+        assert visited == frozenset(path)
+        assert method == phi.sink_methods[path[-1]]
 
 
 class TestEvaluate:

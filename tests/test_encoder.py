@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagopt.candidates import CandidateFamily
-from diagopt.core import Assignment, evaluate, reached_sinks
+from diagopt.core import Assignment, InputError, evaluate, reached_sinks
 from diagopt.datagen import GenConfig, generate_population
 from diagopt.encoder import (
     BuildError,
@@ -24,7 +24,7 @@ from diagopt.encoder import (
 )
 from diagopt.instances import build_instance
 from conftest import random_feasible_assignment as random_feasible
-from conftest import random_toy_instance, tiny_instance, valid_diagram
+from conftest import point_metrics, random_toy_instance, tiny_instance, valid_diagram
 from lp_reader import parse_lp
 
 SIDE_ROWS = ("budget", "target_obj1", "target_obj2", "target_obj3")
@@ -127,16 +127,15 @@ class TestRegistry:
     def test_infeasible_initial_assignment_rejected(self):
         inst = tiny_instance()
         bad = Assignment.build({"r": {1}}, {"s0": 0, "s1": 1})  # {1} not a candidate
-        broken = type(inst)(
-            diagram=inst.diagram,
-            population=inst.population,
-            families=inst.families,
-            initial=bad,
-            budget=inst.budget,
-            targets=inst.targets,
-        )
-        with pytest.raises(BuildError):
-            build_model(broken, 1)
+        with pytest.raises(InputError, match="initial label at r is not a candidate"):
+            type(inst)(
+                diagram=inst.diagram,
+                population=inst.population,
+                families=inst.families,
+                initial=bad,
+                budget=inst.budget,
+                targets=inst.targets,
+            )
 
 
 class TestSettingShapes:
@@ -196,7 +195,7 @@ class TestEncode:
         inst = tiny_instance()
         model = build_model(inst, 3)
         pt = encode_assignment(model, inst.initial)
-        assert model.metrics_at(pt).obj1 == len(inst.diagram.vertices)
+        assert point_metrics(model, pt).obj1 == len(inst.diagram.vertices)
 
     def test_infeasible_assignment_rejected(self):
         inst = tiny_instance()
@@ -235,7 +234,7 @@ class TestEncode:
             phi = random_feasible(inst, rng)
             pt = encode_assignment(model, phi)
             want = evaluate(inst.diagram, phi, inst.initial, inst.population)
-            assert model.metrics_at(pt) == want
+            assert point_metrics(model, pt) == want
 
 
 class TestEncodeProperty:
@@ -293,7 +292,7 @@ class TestEncodeProperty:
 
         phi = Assignment(
             node_items={
-                u: data.draw(st.sampled_from(inst.candidate_order(u)))
+                u: data.draw(st.sampled_from(inst.families[u].ordered))
                 for u in d.internals
             },
             sink_methods={
@@ -303,7 +302,7 @@ class TestEncodeProperty:
         pt = encode_assignment(model, phi)
         assert structural_violations(model, pt) == ()
         assert decode(model, pt) == phi
-        assert model.metrics_at(pt) == evaluate(
+        assert point_metrics(model, pt) == evaluate(
             inst.diagram, phi, inst.initial, inst.population
         )
         for ti, s in enumerate(reached_sinks(inst.diagram, phi, inst.population)):
@@ -364,7 +363,7 @@ class TestExhaustiveCorrespondence:
             phi = decode(model, pt)
             seen.add((phi.node_items["r"], phi.sink_methods["s0"], phi.sink_methods["s1"]))
             want = evaluate(inst.diagram, phi, inst.initial, inst.population)
-            assert model.metrics_at(pt) == want
+            assert point_metrics(model, pt) == want
             re_encoded = encode_assignment(model, phi)
             assert np.array_equal(re_encoded.values, grid[row])
         assert len(seen) == n_assignments
@@ -410,7 +409,7 @@ class TestParallelArcs:
         assert structural_violations(model, pt) == ()
         vi = [model.vertex_order.index(v) for v in ("v", "s")]
         assert pt.values[model.alpha[:, vi]].all()
-        m = model.metrics_at(pt)
+        m = point_metrics(model, pt)
         assert (m.cost, m.obj2, m.obj3) == (500, 5, 2)
         assert m == evaluate(inst.diagram, phi, inst.initial, inst.population)
 
@@ -463,7 +462,7 @@ class TestDegenerateDiagram:
         phi = Assignment.build({}, {"r": 1})
         pt = encode_assignment(model, phi)
         assert structural_violations(model, pt) == ()
-        m = model.metrics_at(pt)
+        m = point_metrics(model, pt)
         assert (m.cost, m.obj2, m.obj3) == (200, 2, 2)
 
     def test_export_parses(self):

@@ -16,13 +16,12 @@ from diagopt.solver import (
     STATUS_LIMIT,
     STATUS_OPTIMAL,
     EnumerationCapError,
-    assignment_choice_vector,
     bound,
     brute_force,
     solve,
     verify,
 )
-from conftest import random_toy_instance, tiny_instance
+from conftest import family, random_feasible_assignment, random_toy_instance, tiny_instance
 
 
 def setting_objective(inst, setting, m):
@@ -43,7 +42,7 @@ def setting_feasible(inst, setting, m):
 
 def enumerate_completions(inst, prefix):
     """All assignments extending a choice prefix, in canonical order."""
-    orders = [inst.candidate_order(u) for u in inst.diagram.internals]
+    orders = [inst.families[u].ordered for u in inst.diagram.internals]
     methods = inst.population.methods.methods
     sizes = [len(o) for o in orders] + [len(methods)] * len(inst.diagram.sinks)
     free = [range(s) for s in sizes[len(prefix):]]
@@ -153,34 +152,30 @@ class TestOracleEquivalence:
         assert STATUS_OPTIMAL in statuses  # the sample is not all-infeasible
 
     def test_tie_break_picks_smallest_choice_vector(self):
-        base = tiny_instance()
-        # an initial label outside the family leaves every candidate equally
-        # similar, and an all-negative type makes them route identically
-        inst = Instance(
-            diagram=base.diagram,
-            population=dataclasses.replace(
-                base.population,
-                types=(
-                    dataclasses.replace(
-                        base.population.types[0], x=(0, 0), y=(0, 0, 0, 0)
-                    ),
-                ),
-            ),
-            families={
-                "r": CandidateFamily(
-                    vertex="r",
-                    candidates=frozenset({frozenset({0}), frozenset({1})}),
-                    role=frozenset({0, 1}),
-                )
-            },
-            initial=Assignment.build({"r": {0, 1}}, {"s0": 0, "s1": 0}),
-            budget=10**6,
-            targets=(3, 1, 1),
+        # the all-negative type reaches s0 under either candidate, so the
+        # cheapest assignments are those with method 1 at s0 and one deployed
+        # label kept: either r = {1} or method 3 at s1
+        inst = dataclasses.replace(
+            tiny_instance(targets=(1, 1, 1), positive=(set(),)),
+            families={"r": family("r", [{0}, {1}], {0, 1})},
+            initial=Assignment.build({"r": {1}}, {"s0": 0, "s1": 3}),
         )
-        fast = solve(inst, 1)
-        slow = brute_force(inst, 1)
+        fast = solve(inst, 2)
+        slow = brute_force(inst, 2)
         assert fast.assignment == slow.assignment
-        assert assignment_choice_vector(inst, fast.assignment) == (0, 0, 0)
+        assert inst.choice_vector(fast.assignment) == (0, 1, 3)
+        assert inst.choice_vector(slow.assignment) == (0, 1, 3)
+
+
+class TestChoiceVector:
+    def test_round_trip(self, rng):
+        for _ in range(20):
+            inst = random_toy_instance(rng)
+            phi = random_feasible_assignment(inst, rng)
+            vec = inst.choice_vector(phi)
+            assert all(0 <= k < len(labels) for k, labels in zip(vec, inst.choices))
+            assert inst.assignment(vec) == phi
+            assert inst.assignment(inst.deployed) == inst.initial
 
 
 class TestBound:
@@ -218,7 +213,7 @@ class TestBound:
         sol = solve(inst, setting)
         if sol.status != STATUS_OPTIMAL:
             pytest.skip("sampled instance infeasible for this check")
-        vec = assignment_choice_vector(inst, sol.assignment)
+        vec = inst.choice_vector(sol.assignment)
         assert bound(inst, vec, setting) == setting_objective(inst, setting, sol.metrics)
 
     def test_root_bound_covers_the_optimum(self, rng):
