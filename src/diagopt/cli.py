@@ -120,7 +120,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"objective: {_fmt_objective(sol.objective_value)}")
     if sol.status == STATUS_LIMIT:
         print(f"best bound: {_fmt_objective(sol.best_bound)} (gap {_fmt_objective(sol.gap)})")
-    print(f"nodes: {sol.stats.nodes}, wall time: {sol.stats.wall_time:.3f}s")
+    print(
+        f"nodes: {sol.stats.nodes} ({sol.stats.dominated} dominated), "
+        f"wall time: {sol.stats.wall_time:.3f}s"
+    )
     if sol.assignment is not None:
         for u in inst.diagram.internals:
             print(f"  {u}: {sorted(sol.assignment.node_items[u])}")
@@ -136,7 +139,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     inst = read_instance(args.instance)
     phi = read_assignment(args.assignment)
     if not phi.covers(inst.diagram):
-        raise InputError("assignment does not cover the instance diagram")
+        raise InputError(f"{args.assignment}: assignment does not cover the instance diagram")
     if not inst.is_feasible(phi):
         print(
             "warning: assignment is not candidate-feasible for this instance",

@@ -358,15 +358,15 @@ class InstanceDoc:
             raise ValueError("population_path must be a string")
         return doc
 
-    def load_population(self, base_dir: Path | None = None) -> Population:
+    def load_population(self, path: Path) -> Population:
+        """The doc's population; ``path`` is the instance file (see ``build``)."""
         if self.population_inline is not None:
-            return _from_doc(
-                self.population_inline, "population", population_from_obj, "inline population"
-            )
+            where = f"{path} (inline population)"
+            return _from_doc(self.population_inline, "population", population_from_obj, where)
         assert self.population_path is not None
         p = Path(self.population_path)
-        if not p.is_absolute() and base_dir is not None and (base_dir / p).exists():
-            p = base_dir / p
+        if not p.is_absolute() and (path.parent / p).exists():
+            p = path.parent / p
         return read_population(p)
 
     def instance(self, pop: Population) -> Instance:
@@ -414,7 +414,7 @@ class InstanceDoc:
         ``path`` is the instance file: a relative population path is looked
         up beside it, and a construction error names it.
         """
-        pop = self.load_population(path.parent)
+        pop = self.load_population(path)
         try:
             return self.instance(pop)
         except InputError as exc:
@@ -460,7 +460,11 @@ def report_to_obj(sol: Solution, solver_name: str) -> dict[str, Any]:
         "status": sol.status,
         "objective": _objective_to_obj(sol.objective_value),
         "best_bound": _objective_to_obj(sol.best_bound),
-        "stats": {"nodes": sol.stats.nodes, "wall_time": sol.stats.wall_time},
+        "stats": {
+            "nodes": sol.stats.nodes,
+            "dominated": sol.stats.dominated,
+            "wall_time": sol.stats.wall_time,
+        },
     }
     if sol.metrics is not None:
         obj["metrics"] = {

@@ -11,6 +11,11 @@ holds the reachability bit of every examinee type, and weighted tallies
 decompose the weights into bit-planes so a weighted sum costs one popcount
 per plane.
 
+The search cuts prefixes that reach an earlier prefix's reach frontier, as
+exact decision-diagram dynamic programming merges equal states (see
+``_Search``), and branches on internal vertices only: one node per complete
+internal prefix scores every sink-method combination.
+
 ``brute_force`` is the ground-truth oracle: it enumerates every assignment
 and scores it through the scalar evaluation path, sharing no routing code
 with the search. ``verify`` independently re-checks any returned solution.
@@ -48,6 +53,7 @@ class EnumerationCapError(RuntimeError):
 class SolveStats:
     nodes: int
     wall_time: float
+    dominated: int = 0  # prefixes cut at a frontier an earlier prefix reached
 
 
 @dataclass(frozen=True)
@@ -109,14 +115,11 @@ class _Tables:
 
         # the deployed choice per position, for the similarity objective, and
         # branch order: internal candidates closest to the deployed label
-        # first (ties in canonical order), the deployed method first at sinks
+        # first (ties in canonical order)
         self.match = inst.deployed
         self.children: list[list[int]] = [
             sorted(range(len(cands)), key=lambda ci: -len(cands[ci] & cands[m]))
             for cands, m in zip(inst.choices[:n], self.match)
-        ]
-        self.children += [
-            sorted(range(len(self.methods)), key=lambda mi: mi != m) for m in self.match[n:]
         ]
 
         self.y_masks = [0] * len(self.methods)
@@ -224,7 +227,17 @@ def bound(inst: Instance, choices: Sequence[int], setting: int) -> int | Fractio
 
 
 class _Search:
-    """Depth-first branch-and-bound that maximizes the goal's score."""
+    """Depth-first branch-and-bound over the internal positions that
+    maximizes the goal's score.
+
+    A node is a choice prefix. It carries its frontier: per position, the
+    types the fixed vertices alone send there, which is the whole reach of
+    the next position to fix. Prefixes of one depth with equal frontiers
+    (from that depth on) have the same completions and differ only in their
+    matches, so a prefix is dominated, and cut, when an earlier one reached
+    its frontier with at least as many matches and a smaller choice vector.
+    The node at depth ``n_internal`` scores every sink-method combination.
+    """
 
     def __init__(self, tb: _Tables, goal: Goal, node_limit: int | None, time_limit: float | None):
         self.feasible = goal.feasible
@@ -235,10 +248,22 @@ class _Search:
         self.deadline = None if time_limit is None else time.perf_counter() + time_limit
 
         self.nodes = 0
+        self.dominated = 0
         self.aborted = False
         self.inc_obj: int | None = None
         self.inc_vec: tuple[int, ...] | None = None
         self.open_bound: int | None = None
+
+        self.root = [0] * tb.n_positions
+        self.root[tb.source] = tb.full
+        # per depth: hash of a frontier's open positions -> the prefixes that
+        # reached it and no earlier prefix dominates (frontiers are recomputed
+        # on a hit, so the table holds no reach masks)
+        self.seen: list[dict[int, tuple[tuple[int, ...], ...]]] = [
+            {} for _ in range(tb.n_internal + 1)
+        ]
+        n_sinks = tb.n_positions - tb.n_internal
+        self.sink_vectors = list(itertools.product(range(len(tb.methods)), repeat=n_sinks))
 
     def _hit_limit(self) -> bool:
         if self.node_limit is not None and self.nodes >= self.node_limit:
@@ -260,14 +285,49 @@ class _Search:
             return pad >= self.inc_vec
         return True
 
-    def run(self) -> None:
-        self._dfs(())
+    def _fix(self, frontier: list[int], k: int, ci: int) -> None:
+        """Split position ``k``'s reach between its successors under choice ``ci``."""
+        r = frontier[k]
+        on = r & self.tb.ones[k][ci]
+        h0, h1 = self.tb.heads[k]
+        frontier[h1] |= on
+        frontier[h0] |= r ^ on
 
-    def _dfs(self, choices: tuple[int, ...]) -> None:
-        if self.aborted:
-            return
+    def _dominated(self, prefix: tuple[int, ...], frontier: list[int], matches: int) -> bool:
+        """Whether an earlier prefix of this depth dominates ``prefix``;
+        if not, record ``prefix`` in place of the entries it dominates."""
+        depth = len(prefix)
+        tail = frontier[depth:]
+        table = self.seen[depth]
+        key = hash(tuple(tail))
+        kept = []
+        for p in table.get(key, ()):
+            f = self.root.copy()
+            for k, ci in enumerate(p):
+                self._fix(f, k, ci)
+            if f[depth:] == tail:
+                pm = sum(c == m for c, m in zip(p, self.tb.match))
+                if pm >= matches and p < prefix:
+                    return True
+                if matches >= pm and prefix < p:
+                    continue  # prefix dominates p
+            kept.append(p)
+        table[key] = (*kept, prefix)
+        return False
+
+    def run(self) -> None:
+        self._visit((), self.root, 0)
+
+    def _visit(self, prefix: tuple[int, ...], frontier: list[int], matches: int) -> None:
         self.nodes += 1
-        m = _partial_bounds(self.tb, choices)
+        if self._dominated(prefix, frontier, matches):
+            self.dominated += 1
+            return
+        k = len(prefix)
+        if k == self.tb.n_internal:
+            self._score_sinks(prefix, frontier, matches)
+            return
+        m = _partial_bounds(self.tb, prefix)
         if not self.feasible(m):
             return
         scaled = self.score(m)
@@ -275,25 +335,54 @@ class _Search:
             self.aborted = True
             self._note_open(scaled)
             return
-        if self._prunable(scaled, choices):
+        if self._prunable(scaled, prefix):
             return
 
-        k = len(choices)
-        if k == self.n_decisions:
-            if (
-                self.inc_obj is None
-                or scaled > self.inc_obj
-                or (scaled == self.inc_obj and choices < self.inc_vec)
-            ):
-                self.inc_obj = scaled
-                self.inc_vec = choices
-            return
-
+        match = self.tb.match[k]
         for ci in self.tb.children[k]:
-            self._dfs(choices + (ci,))
+            f = frontier.copy()
+            self._fix(f, k, ci)
+            self._visit(prefix + (ci,), f, matches + (ci == match))
             if self.aborted:
                 self._note_open(scaled)
                 return
+
+    def _score_sinks(self, prefix: tuple[int, ...], frontier: list[int], matches: int) -> None:
+        """Score every sink-method combination of a complete internal prefix."""
+        tb = self.tb
+        if self._hit_limit():
+            self.aborted = True
+            m = _partial_bounds(tb, prefix)
+            if self.feasible(m):
+                self._note_open(self.score(m))
+            return
+
+        # (cost, obj1, obj2, obj3) of every sink-method combination, in
+        # canonical order, so the first best is the smallest vector
+        totals = [(0, matches, 0, 0)]
+        for r, deployed in zip(frontier[tb.n_internal :], tb.match[tb.n_internal :]):
+            w = tb.wsum(r)
+            sink = [
+                (cost * w, mi == deployed, tb.wsum(r & y), tb.wsum(r & yz))
+                for mi, (cost, y, yz) in enumerate(zip(tb.costs, tb.y_masks, tb.yz_masks))
+            ]
+            totals = [
+                (c + dc, o1 + d1, o2 + d2, o3 + d3)
+                for c, o1, o2, o3 in totals
+                for dc, d1, d2, d3 in sink
+            ]
+        for vec, t in zip(self.sink_vectors, totals):
+            m = Metrics(*t)
+            if not self.feasible(m):
+                continue
+            scaled = self.score(m)
+            if (
+                self.inc_obj is None
+                or scaled > self.inc_obj
+                or (scaled == self.inc_obj and prefix + vec < self.inc_vec)
+            ):
+                self.inc_obj = scaled
+                self.inc_vec = prefix + vec
 
 
 def _solution(
@@ -336,7 +425,11 @@ def solve(
     started = time.perf_counter()
     search = _Search(_Tables(inst), goal, node_limit, time_limit)
     search.run()
-    stats = SolveStats(nodes=search.nodes, wall_time=time.perf_counter() - started)
+    stats = SolveStats(
+        nodes=search.nodes,
+        wall_time=time.perf_counter() - started,
+        dominated=search.dominated,
+    )
     phi = None if search.inc_vec is None else inst.assignment(search.inc_vec)
     return _solution(inst, setting, goal, phi, search.inc_obj, search.open_bound, stats)
 

@@ -28,6 +28,7 @@ from diagopt.fileio import (
     write_assignment,
 )
 from diagopt.instances import instance_template
+from diagopt.solver import solve
 from lp_reader import parse_lp
 
 # sha256 of the files `generate --seed 7 --n 120` and `make-instance` write,
@@ -247,6 +248,21 @@ class TestSolveCommand:
         ])
         assert code == 3
 
+    def test_stats_count_dominated_prefixes(self, workspace, capsys):
+        tmp, _, inst_path = workspace
+        report_path = tmp / "report-stats.json"
+        capsys.readouterr()
+        assert main([
+            "solve", "--instance", str(inst_path), "--setting", "1",
+            "--out", str(report_path),
+        ]) == 0
+        stats = json.loads(report_path.read_text())["stats"]
+        sol = solve(read_instance(inst_path), 1)
+        assert (stats["nodes"], stats["dominated"]) == (sol.stats.nodes, sol.stats.dominated)
+        assert sol.stats.dominated > 0
+        out = capsys.readouterr().out
+        assert f"nodes: {sol.stats.nodes} ({sol.stats.dominated} dominated), " in out
+
     def test_report_reverifies(self, workspace):
         tmp, _, inst_path = workspace
         report_path = tmp / "report.json"
@@ -434,6 +450,17 @@ def _null_node_label(docs):
     docs["assignment"]["nodes"]["r"] = None
 
 
+def _inline_null_weight(docs):
+    inline = json.loads(json.dumps(docs["population"]))
+    inline["types"][0]["weight"] = None
+    docs["instance"]["population"] = inline
+    del docs["instance"]["population_path"]
+
+
+def _assignment_covering_nothing(docs):
+    docs["assignment"] = {"kind": "assignment", "nodes": {}, "sinks": {}}
+
+
 def _genconfig_list(docs):
     docs["genconfig"] = [docs["genconfig"]]
 
@@ -470,8 +497,10 @@ class TestMalformedDocuments:
         [
             ("population", _null_weight),
             ("population", _population_list),
+            ("instance", _inline_null_weight),
             ("assignment", _assignment_list),
             ("assignment", _null_node_label),
+            ("assignment", _assignment_covering_nothing),
             ("genconfig", _genconfig_list),
             ("genconfig", _nameless_attribute),
         ],

@@ -151,6 +151,43 @@ class TestOracleEquivalence:
                 assert fast.metrics == slow.metrics
         assert STATUS_OPTIMAL in statuses  # the sample is not all-infeasible
 
+    @pytest.mark.parametrize("setting", [1, 2, 3])
+    def test_matches_brute_force_on_full_toys(self, setting):
+        # up to four internal vertices, where prefixes reach equal frontiers
+        rng = random.Random(2000 + setting)
+        dominated = 0
+        for _ in range(12):
+            inst = random_toy_instance(rng, "full")
+            fast = solve(inst, setting)
+            slow = brute_force(inst, setting)
+            assert fast.status == slow.status
+            assert fast.assignment == slow.assignment
+            assert fast.objective_value == slow.objective_value
+            assert fast.best_bound == slow.best_bound
+            assert fast.metrics == slow.metrics
+            dominated += fast.stats.dominated
+        assert dominated > 0  # the sample exercises frontier merging
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 23, 28])
+    def test_every_node_limit_stays_sound(self, seed):
+        # stopping anywhere, merged prefixes included, leaves a verified
+        # incumbent and a bound on the optimum
+        inst = random_toy_instance(random.Random(seed), "full")
+        for setting in (1, 2, 3):
+            opt = brute_force(inst, setting)
+            nodes = solve(inst, setting).stats.nodes
+            # the node that reaches the limit is not expanded
+            for limit in range(1, nodes + 2):
+                sol = solve(inst, setting, node_limit=limit)
+                assert verify(sol, inst, setting).ok
+                if opt.objective_value is None:
+                    assert sol.objective_value is None
+                elif setting == 2:
+                    assert sol.best_bound <= opt.objective_value
+                else:
+                    assert sol.best_bound >= opt.objective_value
+            assert sol.status == opt.status and sol.assignment == opt.assignment
+
     def test_tie_break_picks_smallest_choice_vector(self):
         # the all-negative type reaches s0 under either candidate, so the
         # cheapest assignments are those with method 1 at s0 and one deployed
@@ -242,15 +279,31 @@ class TestLimits:
         assert sol.assignment is None and sol.metrics is None and sol.objective_value is None
         assert sol.best_bound == bound(inst, (), setting)
 
+    @pytest.mark.parametrize("setting", [1, 3])
+    def test_node_limit_at_a_sink_root(self, setting):
+        # with no internal vertex the root is the node that scores the sinks
+        from diagopt.core import Diagram
+
+        inst = dataclasses.replace(
+            tiny_instance(budget=10**6),
+            diagram=Diagram(vertices=("r",), arcs=()),
+            families={},
+            initial=Assignment.build({}, {"r": 0}),
+        )
+        sol = solve(inst, setting, node_limit=1)
+        assert sol.status == STATUS_LIMIT and sol.assignment is None
+        assert sol.best_bound == bound(inst, (), setting)
+        assert solve(inst, setting, node_limit=2).status == STATUS_OPTIMAL
+
     def test_node_limit_keeps_best_incumbent(self):
         # a seed and limit where the search stops with a suboptimal incumbent
-        inst = random_toy_instance(random.Random(14), "full")
+        inst = random_toy_instance(random.Random(23), "full")
         full = solve(inst, 1)
-        assert full.status == STATUS_OPTIMAL and full.objective_value == Fraction(127, 22)
-        sol = solve(inst, 1, node_limit=16)
+        assert full.status == STATUS_OPTIMAL and full.objective_value == Fraction(109, 36)
+        sol = solve(inst, 1, node_limit=6)
         assert sol.status == STATUS_LIMIT
-        assert sol.objective_value == Fraction(59, 11)
-        assert sol.best_bound == Fraction(91, 11)
+        assert sol.objective_value == Fraction(103, 36)
+        assert sol.best_bound == Fraction(5887, 1368)
         assert sol.objective_value < full.objective_value <= sol.best_bound
         assert sol.gap == sol.best_bound - sol.objective_value
         assert verify(sol, inst, 1).ok
@@ -262,16 +315,25 @@ class TestLimits:
 
 
 class TestSearchOrder:
-    # node counts of the pinned decision order, branch order, bounds and
-    # tie-break; any change to one of them shows here first
+    # node counts of the pinned decision order, branch order, bounds,
+    # frontier merging and tie-break; any change to one of them shows here first
     @pytest.mark.parametrize(
         "seed, nodes",
-        [(1, (708, 144, 292)), (17, (91, 45, 56)), (44, (197, 30, 26))],
+        [(1, (88, 28, 54)), (17, (15, 15, 15)), (44, (14, 14, 14))],
     )
     def test_node_counts_are_pinned(self, seed, nodes):
         inst = random_toy_instance(random.Random(seed), "full")
         got = tuple(solve(inst, setting).stats.nodes for setting in (1, 2, 3))
         assert got == nodes
+
+    @pytest.mark.parametrize(
+        "seed, dominated",
+        [(1, (23, 1, 6)), (17, (2, 2, 2)), (44, (6, 6, 6))],
+    )
+    def test_dominated_counts_are_pinned(self, seed, dominated):
+        inst = random_toy_instance(random.Random(seed), "full")
+        got = tuple(solve(inst, setting).stats.dominated for setting in (1, 2, 3))
+        assert got == dominated
 
 
 class TestBruteForce:
