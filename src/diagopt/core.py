@@ -250,8 +250,7 @@ class Assignment:
         )
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     """Cost and the three optimization indicators of one assignment."""
 
     cost: int

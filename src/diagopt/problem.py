@@ -211,15 +211,12 @@ class Goal:
         wc, w1, w2, w3 = (self._sign * w for w in self.weights)
 
         def feasible(m: Metrics) -> bool:
-            return (
-                lc <= m.cost <= hc
-                and l1 <= m.obj1 <= h1
-                and l2 <= m.obj2 <= h2
-                and l3 <= m.obj3 <= h3
-            )
+            cost, obj1, obj2, obj3 = m
+            return lc <= cost <= hc and l1 <= obj1 <= h1 and l2 <= obj2 <= h2 and l3 <= obj3 <= h3
 
         def score(m: Metrics) -> int:
-            return wc * m.cost + w1 * m.obj1 + w2 * m.obj2 + w3 * m.obj3
+            cost, obj1, obj2, obj3 = m
+            return wc * cost + w1 * obj1 + w2 * obj2 + w3 * obj3
 
         self.feasible: Callable[[Metrics], bool] = feasible
         self.score: Callable[[Metrics], int] = score

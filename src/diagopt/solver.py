@@ -7,9 +7,8 @@ and branches on indices into ``Instance.choices``. Every per-vertex table
 decision position, and every arc points to a later position, so bounding a
 node is one forward pass over the positions.
 Routing during search is bitset-vectorized: one Python int per position
-holds the reachability bit of every examinee type, and weighted tallies
-decompose the weights into bit-planes so a weighted sum costs one popcount
-per plane.
+holds one reachability bit per examinee (a type of weight w owns w
+consecutive bits), so a weighted tally is a single popcount.
 
 The search cuts prefixes that reach an earlier prefix's reach frontier, as
 exact decision-diagram dynamic programming merges equal states (see
@@ -28,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,16 +81,14 @@ class VerificationReport:
     issues: tuple[str, ...]
 
 
-def _mask_from_bool(col: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(col, bitorder="little").tobytes(), "little")
-
-
 class _Tables:
     """Per-instance bitset tables shared by bound and search.
 
-    Every per-vertex table is a list indexed by decision position
-    (``Instance.positions``). Every arc points to a later position, so
-    reach propagates in one forward pass over the positions.
+    A mask holds one bit per examinee: each type owns ``weight`` consecutive
+    bits, so a weighted tally is one ``bit_count``. Every per-vertex table is
+    a list indexed by decision position (``Instance.positions``). Every arc
+    points to a later position, so reach propagates in one forward pass over
+    the positions.
     """
 
     def __init__(self, inst: Instance):
@@ -103,11 +101,16 @@ class _Tables:
         self.methods = pop.methods.methods
         self.costs = pop.methods.costs
         self.cost_order = sorted(range(len(self.methods)), key=lambda mi: self.costs[mi])
-        self.full = (1 << len(pop.types)) - 1
+        self.width = pop.total_weight
+        self.full = (1 << self.width) - 1
+        weights = np.array([t.weight for t in pop.types], dtype=np.int64)
+
+        def mask(col: np.ndarray) -> int:
+            bits = np.packbits(np.repeat(col, weights), bitorder="little")
+            return int.from_bytes(bits.tobytes(), "little")
 
         self.ones = [
-            [_mask_from_bool(inst.indicator_column(c)) for c in cands]
-            for cands in inst.choices[:n]
+            [mask(inst.indicator_column(c)) for c in cands] for cands in inst.choices[:n]
         ]
         self.heads = [
             (pos[d.out_arc(u, 0).head], pos[d.out_arc(u, 1).head]) for u in d.internals
@@ -122,57 +125,53 @@ class _Tables:
             for cands, m in zip(inst.choices[:n], self.match)
         ]
 
-        self.y_masks = [0] * len(self.methods)
-        self.yz_masks = [0] * len(self.methods)
-        for ti, t in enumerate(pop.types):
-            bit = 1 << ti
-            for mi in range(len(self.methods)):
-                if t.y[mi]:
-                    self.y_masks[mi] |= bit
-                    if t.z:
-                        self.yz_masks[mi] |= bit
-
-        weights = [t.weight for t in pop.types]
-        top = max(weights, default=0)
-        self.planes: list[tuple[int, int]] = []
-        for k in range(top.bit_length()):
-            mask = 0
-            for ti, w in enumerate(weights):
-                if (w >> k) & 1:
-                    mask |= 1 << ti
-            self.planes.append((k, mask))
-
-    def wsum(self, mask: int) -> int:
-        return sum((mask & pm).bit_count() << k for k, pm in self.planes)
+        z = np.array([t.z for t in pop.types], dtype=bool)
+        ys = [np.array([t.y[mi] for t in pop.types], dtype=bool) for mi in range(len(self.methods))]
+        self.y_masks = [mask(y) for y in ys]
+        self.yz_masks = [mask(y & z) for y in ys]
+        # population totals, from which the last sink's tallies follow
+        self.y_totals = [m.bit_count() for m in self.y_masks]
+        self.yz_totals = [m.bit_count() for m in self.yz_masks]
 
 
-def _partial_bounds(tb: _Tables, choices: Sequence[int]) -> Metrics:
-    """Optimistic metrics of a choice prefix: cost from below, indicators
-    from above; exact once every choice is fixed."""
+def _frontier(tb: _Tables, prefix: Sequence[int]) -> list[int]:
+    """Per position, the types the internal choices of ``prefix`` alone send
+    there, propagated from the source."""
+    f = [0] * tb.n_positions
+    f[tb.source] = tb.full
+    for k, ci in zip(range(tb.n_internal), prefix):
+        r = f[k]
+        on = r & tb.ones[k][ci]
+        h0, h1 = tb.heads[k]
+        f[h1] |= on
+        f[h0] |= r ^ on
+    return f
+
+
+def _partial_bounds(
+    tb: _Tables, choices: Sequence[int], reach: list[int], matches: int
+) -> Metrics:
+    """Optimistic metrics of a choice prefix with ``matches`` deployed
+    choices: cost from below, indicators from above; exact once every
+    choice is fixed.
+
+    ``reach`` is the prefix's frontier (see :func:`_frontier`) and is
+    completed in place: open vertices forward every incoming type to both
+    successors.
+    """
     fixed = len(choices)
-    full = tb.full
-
-    # possible reach: fixed vertices split their types exactly, open vertices
-    # forward every incoming type to both successors
-    reach = [0] * tb.n_positions
-    reach[tb.source] = full
-    for k, (h0, h1) in enumerate(tb.heads):
+    for k in range(fixed, tb.n_internal):
         r = reach[k]
-        if not r:
-            continue
-        if k < fixed:
-            ones = tb.ones[k][choices[k]]
-            reach[h1] |= r & ones
-            reach[h0] |= r & (full ^ ones)
-        else:
+        if r:
+            h0, h1 = tb.heads[k]
             reach[h1] |= r
             reach[h0] |= r
 
     # per-method attainability over sinks, and the per-sink reaction bound:
     # every sink serves its possible audience with its single best method
     # (tight while sinks are open)
-    n_m = len(tb.methods)
-    pm = [0] * n_m
+    pm = [0] * len(tb.methods)
+    open_sinks = 0
     per_sink2 = 0
     per_sink3 = 0
     for k in range(tb.n_internal, tb.n_positions):
@@ -182,36 +181,37 @@ def _partial_bounds(tb: _Tables, choices: Sequence[int]) -> Metrics:
         if k < fixed:
             mi = choices[k]
             pm[mi] |= r
-            per_sink2 += tb.wsum(r & tb.y_masks[mi])
-            per_sink3 += tb.wsum(r & tb.yz_masks[mi])
+            per_sink2 += (r & tb.y_masks[mi]).bit_count()
+            per_sink3 += (r & tb.yz_masks[mi]).bit_count()
         else:
-            for mi in range(n_m):
-                pm[mi] |= r
-            per_sink2 += max(tb.wsum(r & tb.y_masks[mi]) for mi in range(n_m))
-            per_sink3 += max(tb.wsum(r & tb.yz_masks[mi]) for mi in range(n_m))
+            open_sinks |= r
+            per_sink2 += max([(r & y).bit_count() for y in tb.y_masks])
+            per_sink3 += max([(r & yz).bit_count() for yz in tb.yz_masks])
+    pm = [p | open_sinks for p in pm]
 
     # the other reaction bound: every type independently takes its best
     # attainable method (tight once sinks are fixed); take the smaller
     got2 = 0
     got3 = 0
-    for mi in range(n_m):
-        got2 |= pm[mi] & tb.y_masks[mi]
-        got3 |= pm[mi] & tb.yz_masks[mi]
-    obj2_ub = min(tb.wsum(got2), per_sink2)
-    obj3_ub = min(tb.wsum(got3), per_sink3)
+    for p, y, yz in zip(pm, tb.y_masks, tb.yz_masks):
+        got2 |= p & y
+        got3 |= p & yz
 
     cost_lb = 0
-    remaining = full
+    remaining = tb.full
     for mi in tb.cost_order:
         take = remaining & pm[mi]
         if take:
-            cost_lb += tb.costs[mi] * tb.wsum(take)
+            cost_lb += tb.costs[mi] * take.bit_count()
             remaining ^= take
     # types with no reachable sink method cannot occur: every type reaches a sink
 
-    obj1_ub = sum(c == m for c, m in zip(choices, tb.match)) + tb.n_positions - fixed
-
-    return Metrics(cost=cost_lb, obj1=obj1_ub, obj2=obj2_ub, obj3=obj3_ub)
+    return Metrics(
+        cost=cost_lb,
+        obj1=matches + tb.n_positions - fixed,
+        obj2=min(got2.bit_count(), per_sink2),
+        obj3=min(got3.bit_count(), per_sink3),
+    )
 
 
 def bound(inst: Instance, choices: Sequence[int], setting: int) -> int | Fraction:
@@ -223,7 +223,9 @@ def bound(inst: Instance, choices: Sequence[int], setting: int) -> int | Fractio
     prefix is complete.
     """
     goal = Goal(inst, setting)
-    return goal.value(goal.score(_partial_bounds(_Tables(inst), choices)))
+    tb = _Tables(inst)
+    matches = sum(map(operator.eq, choices, tb.match))
+    return goal.value(goal.score(_partial_bounds(tb, choices, _frontier(tb, choices), matches)))
 
 
 class _Search:
@@ -243,7 +245,6 @@ class _Search:
         self.feasible = goal.feasible
         self.score = goal.score
         self.tb = tb
-        self.n_decisions = tb.n_positions
         self.node_limit = node_limit
         self.deadline = None if time_limit is None else time.perf_counter() + time_limit
 
@@ -254,8 +255,7 @@ class _Search:
         self.inc_vec: tuple[int, ...] | None = None
         self.open_bound: int | None = None
 
-        self.root = [0] * tb.n_positions
-        self.root[tb.source] = tb.full
+        self.root = _frontier(tb, ())
         # per depth: hash of a frontier's open positions -> the prefixes that
         # reached it and no earlier prefix dominates (frontiers are recomputed
         # on a hit, so the table holds no reach masks)
@@ -281,17 +281,9 @@ class _Search:
             return False
         if scaled == self.inc_obj:
             # an equal-bound subtree can only matter through the tie-break
-            pad = choices + (0,) * (self.n_decisions - len(choices))
+            pad = choices + (0,) * (self.tb.n_positions - len(choices))
             return pad >= self.inc_vec
         return True
-
-    def _fix(self, frontier: list[int], k: int, ci: int) -> None:
-        """Split position ``k``'s reach between its successors under choice ``ci``."""
-        r = frontier[k]
-        on = r & self.tb.ones[k][ci]
-        h0, h1 = self.tb.heads[k]
-        frontier[h1] |= on
-        frontier[h0] |= r ^ on
 
     def _dominated(self, prefix: tuple[int, ...], frontier: list[int], matches: int) -> bool:
         """Whether an earlier prefix of this depth dominates ``prefix``;
@@ -302,15 +294,13 @@ class _Search:
         key = hash(tuple(tail))
         kept = []
         for p in table.get(key, ()):
-            f = self.root.copy()
-            for k, ci in enumerate(p):
-                self._fix(f, k, ci)
-            if f[depth:] == tail:
-                pm = sum(c == m for c, m in zip(p, self.tb.match))
-                if pm >= matches and p < prefix:
+            pm = sum(map(operator.eq, p, self.tb.match))
+            cuts = pm >= matches and p < prefix
+            # replay p's frontier only when one of the two could cut the other
+            if (cuts or (matches >= pm and prefix < p)) and _frontier(self.tb, p)[depth:] == tail:
+                if cuts:
                     return True
-                if matches >= pm and prefix < p:
-                    continue  # prefix dominates p
+                continue  # prefix dominates p
             kept.append(p)
         table[key] = (*kept, prefix)
         return False
@@ -323,11 +313,12 @@ class _Search:
         if self._dominated(prefix, frontier, matches):
             self.dominated += 1
             return
+        tb = self.tb
         k = len(prefix)
-        if k == self.tb.n_internal:
+        if k == tb.n_internal:
             self._score_sinks(prefix, frontier, matches)
             return
-        m = _partial_bounds(self.tb, prefix)
+        m = _partial_bounds(tb, prefix, frontier.copy(), matches)
         if not self.feasible(m):
             return
         scaled = self.score(m)
@@ -338,10 +329,16 @@ class _Search:
         if self._prunable(scaled, prefix):
             return
 
-        match = self.tb.match[k]
-        for ci in self.tb.children[k]:
+        # each child splits position k's reach between its successors
+        r = frontier[k]
+        ones = tb.ones[k]
+        h0, h1 = tb.heads[k]
+        match = tb.match[k]
+        for ci in tb.children[k]:
+            on = r & ones[ci]
             f = frontier.copy()
-            self._fix(f, k, ci)
+            f[h1] |= on
+            f[h0] |= r ^ on
             self._visit(prefix + (ci,), f, matches + (ci == match))
             if self.aborted:
                 self._note_open(scaled)
@@ -352,35 +349,46 @@ class _Search:
         tb = self.tb
         if self._hit_limit():
             self.aborted = True
-            m = _partial_bounds(tb, prefix)
+            m = _partial_bounds(tb, prefix, frontier.copy(), matches)
             if self.feasible(m):
                 self._note_open(self.score(m))
             return
 
+        # the sinks partition the examinees: tally every sink but the last,
+        # which gets what the others leave of the population totals
+        tallies = []
+        w_left, y_left, yz_left = tb.width, tb.y_totals, tb.yz_totals
+        for r in frontier[tb.n_internal : -1]:
+            w = r.bit_count()
+            y = [(r & m).bit_count() for m in tb.y_masks]
+            yz = [(r & m).bit_count() for m in tb.yz_masks]
+            tallies.append((w, y, yz))
+            w_left -= w
+            y_left = list(map(operator.sub, y_left, y))
+            yz_left = list(map(operator.sub, yz_left, yz))
+        tallies.append((w_left, y_left, yz_left))
+
         # (cost, obj1, obj2, obj3) of every sink-method combination, in
         # canonical order, so the first best is the smallest vector
         totals = [(0, matches, 0, 0)]
-        for r, deployed in zip(frontier[tb.n_internal :], tb.match[tb.n_internal :]):
-            w = tb.wsum(r)
+        for (w, y, yz), deployed in zip(tallies, tb.match[tb.n_internal :]):
             sink = [
-                (cost * w, mi == deployed, tb.wsum(r & y), tb.wsum(r & yz))
-                for mi, (cost, y, yz) in enumerate(zip(tb.costs, tb.y_masks, tb.yz_masks))
+                (cost * w, mi == deployed, y[mi], yz[mi]) for mi, cost in enumerate(tb.costs)
             ]
             totals = [
                 (c + dc, o1 + d1, o2 + d2, o3 + d3)
                 for c, o1, o2, o3 in totals
                 for dc, d1, d2, d3 in sink
             ]
+        # only a combination that would be the incumbent has its rows checked
+        feasible, score = self.feasible, self.score
         for vec, t in zip(self.sink_vectors, totals):
-            m = Metrics(*t)
-            if not self.feasible(m):
-                continue
-            scaled = self.score(m)
-            if (
-                self.inc_obj is None
-                or scaled > self.inc_obj
-                or (scaled == self.inc_obj and prefix + vec < self.inc_vec)
+            scaled = score(t)
+            if self.inc_obj is not None and (
+                scaled < self.inc_obj or (scaled == self.inc_obj and prefix + vec >= self.inc_vec)
             ):
+                continue
+            if feasible(t):
                 self.inc_obj = scaled
                 self.inc_vec = prefix + vec
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume
@@ -87,11 +88,15 @@ def tiny_instance(
     )
 
 
-def random_toy_instance(rng: random.Random, scale: str = "small") -> Instance:
+def random_toy_instance(
+    rng: random.Random, scale: str = "small", heavy: bool = False
+) -> Instance:
     """A random instance: valid diagram, families containing the initial labels.
 
     ``small`` keeps enumeration over completions cheap; ``full`` stretches to
     four internal vertices, five candidates per vertex, and fifty types.
+    Type weights are 1-9; ``heavy`` draws them up to 10**4 instead and gives
+    one type a weight of at least 2**16.
     """
     full = scale == "full"
     n_items = rng.randint(3, 8 if full else 6)
@@ -135,13 +140,18 @@ def random_toy_instance(rng: random.Random, scale: str = "small") -> Instance:
     types = tuple(
         ExamineeType(
             id=i,
-            weight=rng.randint(1, 9),
+            weight=rng.randint(1, 10**4 if heavy else 9),
             x=tuple(int(rng.random() < 0.5) for _ in range(n_items)),
             y=tuple(int(rng.random() < 0.5) for _ in range(n_methods)),
             z=int(rng.random() < 0.5),
         )
         for i in range(n_types)
     )
+    if heavy:
+        wide = rng.randrange(n_types)
+        types = tuple(
+            replace(t, weight=rng.randint(2**16, 2**17)) if t.id == wide else t for t in types
+        )
     pop = Population(items=items, methods=methods, types=types)
 
     total = pop.total_weight

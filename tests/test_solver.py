@@ -8,9 +8,12 @@ from fractions import Fraction
 
 import pytest
 
+from diagopt import solver
 from diagopt.candidates import CandidateFamily
 from diagopt.core import Assignment, InputError, evaluate
+from diagopt.datagen import GenConfig, generate_population
 from diagopt.encoder import Instance
+from diagopt.instances import build_instance
 from diagopt.solver import (
     STATUS_INFEASIBLE,
     STATUS_LIMIT,
@@ -168,6 +171,25 @@ class TestOracleEquivalence:
             dominated += fast.stats.dominated
         assert dominated > 0  # the sample exercises frontier merging
 
+    @pytest.mark.parametrize("setting", [1, 2, 3])
+    def test_matches_brute_force_with_heavy_weights(self, setting):
+        # the search's masks hold one bit per examinee, so each of these toys
+        # is more than 2**16 bits wide
+        rng = random.Random(3000 + setting)
+        statuses = set()
+        for _ in range(10):
+            inst = random_toy_instance(rng, "full", heavy=True)
+            assert max(t.weight for t in inst.population.types) >= 2**16
+            fast = solve(inst, setting)
+            slow = brute_force(inst, setting)
+            assert fast.status == slow.status
+            assert fast.assignment == slow.assignment
+            assert fast.objective_value == slow.objective_value
+            assert fast.best_bound == slow.best_bound
+            assert fast.metrics == slow.metrics
+            statuses.add(fast.status)
+        assert STATUS_OPTIMAL in statuses
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 23, 28])
     def test_every_node_limit_stays_sound(self, seed):
         # stopping anywhere, merged prefixes included, leaves a verified
@@ -253,6 +275,28 @@ class TestBound:
         vec = inst.choice_vector(sol.assignment)
         assert bound(inst, vec, setting) == setting_objective(inst, setting, sol.metrics)
 
+    @pytest.mark.parametrize("setting", [1, 2, 3])
+    def test_carried_frontier_bounds_equal_the_from_source_ones(self, setting, monkeypatch):
+        # record the frontier the search carries into every node it visits
+        visited = []
+        visit = solver._Search._visit
+
+        def spy(search, prefix, frontier, matches):
+            visited.append((search.tb, prefix, frontier.copy(), matches))
+            visit(search, prefix, frontier, matches)
+
+        monkeypatch.setattr(solver._Search, "_visit", spy)
+        rng = random.Random(8000 + setting)
+        for _ in range(30):
+            solve(random_toy_instance(rng, "full", heavy=rng.random() < 0.5), setting)
+        assert len(visited) > 200
+        for tb, prefix, frontier, matches in visited:
+            source = solver._frontier(tb, prefix)
+            assert frontier[len(prefix) :] == source[len(prefix) :]
+            assert matches == sum(c == m for c, m in zip(prefix, tb.match))
+            carried = solver._partial_bounds(tb, prefix, frontier, matches)
+            assert carried == solver._partial_bounds(tb, prefix, source, matches)
+
     def test_root_bound_covers_the_optimum(self, rng):
         for _ in range(10):
             inst = random_toy_instance(rng)
@@ -334,6 +378,40 @@ class TestSearchOrder:
         inst = random_toy_instance(random.Random(seed), "full")
         got = tuple(solve(inst, setting).stats.dominated for setting in (1, 2, 3))
         assert got == dominated
+
+    @pytest.fixture(scope="class")
+    def desk_instance_3(self):
+        return build_instance(3, generate_population(GenConfig(n=800, seed=20240601)))
+
+    @pytest.mark.parametrize(
+        "setting, objective, best_bound, vector",
+        [
+            (1, Fraction(248171, 51336), Fraction(46675, 6417), (1, 8, 0, 19, 3, 1, 3, 1)),
+            (2, 161200, 0, (1, 9, 4, 10, 3, 1, 1, 2)),
+        ],
+    )
+    def test_capped_desk_incumbents_are_pinned(
+        self, desk_instance_3, setting, objective, best_bound, vector
+    ):
+        # the desk benchmark's node cap stops instance 3 before it proves
+        # settings 1 and 2, so only these pins fix the incumbents it holds
+        sol = solve(desk_instance_3, setting, node_limit=50_000)
+        assert sol.status == STATUS_LIMIT
+        assert sol.objective_value == objective
+        assert sol.best_bound == best_bound
+        assert desk_instance_3.choice_vector(sol.assignment) == vector
+        assert (sol.stats.nodes, sol.stats.dominated) == (50_000, 28_359)
+        assert verify(sol, desk_instance_3, setting).ok
+
+    def test_population_without_types(self):
+        # every mask is empty: the one feasible setting is won on similarity
+        inst = build_instance(1, generate_population(GenConfig(n=0, seed=20240601)))
+        assert not inst.population.types
+        sol = solve(inst, 1)
+        assert sol.status == STATUS_OPTIMAL and sol.objective_value == 1
+        assert sol.stats.nodes == 65
+        for setting in (2, 3):
+            assert solve(inst, setting).status == STATUS_INFEASIBLE
 
 
 class TestBruteForce:
