@@ -7,8 +7,13 @@ and branches on indices into ``Instance.choices``. Every per-vertex table
 decision position, and every arc points to a later position, so bounding a
 node is one forward pass over the positions.
 Routing during search is bitset-vectorized: one Python int per position
-holds one reachability bit per examinee (a type of weight w owns w
-consecutive bits), so a weighted tally is a single popcount.
+holds the reach of every examinee. While the mean type weight is small (a
+generated population's weight is a record count) a mask holds one bit per
+examinee, a type of weight w owning w consecutive bits, so a weighted tally
+is a single popcount. An aggregated population, whose weights sum far above
+its type count, gets one bit per type instead, and a tally sums one popcount
+per bit-plane of the weights; the masks then stay as narrow as the type
+count however large the weights are.
 
 The search cuts prefixes that reach an earlier prefix's reach frontier, as
 exact decision-diagram dynamic programming merges equal states (see
@@ -43,6 +48,10 @@ STATUS_INFEASIBLE = "infeasible"
 STATUS_LIMIT = "limit-reached"
 
 BRUTE_FORCE_CAP = 2_000_000
+
+# masks hold one bit per examinee while the total weight is at most this many
+# bits per type, and one bit per type (with weight bit-planes) above it
+UNIT_BIT_MEAN_WEIGHT = 8
 
 
 class EnumerationCapError(RuntimeError):
@@ -84,11 +93,11 @@ class VerificationReport:
 class _Tables:
     """Per-instance bitset tables shared by bound and search.
 
-    A mask holds one bit per examinee: each type owns ``weight`` consecutive
-    bits, so a weighted tally is one ``bit_count``. Every per-vertex table is
-    a list indexed by decision position (``Instance.positions``). Every arc
-    points to a later position, so reach propagates in one forward pass over
-    the positions.
+    ``tally(mask)`` is the total weight of the examinees in a mask (see the
+    module docstring for the two layouts). Every per-vertex table is a list
+    indexed by decision position (``Instance.positions``). Every arc points
+    to a later position, so reach propagates in one forward pass over the
+    positions.
     """
 
     def __init__(self, inst: Instance):
@@ -101,13 +110,30 @@ class _Tables:
         self.methods = pop.methods.methods
         self.costs = pop.methods.costs
         self.cost_order = sorted(range(len(self.methods)), key=lambda mi: self.costs[mi])
-        self.width = pop.total_weight
-        self.full = (1 << self.width) - 1
-        weights = np.array([t.weight for t in pop.types], dtype=np.int64)
+        self.total = pop.total_weight
+        weights = [t.weight for t in pop.types]
+        self.unit_bits = self.total <= UNIT_BIT_MEAN_WEIGHT * len(weights)
+        if self.unit_bits:
+            repeats = np.array(weights, dtype=np.int64)
 
         def mask(col: np.ndarray) -> int:
-            bits = np.packbits(np.repeat(col, weights), bitorder="little")
-            return int.from_bytes(bits.tobytes(), "little")
+            if self.unit_bits:
+                col = np.repeat(col, repeats)
+            return int.from_bytes(np.packbits(col, bitorder="little").tobytes(), "little")
+
+        if self.unit_bits:
+            self.tally = int.bit_count
+        else:
+            planes = [
+                (k, mask(np.array([(w >> k) & 1 for w in weights], dtype=bool)))
+                for k in range(max(weights).bit_length())
+            ]
+
+            def wsum(m: int) -> int:
+                return sum((m & plane).bit_count() << k for k, plane in planes)
+
+            self.tally = wsum
+        self.full = mask(np.ones(len(weights), dtype=bool))
 
         self.ones = [
             [mask(inst.indicator_column(c)) for c in cands] for cands in inst.choices[:n]
@@ -130,8 +156,18 @@ class _Tables:
         self.y_masks = [mask(y) for y in ys]
         self.yz_masks = [mask(y & z) for y in ys]
         # population totals, from which the last sink's tallies follow
-        self.y_totals = [m.bit_count() for m in self.y_masks]
-        self.yz_totals = [m.bit_count() for m in self.yz_masks]
+        self.y_totals = [self.tally(m) for m in self.y_masks]
+        self.yz_totals = [self.tally(m) for m in self.yz_masks]
+
+
+def _split(tb: _Tables, f: list[int], k: int, ci: int) -> None:
+    """Fix internal position ``k`` to choice ``ci`` in frontier ``f``: send
+    its reach on to the successor each type's indicator picks."""
+    r = f[k]
+    on = r & tb.ones[k][ci]
+    h0, h1 = tb.heads[k]
+    f[h1] |= on
+    f[h0] |= r ^ on
 
 
 def _frontier(tb: _Tables, prefix: Sequence[int]) -> list[int]:
@@ -140,11 +176,7 @@ def _frontier(tb: _Tables, prefix: Sequence[int]) -> list[int]:
     f = [0] * tb.n_positions
     f[tb.source] = tb.full
     for k, ci in zip(range(tb.n_internal), prefix):
-        r = f[k]
-        on = r & tb.ones[k][ci]
-        h0, h1 = tb.heads[k]
-        f[h1] |= on
-        f[h0] |= r ^ on
+        _split(tb, f, k, ci)
     return f
 
 
@@ -159,6 +191,7 @@ def _partial_bounds(
     completed in place: open vertices forward every incoming type to both
     successors.
     """
+    tally = tb.tally
     fixed = len(choices)
     for k in range(fixed, tb.n_internal):
         r = reach[k]
@@ -181,12 +214,12 @@ def _partial_bounds(
         if k < fixed:
             mi = choices[k]
             pm[mi] |= r
-            per_sink2 += (r & tb.y_masks[mi]).bit_count()
-            per_sink3 += (r & tb.yz_masks[mi]).bit_count()
+            per_sink2 += tally(r & tb.y_masks[mi])
+            per_sink3 += tally(r & tb.yz_masks[mi])
         else:
             open_sinks |= r
-            per_sink2 += max([(r & y).bit_count() for y in tb.y_masks])
-            per_sink3 += max([(r & yz).bit_count() for yz in tb.yz_masks])
+            per_sink2 += max([tally(r & y) for y in tb.y_masks])
+            per_sink3 += max([tally(r & yz) for yz in tb.yz_masks])
     pm = [p | open_sinks for p in pm]
 
     # the other reaction bound: every type independently takes its best
@@ -202,15 +235,15 @@ def _partial_bounds(
     for mi in tb.cost_order:
         take = remaining & pm[mi]
         if take:
-            cost_lb += tb.costs[mi] * take.bit_count()
+            cost_lb += tb.costs[mi] * tally(take)
             remaining ^= take
     # types with no reachable sink method cannot occur: every type reaches a sink
 
     return Metrics(
         cost=cost_lb,
         obj1=matches + tb.n_positions - fixed,
-        obj2=min(got2.bit_count(), per_sink2),
-        obj3=min(got3.bit_count(), per_sink3),
+        obj2=min(tally(got2), per_sink2),
+        obj3=min(tally(got3), per_sink3),
     )
 
 
@@ -329,16 +362,10 @@ class _Search:
         if self._prunable(scaled, prefix):
             return
 
-        # each child splits position k's reach between its successors
-        r = frontier[k]
-        ones = tb.ones[k]
-        h0, h1 = tb.heads[k]
         match = tb.match[k]
         for ci in tb.children[k]:
-            on = r & ones[ci]
             f = frontier.copy()
-            f[h1] |= on
-            f[h0] |= r ^ on
+            _split(tb, f, k, ci)
             self._visit(prefix + (ci,), f, matches + (ci == match))
             if self.aborted:
                 self._note_open(scaled)
@@ -356,12 +383,13 @@ class _Search:
 
         # the sinks partition the examinees: tally every sink but the last,
         # which gets what the others leave of the population totals
+        tally = tb.tally
         tallies = []
-        w_left, y_left, yz_left = tb.width, tb.y_totals, tb.yz_totals
+        w_left, y_left, yz_left = tb.total, tb.y_totals, tb.yz_totals
         for r in frontier[tb.n_internal : -1]:
-            w = r.bit_count()
-            y = [(r & m).bit_count() for m in tb.y_masks]
-            yz = [(r & m).bit_count() for m in tb.yz_masks]
+            w = tally(r)
+            y = [tally(r & m) for m in tb.y_masks]
+            yz = [tally(r & m) for m in tb.yz_masks]
             tallies.append((w, y, yz))
             w_left -= w
             y_left = list(map(operator.sub, y_left, y))

@@ -4,6 +4,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -171,15 +173,19 @@ class TestOracleEquivalence:
             dominated += fast.stats.dominated
         assert dominated > 0  # the sample exercises frontier merging
 
+    @pytest.mark.parametrize("unit_bits", [False, True], ids=["weight-planes", "unit-bits"])
     @pytest.mark.parametrize("setting", [1, 2, 3])
-    def test_matches_brute_force_with_heavy_weights(self, setting):
-        # the search's masks hold one bit per examinee, so each of these toys
-        # is more than 2**16 bits wide
+    def test_matches_brute_force_with_heavy_weights(self, setting, unit_bits, monkeypatch):
+        # heavy weights put these toys on the weight-plane layout; forced onto
+        # the unit-bit one, each mask is more than 2**16 bits wide
+        if unit_bits:
+            monkeypatch.setattr(solver, "UNIT_BIT_MEAN_WEIGHT", 2**17)
         rng = random.Random(3000 + setting)
         statuses = set()
         for _ in range(10):
             inst = random_toy_instance(rng, "full", heavy=True)
             assert max(t.weight for t in inst.population.types) >= 2**16
+            assert solver._Tables(inst).unit_bits == unit_bits
             fast = solve(inst, setting)
             slow = brute_force(inst, setting)
             assert fast.status == slow.status
@@ -189,6 +195,34 @@ class TestOracleEquivalence:
             assert fast.metrics == slow.metrics
             statuses.add(fast.status)
         assert STATUS_OPTIMAL in statuses
+
+    def test_aggregated_population_keeps_masks_narrow(self):
+        # one type stands for a billion examinees: masks stay one bit per
+        # type, so the solve takes little memory and time
+        rng = random.Random(3100)
+        light = random_toy_instance(rng, "full")
+        assert solver._Tables(light).unit_bits
+        for _ in range(3):
+            inst = random_toy_instance(rng, "full")
+            types = list(inst.population.types)
+            types[0] = dataclasses.replace(types[0], weight=10**9 + 7)
+            pop = dataclasses.replace(inst.population, types=tuple(types))
+            inst = dataclasses.replace(inst, population=pop)
+            assert not solver._Tables(inst).unit_bits
+            for setting in (1, 2, 3):
+                tracemalloc.start()
+                started = time.perf_counter()
+                fast = solve(inst, setting)
+                elapsed = time.perf_counter() - started
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+                assert peak < 4 * 2**20 and elapsed < 5
+                slow = brute_force(inst, setting)
+                assert fast.status == slow.status
+                assert fast.assignment == slow.assignment
+                assert fast.objective_value == slow.objective_value
+                assert fast.best_bound == slow.best_bound
+                assert fast.metrics == slow.metrics
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 23, 28])
     def test_every_node_limit_stays_sound(self, seed):
