@@ -59,7 +59,6 @@ from .solver import (
     EnumerationCapError,
     Solution,
     VerificationReport,
-    bound,
     brute_force,
     solve,
     verify,

@@ -121,10 +121,6 @@ class IPModel:
         self.z = block("z", "tm", (n_t, n_m))
         self.names: tuple[str, ...] = tuple(names)
 
-    @cached_property
-    def name_index(self) -> dict[str, int]:
-        return {n: i for i, n in enumerate(self.names)}
-
     @property
     def num_variables(self) -> int:
         return len(self.names)
@@ -340,9 +336,6 @@ class VariablePoint:
             raise InputError("point length does not match the model")
         if not np.isin(self.values, (0, 1)).all():
             raise InputError("point values must be 0 or 1")
-
-    def __getitem__(self, name: str) -> int:
-        return int(self.values[self.model.name_index[name]])
 
 
 def build_model(inst: Instance, setting: int) -> IPModel:

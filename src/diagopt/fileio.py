@@ -6,7 +6,9 @@ keys, two-space indent, sorted item lists) so that write -> read -> write is
 byte-identical and files diff cleanly. A block several formats share has one
 codec: methods (``_methods_to_obj`` / ``_methods_from_obj``) and assignment
 labels (``_labels_to_obj`` / ``assignment_from_obj``). Every reader goes
-through ``_from_doc``, so a schema error is one ``FormatError`` naming the file.
+through ``_from_doc``, so a schema error is one ``FormatError`` naming the file,
+and reads integer fields through ``_int``, which rejects a float or a bool
+instead of truncating it.
 """
 from __future__ import annotations
 
@@ -72,7 +74,8 @@ def load_json(path: str | Path) -> Any:
     try:
         with open(p, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    # ValueError covers bad JSON and bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{p}: invalid JSON ({exc})") from exc
 
 
@@ -106,14 +109,29 @@ def _read_doc(
 # ----------------------------------------------------------------------
 
 
+def _int(value: Any) -> int:
+    """A JSON integer field: a float or a bool is an error, never truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
+def _members(ids: Any, universe: set[int], what: str) -> set[int]:
+    """The ids of a type's ``x1`` or ``y1`` list, all inside ``universe``."""
+    got = set(map(_int, ids))
+    if not got <= universe:
+        raise ValueError(f"{what} {min(got - universe)} outside the universe")
+    return got
+
+
 def _methods_to_obj(methods: MethodUniverse) -> list[list[int]]:
     return [[m, c] for m, c in zip(methods.methods, methods.costs)]
 
 
 def _methods_from_obj(rows: Any) -> MethodUniverse:
     return MethodUniverse(
-        methods=tuple(int(m) for m, _ in rows),
-        costs=tuple(int(c) for _, c in rows),
+        methods=tuple(_int(m) for m, _ in rows),
+        costs=tuple(_int(c) for _, c in rows),
     )
 
 
@@ -127,8 +145,8 @@ def _labels_to_obj(phi: Assignment) -> dict[str, Any]:
 def assignment_from_obj(obj: Mapping[str, Any]) -> Assignment:
     """The assignment an object's ``nodes`` and ``sinks`` labels describe."""
     return Assignment.build(
-        {str(u): (int(i) for i in c) for u, c in obj["nodes"].items()},
-        {str(s): int(m) for s, m in obj["sinks"].items()},
+        {str(u): (_int(i) for i in c) for u, c in obj["nodes"].items()},
+        {str(s): _int(m) for s, m in obj["sinks"].items()},
     )
 
 
@@ -158,19 +176,20 @@ def population_to_obj(pop: Population) -> dict[str, Any]:
 
 
 def population_from_obj(obj: Mapping[str, Any]) -> Population:
-    items = ItemUniverse(tuple(int(i) for i in obj["items"]))
+    items = ItemUniverse(tuple(map(_int, obj["items"])))
     methods = _methods_from_obj(obj["methods"])
+    item_ids, method_ids = set(items.items), set(methods.methods)
     types = []
     for row in obj["types"]:
-        x1 = set(int(i) for i in row["x1"])
-        y1 = set(int(m) for m in row["y1"])
+        x1 = _members(row["x1"], item_ids, "item")
+        y1 = _members(row["y1"], method_ids, "method")
         types.append(
             ExamineeType(
-                id=int(row["id"]),
-                weight=int(row["weight"]),
+                id=_int(row["id"]),
+                weight=_int(row["weight"]),
                 x=tuple(int(i in x1) for i in items.items),
                 y=tuple(int(m in y1) for m in methods.methods),
-                z=int(row["z"]),
+                z=_int(row["z"]),
             )
         )
     return Population(items=items, methods=methods, types=tuple(types))
@@ -278,7 +297,7 @@ def _genconfig_from_obj(obj: Mapping[str, Any]) -> GenConfig:
         seed=0,
         specs=tuple(_attribute_from_obj(a) for a in obj["attributes"]),
         thresholds=ThresholdTable(
-            tuple((int(item), _predicate_from_obj(p)) for item, p in obj["thresholds"])
+            tuple((_int(item), _predicate_from_obj(p)) for item, p in obj["thresholds"])
         ),
         methods=_methods_from_obj(obj["methods"]),
         response_probs={int(m): float(p) for m, p in obj["response_probs"].items()},
@@ -338,15 +357,15 @@ class InstanceDoc:
     @staticmethod
     def from_obj(obj: Mapping[str, Any]) -> "InstanceDoc":
         doc = InstanceDoc(
-            items=ItemUniverse(tuple(int(i) for i in obj["items"])),
+            items=ItemUniverse(tuple(map(_int, obj["items"]))),
             methods=_methods_from_obj(obj["methods"]),
             vertices=tuple(str(v) for v in obj["vertices"]),
-            arcs=tuple((str(t), str(h), int(l)) for t, h, l in obj["arcs"]),
-            roles={str(u): tuple(sorted(int(i) for i in r)) for u, r in obj["roles"].items()},
-            categories=tuple(tuple(sorted(int(i) for i in c)) for c in obj["categories"]),
+            arcs=tuple((str(t), str(h), _int(l)) for t, h, l in obj["arcs"]),
+            roles={str(u): tuple(sorted(map(_int, r))) for u, r in obj["roles"].items()},
+            categories=tuple(tuple(sorted(map(_int, c))) for c in obj["categories"]),
             initial=assignment_from_obj(obj["initial"]),
-            budget=int(obj["budget"]),
-            targets=tuple(int(t) for t in obj["targets"]),
+            budget=_int(obj["budget"]),
+            targets=tuple(map(_int, obj["targets"])),
             population_inline=obj.get("population"),
             population_path=obj.get("population_path"),
         )

@@ -91,7 +91,7 @@ class VerificationReport:
 
 
 class _Tables:
-    """Per-instance bitset tables shared by bound and search.
+    """Per-instance bitset tables of the search and its node bound.
 
     ``tally(mask)`` is the total weight of the examinees in a mask (see the
     module docstring for the two layouts). Every per-vertex table is a list
@@ -109,7 +109,6 @@ class _Tables:
         self.n_internal = n = len(d.internals)
         self.methods = pop.methods.methods
         self.costs = pop.methods.costs
-        self.cost_order = sorted(range(len(self.methods)), key=lambda mi: self.costs[mi])
         self.total = pop.total_weight
         weights = [t.weight for t in pop.types]
         self.unit_bits = self.total <= UNIT_BIT_MEAN_WEIGHT * len(weights)
@@ -158,6 +157,12 @@ class _Tables:
         # population totals, from which the last sink's tallies follow
         self.y_totals = [self.tally(m) for m in self.y_masks]
         self.yz_totals = [self.tally(m) for m in self.yz_masks]
+        # the node bound's constants: with every sink open, every type can
+        # take every method
+        self.cost_lb = min(self.costs) * self.total
+        any_y = np.logical_or.reduce(ys)
+        self.any_y = self.tally(mask(any_y))
+        self.any_yz = self.tally(mask(any_y & z))
 
 
 def _split(tb: _Tables, f: list[int], k: int, ci: int) -> None:
@@ -180,85 +185,35 @@ def _frontier(tb: _Tables, prefix: Sequence[int]) -> list[int]:
     return f
 
 
-def _partial_bounds(
-    tb: _Tables, choices: Sequence[int], reach: list[int], matches: int
-) -> Metrics:
-    """Optimistic metrics of a choice prefix with ``matches`` deployed
-    choices: cost from below, indicators from above; exact once every
-    choice is fixed.
+def _partial_bounds(tb: _Tables, depth: int, reach: list[int], matches: int) -> Metrics:
+    """Optimistic metrics of an internal prefix of ``depth`` choices with
+    ``matches`` deployed ones, every sink still open: cost from below,
+    indicators from above.
 
     ``reach`` is the prefix's frontier (see :func:`_frontier`) and is
     completed in place: open vertices forward every incoming type to both
-    successors.
+    successors. Only the per-sink reaction bound depends on the prefix: each
+    sink serves its possible audience with its single best method.
     """
     tally = tb.tally
-    fixed = len(choices)
-    for k in range(fixed, tb.n_internal):
+    for k in range(depth, tb.n_internal):
         r = reach[k]
         if r:
             h0, h1 = tb.heads[k]
             reach[h1] |= r
             reach[h0] |= r
-
-    # per-method attainability over sinks, and the per-sink reaction bound:
-    # every sink serves its possible audience with its single best method
-    # (tight while sinks are open)
-    pm = [0] * len(tb.methods)
-    open_sinks = 0
     per_sink2 = 0
     per_sink3 = 0
-    for k in range(tb.n_internal, tb.n_positions):
-        r = reach[k]
-        if not r:
-            continue
-        if k < fixed:
-            mi = choices[k]
-            pm[mi] |= r
-            per_sink2 += tally(r & tb.y_masks[mi])
-            per_sink3 += tally(r & tb.yz_masks[mi])
-        else:
-            open_sinks |= r
+    for r in reach[tb.n_internal :]:
+        if r:
             per_sink2 += max([tally(r & y) for y in tb.y_masks])
             per_sink3 += max([tally(r & yz) for yz in tb.yz_masks])
-    pm = [p | open_sinks for p in pm]
-
-    # the other reaction bound: every type independently takes its best
-    # attainable method (tight once sinks are fixed); take the smaller
-    got2 = 0
-    got3 = 0
-    for p, y, yz in zip(pm, tb.y_masks, tb.yz_masks):
-        got2 |= p & y
-        got3 |= p & yz
-
-    cost_lb = 0
-    remaining = tb.full
-    for mi in tb.cost_order:
-        take = remaining & pm[mi]
-        if take:
-            cost_lb += tb.costs[mi] * tally(take)
-            remaining ^= take
-    # types with no reachable sink method cannot occur: every type reaches a sink
-
     return Metrics(
-        cost=cost_lb,
-        obj1=matches + tb.n_positions - fixed,
-        obj2=min(tally(got2), per_sink2),
-        obj3=min(tally(got3), per_sink3),
+        tb.cost_lb,
+        matches + tb.n_positions - depth,
+        min(per_sink2, tb.any_y),
+        min(per_sink3, tb.any_yz),
     )
-
-
-def bound(inst: Instance, choices: Sequence[int], setting: int) -> int | Fraction:
-    """Admissible objective bound of a choice prefix.
-
-    ``choices[k]`` indexes ``inst.choices[k]``, the labels of the k-th
-    decision position. Upper bound for the maximization settings, lower cost
-    bound for the minimization one; equals the exact objective when the
-    prefix is complete.
-    """
-    goal = Goal(inst, setting)
-    tb = _Tables(inst)
-    matches = sum(map(operator.eq, choices, tb.match))
-    return goal.value(goal.score(_partial_bounds(tb, choices, _frontier(tb, choices), matches)))
 
 
 class _Search:
@@ -351,7 +306,7 @@ class _Search:
         if k == tb.n_internal:
             self._score_sinks(prefix, frontier, matches)
             return
-        m = _partial_bounds(tb, prefix, frontier.copy(), matches)
+        m = _partial_bounds(tb, k, frontier.copy(), matches)
         if not self.feasible(m):
             return
         scaled = self.score(m)
@@ -376,7 +331,7 @@ class _Search:
         tb = self.tb
         if self._hit_limit():
             self.aborted = True
-            m = _partial_bounds(tb, prefix, frontier.copy(), matches)
+            m = _partial_bounds(tb, tb.n_internal, frontier.copy(), matches)
             if self.feasible(m):
                 self._note_open(self.score(m))
             return

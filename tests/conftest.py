@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import replace
 
@@ -20,6 +21,8 @@ from diagopt.core import (
     Population,
 )
 from diagopt.encoder import Instance
+from diagopt.problem import Goal
+from diagopt.solver import _frontier, _partial_bounds, _Tables
 
 
 def make_type(
@@ -203,6 +206,15 @@ def point_metrics(model, pt) -> Metrics:
     """The model's cost and indicator expressions, summed exactly at a 0/1 point."""
     exprs = (model.cost_expr, *model.obj_exprs)
     return Metrics(*(sum(coef for coef, idx in e if pt.values[idx]) for e in exprs))
+
+
+def prefix_bound(inst: Instance, prefix: tuple[int, ...], setting: int):
+    """The objective bound the search computes at an internal choice prefix."""
+    goal = Goal(inst, setting)
+    tb = _Tables(inst)
+    matches = sum(map(operator.eq, prefix, tb.match))
+    m = _partial_bounds(tb, len(prefix), _frontier(tb, prefix), matches)
+    return goal.value(goal.score(m))
 
 
 @pytest.fixture

@@ -370,6 +370,10 @@ def _infinite_budget(obj):
     obj["budget"] = float("inf")  # json writes Infinity, which int() cannot take
 
 
+def _fractional_budget(obj):
+    obj["budget"] += 0.9  # int() would truncate it
+
+
 def _arc_labeled_seven(obj):
     obj["arcs"][0][2] = 7
 
@@ -395,6 +399,7 @@ class TestErrors:
             _string_targets,
             _null_budget,
             _infinite_budget,
+            _fractional_budget,
             _arc_labeled_seven,
             _role_outside_universe,
             _role_with_item_outside_universe,
@@ -420,6 +425,17 @@ class TestErrors:
             "solve", "--instance", str(tmp_path / "nope.json"), "--setting", "1",
         ]) == 1
 
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe", b"[" * 100_000], ids=["not-utf8", "nested-too-deep"]
+    )
+    def test_unreadable_json_is_one_error_line(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["solve", "--instance", str(bad), "--setting", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err
+
     def test_brute_cap_error_code(self, workspace, monkeypatch):
         _, _, inst_path = workspace
         import diagopt.cli as cli_mod
@@ -436,6 +452,18 @@ class TestErrors:
 
 def _null_weight(docs):
     docs["population"]["types"][0]["weight"] = None
+
+
+def _fractional_weight(docs):
+    docs["population"]["types"][0]["weight"] = 1.5
+
+
+def _item_outside_universe(docs):
+    docs["population"]["types"][0]["x1"].append(999)
+
+
+def _method_outside_universe(docs):
+    docs["population"]["types"][0]["y1"].append(77)
 
 
 def _population_list(docs):
@@ -496,6 +524,9 @@ class TestMalformedDocuments:
         "kind, corrupt",
         [
             ("population", _null_weight),
+            ("population", _fractional_weight),
+            ("population", _item_outside_universe),
+            ("population", _method_outside_universe),
             ("population", _population_list),
             ("instance", _inline_null_weight),
             ("assignment", _assignment_list),

@@ -172,7 +172,7 @@ class TestEncode:
         inst = tiny_instance()  # type 0 is positive on item 0
         model = build_model(inst, 1)
         phi = Assignment.build({"r": {0}}, {"s0": 0, "s1": 2})
-        pt = encode_assignment(model, phi)
+        pt = dict(zip(model.names, encode_assignment(model, phi).values))
         assert pt["a_t0_v0"] == 1  # source always visited
         assert pt["a_t0_v1"] == 0  # zero-labeled sink not reached
         assert pt["a_t0_v2"] == 1  # one-labeled sink reached

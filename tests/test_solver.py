@@ -21,12 +21,17 @@ from diagopt.solver import (
     STATUS_LIMIT,
     STATUS_OPTIMAL,
     EnumerationCapError,
-    bound,
     brute_force,
     solve,
     verify,
 )
-from conftest import family, random_feasible_assignment, random_toy_instance, tiny_instance
+from conftest import (
+    family,
+    prefix_bound,
+    random_feasible_assignment,
+    random_toy_instance,
+    tiny_instance,
+)
 
 
 def setting_objective(inst, setting, m):
@@ -274,16 +279,17 @@ class TestChoiceVector:
 class TestBound:
     @pytest.mark.parametrize("setting", [1, 2, 3])
     def test_admissible_on_random_partial_states(self, setting):
+        # every depth the search bounds, on unit-bit and weight-plane masks
         rng = random.Random(7000 + setting)
         checked = 0
-        for _ in range(12):
-            inst = random_toy_instance(rng)
-            n_decisions = len(inst.diagram.internals) + len(inst.diagram.sinks)
+        for heavy in (False, True) * 12:
+            inst = random_toy_instance(rng, heavy=heavy)
+            if heavy:
+                assert not solver._Tables(inst).unit_bits
             sizes = [len(inst.families[u]) for u in inst.diagram.internals]
-            sizes += [len(inst.population.methods)] * len(inst.diagram.sinks)
-            for k in range(n_decisions + 1):
+            for k in range(len(sizes) + 1):
                 prefix = tuple(rng.randrange(sizes[i]) for i in range(k))
-                b = bound(inst, prefix, setting)
+                b = prefix_bound(inst, prefix, setting)
                 best = None
                 for phi in enumerate_completions(inst, prefix):
                     m = evaluate(inst.diagram, phi, inst.initial, inst.population)
@@ -299,15 +305,6 @@ class TestBound:
                     else:
                         assert b >= best
         assert checked > 20
-
-    @pytest.mark.parametrize("setting", [1, 2, 3])
-    def test_complete_state_bound_is_exact(self, rng, setting):
-        inst = random_toy_instance(rng)
-        sol = solve(inst, setting)
-        if sol.status != STATUS_OPTIMAL:
-            pytest.skip("sampled instance infeasible for this check")
-        vec = inst.choice_vector(sol.assignment)
-        assert bound(inst, vec, setting) == setting_objective(inst, setting, sol.metrics)
 
     @pytest.mark.parametrize("setting", [1, 2, 3])
     def test_carried_frontier_bounds_equal_the_from_source_ones(self, setting, monkeypatch):
@@ -328,8 +325,8 @@ class TestBound:
             source = solver._frontier(tb, prefix)
             assert frontier[len(prefix) :] == source[len(prefix) :]
             assert matches == sum(c == m for c, m in zip(prefix, tb.match))
-            carried = solver._partial_bounds(tb, prefix, frontier, matches)
-            assert carried == solver._partial_bounds(tb, prefix, source, matches)
+            carried = solver._partial_bounds(tb, len(prefix), frontier, matches)
+            assert carried == solver._partial_bounds(tb, len(prefix), source, matches)
 
     def test_root_bound_covers_the_optimum(self, rng):
         for _ in range(10):
@@ -337,7 +334,7 @@ class TestBound:
             sol = solve(inst, 1)
             if sol.status != STATUS_OPTIMAL:
                 continue
-            root = bound(inst, (), 1)
+            root = prefix_bound(inst, (), 1)
             assert root >= sol.objective_value
 
 
@@ -355,7 +352,7 @@ class TestLimits:
         sol = solve(inst, setting, node_limit=1)
         assert sol.status == STATUS_LIMIT
         assert sol.assignment is None and sol.metrics is None and sol.objective_value is None
-        assert sol.best_bound == bound(inst, (), setting)
+        assert sol.best_bound == prefix_bound(inst, (), setting)
 
     @pytest.mark.parametrize("setting", [1, 3])
     def test_node_limit_at_a_sink_root(self, setting):
@@ -370,7 +367,7 @@ class TestLimits:
         )
         sol = solve(inst, setting, node_limit=1)
         assert sol.status == STATUS_LIMIT and sol.assignment is None
-        assert sol.best_bound == bound(inst, (), setting)
+        assert sol.best_bound == prefix_bound(inst, (), setting)
         assert solve(inst, setting, node_limit=2).status == STATUS_OPTIMAL
 
     def test_node_limit_keeps_best_incumbent(self):
