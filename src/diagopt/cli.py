@@ -23,6 +23,7 @@ from .fileio import (
     write_instance_doc,
     write_population,
     write_report,
+    write_text,
 )
 from .instances import instance_template
 from .solver import (
@@ -91,8 +92,7 @@ def cmd_make_instance(args: argparse.Namespace) -> int:
 def cmd_encode(args: argparse.Namespace) -> int:
     inst = read_instance(args.instance)
     model = build_model(inst, args.setting)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(export_lp(model))
+    write_text(args.out, export_lp(model))
     counts = model.variable_counts
     per_kind = ", ".join(f"{k}={v}" for k, v in counts.items())
     print(f"wrote {args.out}")

@@ -12,12 +12,13 @@ model twice yields byte-identical LP text.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import ceil, floor
-from typing import Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -70,7 +71,10 @@ class IPModel:
     ``choice_blocks`` holds one p or q array per decision position, indexed
     like ``Instance.choices``. The names, the rows, ``encode_assignment``,
     ``decode`` and ``variable_counts`` all read these arrays. The model also
-    holds the constraint rows in family order, the objective (integer terms,
+    holds the constraint rows in family order as row blocks (one template per
+    family, repeated for every type; see ``_RowBlock``), from which the LP
+    text and one integer CSR matrix are built, and which ``rows`` lists as
+    ``LinRow`` objects on demand. It holds the objective (integer terms,
     divided exactly by ``objective_divisor`` unless it is ``None``), and the
     linear expressions for cost and the three indicators. Safe to share
     read-only.
@@ -163,108 +167,139 @@ class IPModel:
         )
 
     def _build_rows(self, goal: Goal) -> None:
+        """Lay the rows out as blocks, each written once for type 0.
+
+        A block's rows repeat for every type, type-major; a row of type
+        ``ti`` reads the type-0 variables shifted by ``ti`` times their
+        block's per-type stride (``_RowBlock``).
+        """
         inst = self.instance
         d = inst.diagram
         n_u = len(self.internals)
         p = [b.tolist() for b in self.p]
-        q, alpha, beta, gamma, z = (
-            b.tolist() for b in (self.q, self.alpha, self.beta, self.gamma, self.z)
-        )
-        rows: list[LinRow] = []
+        q = self.q.tolist()
+        stride = np.zeros(self.num_variables, dtype=np.int64)
+        for b in (self.alpha, self.beta, self.gamma, self.z):
+            stride[b] = np.prod(b.shape[1:])
+        # indicator of every candidate for every type, one column per p variable
+        cands = [c for cs in self.candidates for c in cs]
+        fires = np.array([inst.indicator_column(c) for c in cands], dtype=bool).reshape(
+            len(cands), self.n_types
+        ).T
+
+        def row_block(
+            rows: list, groups: Sequence[int] = (0,), per_type: bool = True
+        ) -> _RowBlock:
+            """A block from its type-0 rows ``(name format, terms, sense, rhs)``.
+
+            A term is ``(coef, index)``, or ``(coef, index, label)`` for a p
+            term kept only for the types whose indicator of that candidate is
+            ``label``. A block that is not ``per_type`` is written once.
+            """
+            reps = self.n_types if per_type else 1
+            terms = [(*t, -1)[:3] for _, ts, _, _ in rows for t in ts]
+            coef, base, label = np.array(terms, dtype=np.int64).reshape(-1, 3).T
+            keep = np.ones((reps, len(base)), dtype=bool)
+            cond = label >= 0
+            if cond.any():
+                keep[:, cond] = fires[:, base[cond]] == label[cond]
+            return _RowBlock(
+                reps=reps,
+                names=tuple(r[0] for r in rows),
+                senses=tuple(r[2] for r in rows),
+                rhs=tuple(r[3] for r in rows),
+                bounds=np.cumsum([0] + [len(r[1]) for r in rows]),
+                coef=coef,
+                base=base,
+                stride=stride[base] if per_type else np.zeros_like(base),
+                keep=keep,
+                groups=tuple(groups),
+            )
 
         # assignment rows: one candidate per vertex, one method per sink
-        for ui, pu in enumerate(p):
-            rows.append(LinRow(f"asg_u{ui}", tuple((1, i) for i in pu), "=", 1))
-        for si, qs in enumerate(q):
-            rows.append(LinRow(f"asg_s{si}", tuple((1, i) for i in qs), "=", 1))
+        asg = [(f"asg_u{ui}", [(1, i) for i in pu], "=", 1) for ui, pu in enumerate(p)]
+        asg += [(f"asg_s{si}", [(1, i) for i in qs], "=", 1) for si, qs in enumerate(q)]
+        blocks = [row_block(asg, per_type=False)]
 
-        # routing rows: the source is always visited; any other vertex is
-        # visited exactly when some predecessor forwards the walk into it
-        # (ui, label) of each arc into a vertex: a tail is internal, and the
-        # internals lead vertex_order, so a tail's vertex position is its ui
-        vpos = {v: vi for vi, v in enumerate(self.vertex_order)}
-        in_arcs: list[list[tuple[int, int]]] = [[] for _ in self.vertex_order]
-        for a in d.arcs:
-            in_arcs[vpos[a.head]].append((vpos[a.tail], a.label))
-        root = vpos[d.source]
-        for ti, (a_t, b_t) in enumerate(zip(alpha, beta)):
-            rows.append(LinRow(f"rt_src_t{ti}", ((1, a_t[root]),), "=", 1))
+        if self.n_types:
+            a0, b0, g0, z0 = (b[0].tolist() for b in (self.alpha, self.beta, self.gamma, self.z))
+
+            # routing rows: the source is always visited; any other vertex is
+            # visited exactly when some predecessor forwards the walk into it
+            # (ui, label) of each arc into a vertex: a tail is internal, and
+            # the internals lead vertex_order, so a tail's vertex position is
+            # its ui
+            vpos = {v: vi for vi, v in enumerate(self.vertex_order)}
+            in_arcs: list[list[tuple[int, int]]] = [[] for _ in self.vertex_order]
+            for a in d.arcs:
+                in_arcs[vpos[a.head]].append((vpos[a.tail], a.label))
+            root = vpos[d.source]
+            rt = [("rt_src_t{}", [(1, a0[root])], "=", 1)]
             for vi, arcs_in in enumerate(in_arcs):
                 if vi == root:
                     continue
-                ub_terms = ((1, a_t[vi]),) + tuple((-1, b_t[ui][lb]) for ui, lb in arcs_in)
-                rows.append(LinRow(f"rt_ub_t{ti}_v{vi}", ub_terms, "<=", 0))
-                for ui, lb in arcs_in:
-                    rows.append(
-                        LinRow(
-                            f"rt_lb_t{ti}_v{vi}_u{ui}_l{lb}",
-                            ((1, a_t[vi]), (-1, b_t[ui][lb])),
-                            ">=",
-                            0,
-                        )
-                    )
+                ub_terms = [(1, a0[vi])] + [(-1, b0[ui][lb]) for ui, lb in arcs_in]
+                rt.append((f"rt_ub_t{{}}_v{vi}", ub_terms, "<=", 0))
+                rt += [
+                    (f"rt_lb_t{{}}_v{vi}_u{ui}_l{lb}", [(1, a0[vi]), (-1, b0[ui][lb])], ">=", 0)
+                    for ui, lb in arcs_in
+                ]
+            blocks.append(row_block(rt))
 
-        # linking rows: beta fires exactly when the vertex is visited and the
-        # chosen candidate's indicator equals the label
-        fires = [
-            np.stack([inst.indicator_column(c) for c in cands], axis=1).tolist()
-            for cands in self.candidates
-        ]  # per vertex, (types x candidates)
-        for ti, (a_t, b_t) in enumerate(zip(alpha, beta)):
+            # linking rows: beta fires exactly when the vertex is visited and
+            # the chosen candidate's indicator equals the label; a p term
+            # (-1, pi, label) is kept for the types where it holds
+            ln = []
             for ui, pu in enumerate(p):
-                ai = a_t[ui]
+                ai = a0[ui]
                 for label in (0, 1):
-                    bi = b_t[ui][label]
-                    p_terms = tuple((-1, pi) for pi, f in zip(pu, fires[ui][ti]) if f == label)
-                    rows.append(
-                        LinRow(f"ln_a_t{ti}_u{ui}_l{label}", ((1, bi), (-1, ai)), "<=", 0)
+                    bi = b0[ui][label]
+                    p_terms = [(-1, pi, label) for pi in pu]
+                    ln.append((f"ln_a_t{{}}_u{ui}_l{label}", [(1, bi), (-1, ai)], "<=", 0))
+                    ln.append((f"ln_p_t{{}}_u{ui}_l{label}", [(1, bi)] + p_terms, "<=", 0))
+                    ln.append(
+                        (f"ln_lb_t{{}}_u{ui}_l{label}", [(1, bi), (-1, ai)] + p_terms, ">=", -1)
                     )
-                    rows.append(
-                        LinRow(f"ln_p_t{ti}_u{ui}_l{label}", ((1, bi),) + p_terms, "<=", 0)
-                    )
-                    rows.append(
-                        LinRow(
-                            f"ln_lb_t{ti}_u{ui}_l{label}",
-                            ((1, bi), (-1, ai)) + p_terms,
-                            ">=",
-                            -1,
-                        )
-                    )
+            blocks.append(row_block(ln, groups=range(0, len(ln), 6)))
 
-        # sink rows: gamma is the AND of reaching the sink and its method choice
-        for ti, (a_t, g_t) in enumerate(zip(alpha, gamma)):
-            for si, (g_ts, q_s) in enumerate(zip(g_t, q)):
-                ai = a_t[n_u + si]
-                for mi, (gi, qi) in enumerate(zip(g_ts, q_s)):
-                    rows.append(
-                        LinRow(f"sk_q_t{ti}_s{si}_m{mi}", ((1, gi), (-1, qi)), "<=", 0)
+            # sink rows: gamma is the AND of reaching the sink and its method choice
+            sk = []
+            for si, (g_s, q_s) in enumerate(zip(g0, q)):
+                ai = a0[n_u + si]
+                for mi, (gi, qi) in enumerate(zip(g_s, q_s)):
+                    sk.append((f"sk_q_t{{}}_s{si}_m{mi}", [(1, gi), (-1, qi)], "<=", 0))
+                    sk.append((f"sk_a_t{{}}_s{si}_m{mi}", [(1, gi), (-1, ai)], "<=", 0))
+                    sk.append(
+                        (f"sk_lb_t{{}}_s{si}_m{mi}", [(1, gi), (-1, qi), (-1, ai)], ">=", -1)
                     )
-                    rows.append(
-                        LinRow(f"sk_a_t{ti}_s{si}_m{mi}", ((1, gi), (-1, ai)), "<=", 0)
-                    )
-                    rows.append(
-                        LinRow(
-                            f"sk_lb_t{ti}_s{si}_m{mi}",
-                            ((1, gi), (-1, qi), (-1, ai)),
-                            ">=",
-                            -1,
-                        )
-                    )
+            blocks.append(row_block(sk))
 
-        # aggregation rows: z collects gamma over sinks
-        for ti, (z_t, g_t) in enumerate(zip(z, gamma)):
-            for mi, zi in enumerate(z_t):
-                g_terms = tuple((-1, g_ts[mi]) for g_ts in g_t)
-                rows.append(LinRow(f"ag_ub_t{ti}_m{mi}", ((1, zi),) + g_terms, "<=", 0))
-                for si, g in enumerate(g_terms):
-                    rows.append(LinRow(f"ag_lb_t{ti}_s{si}_m{mi}", ((1, zi), g), ">=", 0))
+            # aggregation rows: z collects gamma over sinks
+            ag = []
+            for mi, zi in enumerate(z0):
+                g_terms = [(-1, g_s[mi]) for g_s in g0]
+                ag.append((f"ag_ub_t{{}}_m{mi}", [(1, zi)] + g_terms, "<=", 0))
+                ag += [
+                    (f"ag_lb_t{{}}_s{si}_m{mi}", [(1, zi), g], ">=", 0)
+                    for si, g in enumerate(g_terms)
+                ]
+            blocks.append(row_block(ag))
 
         # per-setting side rows
         exprs = dict(zip(FIELDS, (self.cost_expr,) + self.obj_exprs))
-        for name, field, sense, rhs in goal.rows:
-            rows.append(LinRow(name, exprs[field], sense, rhs))
+        blocks.append(
+            row_block(
+                [(name, exprs[field], sense, rhs) for name, field, sense, rhs in goal.rows],
+                per_type=False,
+            )
+        )
+        self._blocks: tuple[_RowBlock, ...] = tuple(blocks)
+        self._row_starts = np.cumsum([0] + [b.num_rows for b in blocks]).tolist()
 
-        self.rows: tuple[LinRow, ...] = tuple(rows)
+    @property
+    def rows(self) -> "_Rows":
+        """The constraint rows in family order, read from the compiled matrix."""
+        return _Rows(self)
 
     def _build_objective(self, goal: Goal) -> None:
         merged: dict[int, int] = {}
@@ -281,7 +316,7 @@ class IPModel:
 
     @property
     def num_constraints(self) -> int:
-        return len(self.rows)
+        return self._row_starts[-1]
 
     # ------------------------------------------------------------------
     # evaluation at points
@@ -295,23 +330,11 @@ class IPModel:
         rounded as :class:`Goal` rounds it, keeping the row's integer
         solutions: down for ``<=``, up for ``>=``.
         """
-        data: list[int] = []
-        indices: list[int] = []
-        indptr = [0]
-        for row in self.rows:
-            for coef, idx in row.terms:
-                data.append(coef)
-                indices.append(idx)
-            indptr.append(len(data))
-        senses = np.array([_SENSES[row.sense] for row in self.rows], dtype=np.int8)
-        rhs = np.array(
-            [floor(row.rhs) if row.sense == "<=" else ceil(row.rhs) for row in self.rows],
-            dtype=np.int64,
+        lengths, indices, data, senses, rhs = (
+            np.concatenate(part) for part in zip(*(b.compiled() for b in self._blocks))
         )
-        a = sparse.csr_matrix(
-            (np.array(data, dtype=np.int64), np.array(indices, dtype=np.int64), indptr),
-            shape=(len(self.rows), self.num_variables),
-        )
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        a = sparse.csr_matrix((data, indices, indptr), shape=(len(lengths), self.num_variables))
         return a, senses, rhs
 
     def violations(self, point: "VariablePoint") -> tuple[str, ...]:
@@ -322,6 +345,77 @@ class IPModel:
             (senses == 1) & (lhs < rhs)
         )
         return tuple(self.rows[i].name for i in np.nonzero(bad)[0])
+
+
+@dataclass(frozen=True)
+class _RowBlock:
+    """One row family, repeated for each of ``reps`` types in type order.
+
+    Template row ``r`` holds terms ``bounds[r]:bounds[r + 1]``. For type
+    ``ti``, term ``k`` is ``coef[k]`` times variable ``base[k] + ti *
+    stride[k]`` (stride 0 for the p/q variables all types share), and is
+    dropped where ``keep[ti, k]`` is false. Row names are format strings of
+    the type id. ``groups`` holds the first row of each run of rows whose LP
+    text depends on the type only through its id's digit count and its keep
+    pattern over the run's terms.
+    """
+
+    reps: int
+    names: tuple[str, ...]
+    senses: tuple[str, ...]
+    rhs: tuple[int | Fraction, ...]
+    bounds: np.ndarray
+    coef: np.ndarray
+    base: np.ndarray
+    stride: np.ndarray
+    keep: np.ndarray  # (reps, terms) bool
+    groups: tuple[int, ...]
+
+    @property
+    def num_rows(self) -> int:
+        return self.reps * len(self.names)
+
+    def compiled(self) -> tuple[np.ndarray, ...]:
+        """Row lengths, column indices, coefficients, senses and rhs, type-major."""
+        index = self.base + np.arange(self.reps)[:, None] * self.stride
+        kept = np.zeros((self.reps, len(self.base) + 1), dtype=np.int64)
+        np.cumsum(self.keep, axis=1, out=kept[:, 1:])
+        lengths = np.diff(kept[:, self.bounds], axis=1).ravel()
+        coef = np.broadcast_to(self.coef, index.shape)
+        senses = np.array([_SENSES[s] for s in self.senses], dtype=np.int8)
+        rhs = np.array(
+            [floor(r) if s == "<=" else ceil(r) for s, r in zip(self.senses, self.rhs)],
+            dtype=np.int64,
+        )
+        return (
+            lengths,
+            index[self.keep],
+            coef[self.keep],
+            np.tile(senses, self.reps),
+            np.tile(rhs, self.reps),
+        )
+
+
+class _Rows(Sequence):
+    """The model's rows as ``LinRow`` objects, read from the compiled matrix."""
+
+    def __init__(self, model: IPModel):
+        self._model = model
+
+    def __len__(self) -> int:
+        return self._model.num_constraints
+
+    def __getitem__(self, i: int) -> LinRow:
+        model = self._model
+        if not 0 <= i < model.num_constraints:
+            raise IndexError(i)
+        bi = bisect_right(model._row_starts, i) - 1
+        block = model._blocks[bi]
+        ti, r = divmod(i - model._row_starts[bi], len(block.names))
+        a = model._compiled[0]
+        s, e = a.indptr[i], a.indptr[i + 1]
+        terms = tuple(zip(a.data[s:e].tolist(), a.indices[s:e].tolist()))
+        return LinRow(block.names[r].format(ti), terms, block.senses[r], block.rhs[r])
 
 
 @dataclass(frozen=True)
@@ -440,6 +534,54 @@ def _wrap(prefix: str, tokens: Iterator[str], tail: str) -> list[str]:
     return lines
 
 
+def _render_run(
+    block: _RowBlock, r0: int, r1: int, keep: np.ndarray, ph: str, names: Sequence[str]
+) -> str:
+    """LP text of rows ``r0:r1`` of ``block`` for a type whose id reads ``ph``.
+
+    ``keep`` is that type's keep mask over the run's terms.
+    """
+    k0, k1 = block.bounds[r0], block.bounds[r1]
+    base = block.base[k0:k1].tolist()
+    # a per-type variable is named "{letter}_t0_..." at type 0; an empty row
+    # is written "0 <first variable>"
+    var = {0: names[0]} | {
+        i: names[i][:3] + ph + names[i][4:] if s else names[i]
+        for i, s in zip(base, block.stride[k0:k1].tolist())
+    }
+    coef = block.coef[k0:k1].tolist()
+    lines: list[str] = []
+    for r in range(r0, r1):
+        ks = range(block.bounds[r] - k0, block.bounds[r + 1] - k0)
+        terms = [(coef[k], base[k]) for k in ks if keep[k]]
+        tail = f"{block.senses[r]} {_fmt_number(block.rhs[r])}"
+        lines += _wrap(f" {block.names[r].format(ph)}:", _fmt_terms(terms, var), tail)
+    return "\n".join(lines)
+
+
+def _block_lp(block: _RowBlock, names: Sequence[str]) -> Iterator[str]:
+    """LP text of a block: one string per type and row group, in row order.
+
+    A group's text depends on the type only through the digit count of its
+    id and its keep pattern over the group's terms. It is rendered once per
+    such key, with a placeholder of as many characters in place of the id
+    so that ``_wrap`` breaks lines where it would for the real id; each type
+    with that key then joins the pieces around its id.
+    """
+    cuts = (*block.groups, len(block.names))
+    runs = [(r0, r1) for r0, r1 in zip(cuts, cuts[1:]) if r0 < r1]
+    pieces: dict[tuple[int, int, bytes], list[str]] = {}
+    for ti in range(block.reps):
+        tid = str(ti)
+        for r0, r1 in runs:
+            keep = block.keep[ti, block.bounds[r0] : block.bounds[r1]]
+            key = (len(tid), r0, keep.tobytes())
+            if key not in pieces:
+                ph = "\0" * len(tid)
+                pieces[key] = _render_run(block, r0, r1, keep, ph, names).split(ph)
+            yield tid.join(pieces[key])
+
+
 def export_lp(model: IPModel) -> str:
     """Serialize the model in CPLEX-style LP text.
 
@@ -453,9 +595,8 @@ def export_lp(model: IPModel) -> str:
     out: list[str] = [model.objective_sense]
     out += _wrap(" obj:", _fmt_terms(objective, names), "")
     out.append("Subject To")
-    for row in model.rows:
-        tail = f"{row.sense} {_fmt_number(row.rhs)}"
-        out += _wrap(f" {row.name}:", _fmt_terms(row.terms, names), tail)
+    for block in model._blocks:
+        out += _block_lp(block, names)
     out.append("Binary")
     out += [f" {n}" for n in names]
     out.append("End")

@@ -407,9 +407,13 @@ class InstanceDoc:
             raise InputError(f"invalid diagram: {'; '.join(report.violations)}")
         if set(self.roles) != set(diagram.internals):
             raise InputError("roles must cover exactly the internal vertices")
+        universe = set(pop.items)
         for u, role in self.roles.items():
-            if not set(role) <= set(pop.items):
+            if not set(role) <= universe:
                 raise InputError(f"role at {u} names an item outside the universe")
+        for k, category in enumerate(self.categories):
+            if not set(category) <= universe:
+                raise InputError(f"category {k} names an item outside the universe")
         initial = self.initial
         if not initial.covers(diagram):
             raise InputError("initial labels must cover exactly the diagram's vertices")

@@ -4,10 +4,15 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import replace
+from fractions import Fraction
+from math import ceil, floor
+
+import numpy as np
 
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
+from scipy import sparse
 
 from diagopt.candidates import CandidateFamily
 from diagopt.core import (
@@ -20,7 +25,7 @@ from diagopt.core import (
     MethodUniverse,
     Population,
 )
-from diagopt.encoder import Instance
+from diagopt.encoder import _SENSES, Instance, _fmt_number, _fmt_terms, _wrap
 from diagopt.problem import Goal
 from diagopt.solver import _frontier, _partial_bounds, _Tables
 
@@ -215,6 +220,52 @@ def prefix_bound(inst: Instance, prefix: tuple[int, ...], setting: int):
     matches = sum(map(operator.eq, prefix, tb.match))
     m = _partial_bounds(tb, len(prefix), _frontier(tb, prefix), matches)
     return goal.value(goal.score(m))
+
+
+def reference_lp(model) -> str:
+    """The model's LP text written row by row from ``model.rows``.
+
+    The reference for ``export_lp``, which renders each row block once per
+    text shape: objective, rows, Binary section and End marker, each row
+    wrapped by the encoder's own ``_wrap``/``_fmt_terms``.
+    """
+    names = model.names
+    d = model.objective_divisor
+    objective = model.objective if d is None else [(Fraction(c, d), i) for c, i in model.objective]
+    out = [model.objective_sense]
+    out += _wrap(" obj:", _fmt_terms(objective, names), "")
+    out.append("Subject To")
+    for row in model.rows:
+        tail = f"{row.sense} {_fmt_number(row.rhs)}"
+        out += _wrap(f" {row.name}:", _fmt_terms(row.terms, names), tail)
+    out.append("Binary")
+    out += [f" {n}" for n in names]
+    out.append("End")
+    return "\n".join(out) + "\n"
+
+
+def reference_compiled(model):
+    """Integer (A, sense, rhs) built by looping over ``model.rows``.
+
+    The reference for ``model._compiled``; a fractional right-hand side is
+    rounded down for ``<=`` and up for ``>=``.
+    """
+    data: list[int] = []
+    indices: list[int] = []
+    indptr = [0]
+    senses, rhs = [], []
+    for row in model.rows:
+        for coef, idx in row.terms:
+            data.append(coef)
+            indices.append(idx)
+        indptr.append(len(data))
+        senses.append(_SENSES[row.sense])
+        rhs.append(floor(row.rhs) if row.sense == "<=" else ceil(row.rhs))
+    a = sparse.csr_matrix(
+        (np.array(data, dtype=np.int64), np.array(indices, dtype=np.int64), indptr),
+        shape=(len(indptr) - 1, model.num_variables),
+    )
+    return a, np.array(senses, dtype=np.int8), np.array(rhs, dtype=np.int64)
 
 
 @pytest.fixture

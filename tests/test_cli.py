@@ -386,6 +386,10 @@ def _role_with_item_outside_universe(obj):
     obj["roles"]["v1"].append(99)
 
 
+def _category_outside_universe(obj):
+    obj["categories"].append([999, 998])
+
+
 def _role_without_deployed_label(obj):
     obj["roles"]["v1"] = [2, 3]  # the deployed label {1, 4, 8} is no longer a candidate
 
@@ -404,6 +408,7 @@ class TestErrors:
             _role_outside_universe,
             _role_with_item_outside_universe,
             _role_without_deployed_label,
+            _category_outside_universe,
         ],
     )
     def test_malformed_instance_is_one_error_line(self, workspace, tmp_path, capsys, corrupt):

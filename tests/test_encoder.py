@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagopt.candidates import CandidateFamily
-from diagopt.core import Assignment, InputError, evaluate, reached_sinks
+from diagopt.core import Assignment, ExamineeType, InputError, evaluate, reached_sinks
 from diagopt.datagen import GenConfig, generate_population
 from diagopt.encoder import (
     BuildError,
@@ -23,8 +24,16 @@ from diagopt.encoder import (
     export_lp,
 )
 from diagopt.instances import build_instance
+from diagopt.problem import Instance
 from conftest import random_feasible_assignment as random_feasible
-from conftest import point_metrics, random_toy_instance, tiny_instance, valid_diagram
+from conftest import (
+    point_metrics,
+    random_toy_instance,
+    reference_compiled,
+    reference_lp,
+    tiny_instance,
+    valid_diagram,
+)
 from lp_reader import parse_lp
 
 SIDE_ROWS = ("budget", "target_obj1", "target_obj2", "target_obj3")
@@ -42,6 +51,10 @@ PINNED_LP_SHA256 = {
     (3, 2): "1f30760339bd8ef4b21c3e0315d85f68ae7035c8ed784c86be977b68dbfb694c",
     (3, 3): "31b82af2c9d3b906ba67479a60a0b936bef25c5ad5983f9daadce09541e135b2",
 }
+# sha256 of export_lp for instance 3, setting 1 on a population of 1,032 types,
+# so that type ids reach four digits
+WIDE_POP = GenConfig(n=1050, seed=20240601)
+WIDE_LP_SHA256 = "55db5cf5f57eadb33d908e94fcfa3ea90e7c97996656c6d314655318a83c65ad"
 
 
 def structural_violations(model, point) -> tuple[str, ...]:
@@ -519,6 +532,12 @@ class TestExportLp:
         text = export_lp(build_model(build_instance(iid, pinned_pop), setting))
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_LP_SHA256[iid, setting]
 
+    def test_lp_bytes_are_pinned_at_four_digit_type_ids(self):
+        pop = generate_population(WIDE_POP)
+        assert len(pop.types) == 1032
+        text = export_lp(build_model(build_instance(3, pop), 1))
+        assert hashlib.sha256(text.encode()).hexdigest() == WIDE_LP_SHA256
+
     def test_fractional_objective_survives_round_trip(self):
         inst = tiny_instance(targets=(3, 5, 7))
         model = build_model(inst, 1)
@@ -558,3 +577,70 @@ class TestExportLp:
         parsed = parse_lp(text)
         assert parsed.sense == "Minimize"
         assert parsed.constraint_count == model.num_constraints
+
+
+def with_random_types(inst: Instance, rng: random.Random, n_types: int) -> Instance:
+    """``inst`` over ``n_types`` random examinee types on the same universes."""
+    pop = inst.population
+    types = tuple(
+        ExamineeType(
+            id=i,
+            weight=rng.randint(1, 9),
+            x=tuple(rng.randint(0, 1) for _ in pop.items.items),
+            y=tuple(rng.randint(0, 1) for _ in pop.methods.methods),
+            z=rng.randint(0, 1),
+        )
+        for i in range(n_types)
+    )
+    return Instance(
+        diagram=inst.diagram,
+        population=replace(pop, types=types),
+        families=inst.families,
+        initial=inst.initial,
+        budget=inst.budget,
+        targets=inst.targets,
+    )
+
+
+def wrapped_typed_rows(text: str) -> int:
+    """Per-type rows (names ``*_t<id>*``) whose LP text spans several lines."""
+    rows = text.split("\nSubject To\n")[1].split("\nBinary\n")[0].splitlines()
+    wrapped, name = set(), ""
+    for line in rows:
+        if ":" in line:
+            name = line.split(":")[0]
+        elif "_t" in name:
+            wrapped.add(name)
+    return len(wrapped)
+
+
+class TestBlockWriter:
+    """The per-type block writer and compiled matrix against row-by-row references."""
+
+    @staticmethod
+    def assert_matches_reference(model):
+        assert export_lp(model) == reference_lp(model)
+        (a, senses, rhs), (ref_a, ref_senses, ref_rhs) = model._compiled, reference_compiled(model)
+        assert a.shape == ref_a.shape
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a, part), getattr(ref_a, part))
+        assert senses.dtype == ref_senses.dtype and np.array_equal(senses, ref_senses)
+        assert rhs.dtype == ref_rhs.dtype and np.array_equal(rhs, ref_rhs)
+
+    @pytest.mark.parametrize("setting", [1, 2, 3])
+    def test_random_toys_match_the_reference(self, rng, setting):
+        for scale in ("small", "full"):
+            for _ in range(6):
+                model = build_model(random_toy_instance(rng, scale), setting)
+                self.assert_matches_reference(model)
+
+    @pytest.mark.parametrize("setting", [1, 2, 3])
+    def test_zero_and_many_types_match_the_reference(self, rng, setting):
+        base = random_toy_instance(rng, "full")
+        while max(map(len, base.families.values())) < 4:  # long enough ln_lb rows to wrap
+            base = random_toy_instance(rng, "full")
+        for n_types in (0, 1, 12, 120):
+            model = build_model(with_random_types(base, rng, n_types), setting)
+            assert model.n_types == n_types
+            self.assert_matches_reference(model)
+        assert wrapped_typed_rows(export_lp(model)) > 0
