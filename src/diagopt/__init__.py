@@ -26,7 +26,6 @@ from .core import (
     MethodUniverse,
     Population,
     evaluate,
-    validate_diagram,
 )
 from .datagen import (
     Categorical,

@@ -151,10 +151,10 @@ class Arc:
 class Diagram:
     """Single-source DAG with binary-labeled out-arcs on internal vertices.
 
-    Structural invariants (acyclicity, unique source, exactly one 0- and one
-    1-labeled out-arc per internal vertex) are checked by
-    :func:`validate_diagram`, not at construction, so that malformed inputs
-    can be reported rather than rejected wholesale.
+    Construction checks every structural invariant (acyclicity, a unique
+    source, exactly one 0- and one 1-labeled out-arc per internal vertex) and
+    raises one :class:`InputError` listing each violation found, so a built
+    diagram is valid and ``heads`` gives each internal vertex's successors.
     """
 
     vertices: tuple[Vertex, ...]
@@ -167,6 +167,27 @@ class Diagram:
         for a in self.arcs:
             if a.tail not in known or a.head not in known:
                 raise InputError(f"arc {a.tail}->{a.head} references unknown vertex")
+
+        violations = [
+            f"arc {a.tail}->{a.head} has label {a.label}, expected 0 or 1"
+            for a in self.arcs
+            if a.label not in (0, 1)
+        ]
+        cyclic = len(self.topo_order) != len(self.vertices)
+        if cyclic:
+            violations.append("cycle detected")
+        sources = [v for v in self.vertices if not self._in[v]]
+        if not sources and not cyclic:
+            violations.append("no source vertex")
+        elif len(sources) > 1:
+            violations.append(f"multiple sources: {', '.join(sorted(sources))}")
+        for v, out in self._out.items():
+            if out and len(out) != 2:
+                violations.append(f"vertex {v} has out-degree {len(out)}, expected 2")
+            if len(out) == 2 and out[0].label == out[1].label:
+                violations.append(f"duplicate arc label at {v}")
+        if violations:
+            raise InputError(f"invalid diagram: {'; '.join(violations)}")
 
     @cached_property
     def _out(self) -> dict[Vertex, list[Arc]]:
@@ -193,15 +214,24 @@ class Diagram:
         return tuple(v for v in self.topo_order if self._out[v])
 
     @cached_property
+    def heads(self) -> dict[Vertex, tuple[Vertex, Vertex]]:
+        """Each internal vertex's (0-successor, 1-successor), in topological order."""
+        return {
+            u: tuple(a.head for a in sorted(self._out[u], key=lambda a: a.label))
+            for u in self.internals
+        }
+
+    @cached_property
     def source(self) -> Vertex:
-        sources = [v for v in self.vertices if not self._in[v]]
-        if len(sources) != 1:
-            raise InputError(f"diagram has {len(sources)} sources, expected exactly 1")
-        return sources[0]
+        return self.topo_order[0]
 
     @cached_property
     def topo_order(self) -> tuple[Vertex, ...]:
-        """Deterministic topological order; ties resolved by vertex declaration order."""
+        """Deterministic topological order; ties resolved by vertex declaration order.
+
+        On a cycle (which construction rejects) it holds only the vertices
+        ordered before the cycle blocks the rest.
+        """
         rank = {v: i for i, v in enumerate(self.vertices)}
         indeg = {v: len(self._in[v]) for v in self.vertices}
         ready = sorted((v for v in self.vertices if indeg[v] == 0), key=rank.__getitem__)
@@ -216,15 +246,7 @@ class Diagram:
                     freed.append(a.head)
             if freed:
                 ready = sorted(ready + freed, key=rank.__getitem__)
-        if len(order) != len(self.vertices):
-            raise InputError("diagram contains a cycle")
         return tuple(order)
-
-    def out_arc(self, u: Vertex, label: int) -> Arc:
-        for a in self._out[u]:
-            if a.label == label:
-                return a
-        raise InputError(f"vertex {u} has no out-arc labeled {label}")
 
 
 @dataclass(frozen=True)
@@ -259,44 +281,6 @@ class Metrics(NamedTuple):
     obj3: int
 
 
-class ValidationReport(NamedTuple):
-    ok: bool
-    violations: tuple[str, ...]
-
-
-def validate_diagram(d: Diagram) -> ValidationReport:
-    """Check the structural invariants and report every violation found."""
-    violations: list[str] = []
-
-    for a in d.arcs:
-        if a.label not in (0, 1):
-            violations.append(f"arc {a.tail}->{a.head} has label {a.label}, expected 0 or 1")
-
-    cyclic = False
-    try:
-        d.topo_order
-    except InputError:
-        cyclic = True
-        violations.append("cycle detected")
-
-    sources = [v for v in d.vertices if not d._in[v]]
-    if len(sources) == 0 and not cyclic:
-        violations.append("no source vertex")
-    elif len(sources) > 1:
-        violations.append(f"multiple sources: {', '.join(sorted(sources))}")
-
-    for v in d.vertices:
-        out = d._out[v]
-        if not out:
-            continue
-        if len(out) != 2:
-            violations.append(f"vertex {v} has out-degree {len(out)}, expected 2")
-        if len(out) == 2 and out[0].label == out[1].label:
-            violations.append(f"duplicate arc label at {v}")
-
-    return ValidationReport(ok=not violations, violations=tuple(violations))
-
-
 # a decorated vertex's carried item positions, then its 0- and 1-successors
 _Step = tuple[tuple[int, ...], Vertex, Vertex]
 
@@ -304,12 +288,8 @@ _Step = tuple[tuple[int, ...], Vertex, Vertex]
 def _walk_table(d: Diagram, phi: Assignment, items: ItemUniverse) -> dict[Vertex, _Step]:
     """Every decorated vertex's step, resolved once per assignment."""
     return {
-        u: (
-            tuple(items.index(i) for i in phi.node_items[u]),
-            d.out_arc(u, 0).head,
-            d.out_arc(u, 1).head,
-        )
-        for u in d.vertices
+        u: (tuple(items.index(i) for i in phi.node_items[u]), *heads)
+        for u, heads in d.heads.items()
         if u in phi.node_items
     }
 

@@ -71,19 +71,6 @@ AttributeSpec = TruncatedNormal | Categorical
 
 
 @dataclass(frozen=True)
-class RawRecord:
-    """One sampled examinee before binarization."""
-
-    values: Mapping[str, float]
-
-    def __getitem__(self, attr: str) -> float:
-        try:
-            return self.values[attr]
-        except KeyError:
-            raise InputError(f"raw record is missing attribute {attr!r}") from None
-
-
-@dataclass(frozen=True)
 class Predicate:
     """Single-item test over raw attributes.
 
@@ -101,7 +88,7 @@ class Predicate:
         if self.op not in ("ge", "lt", "eq", "band", "bit"):
             raise InputError(f"unknown predicate op {self.op!r}")
 
-    def evaluate(self, raw: RawRecord) -> int:
+    def evaluate(self, raw: Mapping[str, float]) -> int:
         v = raw[self.attr]
         if self.op == "ge":
             return int(v >= self.value)
@@ -158,10 +145,14 @@ class GenConfig:
                 raise InputError(f"response probability for unknown method {m}")
             if not 0.0 <= p <= 1.0:
                 raise InputError(f"response probability for method {m} must lie in [0, 1]")
+        drawn = {spec.name for spec in self.specs}
+        for item, pred in self.thresholds.entries:
+            if pred.attr not in drawn:
+                raise InputError(f"item {item} reads attribute {pred.attr!r}, which no spec draws")
 
 
-def sample_raw(specs: Iterable[AttributeSpec], rng: random.Random) -> RawRecord:
-    """Draw one raw record, consuming the stream in spec declaration order."""
+def sample_raw(specs: Iterable[AttributeSpec], rng: random.Random) -> dict[str, float]:
+    """Draw one raw record, each attribute's value by name, in spec declaration order."""
     values: dict[str, float] = {}
     for spec in specs:
         if isinstance(spec, TruncatedNormal):
@@ -184,10 +175,10 @@ def sample_raw(specs: Iterable[AttributeSpec], rng: random.Random) -> RawRecord:
                     chosen = value
                     break
             values[spec.name] = chosen
-    return RawRecord(values=values)
+    return values
 
 
-def binarize(raw: RawRecord, tbl: ThresholdTable) -> tuple[int, ...]:
+def binarize(raw: Mapping[str, float], tbl: ThresholdTable) -> tuple[int, ...]:
     """Evaluate every item predicate on one raw record."""
     return tuple(pred.evaluate(raw) for _, pred in tbl.entries)
 

@@ -456,12 +456,10 @@ def encode_assignment(model: IPModel, phi: Assignment) -> VariablePoint:
     n_t = model.n_types
     reach: dict[Vertex, np.ndarray] = {v: np.zeros(n_t, dtype=bool) for v in d.vertices}
     reach[d.source] = np.ones(n_t, dtype=bool)
-    for u in d.topo_order:
-        if u not in phi.node_items:
-            continue
+    for u, (head0, head1) in d.heads.items():
         ones = inst.indicator_column(phi.node_items[u])
-        reach[d.out_arc(u, 1).head] |= reach[u] & ones
-        reach[d.out_arc(u, 0).head] |= reach[u] & ~ones
+        reach[head1] |= reach[u] & ones
+        reach[head0] |= reach[u] & ~ones
 
     for vi, v in enumerate(model.vertex_order):
         x[model.alpha[:, vi]] = reach[v]

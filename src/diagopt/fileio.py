@@ -8,13 +8,15 @@ codec: methods (``_methods_to_obj`` / ``_methods_from_obj``) and assignment
 labels (``_labels_to_obj`` / ``assignment_from_obj``). Every reader goes
 through ``_from_doc``, so a schema error is one ``FormatError`` naming the file,
 and reads integer fields through ``_int``, which rejects a float or a bool
-instead of truncating it.
+instead of truncating it, and real fields through ``_float``, which rejects a
+string, a bool or a non-finite number.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Mapping, TypeVar
@@ -30,7 +32,6 @@ from .core import (
     MethodUniverse,
     Population,
     Vertex,
-    validate_diagram,
 )
 from .datagen import (
     AttributeSpec,
@@ -114,6 +115,13 @@ def _int(value: Any) -> int:
     if type(value) is not int:
         raise ValueError(f"{value!r} is not an integer")
     return value
+
+
+def _float(value: Any) -> float:
+    """A JSON real field: a finite number; a string or a bool is an error."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
+    return float(value)
 
 
 def _members(ids: Any, universe: set[int], what: str) -> set[int]:
@@ -231,13 +239,13 @@ def _attribute_from_obj(obj: Mapping[str, Any]) -> AttributeSpec:
     if kind == "truncnormal":
         return TruncatedNormal(
             name=name,
-            lo=float(obj["lo"]),
-            hi=float(obj["hi"]),
-            mean=float(obj["mean"]),
-            sd=float(obj["sd"]),
+            lo=_float(obj["lo"]),
+            hi=_float(obj["hi"]),
+            mean=_float(obj["mean"]),
+            sd=_float(obj["sd"]),
         )
     if kind == "categorical":
-        table = tuple((float(v), float(p)) for v, p in obj["table"])
+        table = tuple((_float(v), _float(p)) for v, p in obj["table"])
         return Categorical(name=name, table=table)
     raise ValueError(f"attribute {name}: unknown kind {kind!r}")
 
@@ -263,8 +271,8 @@ def _predicate_from_obj(obj: Mapping[str, Any]) -> Predicate:
     return Predicate(
         op=str(obj["op"]),
         attr=str(obj["attr"]),
-        value=float(obj.get("value", 0.0)),
-        upper=float(obj.get("upper", 0.0)),
+        value=_float(obj.get("value", 0.0)),
+        upper=_float(obj.get("upper", 0.0)),
     )
 
 
@@ -300,8 +308,8 @@ def _genconfig_from_obj(obj: Mapping[str, Any]) -> GenConfig:
             tuple((_int(item), _predicate_from_obj(p)) for item, p in obj["thresholds"])
         ),
         methods=_methods_from_obj(obj["methods"]),
-        response_probs={int(m): float(p) for m, p in obj["response_probs"].items()},
-        improvement_prob=float(obj["improvement_prob"]),
+        response_probs={int(m): _float(p) for m, p in obj["response_probs"].items()},
+        improvement_prob=_float(obj["improvement_prob"]),
     )
 
 
@@ -402,9 +410,6 @@ class InstanceDoc:
             vertices=self.vertices,
             arcs=tuple(Arc(t, h, l) for t, h, l in self.arcs),
         )
-        report = validate_diagram(diagram)
-        if not report.ok:
-            raise InputError(f"invalid diagram: {'; '.join(report.violations)}")
         if set(self.roles) != set(diagram.internals):
             raise InputError("roles must cover exactly the internal vertices")
         universe = set(pop.items)
@@ -483,19 +488,10 @@ def report_to_obj(sol: Solution, solver_name: str) -> dict[str, Any]:
         "status": sol.status,
         "objective": _objective_to_obj(sol.objective_value),
         "best_bound": _objective_to_obj(sol.best_bound),
-        "stats": {
-            "nodes": sol.stats.nodes,
-            "dominated": sol.stats.dominated,
-            "wall_time": sol.stats.wall_time,
-        },
+        "stats": asdict(sol.stats),
     }
     if sol.metrics is not None:
-        obj["metrics"] = {
-            "cost": sol.metrics.cost,
-            "obj1": sol.metrics.obj1,
-            "obj2": sol.metrics.obj2,
-            "obj3": sol.metrics.obj3,
-        }
+        obj["metrics"] = sol.metrics._asdict()
     if sol.assignment is not None:
         obj["assignment"] = _labels_to_obj(sol.assignment)
     return obj

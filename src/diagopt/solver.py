@@ -137,9 +137,7 @@ class _Tables:
         self.ones = [
             [mask(inst.indicator_column(c)) for c in cands] for cands in inst.choices[:n]
         ]
-        self.heads = [
-            (pos[d.out_arc(u, 0).head], pos[d.out_arc(u, 1).head]) for u in d.internals
-        ]
+        self.heads = [(pos[h0], pos[h1]) for h0, h1 in d.heads.values()]
 
         # the deployed choice per position, for the similarity objective, and
         # branch order: internal candidates closest to the deployed label

@@ -25,8 +25,8 @@ from diagopt.core import (
     MethodUniverse,
     Population,
 )
-from diagopt.encoder import _SENSES, Instance, _fmt_number, _fmt_terms, _wrap
-from diagopt.problem import Goal
+from diagopt.encoder import _SENSES, Instance, LinRow, _fmt_number, _fmt_terms, _wrap
+from diagopt.problem import FIELDS, Goal
 from diagopt.solver import _frontier, _partial_bounds, _Tables
 
 
@@ -124,10 +124,10 @@ def random_toy_instance(
             later = list(internals[i + 1 :]) + list(sinks)
             arcs.append(Arc(u, rng.choice(later), 0))
             arcs.append(Arc(u, rng.choice(later), 1))
-        d = Diagram(vertices=vertices, arcs=tuple(arcs))
         heads = {a.head for a in arcs}
         if all(v in heads for v in vertices[1:]):
             break
+    d = Diagram(vertices=vertices, arcs=tuple(arcs))
 
     families = {}
     node_labels = {}
@@ -192,11 +192,10 @@ def valid_diagram(draw, max_internal: int = 4, max_sinks: int = 3):
         later = list(internals[i + 1 :]) + list(sinks)
         arcs.append(Arc(u, draw(st.sampled_from(later)), 0))
         arcs.append(Arc(u, draw(st.sampled_from(later)), 1))
-    d = Diagram(vertices=vertices, arcs=tuple(arcs))
-    heads = {a.head for a in d.arcs}
+    heads = {a.head for a in arcs}
     # vertices without in-arcs would add extra sources
     assume(all(v in heads for v in vertices[1:]))
-    return d
+    return Diagram(vertices=vertices, arcs=tuple(arcs))
 
 
 def random_feasible_assignment(inst: Instance, rng: random.Random) -> Assignment:
@@ -222,8 +221,103 @@ def prefix_bound(inst: Instance, prefix: tuple[int, ...], setting: int):
     return goal.value(goal.score(m))
 
 
+def reference_rows(model) -> list[LinRow]:
+    """The model's rows written one by one from its variable layout.
+
+    The reference for the encoder's per-type row blocks: it reads only the
+    variable arrays, the instance and the setting's side rows, never the
+    blocks or the compiled matrix.
+    """
+    inst = model.instance
+    d = inst.diagram
+    n_u = len(model.internals)
+    p = [b.tolist() for b in model.p]
+    q, alpha, beta, gamma, z = (
+        b.tolist() for b in (model.q, model.alpha, model.beta, model.gamma, model.z)
+    )
+    rows: list[LinRow] = []
+
+    # assignment rows: one candidate per vertex, one method per sink
+    for ui, pu in enumerate(p):
+        rows.append(LinRow(f"asg_u{ui}", tuple((1, i) for i in pu), "=", 1))
+    for si, qs in enumerate(q):
+        rows.append(LinRow(f"asg_s{si}", tuple((1, i) for i in qs), "=", 1))
+
+    # routing rows: the source is visited; another vertex is visited exactly
+    # when some predecessor forwards the walk into it
+    vpos = {v: vi for vi, v in enumerate(model.vertex_order)}
+    in_arcs: list[list[tuple[int, int]]] = [[] for _ in model.vertex_order]
+    for a in d.arcs:
+        in_arcs[vpos[a.head]].append((vpos[a.tail], a.label))
+    root = vpos[d.source]
+    for ti, (a_t, b_t) in enumerate(zip(alpha, beta)):
+        rows.append(LinRow(f"rt_src_t{ti}", ((1, a_t[root]),), "=", 1))
+        for vi, arcs_in in enumerate(in_arcs):
+            if vi == root:
+                continue
+            ub_terms = ((1, a_t[vi]),) + tuple((-1, b_t[ui][lb]) for ui, lb in arcs_in)
+            rows.append(LinRow(f"rt_ub_t{ti}_v{vi}", ub_terms, "<=", 0))
+            for ui, lb in arcs_in:
+                rows.append(
+                    LinRow(
+                        f"rt_lb_t{ti}_v{vi}_u{ui}_l{lb}",
+                        ((1, a_t[vi]), (-1, b_t[ui][lb])),
+                        ">=",
+                        0,
+                    )
+                )
+
+    # linking rows: beta fires exactly when the vertex is visited and the
+    # chosen candidate's indicator equals the label
+    fires = [
+        [inst.indicator_column(c).tolist() for c in cands] for cands in model.candidates
+    ]  # per vertex, (candidates x types)
+    for ti, (a_t, b_t) in enumerate(zip(alpha, beta)):
+        for ui, pu in enumerate(p):
+            ai = a_t[ui]
+            for label in (0, 1):
+                bi = b_t[ui][label]
+                p_terms = tuple(
+                    (-1, pi) for pi, col in zip(pu, fires[ui]) if col[ti] == label
+                )
+                rows.append(LinRow(f"ln_a_t{ti}_u{ui}_l{label}", ((1, bi), (-1, ai)), "<=", 0))
+                rows.append(LinRow(f"ln_p_t{ti}_u{ui}_l{label}", ((1, bi),) + p_terms, "<=", 0))
+                rows.append(
+                    LinRow(
+                        f"ln_lb_t{ti}_u{ui}_l{label}", ((1, bi), (-1, ai)) + p_terms, ">=", -1
+                    )
+                )
+
+    # sink rows: gamma is the AND of reaching the sink and its method choice
+    for ti, (a_t, g_t) in enumerate(zip(alpha, gamma)):
+        for si, (g_ts, q_s) in enumerate(zip(g_t, q)):
+            ai = a_t[n_u + si]
+            for mi, (gi, qi) in enumerate(zip(g_ts, q_s)):
+                rows.append(LinRow(f"sk_q_t{ti}_s{si}_m{mi}", ((1, gi), (-1, qi)), "<=", 0))
+                rows.append(LinRow(f"sk_a_t{ti}_s{si}_m{mi}", ((1, gi), (-1, ai)), "<=", 0))
+                rows.append(
+                    LinRow(
+                        f"sk_lb_t{ti}_s{si}_m{mi}", ((1, gi), (-1, qi), (-1, ai)), ">=", -1
+                    )
+                )
+
+    # aggregation rows: z collects gamma over sinks
+    for ti, (z_t, g_t) in enumerate(zip(z, gamma)):
+        for mi, zi in enumerate(z_t):
+            g_terms = tuple((-1, g_ts[mi]) for g_ts in g_t)
+            rows.append(LinRow(f"ag_ub_t{ti}_m{mi}", ((1, zi),) + g_terms, "<=", 0))
+            for si, g in enumerate(g_terms):
+                rows.append(LinRow(f"ag_lb_t{ti}_s{si}_m{mi}", ((1, zi), g), ">=", 0))
+
+    # per-setting side rows
+    exprs = dict(zip(FIELDS, (model.cost_expr,) + model.obj_exprs))
+    for name, field, sense, rhs in Goal(inst, model.setting).rows:
+        rows.append(LinRow(name, exprs[field], sense, rhs))
+    return rows
+
+
 def reference_lp(model) -> str:
-    """The model's LP text written row by row from ``model.rows``.
+    """The model's LP text written row by row from ``reference_rows``.
 
     The reference for ``export_lp``, which renders each row block once per
     text shape: objective, rows, Binary section and End marker, each row
@@ -235,7 +329,7 @@ def reference_lp(model) -> str:
     out = [model.objective_sense]
     out += _wrap(" obj:", _fmt_terms(objective, names), "")
     out.append("Subject To")
-    for row in model.rows:
+    for row in reference_rows(model):
         tail = f"{row.sense} {_fmt_number(row.rhs)}"
         out += _wrap(f" {row.name}:", _fmt_terms(row.terms, names), tail)
     out.append("Binary")
@@ -245,7 +339,7 @@ def reference_lp(model) -> str:
 
 
 def reference_compiled(model):
-    """Integer (A, sense, rhs) built by looping over ``model.rows``.
+    """Integer (A, sense, rhs) built by looping over ``reference_rows``.
 
     The reference for ``model._compiled``; a fractional right-hand side is
     rounded down for ``<=`` and up for ``>=``.
@@ -254,7 +348,7 @@ def reference_compiled(model):
     indices: list[int] = []
     indptr = [0]
     senses, rhs = [], []
-    for row in model.rows:
+    for row in reference_rows(model):
         for coef, idx in row.terms:
             data.append(coef)
             indices.append(idx)

@@ -394,6 +394,18 @@ def _role_without_deployed_label(obj):
     obj["roles"]["v1"] = [2, 3]  # the deployed label {1, 4, 8} is no longer a candidate
 
 
+def _second_one_arc(obj):
+    obj["arcs"].append(["v1", "s2", 1])
+
+
+def _sink_to_source_arc(obj):
+    obj["arcs"].append(["s1", "r", 0])
+
+
+def _extra_source(obj):
+    obj["vertices"].append("x")
+
+
 class TestErrors:
     @pytest.mark.parametrize(
         "corrupt",
@@ -409,6 +421,7 @@ class TestErrors:
             _role_with_item_outside_universe,
             _role_without_deployed_label,
             _category_outside_universe,
+            _second_one_arc,
         ],
     )
     def test_malformed_instance_is_one_error_line(self, workspace, tmp_path, capsys, corrupt):
@@ -424,6 +437,25 @@ class TestErrors:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "Traceback" not in err
             assert str(bad) in err
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (_arc_labeled_seven, "arc r->s1 has label 7, expected 0 or 1"),
+            (_second_one_arc, "vertex v1 has out-degree 3, expected 2"),
+            (_sink_to_source_arc, "cycle detected; vertex s1 has out-degree 1, expected 2"),
+            (_extra_source, "multiple sources: r, x"),
+        ],
+    )
+    def test_invalid_diagram_error_text(self, workspace, tmp_path, capsys, corrupt, message):
+        _, _, inst_path = workspace
+        obj = json.loads(inst_path.read_text())
+        corrupt(obj)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["solve", "--instance", str(bad), "--setting", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: invalid diagram: {message}\n"
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main([
@@ -502,13 +534,32 @@ def _nameless_attribute(docs):
     del docs["genconfig"]["attributes"][0]["name"]
 
 
-def _run_on_files(tmp: Path, kind: str, docs: dict) -> int:
+def _string_probability(docs):
+    docs["genconfig"]["improvement_prob"] = "0.5"
+
+
+def _boolean_probability(docs):
+    docs["genconfig"]["improvement_prob"] = True
+
+
+def _nan_mean(docs):
+    spec = docs["genconfig"]["attributes"][1]
+    assert spec["name"] == "fasting_blood_glucose"
+    spec["mean"] = float("nan")  # json writes NaN
+
+
+def _undrawn_attribute(docs):
+    attrs = docs["genconfig"]["attributes"]
+    attrs[:] = [a for a in attrs if a["name"] != "egfr"]  # items 25-35 still read it
+
+
+def _run_on_files(tmp: Path, kind: str, docs: dict, n: int = 5) -> int:
     """Write the documents and run the command that reads the one of ``kind``."""
     paths = {name: tmp / f"{name}.json" for name in docs}
     for name, obj in docs.items():
         paths[name].write_text(json.dumps(obj))
     if kind == "genconfig":
-        argv = ["generate", "--config", str(paths[kind]), "--seed", "1", "--n", "5",
+        argv = ["generate", "--config", str(paths[kind]), "--seed", "1", "--n", str(n),
                 "--out", str(tmp / "out.json")]
     elif kind == "assignment":
         argv = ["eval", "--instance", str(paths["instance"]),
@@ -539,6 +590,10 @@ class TestMalformedDocuments:
             ("assignment", _assignment_covering_nothing),
             ("genconfig", _genconfig_list),
             ("genconfig", _nameless_attribute),
+            ("genconfig", _string_probability),
+            ("genconfig", _boolean_probability),
+            ("genconfig", _nan_mean),
+            ("genconfig", _undrawn_attribute),
         ],
     )
     def test_one_error_line(self, tmp_path, capsys, kind, corrupt):
@@ -551,6 +606,16 @@ class TestMalformedDocuments:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert str(tmp_path / f"{kind}.json") in err
+
+    def test_undrawn_attribute_is_an_error_without_records(self, tmp_path, capsys):
+        docs = _file_docs()
+        _undrawn_attribute(docs)
+        assert _run_on_files(tmp_path, "genconfig", docs, n=0) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {tmp_path / 'genconfig.json'}: malformed genconfig document "
+            "(item 25 reads attribute 'egfr', which no spec draws)\n"
+        )
 
 
 def _locations(obj, at=()):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from diagopt.core import (
     _walk_table,
     evaluate,
     reached_sinks,
-    validate_diagram,
 )
 from conftest import make_type, one_test_diagram, valid_diagram
 
@@ -68,54 +68,87 @@ class TestUniverses:
 class TestValidateDiagram:
     def test_single_vertex_is_valid(self):
         d = Diagram(vertices=("r",), arcs=())
-        report = validate_diagram(d)
-        assert report.ok
         assert d.internals == ()
         assert d.sinks == ("r",)
         assert d.source == "r"
+        assert d.heads == {}
 
     def test_duplicate_labels_flagged(self):
-        d = Diagram(
-            vertices=("r", "a", "b"),
-            arcs=(Arc("r", "a", 1), Arc("r", "b", 1)),
-        )
-        report = validate_diagram(d)
-        assert not report.ok
-        assert any("duplicate arc label at r" in v for v in report.violations)
+        with pytest.raises(InputError, match="duplicate arc label at r"):
+            Diagram(
+                vertices=("r", "a", "b"),
+                arcs=(Arc("r", "a", 1), Arc("r", "b", 1)),
+            )
 
     def test_cycle_flagged(self):
-        d = Diagram(
-            vertices=("r", "v", "s1", "s2"),
-            arcs=(
-                Arc("r", "v", 0),
-                Arc("r", "v", 1),
-                Arc("v", "s1", 0),
-                Arc("v", "s2", 1),
-                Arc("s1", "r", 0),
-            ),
-        )
-        report = validate_diagram(d)
-        assert not report.ok
-        assert any("cycle" in v for v in report.violations)
+        with pytest.raises(InputError, match="cycle"):
+            Diagram(
+                vertices=("r", "v", "s1", "s2"),
+                arcs=(
+                    Arc("r", "v", 0),
+                    Arc("r", "v", 1),
+                    Arc("v", "s1", 0),
+                    Arc("v", "s2", 1),
+                    Arc("s1", "r", 0),
+                ),
+            )
 
     def test_multiple_sources_flagged(self):
-        d = Diagram(
-            vertices=("a", "b", "s"),
-            arcs=(Arc("a", "s", 0), Arc("a", "s", 1), Arc("b", "s", 0), Arc("b", "s", 1)),
-        )
-        report = validate_diagram(d)
-        assert not report.ok
-        assert any("multiple sources" in v for v in report.violations)
+        with pytest.raises(InputError, match="multiple sources"):
+            Diagram(
+                vertices=("a", "b", "s"),
+                arcs=(Arc("a", "s", 0), Arc("a", "s", 1), Arc("b", "s", 0), Arc("b", "s", 1)),
+            )
 
     def test_out_degree_one_flagged(self):
-        d = Diagram(vertices=("r", "s"), arcs=(Arc("r", "s", 0),))
-        report = validate_diagram(d)
-        assert not report.ok
-        assert any("out-degree" in v for v in report.violations)
+        with pytest.raises(InputError, match="out-degree"):
+            Diagram(vertices=("r", "s"), arcs=(Arc("r", "s", 0),))
+
+    def test_second_one_arc_rejected(self):
+        # the search would follow one 1-arc of r and the routing rows both
+        d = one_test_diagram()
+        with pytest.raises(InputError, match="vertex r has out-degree 3, expected 2"):
+            Diagram(vertices=d.vertices, arcs=(*d.arcs, Arc("r", "s0", 1)))
 
     def test_unknown_endpoint_rejected_at_construction(self):
         with pytest.raises(InputError):
             Diagram(vertices=("r",), arcs=(Arc("r", "ghost", 0),))
+
+    def test_every_violation_in_one_error(self):
+        with pytest.raises(InputError) as info:
+            Diagram(
+                vertices=("r", "x", "s1", "s2"),
+                arcs=(Arc("r", "s1", 7), Arc("r", "s2", 1), Arc("s2", "s1", 0)),
+            )
+        assert str(info.value) == (
+            "invalid diagram: arc r->s1 has label 7, expected 0 or 1; multiple sources: r, x; "
+            "vertex s2 has out-degree 1, expected 2"
+        )
+
+
+# one corruption of a valid diagram per violation it must raise; arcs[0] and
+# arcs[1] are the source u0's 0- and 1-arc
+_CORRUPTIONS = {
+    "has label 2, expected 0 or 1": lambda vs, arcs: (vs, (replace(arcs[0], label=2), *arcs[1:])),
+    "duplicate arc label at u0": lambda vs, arcs: (vs, (replace(arcs[0], label=1), *arcs[1:])),
+    "vertex u0 has out-degree 1, expected 2": lambda vs, arcs: (vs, arcs[1:]),
+    "cycle detected": lambda vs, arcs: (vs, (*arcs, Arc(vs[-1], vs[0], 0))),
+    "multiple sources: u0, x": lambda vs, arcs: ((*vs, "x"), arcs),
+}
+
+
+class TestDiagramProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(valid_diagram(), st.sampled_from(sorted(_CORRUPTIONS)))
+    def test_construction_names_each_violation(self, d, corruption):
+        for u in d.internals:
+            assert d.heads[u] == tuple(
+                next(a.head for a in d.arcs if a.tail == u and a.label == label)
+                for label in (0, 1)
+            )
+        vertices, arcs = _CORRUPTIONS[corruption](d.vertices, d.arcs)
+        with pytest.raises(InputError, match=f"^invalid diagram: .*{corruption}"):
+            Diagram(vertices=vertices, arcs=arcs)
 
 
 def route(d, phi, t):
@@ -169,7 +202,6 @@ class TestRouteProperties:
     @settings(max_examples=60, deadline=None)
     @given(valid_diagram(), st.data())
     def test_terminates_on_a_simple_path(self, d, data):
-        assert validate_diagram(d).ok
         phi = Assignment.build(
             {u: data.draw(st.sets(st.integers(0, 9))) for u in d.internals},
             {s: data.draw(st.sampled_from(METHODS.methods)) for s in d.sinks},
@@ -181,7 +213,7 @@ class TestRouteProperties:
         path = [d.source]
         while path[-1] in phi.node_items:
             label = int(any(t.x[ITEMS.index(i)] for i in phi.node_items[path[-1]]))
-            path.append(d.out_arc(path[-1], label).head)
+            path.append(d.heads[path[-1]][label])
             assert len(path) <= len(d.vertices)
         assert len(set(path)) == len(path)
         assert visited == frozenset(path)

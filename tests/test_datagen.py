@@ -11,7 +11,6 @@ from diagopt.datagen import (
     Categorical,
     GenConfig,
     GenerationError,
-    RawRecord,
     TruncatedNormal,
     binarize,
     default_attribute_specs,
@@ -33,11 +32,11 @@ def truncated_tail_oracle(lo: float, hi: float, mean: float, sd: float, cut: flo
     return (b - c) / (b - a)
 
 
-def raw_with(**overrides: float) -> RawRecord:
+def raw_with(**overrides: float) -> dict[str, float]:
     values = {spec.name: 0.0 for spec in default_attribute_specs()}
     values["urine_protein"] = 1.0
     values.update(overrides)
-    return RawRecord(values=values)
+    return values
 
 
 class TestSpecValidation:
@@ -94,7 +93,8 @@ class TestSampleRaw:
         )
         one = sample_raw(specs, random.Random(42))
         two = sample_raw(specs, random.Random(42))
-        assert one.values == two.values
+        assert one == two
+        assert list(one) == ["a", "b"]
 
 
 class TestBinarize:
@@ -125,9 +125,9 @@ class TestBinarize:
             binarize(raw_with(diabetes_medication=value), default_threshold_table())
 
     def test_missing_attribute_raises(self):
-        record = RawRecord(values={"hba1c": 5.0})
-        with pytest.raises(InputError):
-            binarize(record, default_threshold_table())
+        # the default thresholds read attributes this spec list does not draw
+        with pytest.raises(InputError, match="which no spec draws"):
+            GenConfig(n=1, seed=0, specs=(TruncatedNormal("hba1c", 3, 20, 5.19, 0.73),))
 
     def test_table_covers_49_items_once(self):
         tbl = default_threshold_table()

@@ -31,6 +31,7 @@ from conftest import (
     random_toy_instance,
     reference_compiled,
     reference_lp,
+    reference_rows,
     tiny_instance,
     valid_diagram,
 )
@@ -620,6 +621,7 @@ class TestBlockWriter:
     @staticmethod
     def assert_matches_reference(model):
         assert export_lp(model) == reference_lp(model)
+        assert list(model.rows) == reference_rows(model)
         (a, senses, rhs), (ref_a, ref_senses, ref_rhs) = model._compiled, reference_compiled(model)
         assert a.shape == ref_a.shape
         for part in ("indptr", "indices", "data"):
