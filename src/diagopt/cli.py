@@ -10,6 +10,7 @@ import argparse
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NoReturn
 
 from .core import InputError, Metrics, evaluate
 from .datagen import GenConfig, GenerationError, generate_population
@@ -151,8 +152,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        """Exit ``EXIT_ERROR``: argparse's usage-error code, 2, is ``EXIT_INFEASIBLE``."""
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diagopt",
         description="Optimize item/method assignments on a fixed decision-diagram skeleton.",
     )

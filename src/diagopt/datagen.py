@@ -12,6 +12,7 @@ defaults, not estimates from any survey.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -46,6 +47,8 @@ class TruncatedNormal:
             raise InputError(f"{self.name}: lo must be < hi")
         if not self.sd > 0:
             raise InputError(f"{self.name}: sd must be > 0")
+        if not (math.isfinite(self.mean) and math.isfinite(self.sd)):
+            raise InputError(f"{self.name}: mean and sd must be finite")
 
 
 @dataclass(frozen=True)
@@ -70,12 +73,18 @@ class Categorical:
 AttributeSpec = TruncatedNormal | Categorical
 
 
+# each predicate op and the threshold fields it reads
+_VALUE = ("value",)
+PREDICATE_OPS = {"ge": _VALUE, "lt": _VALUE, "eq": _VALUE, "band": ("value", "upper"), "bit": ()}
+
+
 @dataclass(frozen=True)
 class Predicate:
     """Single-item test over raw attributes.
 
     Ops: ``ge`` (value >= threshold), ``lt`` (value < threshold), ``eq``
-    (value == threshold), ``band`` (threshold <= value < upper), ``bit``
+    (value == threshold), ``band`` (threshold <= value < upper, which needs
+    threshold < upper), ``bit``
     (the attribute is already a 0/1 draw).
     """
 
@@ -85,8 +94,10 @@ class Predicate:
     upper: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.op not in ("ge", "lt", "eq", "band", "bit"):
+        if self.op not in PREDICATE_OPS:
             raise InputError(f"unknown predicate op {self.op!r}")
+        if self.op == "band" and not self.value < self.upper:
+            raise InputError(f"band on {self.attr!r} never fires: upper must be > value")
 
     def evaluate(self, raw: Mapping[str, float]) -> int:
         v = raw[self.attr]

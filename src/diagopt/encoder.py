@@ -23,7 +23,7 @@ from math import ceil, floor
 import numpy as np
 from scipy import sparse
 
-from .core import Assignment, InputError, Vertex
+from .core import Assignment, InputError
 from .problem import FIELDS, SETTINGS, Goal, Instance
 
 Term = tuple[int, int]  # (coefficient, variable index)
@@ -73,8 +73,9 @@ class IPModel:
     ``decode`` and ``variable_counts`` all read these arrays. The model also
     holds the constraint rows in family order as row blocks (one template per
     family, repeated for every type; see ``_RowBlock``), from which the LP
-    text and one integer CSR matrix are built, and which ``rows`` lists as
-    ``LinRow`` objects on demand. It holds the objective (integer terms,
+    text, one integer CSR matrix, the row names ``violations`` reports and the
+    ``LinRow`` objects ``rows`` yields are all read; the linking rows' keep
+    masks read ``Instance.fires``. It holds the objective (integer terms,
     divided exactly by ``objective_divisor`` unless it is ``None``), and the
     linear expressions for cost and the three indicators. Safe to share
     read-only.
@@ -181,11 +182,6 @@ class IPModel:
         stride = np.zeros(self.num_variables, dtype=np.int64)
         for b in (self.alpha, self.beta, self.gamma, self.z):
             stride[b] = np.prod(b.shape[1:])
-        # indicator of every candidate for every type, one column per p variable
-        cands = [c for cs in self.candidates for c in cs]
-        fires = np.array([inst.indicator_column(c) for c in cands], dtype=bool).reshape(
-            len(cands), self.n_types
-        ).T
 
         def row_block(
             rows: list, groups: Sequence[int] = (0,), per_type: bool = True
@@ -202,7 +198,8 @@ class IPModel:
             keep = np.ones((reps, len(base)), dtype=bool)
             cond = label >= 0
             if cond.any():
-                keep[:, cond] = fires[:, base[cond]] == label[cond]
+                # p variable pi is row pi of the stacked tables: p leads the layout
+                keep[:, cond] = np.concatenate(inst.fires)[base[cond]].T == label[cond]
             return _RowBlock(
                 reps=reps,
                 names=tuple(r[0] for r in rows),
@@ -297,9 +294,9 @@ class IPModel:
         self._row_starts = np.cumsum([0] + [b.num_rows for b in blocks]).tolist()
 
     @property
-    def rows(self) -> "_Rows":
-        """The constraint rows in family order, read from the compiled matrix."""
-        return _Rows(self)
+    def rows(self) -> Iterator[LinRow]:
+        """The constraint rows in family order, as ``LinRow`` objects."""
+        return (row for block in self._blocks for row in block.rows())
 
     def _build_objective(self, goal: Goal) -> None:
         merged: dict[int, int] = {}
@@ -344,7 +341,13 @@ class IPModel:
         bad = ((senses == -1) & (lhs > rhs)) | ((senses == 0) & (lhs != rhs)) | (
             (senses == 1) & (lhs < rhs)
         )
-        return tuple(self.rows[i].name for i in np.nonzero(bad)[0])
+        names = []
+        for i in np.nonzero(bad)[0].tolist():
+            bi = bisect_right(self._row_starts, i) - 1
+            block = self._blocks[bi]
+            ti, r = divmod(i - self._row_starts[bi], len(block.names))
+            names.append(block.names[r].format(ti))
+        return tuple(names)
 
 
 @dataclass(frozen=True)
@@ -395,27 +398,17 @@ class _RowBlock:
             np.tile(rhs, self.reps),
         )
 
-
-class _Rows(Sequence):
-    """The model's rows as ``LinRow`` objects, read from the compiled matrix."""
-
-    def __init__(self, model: IPModel):
-        self._model = model
-
-    def __len__(self) -> int:
-        return self._model.num_constraints
-
-    def __getitem__(self, i: int) -> LinRow:
-        model = self._model
-        if not 0 <= i < model.num_constraints:
-            raise IndexError(i)
-        bi = bisect_right(model._row_starts, i) - 1
-        block = model._blocks[bi]
-        ti, r = divmod(i - model._row_starts[bi], len(block.names))
-        a = model._compiled[0]
-        s, e = a.indptr[i], a.indptr[i + 1]
-        terms = tuple(zip(a.data[s:e].tolist(), a.indices[s:e].tolist()))
-        return LinRow(block.names[r].format(ti), terms, block.senses[r], block.rhs[r])
+    def rows(self) -> Iterator[LinRow]:
+        """The block's rows as ``LinRow`` objects, type-major."""
+        coef, bounds = self.coef.tolist(), self.bounds.tolist()
+        for ti in range(self.reps):
+            index = (self.base + ti * self.stride).tolist()
+            keep = self.keep[ti].tolist()
+            for r, name in enumerate(self.names):
+                terms = tuple(
+                    (coef[k], index[k]) for k in range(bounds[r], bounds[r + 1]) if keep[k]
+                )
+                yield LinRow(name.format(ti), terms, self.senses[r], self.rhs[r])
 
 
 @dataclass(frozen=True)
@@ -453,23 +446,22 @@ def encode_assignment(model: IPModel, phi: Assignment) -> VariablePoint:
     for b, k in zip(model.choice_blocks, vec):
         x[b[k]] = 1
 
-    n_t = model.n_types
-    reach: dict[Vertex, np.ndarray] = {v: np.zeros(n_t, dtype=bool) for v in d.vertices}
-    reach[d.source] = np.ones(n_t, dtype=bool)
-    for u, (head0, head1) in d.heads.items():
-        ones = inst.indicator_column(phi.node_items[u])
-        reach[head1] |= reach[u] & ones
-        reach[head0] |= reach[u] & ~ones
-
-    for vi, v in enumerate(model.vertex_order):
-        x[model.alpha[:, vi]] = reach[v]
-    for ui, u in enumerate(model.internals):
-        ones = inst.indicator_column(phi.node_items[u])
-        x[model.beta[:, ui, 1]] = reach[u] & ones
-        x[model.beta[:, ui, 0]] = reach[u] & ~ones
-    for si, (s, mi) in enumerate(zip(model.sinks, vec[len(model.internals) :])):
-        x[model.gamma[:, si, mi]] = reach[s]
-        x[model.z[:, mi]] |= reach[s]
+    n_u = len(model.internals)
+    pos = {v: vi for vi, v in enumerate(model.vertex_order)}
+    reach = np.zeros((len(pos), model.n_types), dtype=bool)
+    reach[pos[d.source]] = True
+    # internals lead vertex_order in topological order: reach is complete when read
+    for ui, (head0, head1) in enumerate(d.heads.values()):
+        ones = inst.fires[ui][vec[ui]]
+        on, off = reach[ui] & ones, reach[ui] & ~ones
+        x[model.beta[:, ui, 1]] = on
+        x[model.beta[:, ui, 0]] = off
+        reach[pos[head1]] |= on
+        reach[pos[head0]] |= off
+    x[model.alpha] = reach.T
+    for si, mi in enumerate(vec[n_u:]):
+        x[model.gamma[:, si, mi]] = reach[n_u + si]
+        x[model.z[:, mi]] |= reach[n_u + si]
 
     x.setflags(write=False)
     return VariablePoint(model=model, values=x)

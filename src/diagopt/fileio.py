@@ -34,6 +34,7 @@ from .core import (
     Vertex,
 )
 from .datagen import (
+    PREDICATE_OPS,
     AttributeSpec,
     Categorical,
     GenConfig,
@@ -115,6 +116,13 @@ def _int(value: Any) -> int:
     if type(value) is not int:
         raise ValueError(f"{value!r} is not an integer")
     return value
+
+
+def _int_key(key: str) -> int:
+    """A JSON object key naming an integer id, written exactly as ``str(id)``."""
+    if str(int(key)) != key:
+        raise ValueError(f"{key!r} is not an integer key")
+    return int(key)
 
 
 def _float(value: Any) -> float:
@@ -268,20 +276,15 @@ def _attribute_to_obj(spec: AttributeSpec) -> dict[str, Any]:
 
 
 def _predicate_from_obj(obj: Mapping[str, Any]) -> Predicate:
-    return Predicate(
-        op=str(obj["op"]),
-        attr=str(obj["attr"]),
-        value=_float(obj.get("value", 0.0)),
-        upper=_float(obj.get("upper", 0.0)),
-    )
+    """A threshold predicate; a file must give every threshold its op reads."""
+    op = str(obj["op"])
+    thresholds = {f: _float(obj[f]) for f in PREDICATE_OPS.get(op, ())}
+    return Predicate(op=op, attr=str(obj["attr"]), **thresholds)
 
 
 def _predicate_to_obj(pred: Predicate) -> dict[str, Any]:
     obj: dict[str, Any] = {"op": pred.op, "attr": pred.attr}
-    if pred.op in ("ge", "lt", "eq", "band"):
-        obj["value"] = pred.value
-    if pred.op == "band":
-        obj["upper"] = pred.upper
+    obj.update((f, getattr(pred, f)) for f in PREDICATE_OPS[pred.op])
     return obj
 
 
@@ -308,7 +311,7 @@ def _genconfig_from_obj(obj: Mapping[str, Any]) -> GenConfig:
             tuple((_int(item), _predicate_from_obj(p)) for item, p in obj["thresholds"])
         ),
         methods=_methods_from_obj(obj["methods"]),
-        response_probs={int(m): _float(p) for m, p in obj["response_probs"].items()},
+        response_probs={_int_key(m): _float(p) for m, p in obj["response_probs"].items()},
         improvement_prob=_float(obj["improvement_prob"]),
     )
 

@@ -6,7 +6,9 @@ decision vertices (internal vertices in topological order, then sinks),
 internal vertices, methods at sinks), and a choice vector holds one index
 into ``choices`` per position. The search, the brute-force oracle, the
 encoder and ``verify`` all read it; ties between optimal assignments break
-toward the smallest choice vector. Every deployed label is a candidate.
+toward the smallest choice vector. Every deployed label is a candidate
+(``misplaced`` is the one label check), and ``fires`` holds each candidate's
+test outcome for each examinee type.
 
 ``SETTINGS`` is the one definition of each setting's sense, objective and
 side rows. The encoder writes it out as LP rows; the search, the brute-force
@@ -55,9 +57,9 @@ class Instance:
             raise InputError("targets must be positive")
         if self.budget < 0:
             raise InputError("budget must be non-negative")
-        for v, labels, label in zip(self.positions, self.choices, self.labels(self.initial)):
-            if label not in labels:
-                raise InputError(f"initial label at {v} is not a candidate")
+        misplaced = self.misplaced(self.initial)
+        if misplaced:
+            raise InputError(f"initial label at {misplaced[0]} is not a candidate")
 
     @cached_property
     def positions(self) -> tuple[Vertex, ...]:
@@ -97,35 +99,28 @@ class Instance:
         """The choice vector of the initial labels."""
         return self.choice_vector(self.initial)
 
+    def misplaced(self, phi: Assignment) -> tuple[Vertex, ...]:
+        """The positions where ``phi``, which covers the diagram, holds no candidate."""
+        at = zip(self.positions, self.choices, self.labels(phi))
+        return tuple(v for v, labels, label in at if label not in labels)
+
     def is_feasible(self, phi: Assignment) -> bool:
         """Whether ``phi`` covers the diagram with one of ``choices`` at every position."""
-        return phi.covers(self.diagram) and all(
-            label in labels for labels, label in zip(self.choices, self.labels(phi))
-        )
+        return phi.covers(self.diagram) and not self.misplaced(phi)
 
     @cached_property
-    def x_matrix(self) -> np.ndarray:
-        """Boolean (|T| x |I|) item matrix in population/universe order."""
-        return np.array([t.x for t in self.population.types], dtype=bool).reshape(
-            len(self.population.types), len(self.population.items)
-        )
-
-    @cached_property
-    def _indicator_cache(self) -> dict[ItemSet, np.ndarray]:
-        return {}
-
-    def indicator_column(self, c: ItemSet) -> np.ndarray:
-        """Per-type 0/1 outcome of testing item set ``c``, as a boolean |T|-vector."""
-        cached = self._indicator_cache.get(c)
-        if cached is None:
-            if c:
-                pos = [self.population.items.index(i) for i in c]
-                cached = self.x_matrix[:, pos].any(axis=1)
-            else:
-                cached = np.zeros(len(self.population.types), dtype=bool)
-            cached.setflags(write=False)
-            self._indicator_cache[c] = cached
-        return cached
+    def fires(self) -> tuple[np.ndarray, ...]:
+        """Per internal position, a read-only (candidates x types) bool array:
+        whether each type is positive on some item of each of ``choices[k]``,
+        that is, leaves the vertex by its 1-arc under that candidate."""
+        pop = self.population
+        x = np.array([t.x for t in pop.types], dtype=bool).reshape(-1, len(pop.items))
+        tables = []
+        for labels in self.choices[: len(self.diagram.internals)]:
+            fires = np.array([x[:, [pop.items.index(i) for i in c]].any(axis=1) for c in labels])
+            fires.setflags(write=False)
+            tables.append(fires)
+        return tuple(tables)
 
 
 def side_rows(inst: Instance) -> dict[str, tuple[str, str, int | Fraction]]:

@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Assignment, Metrics, evaluate
+from .core import Assignment, InputError, Metrics, evaluate
 from .problem import Goal, Instance
 
 STATUS_OPTIMAL = "optimal"
@@ -134,9 +134,7 @@ class _Tables:
             self.tally = wsum
         self.full = mask(np.ones(len(weights), dtype=bool))
 
-        self.ones = [
-            [mask(inst.indicator_column(c)) for c in cands] for cands in inst.choices[:n]
-        ]
+        self.ones = [list(map(mask, fires)) for fires in inst.fires]
         self.heads = [(pos[h0], pos[h1]) for h0, h1 in d.heads.values()]
 
         # the deployed choice per position, for the similarity objective, and
@@ -410,6 +408,10 @@ def solve(
     time_limit: float | None = None,
 ) -> Solution:
     """Branch-and-bound to proven optimality (or the best incumbent at a limit)."""
+    if node_limit is not None and node_limit < 0:
+        raise InputError("node limit must be >= 0")
+    if time_limit is not None and not time_limit >= 0:  # NaN seconds never expire
+        raise InputError("time limit must be >= 0 seconds")
     goal = Goal(inst, setting)
     started = time.perf_counter()
     search = _Search(_Tables(inst), goal, node_limit, time_limit)
@@ -464,9 +466,8 @@ def verify(sol: Solution, inst: Instance, setting: int) -> VerificationReport:
     if not phi.covers(inst.diagram):
         issues.append("assignment does not cover the diagram")
         return VerificationReport(ok=False, issues=tuple(issues))
-    for v, labels, label in zip(inst.positions, inst.choices, inst.labels(phi)):
-        if label not in labels:
-            issues.append(f"candidate/constraint violation: label at {v} not permitted")
+    for v in inst.misplaced(phi):
+        issues.append(f"candidate/constraint violation: label at {v} not permitted")
     if issues:
         return VerificationReport(ok=False, issues=tuple(issues))
 

@@ -269,9 +269,7 @@ def reference_rows(model) -> list[LinRow]:
 
     # linking rows: beta fires exactly when the vertex is visited and the
     # chosen candidate's indicator equals the label
-    fires = [
-        [inst.indicator_column(c).tolist() for c in cands] for cands in model.candidates
-    ]  # per vertex, (candidates x types)
+    fires = [f.tolist() for f in inst.fires]  # per vertex, (candidates x types)
     for ti, (a_t, b_t) in enumerate(zip(alpha, beta)):
         for ui, pu in enumerate(p):
             ai = a_t[ui]

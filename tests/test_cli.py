@@ -457,6 +457,41 @@ class TestErrors:
         assert main(["solve", "--instance", str(bad), "--setting", "1"]) == 1
         assert capsys.readouterr().err == f"error: {bad}: invalid diagram: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["solve", "--instance", "x.json", "--setting", "9"],
+            ["solve", "--instance", "x.json", "--setting", "1", "--node-limit", "abc"],
+            ["generate", "--seed", "1", "--out", "x.json"],
+        ],
+        ids=["no-command", "unknown-setting", "non-integer-limit", "missing-option"],
+    )
+    def test_usage_error_exits_1(self, argv, capsys):
+        # argparse's own code, 2, would read as an infeasible problem
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error: " in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert "--node-limit" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "limit",
+        [["--time-limit", "nan"], ["--time-limit", "-1"], ["--node-limit", "-1"]],
+        ids=["nan-seconds", "negative-seconds", "negative-nodes"],
+    )
+    def test_invalid_limit_is_one_error_line(self, workspace, capsys, limit):
+        _, _, inst_path = workspace
+        capsys.readouterr()
+        assert main(["solve", "--instance", str(inst_path), "--setting", "3", *limit]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "limit" in err
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main([
             "solve", "--instance", str(tmp_path / "nope.json"), "--setting", "1",
@@ -553,6 +588,40 @@ def _undrawn_attribute(docs):
     attrs[:] = [a for a in attrs if a["name"] != "egfr"]  # items 25-35 still read it
 
 
+def _renamed_method_key(new_key, name):
+    """Key method 1's response probability ``new_key``, which int() reads as 1."""
+
+    def corrupt(docs):
+        probs = docs["genconfig"]["response_probs"]
+        probs[new_key] = probs.pop("1")
+
+    corrupt.__name__ = name
+    return corrupt
+
+
+def _threshold(docs, item):
+    at, pred = docs["genconfig"]["thresholds"][item]
+    assert at == item
+    return pred
+
+
+def _threshold_without_value(docs):
+    pred = _threshold(docs, 1)
+    assert pred["op"] == "ge"
+    del pred["value"]  # "fasting_blood_glucose >= 0" if read as 0.0
+
+
+def _band_without_upper(docs):
+    pred = _threshold(docs, 11)
+    assert pred["op"] == "band"
+    del pred["upper"]
+
+
+def _empty_band(docs):
+    pred = _threshold(docs, 11)
+    pred["upper"] = pred["value"]  # 6.0 <= hba1c < 6.0 never fires
+
+
 def _run_on_files(tmp: Path, kind: str, docs: dict, n: int = 5) -> int:
     """Write the documents and run the command that reads the one of ``kind``."""
     paths = {name: tmp / f"{name}.json" for name in docs}
@@ -594,6 +663,12 @@ class TestMalformedDocuments:
             ("genconfig", _boolean_probability),
             ("genconfig", _nan_mean),
             ("genconfig", _undrawn_attribute),
+            ("genconfig", _renamed_method_key(" 1 ", "_padded_method_key")),
+            ("genconfig", _renamed_method_key("+1", "_signed_method_key")),
+            ("genconfig", _renamed_method_key("0_1", "_underscored_method_key")),
+            ("genconfig", _threshold_without_value),
+            ("genconfig", _band_without_upper),
+            ("genconfig", _empty_band),
         ],
     )
     def test_one_error_line(self, tmp_path, capsys, kind, corrupt):

@@ -11,6 +11,7 @@ from diagopt.datagen import (
     Categorical,
     GenConfig,
     GenerationError,
+    Predicate,
     TruncatedNormal,
     binarize,
     default_attribute_specs,
@@ -47,6 +48,19 @@ class TestSpecValidation:
     def test_bounds_must_be_ordered(self):
         with pytest.raises(InputError):
             TruncatedNormal("a", 10, 10, 5, 1.0)
+
+    @pytest.mark.parametrize(
+        "mean, sd", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (5.0, math.inf)]
+    )
+    def test_mean_and_sd_must_be_finite(self, mean, sd):
+        # a NaN mean would otherwise spend RESAMPLE_CAP draws before failing
+        with pytest.raises(InputError, match="must be finite"):
+            TruncatedNormal("a", 0, 10, mean, sd)
+
+    @pytest.mark.parametrize("upper", [6.0, 5.5, math.nan])
+    def test_band_must_be_able_to_fire(self, upper):
+        with pytest.raises(InputError, match="never fires"):
+            Predicate("band", "hba1c", 6.0, upper)
 
     def test_categorical_probabilities_sum_to_one(self):
         with pytest.raises(InputError):

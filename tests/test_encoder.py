@@ -637,6 +637,34 @@ class TestBlockWriter:
                 self.assert_matches_reference(model)
 
     @pytest.mark.parametrize("setting", [1, 2, 3])
+    def test_violations_name_the_rows_the_reference_flags(self, rng, setting):
+        for scale in ("small", "full"):
+            for _ in range(4):
+                model = build_model(random_toy_instance(rng, scale), setting)
+                names = [row.name for row in reference_rows(model)]
+                a, senses, rhs = reference_compiled(model)
+                encoded = encode_assignment(model, random_feasible(model.instance, rng)).values
+                for _ in range(6):
+                    # uniform points break most rows; an encoded point with a
+                    # few bits flipped breaks only a few
+                    if rng.random() < 0.5:
+                        values = np.array(
+                            [rng.randint(0, 1) for _ in range(model.num_variables)], np.int8
+                        )
+                    else:
+                        values = encoded.copy()
+                        for i in rng.sample(range(model.num_variables), rng.randint(1, 3)):
+                            values[i] ^= 1
+                    lhs = a @ values.astype(np.int64)
+                    bad = (
+                        ((senses == -1) & (lhs > rhs))
+                        | ((senses == 0) & (lhs != rhs))
+                        | ((senses == 1) & (lhs < rhs))
+                    )
+                    want = tuple(name for name, b in zip(names, bad) if b)
+                    assert model.violations(VariablePoint(model=model, values=values)) == want
+
+    @pytest.mark.parametrize("setting", [1, 2, 3])
     def test_zero_and_many_types_match_the_reference(self, rng, setting):
         base = random_toy_instance(rng, "full")
         while max(map(len, base.families.values())) < 4:  # long enough ln_lb rows to wrap

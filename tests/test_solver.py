@@ -276,6 +276,59 @@ class TestChoiceVector:
             assert inst.assignment(inst.deployed) == inst.initial
 
 
+class TestFires:
+    @staticmethod
+    def assert_matches_items(inst):
+        """``fires[k][ci, ti]`` is whether type ti is positive on an item of candidate ci."""
+        items, types = inst.population.items, inst.population.types
+        assert len(inst.fires) == len(inst.diagram.internals)
+        for fires, cands in zip(inst.fires, inst.choices):
+            assert fires.shape == (len(cands), len(types)) and fires.dtype == bool
+            assert not fires.flags.writeable
+            for ci, c in enumerate(cands):
+                for ti, t in enumerate(types):
+                    assert fires[ci, ti] == any(t.x[items.index(i)] for i in c)
+
+    def test_random_toys(self, rng):
+        for heavy in (False, True) * 10:
+            inst = random_toy_instance(rng, "full", heavy=heavy)
+            self.assert_matches_items(inst)
+            assert inst.fires is inst.fires
+
+    def test_population_without_types(self):
+        inst = build_instance(1, generate_population(GenConfig(n=0, seed=20240601)))
+        assert [f.shape[1] for f in inst.fires] == [0] * len(inst.diagram.internals)
+        self.assert_matches_items(inst)
+
+    def test_diagram_with_only_a_sink(self):
+        from diagopt.core import Diagram
+
+        inst = dataclasses.replace(
+            tiny_instance(),
+            diagram=Diagram(vertices=("r",), arcs=()),
+            families={},
+            initial=Assignment.build({}, {"r": 0}),
+        )
+        assert inst.fires == ()
+
+
+class TestMisplaced:
+    def test_lists_each_position_without_a_candidate(self, rng):
+        inst = random_toy_instance(rng, "full")
+        phi = random_feasible_assignment(inst, rng)
+        assert inst.misplaced(phi) == () and inst.is_feasible(phi)
+        u, s = inst.diagram.internals[-1], inst.diagram.sinks[0]
+        bad = Assignment.build(
+            {**phi.node_items, u: frozenset({99})}, {**phi.sink_methods, s: 99}
+        )
+        assert inst.misplaced(bad) == (u, s) and not inst.is_feasible(bad)
+        sol = dataclasses.replace(solve(inst, 3), assignment=bad)
+        issues = verify(sol, inst, 3).issues
+        assert issues == tuple(
+            f"candidate/constraint violation: label at {v} not permitted" for v in (u, s)
+        )
+
+
 class TestBound:
     @pytest.mark.parametrize("setting", [1, 2, 3])
     def test_admissible_on_random_partial_states(self, setting):
@@ -387,6 +440,16 @@ class TestLimits:
         inst = tiny_instance(budget=10**6)
         sol = solve(inst, 1, time_limit=0.0)
         assert sol.status == STATUS_LIMIT
+
+    @pytest.mark.parametrize(
+        "limits",
+        [{"node_limit": -1}, {"time_limit": -0.5}, {"time_limit": float("nan")}],
+        ids=["negative-nodes", "negative-seconds", "nan-seconds"],
+    )
+    def test_invalid_limits_rejected(self, limits):
+        # a NaN deadline never passes, so the search would ignore it
+        with pytest.raises(InputError, match="limit must be >= 0"):
+            solve(tiny_instance(budget=10**6), 1, **limits)
 
 
 class TestSearchOrder:
