@@ -141,7 +141,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     phi = read_assignment(args.assignment)
     if not phi.covers(inst.diagram):
         raise InputError(f"{args.assignment}: assignment does not cover the instance diagram")
-    if not inst.is_feasible(phi):
+    if inst.misplaced(phi):
         print(
             "warning: assignment is not candidate-feasible for this instance",
             file=sys.stderr,

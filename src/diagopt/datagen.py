@@ -5,6 +5,10 @@ in declaration order, binarized through the threshold table into the item
 vector, and a response vector plus improvement bit are drawn. Records with
 identical (X, Y, z) triples collapse into one weighted examinee type.
 
+Each attribute kind is one spec class with a ``kind`` tag and a ``draw``
+(``ATTRIBUTE_KINDS``), each threshold op one ``PREDICATE_OPS`` entry; the
+sampler, ``Predicate`` and the genconfig codec in ``fileio`` read them.
+
 The shipped attribute set models Japanese health-checkup screening data
 (blood glucose, HbA1c, blood pressure, urine protein, eGFR, visit and
 treatment history). Response and improvement probabilities are configurable
@@ -15,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Any, Callable, ClassVar, Iterable, Mapping
 
 from .core import (
     ExamineeType,
@@ -36,6 +40,7 @@ class GenerationError(RuntimeError):
 class TruncatedNormal:
     """Normal(mean, sd) restricted to [lo, hi] by rejection."""
 
+    kind: ClassVar[str] = "truncnormal"
     name: str
     lo: float
     hi: float
@@ -50,11 +55,19 @@ class TruncatedNormal:
         if not (math.isfinite(self.mean) and math.isfinite(self.sd)):
             raise InputError(f"{self.name}: mean and sd must be finite")
 
+    def draw(self, rng: random.Random) -> float:
+        for _ in range(RESAMPLE_CAP):
+            v = rng.gauss(self.mean, self.sd)
+            if self.lo <= v <= self.hi:
+                return v
+        raise GenerationError(f"{self.name}: exceeded {RESAMPLE_CAP} rejection resamples")
+
 
 @dataclass(frozen=True)
 class Categorical:
     """Finite value table sampled by inverse CDF; covers Bernoulli bits as {0,1}."""
 
+    kind: ClassVar[str] = "categorical"
     name: str
     table: tuple[tuple[float, float], ...]  # (value, probability) rows
 
@@ -69,13 +82,36 @@ class Categorical:
     def bernoulli(name: str, p_one: float) -> "Categorical":
         return Categorical(name, ((0.0, 1.0 - p_one), (1.0, p_one)))
 
+    def draw(self, rng: random.Random) -> float:
+        u = rng.random()
+        acc = 0.0
+        for value, p in self.table:
+            acc += p
+            if u < acc:
+                return value
+        return self.table[-1][0]
+
 
 AttributeSpec = TruncatedNormal | Categorical
 
+# each attribute kind by the tag a generator config file gives it
+ATTRIBUTE_KINDS = {c.kind: c for c in (TruncatedNormal, Categorical)}
 
-# each predicate op and the threshold fields it reads
-_VALUE = ("value",)
-PREDICATE_OPS = {"ge": _VALUE, "lt": _VALUE, "eq": _VALUE, "band": ("value", "upper"), "bit": ()}
+
+def _bit(pred: "Predicate", v: float) -> float:
+    if v not in (0, 1):
+        raise InputError(f"bit attribute {pred.attr!r} drew {v}, expected 0 or 1")
+    return v
+
+
+# each predicate op: the threshold fields it reads, and its test of a raw value
+PREDICATE_OPS: dict[str, tuple[tuple[str, ...], Callable[["Predicate", float], Any]]] = {
+    "ge": (("value",), lambda pred, v: v >= pred.value),
+    "lt": (("value",), lambda pred, v: v < pred.value),
+    "eq": (("value",), lambda pred, v: v == pred.value),
+    "band": (("value", "upper"), lambda pred, v: pred.value <= v < pred.upper),
+    "bit": ((), _bit),
+}
 
 
 @dataclass(frozen=True)
@@ -84,34 +120,28 @@ class Predicate:
 
     Ops: ``ge`` (value >= threshold), ``lt`` (value < threshold), ``eq``
     (value == threshold), ``band`` (threshold <= value < upper, which needs
-    threshold < upper), ``bit``
-    (the attribute is already a 0/1 draw).
+    threshold < upper), ``bit`` (the attribute is already a 0/1 draw). A
+    predicate holds exactly the thresholds its op reads (see ``PREDICATE_OPS``).
     """
 
     op: str
     attr: str
-    value: float = 0.0
-    upper: float = 0.0
+    value: float | None = None
+    upper: float | None = None
 
     def __post_init__(self) -> None:
         if self.op not in PREDICATE_OPS:
             raise InputError(f"unknown predicate op {self.op!r}")
+        reads = PREDICATE_OPS[self.op][0]
+        for f in ("value", "upper"):
+            if (getattr(self, f) is None) == (f in reads):
+                need = "needs" if f in reads else "takes no"
+                raise InputError(f"{self.op} on {self.attr!r} {need} threshold {f!r}")
         if self.op == "band" and not self.value < self.upper:
             raise InputError(f"band on {self.attr!r} never fires: upper must be > value")
 
     def evaluate(self, raw: Mapping[str, float]) -> int:
-        v = raw[self.attr]
-        if self.op == "ge":
-            return int(v >= self.value)
-        if self.op == "lt":
-            return int(v < self.value)
-        if self.op == "eq":
-            return int(v == self.value)
-        if self.op == "band":
-            return int(self.value <= v < self.upper)
-        if v not in (0, 1):
-            raise InputError(f"bit attribute {self.attr!r} drew {v}, expected 0 or 1")
-        return int(v)
+        return int(PREDICATE_OPS[self.op][1](self, raw[self.attr]))
 
 
 @dataclass(frozen=True)
@@ -164,29 +194,7 @@ class GenConfig:
 
 def sample_raw(specs: Iterable[AttributeSpec], rng: random.Random) -> dict[str, float]:
     """Draw one raw record, each attribute's value by name, in spec declaration order."""
-    values: dict[str, float] = {}
-    for spec in specs:
-        if isinstance(spec, TruncatedNormal):
-            for _ in range(RESAMPLE_CAP):
-                v = rng.gauss(spec.mean, spec.sd)
-                if spec.lo <= v <= spec.hi:
-                    break
-            else:
-                raise GenerationError(
-                    f"{spec.name}: exceeded {RESAMPLE_CAP} rejection resamples"
-                )
-            values[spec.name] = v
-        else:
-            u = rng.random()
-            acc = 0.0
-            chosen = spec.table[-1][0]
-            for value, p in spec.table:
-                acc += p
-                if u < acc:
-                    chosen = value
-                    break
-            values[spec.name] = chosen
-    return values
+    return {spec.name: spec.draw(rng) for spec in specs}
 
 
 def binarize(raw: Mapping[str, float], tbl: ThresholdTable) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Mapping, TypeVar
@@ -34,13 +34,12 @@ from .core import (
     Vertex,
 )
 from .datagen import (
+    ATTRIBUTE_KINDS,
     PREDICATE_OPS,
     AttributeSpec,
-    Categorical,
     GenConfig,
     Predicate,
     ThresholdTable,
-    TruncatedNormal,
 )
 from .problem import Instance
 from .solver import Solution
@@ -241,50 +240,38 @@ def read_assignment(path: str | Path) -> Assignment:
 # ----------------------------------------------------------------------
 
 
+# the reader of each field type an attribute spec class declares
+_SPEC_FIELDS: dict[str, Callable[[Any], Any]] = {
+    "str": str,
+    "float": _float,
+    "tuple[tuple[float, float], ...]": lambda rows: tuple((_float(v), _float(p)) for v, p in rows),
+}
+
+
 def _attribute_from_obj(obj: Mapping[str, Any]) -> AttributeSpec:
-    kind = obj["kind"]
-    name = str(obj["name"])
-    if kind == "truncnormal":
-        return TruncatedNormal(
-            name=name,
-            lo=_float(obj["lo"]),
-            hi=_float(obj["hi"]),
-            mean=_float(obj["mean"]),
-            sd=_float(obj["sd"]),
-        )
-    if kind == "categorical":
-        table = tuple((_float(v), _float(p)) for v, p in obj["table"])
-        return Categorical(name=name, table=table)
-    raise ValueError(f"attribute {name}: unknown kind {kind!r}")
+    kind, name = obj["kind"], str(obj["name"])
+    if kind not in ATTRIBUTE_KINDS:
+        raise ValueError(f"attribute {name}: unknown kind {kind!r}")
+    cls = ATTRIBUTE_KINDS[kind]
+    return cls(**{f.name: _SPEC_FIELDS[f.type](obj[f.name]) for f in fields(cls)})
 
 
 def _attribute_to_obj(spec: AttributeSpec) -> dict[str, Any]:
-    if isinstance(spec, TruncatedNormal):
-        return {
-            "kind": "truncnormal",
-            "name": spec.name,
-            "lo": spec.lo,
-            "hi": spec.hi,
-            "mean": spec.mean,
-            "sd": spec.sd,
-        }
-    return {
-        "kind": "categorical",
-        "name": spec.name,
-        "table": [[v, p] for v, p in spec.table],
-    }
+    # as a reader sees it: tuples become JSON lists
+    return json.loads(json.dumps({"kind": spec.kind, **asdict(spec)}))
 
 
 def _predicate_from_obj(obj: Mapping[str, Any]) -> Predicate:
     """A threshold predicate; a file must give every threshold its op reads."""
     op = str(obj["op"])
-    thresholds = {f: _float(obj[f]) for f in PREDICATE_OPS.get(op, ())}
+    reads = PREDICATE_OPS[op][0] if op in PREDICATE_OPS else ()
+    thresholds = {f: _float(obj[f]) for f in reads}
     return Predicate(op=op, attr=str(obj["attr"]), **thresholds)
 
 
 def _predicate_to_obj(pred: Predicate) -> dict[str, Any]:
     obj: dict[str, Any] = {"op": pred.op, "attr": pred.attr}
-    obj.update((f, getattr(pred, f)) for f in PREDICATE_OPS[pred.op])
+    obj.update((f, getattr(pred, f)) for f in PREDICATE_OPS[pred.op][0])
     return obj
 
 

@@ -30,7 +30,7 @@ from .core import Assignment, Diagram, InputError, ItemSet, Metrics, Population,
 MAXIMIZE = "Maximize"
 MINIMIZE = "Minimize"
 
-FIELDS = ("cost", "obj1", "obj2", "obj3")  # the Metrics fields, in order
+FIELDS = Metrics._fields
 
 Label = ItemSet | int  # an item set at an internal vertex, a method at a sink
 Targets = tuple[int, int, int]
@@ -51,6 +51,11 @@ class Instance:
     def __post_init__(self) -> None:
         if set(self.families) != set(self.diagram.internals):
             raise InputError("candidate families must cover exactly the internal vertices")
+        universe = set(self.population.items)
+        for u, family in self.families.items():
+            outside = frozenset().union(*family.candidates) - universe
+            if outside:
+                raise InputError(f"candidate at {u} names item {min(outside)} outside the universe")
         if not self.initial.covers(self.diagram):
             raise InputError("initial assignment must cover the diagram")
         if any(th < 1 for th in self.targets):

@@ -19,6 +19,8 @@ The search cuts prefixes that reach an earlier prefix's reach frontier, as
 exact decision-diagram dynamic programming merges equal states (see
 ``_Search``), and branches on internal vertices only: one node per complete
 internal prefix scores every sink-method combination.
+A search stopped by a limit reports the root's bound, which no node's bound
+exceeds.
 
 ``brute_force`` is the ground-truth oracle: it enumerates every assignment
 and scores it through the scalar evaluation path, sharing no routing code
@@ -237,9 +239,11 @@ class _Search:
         self.aborted = False
         self.inc_obj: int | None = None
         self.inc_vec: tuple[int, ...] | None = None
-        self.open_bound: int | None = None
 
         self.root = _frontier(tb, ())
+        # no node's bound exceeds the root's: fixing a vertex only shrinks reach
+        m = _partial_bounds(tb, 0, self.root.copy(), 0)
+        self.root_bound = goal.score(m) if goal.feasible(m) else None
         # per depth: hash of a frontier's open positions -> the prefixes that
         # reached it and no earlier prefix dominates (frontiers are recomputed
         # on a hit, so the table holds no reach masks)
@@ -255,10 +259,6 @@ class _Search:
         if self.deadline is not None and time.perf_counter() > self.deadline:
             return True
         return False
-
-    def _note_open(self, scaled: int) -> None:
-        if self.open_bound is None or scaled > self.open_bound:
-            self.open_bound = scaled
 
     def _prunable(self, scaled: int, choices: tuple[int, ...]) -> bool:
         if self.inc_obj is None or scaled > self.inc_obj:
@@ -308,7 +308,6 @@ class _Search:
         scaled = self.score(m)
         if self._hit_limit():
             self.aborted = True
-            self._note_open(scaled)
             return
         if self._prunable(scaled, prefix):
             return
@@ -319,7 +318,6 @@ class _Search:
             _split(tb, f, k, ci)
             self._visit(prefix + (ci,), f, matches + (ci == match))
             if self.aborted:
-                self._note_open(scaled)
                 return
 
     def _score_sinks(self, prefix: tuple[int, ...], frontier: list[int], matches: int) -> None:
@@ -327,9 +325,6 @@ class _Search:
         tb = self.tb
         if self._hit_limit():
             self.aborted = True
-            m = _partial_bounds(tb, tb.n_internal, frontier.copy(), matches)
-            if self.feasible(m):
-                self._note_open(self.score(m))
             return
 
         # the sinks partition the examinees: tally every sink but the last,
@@ -378,17 +373,17 @@ def _solution(
     goal: Goal,
     phi: Assignment | None,
     score: int | None,
-    open_bound: int | None,
+    limit_bound: int | None,
     stats: SolveStats,
 ) -> Solution:
     """The one way a solve ends: ``phi`` scores ``score`` (both ``None`` when
-    nothing feasible was found), and ``open_bound`` is set when a limit left
-    subtrees of that score unexplored."""
-    if open_bound is not None:
+    nothing feasible was found), and ``limit_bound`` is set when a limit left
+    subtrees unexplored: the root's bound, which covers all of them."""
+    if limit_bound is not None:
         status = STATUS_LIMIT
     else:
         status = STATUS_INFEASIBLE if phi is None else STATUS_OPTIMAL
-    scores = [s for s in (score, open_bound) if s is not None]
+    scores = [s for s in (score, limit_bound) if s is not None]
     d = inst.diagram
     return Solution(
         setting=setting,
@@ -422,7 +417,8 @@ def solve(
         dominated=search.dominated,
     )
     phi = None if search.inc_vec is None else inst.assignment(search.inc_vec)
-    return _solution(inst, setting, goal, phi, search.inc_obj, search.open_bound, stats)
+    limit_bound = search.root_bound if search.aborted else None
+    return _solution(inst, setting, goal, phi, search.inc_obj, limit_bound, stats)
 
 
 def brute_force(inst: Instance, setting: int, cap: int = BRUTE_FORCE_CAP) -> Solution:

@@ -622,6 +622,20 @@ def _empty_band(docs):
     pred["upper"] = pred["value"]  # 6.0 <= hba1c < 6.0 never fires
 
 
+def _unknown_attribute_kind(docs):
+    docs["genconfig"]["attributes"][0]["kind"] = "lognormal"
+
+
+def _unknown_op(docs):
+    _threshold(docs, 1)["op"] = "gt"
+
+
+def _table_row_not_a_pair(docs):
+    spec = docs["genconfig"]["attributes"][0]
+    assert spec["kind"] == "categorical"
+    spec["table"][0].append(0.0)
+
+
 def _run_on_files(tmp: Path, kind: str, docs: dict, n: int = 5) -> int:
     """Write the documents and run the command that reads the one of ``kind``."""
     paths = {name: tmp / f"{name}.json" for name in docs}
@@ -669,6 +683,9 @@ class TestMalformedDocuments:
             ("genconfig", _threshold_without_value),
             ("genconfig", _band_without_upper),
             ("genconfig", _empty_band),
+            ("genconfig", _unknown_attribute_kind),
+            ("genconfig", _unknown_op),
+            ("genconfig", _table_row_not_a_pair),
         ],
     )
     def test_one_error_line(self, tmp_path, capsys, kind, corrupt):

@@ -8,6 +8,7 @@ import pytest
 
 from diagopt.core import InputError
 from diagopt.datagen import (
+    PREDICATE_OPS,
     Categorical,
     GenConfig,
     GenerationError,
@@ -61,6 +62,23 @@ class TestSpecValidation:
     def test_band_must_be_able_to_fire(self, upper):
         with pytest.raises(InputError, match="never fires"):
             Predicate("band", "hba1c", 6.0, upper)
+
+    @pytest.mark.parametrize(
+        "op, thresholds, message",
+        [
+            ("ge", {}, "needs threshold 'value'"),
+            ("lt", {}, "needs threshold 'value'"),
+            ("eq", {}, "needs threshold 'value'"),
+            ("band", {"value": 6.0}, "needs threshold 'upper'"),
+            ("band", {"upper": 6.5}, "needs threshold 'value'"),
+            ("bit", {"value": 1.0}, "takes no threshold 'value'"),
+            ("ge", {"value": 6.0, "upper": 7.0}, "takes no threshold 'upper'"),
+        ],
+    )
+    def test_predicate_holds_exactly_the_thresholds_its_op_reads(self, op, thresholds, message):
+        # a missing threshold would otherwise read as 0.0: "hba1c >= 0"
+        with pytest.raises(InputError, match=message):
+            Predicate(op, "hba1c", **thresholds)
 
     def test_categorical_probabilities_sum_to_one(self):
         with pytest.raises(InputError):
@@ -146,6 +164,31 @@ class TestBinarize:
     def test_table_covers_49_items_once(self):
         tbl = default_threshold_table()
         assert tbl.item_ids == tuple(range(49))
+
+
+class TestPredicateOps:
+    # each op's test written out by hand, at value 6.0 and upper 6.5
+    REFERENCE = {
+        "ge": lambda v: v >= 6.0,
+        "lt": lambda v: v < 6.0,
+        "eq": lambda v: v == 6.0,
+        "band": lambda v: 6.0 <= v < 6.5,
+        "bit": lambda v: v == 1,
+    }
+
+    def test_every_op_has_a_reference(self):
+        assert set(PREDICATE_OPS) == set(self.REFERENCE)
+
+    @pytest.mark.parametrize("op", sorted(PREDICATE_OPS))
+    def test_matches_the_reference_at_and_beside_each_threshold(self, op):
+        thresholds = {"value": 6.0, "upper": 6.5}
+        pred = Predicate(op, "a", **{f: thresholds[f] for f in PREDICATE_OPS[op][0]})
+        points = {0.0, 1.0}
+        if op != "bit":
+            for t in thresholds.values():
+                points |= {math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)}
+        for v in sorted(points):
+            assert pred.evaluate({"a": v}) == int(self.REFERENCE[op](v)), v
 
 
 class TestSampleResponse:

@@ -300,6 +300,12 @@ class TestFires:
         assert [f.shape[1] for f in inst.fires] == [0] * len(inst.diagram.internals)
         self.assert_matches_items(inst)
 
+    def test_candidate_outside_the_universe_is_rejected(self):
+        with pytest.raises(InputError, match="candidate at r names item 99 outside the universe"):
+            dataclasses.replace(
+                tiny_instance(), families={"r": family("r", [set(), {0}, {99}], {0, 1, 99})}
+            )
+
     def test_diagram_with_only_a_sink(self):
         from diagopt.core import Diagram
 
@@ -435,6 +441,23 @@ class TestLimits:
         assert sol.objective_value < full.objective_value <= sol.best_bound
         assert sol.gap == sol.best_bound - sol.objective_value
         assert verify(sol, inst, 1).ok
+
+    @pytest.mark.parametrize("setting", [1, 2, 3])
+    def test_every_limit_reports_the_root_bound(self, setting):
+        # no node's bound exceeds the root's, so a stopped search reports it
+        rng = random.Random(9000 + setting)
+        stopped = 0
+        for heavy in (False, True) * 4:
+            inst = random_toy_instance(rng, "full", heavy=heavy)
+            root = prefix_bound(inst, (), setting)
+            better = min if setting == 2 else max
+            for limit in range(solve(inst, setting).stats.nodes + 2):
+                sol = solve(inst, setting, node_limit=limit)
+                if sol.status == STATUS_LIMIT:
+                    stopped += 1
+                    objective = sol.objective_value
+                    assert sol.best_bound == (root if objective is None else better(objective, root))
+        assert stopped > 20
 
     def test_time_limit_zero(self):
         inst = tiny_instance(budget=10**6)
