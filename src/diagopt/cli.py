@@ -188,17 +188,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an instance exactly")
     p.add_argument("--instance", required=True)
     p.add_argument("--setting", type=int, choices=(1, 2, 3), required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--native", action="store_true", help="branch-and-bound (default)")
-    mode.add_argument("--brute", action="store_true", help="exhaustive enumeration oracle")
+    p.add_argument("--brute", action="store_true", help="exhaustive enumeration oracle")
     p.add_argument("--time-limit", type=float, help="wall-clock limit in seconds (native only)")
     p.add_argument("--node-limit", type=int, help="search node limit (native only)")
     p.add_argument("--out", help="report JSON to write")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("eval", help="evaluate an assignment file against an instance")
+    p = sub.add_parser("eval", help="evaluate an assignment against an instance")
     p.add_argument("--instance", required=True)
-    p.add_argument("--assignment", required=True)
+    p.add_argument("--assignment", required=True, help="assignment JSON or solve report")
     p.set_defaults(func=cmd_eval)
 
     return parser

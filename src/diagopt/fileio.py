@@ -3,9 +3,11 @@ configs, and reports.
 
 One structured-text format for everything, canonically serialized (sorted
 keys, two-space indent, sorted item lists) so that write -> read -> write is
-byte-identical and files diff cleanly. A block several formats share has one
-codec: methods (``_methods_to_obj`` / ``_methods_from_obj``) and assignment
-labels (``_labels_to_obj`` / ``assignment_from_obj``). Every reader goes
+byte-identical and files diff cleanly. Assignments (an ``assignment``
+document or a solve report's ``assignment`` block) and generator configs are
+only read. A block several formats share has one codec: methods
+(``_methods_to_obj`` / ``_methods_from_obj``) and assignment labels
+(``_labels_to_obj`` / ``assignment_from_obj``). Every reader goes
 through ``_from_doc``, so a schema error is one ``FormatError`` naming the file,
 and reads integer fields through ``_int``, which rejects a float or a bool
 instead of truncating it, and real fields through ``_float``, which rejects a
@@ -35,7 +37,6 @@ from .core import (
 )
 from .datagen import (
     ATTRIBUTE_KINDS,
-    PREDICATE_OPS,
     AttributeSpec,
     GenConfig,
     Predicate,
@@ -223,16 +224,15 @@ def read_population(path: str | Path) -> Population:
 # ----------------------------------------------------------------------
 
 
-def assignment_to_obj(phi: Assignment) -> dict[str, Any]:
-    return {"kind": "assignment", **_labels_to_obj(phi)}
-
-
-def write_assignment(phi: Assignment, path: str | Path) -> None:
-    write_text(path, dump_canonical(assignment_to_obj(phi)))
-
-
 def read_assignment(path: str | Path) -> Assignment:
-    return _read_doc(path, "assignment", assignment_from_obj)
+    """The labels of an ``assignment`` document, or of a solve report's
+    ``assignment`` block, which only a solve that found an incumbent writes."""
+    obj = load_json(path)
+    if isinstance(obj, dict) and obj.get("kind") == "report":
+        if "assignment" not in obj:
+            raise FormatError(f"{path}: report holds no assignment (status {obj.get('status')!r})")
+        return _from_doc(obj, "report", lambda rep: assignment_from_obj(rep["assignment"]), path)
+    return _from_doc(obj, "assignment", assignment_from_obj, path)
 
 
 # ----------------------------------------------------------------------
@@ -256,37 +256,11 @@ def _attribute_from_obj(obj: Mapping[str, Any]) -> AttributeSpec:
     return cls(**{f.name: _SPEC_FIELDS[f.type](obj[f.name]) for f in fields(cls)})
 
 
-def _attribute_to_obj(spec: AttributeSpec) -> dict[str, Any]:
-    # as a reader sees it: tuples become JSON lists
-    return json.loads(json.dumps({"kind": spec.kind, **asdict(spec)}))
-
-
 def _predicate_from_obj(obj: Mapping[str, Any]) -> Predicate:
-    """A threshold predicate; a file must give every threshold its op reads."""
-    op = str(obj["op"])
-    reads = PREDICATE_OPS[op][0] if op in PREDICATE_OPS else ()
-    thresholds = {f: _float(obj[f]) for f in reads}
-    return Predicate(op=op, attr=str(obj["attr"]), **thresholds)
-
-
-def _predicate_to_obj(pred: Predicate) -> dict[str, Any]:
-    obj: dict[str, Any] = {"op": pred.op, "attr": pred.attr}
-    obj.update((f, getattr(pred, f)) for f in PREDICATE_OPS[pred.op][0])
-    return obj
-
-
-def genconfig_to_obj(cfg: GenConfig) -> dict[str, Any]:
-    """The generator-config document: all of ``cfg`` but ``n`` and ``seed``."""
-    return {
-        "kind": "genconfig",
-        "attributes": [_attribute_to_obj(s) for s in cfg.specs],
-        "thresholds": [
-            [item, _predicate_to_obj(pred)] for item, pred in cfg.thresholds.entries
-        ],
-        "methods": _methods_to_obj(cfg.methods),
-        "response_probs": {str(m): p for m, p in sorted(cfg.response_probs.items())},
-        "improvement_prob": cfg.improvement_prob,
-    }
+    """A predicate with every threshold the file gives; ``Predicate``
+    rejects a missing or an extra one."""
+    thresholds = {f: _float(obj[f]) for f in ("value", "upper") if f in obj}
+    return Predicate(op=str(obj["op"]), attr=str(obj["attr"]), **thresholds)
 
 
 def _genconfig_from_obj(obj: Mapping[str, Any]) -> GenConfig:
@@ -369,8 +343,8 @@ class InstanceDoc:
         )
         if len(doc.targets) != 3:
             raise ValueError("targets must have exactly three entries")
-        if doc.population_inline is None and doc.population_path is None:
-            raise ValueError("needs either population or population_path")
+        if (doc.population_inline is None) == (doc.population_path is None):
+            raise ValueError("needs exactly one of population and population_path")
         if not isinstance(doc.population_path, (str, type(None))):
             raise ValueError("population_path must be a string")
         return doc

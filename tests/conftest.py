@@ -1,9 +1,10 @@
 """Shared builders for the test suite."""
 from __future__ import annotations
 
+import json
 import operator
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 from math import ceil, floor
 
@@ -25,7 +26,9 @@ from diagopt.core import (
     MethodUniverse,
     Population,
 )
+from diagopt.datagen import GenConfig
 from diagopt.encoder import _SENSES, Instance, LinRow, _fmt_number, _fmt_terms, _wrap
+from diagopt.fileio import dump_canonical
 from diagopt.problem import FIELDS, Goal
 from diagopt.solver import _frontier, _partial_bounds, _Tables
 
@@ -204,6 +207,42 @@ def random_feasible_assignment(inst: Instance, rng: random.Random) -> Assignment
         s: rng.choice(inst.population.methods.methods) for s in inst.diagram.sinks
     }
     return Assignment(node_items=node_items, sink_methods=sink_methods)
+
+
+def assignment_doc(phi: Assignment) -> dict:
+    """The assignment document of ``phi``, written here as the readers' reference."""
+    return {
+        "kind": "assignment",
+        "nodes": {u: sorted(c) for u, c in phi.node_items.items()},
+        "sinks": dict(phi.sink_methods),
+    }
+
+
+def write_assignment(phi: Assignment, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dump_canonical(assignment_doc(phi)))
+
+
+def genconfig_doc(cfg: GenConfig) -> dict:
+    """The genconfig document of ``cfg`` (all of it but ``n`` and ``seed``).
+
+    Written here as the genconfig reader's reference: an attribute is its
+    ``kind`` plus its spec's fields, a predicate its op, attribute and the
+    thresholds it holds.
+    """
+    obj = {
+        "kind": "genconfig",
+        "attributes": [{"kind": spec.kind, **asdict(spec)} for spec in cfg.specs],
+        "thresholds": [
+            [item, {k: v for k, v in asdict(pred).items() if v is not None}]
+            for item, pred in cfg.thresholds.entries
+        ],
+        "methods": [[m, c] for m, c in zip(cfg.methods.methods, cfg.methods.costs)],
+        "response_probs": {str(m): p for m, p in sorted(cfg.response_probs.items())},
+        "improvement_prob": cfg.improvement_prob,
+    }
+    # as a reader sees it: tuples become JSON lists
+    return json.loads(json.dumps(obj))
 
 
 def point_metrics(model, pt) -> Metrics:

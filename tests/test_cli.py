@@ -18,17 +18,15 @@ from diagopt.encoder import build_model
 from diagopt.fileio import (
     FormatError,
     InstanceDoc,
-    assignment_to_obj,
     dump_canonical,
-    genconfig_to_obj,
     read_instance,
     read_instance_doc,
     read_population,
     population_to_obj,
-    write_assignment,
 )
 from diagopt.instances import instance_template
 from diagopt.solver import solve
+from conftest import assignment_doc, genconfig_doc, write_assignment
 from lp_reader import parse_lp
 
 # sha256 of the files `generate --seed 7 --n 120` and `make-instance` write,
@@ -82,7 +80,7 @@ def toy_docs(population_path: str | None = None) -> dict:
     return {
         "instance": doc.to_obj(),
         "population": pop,
-        "assignment": assignment_to_obj(doc.initial),
+        "assignment": assignment_doc(doc.initial),
     }
 
 
@@ -120,7 +118,7 @@ class TestGenerate:
 
     def test_default_genconfig_file_gives_the_same_bytes(self, tmp_path):
         cfg_path = tmp_path / "genconfig.json"
-        cfg_path.write_text(dump_canonical(genconfig_to_obj(GenConfig(0, 0))))
+        cfg_path.write_text(dump_canonical(genconfig_doc(GenConfig(0, 0))))
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["generate", "--seed", "7", "--n", "300", "--out", str(a)]) == 0
         assert main([
@@ -220,7 +218,7 @@ class TestSolveCommand:
         rn, rb = tmp_path / "native.json", tmp_path / "brute.json"
         assert main([
             "solve", "--instance", str(toy_instance_file), "--setting", "3",
-            "--native", "--out", str(rn),
+            "--out", str(rn),
         ]) == 0
         assert main([
             "solve", "--instance", str(toy_instance_file), "--setting", "3",
@@ -327,6 +325,39 @@ class TestEvalCommand:
         captured = capsys.readouterr()
         assert "warning" in captured.err
         assert "cost" in captured.out
+
+    def test_solve_report_evaluates(self, workspace, capsys):
+        tmp, _, inst_path = workspace
+        report_path = tmp / "report-eval.json"
+        assert main([
+            "solve", "--instance", str(inst_path), "--setting", "3",
+            "--out", str(report_path),
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "eval", "--instance", str(inst_path), "--assignment", str(report_path),
+        ]) == 0
+        m = json.loads(report_path.read_text())["metrics"]
+        row = capsys.readouterr().out.splitlines()[-1]
+        want = [str(m[f]) for f in ("cost", "obj1", "obj2", "obj3")]
+        assert row.split() == ["assignment", *want]
+
+    def test_report_without_assignment_is_one_error_line(self, workspace, tmp_path, capsys):
+        _, _, inst_path = workspace
+        obj = json.loads(inst_path.read_text())
+        obj["targets"] = [6, 10**6, 9]
+        bad, report_path = tmp_path / "impossible.json", tmp_path / "infeasible.json"
+        bad.write_text(dump_canonical(obj))
+        assert main([
+            "solve", "--instance", str(bad), "--setting", "2", "--out", str(report_path),
+        ]) == 2
+        capsys.readouterr()
+        assert main([
+            "eval", "--instance", str(inst_path), "--assignment", str(report_path),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(report_path) in err and "no assignment" in err
 
 
 class TestConfigDir:
@@ -636,6 +667,23 @@ def _table_row_not_a_pair(docs):
     spec["table"][0].append(0.0)
 
 
+def _ge_with_upper(docs):
+    pred = _threshold(docs, 1)
+    assert pred["op"] == "ge"
+    pred["upper"] = pred["value"] + 1  # dropped unread if only "value" were read
+
+
+def _bit_with_value(docs):
+    pred = _threshold(docs, 0)
+    assert pred["op"] == "bit"
+    pred["value"] = 1
+
+
+def _inline_and_path_population(docs):
+    assert "population_path" in docs["instance"]
+    docs["instance"]["population"] = docs["population"]
+
+
 def _run_on_files(tmp: Path, kind: str, docs: dict, n: int = 5) -> int:
     """Write the documents and run the command that reads the one of ``kind``."""
     paths = {name: tmp / f"{name}.json" for name in docs}
@@ -654,7 +702,7 @@ def _run_on_files(tmp: Path, kind: str, docs: dict, n: int = 5) -> int:
 
 def _file_docs() -> dict:
     docs = toy_docs(population_path="population.json")
-    docs["genconfig"] = genconfig_to_obj(GenConfig(0, 0))
+    docs["genconfig"] = genconfig_doc(GenConfig(0, 0))
     return docs
 
 
@@ -668,6 +716,7 @@ class TestMalformedDocuments:
             ("population", _method_outside_universe),
             ("population", _population_list),
             ("instance", _inline_null_weight),
+            ("instance", _inline_and_path_population),
             ("assignment", _assignment_list),
             ("assignment", _null_node_label),
             ("assignment", _assignment_covering_nothing),
@@ -686,6 +735,8 @@ class TestMalformedDocuments:
             ("genconfig", _unknown_attribute_kind),
             ("genconfig", _unknown_op),
             ("genconfig", _table_row_not_a_pair),
+            ("genconfig", _ge_with_upper),
+            ("genconfig", _bit_with_value),
         ],
     )
     def test_one_error_line(self, tmp_path, capsys, kind, corrupt):

@@ -1,0 +1,44 @@
+"""The package's public surface: every public definition has a caller, and
+README's library example runs as written."""
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "diagopt"
+
+
+def _trees(*dirs: Path) -> dict[Path, ast.Module]:
+    return {p: ast.parse(p.read_text()) for d in dirs for p in sorted(d.glob("*.py"))}
+
+
+def test_every_public_definition_has_a_caller():
+    """A public top-level function or class of ``src/diagopt`` is named by a
+    ``Name``, an ``Attribute`` or an import in the package or the benchmark;
+    one only tests call is API to delete."""
+    defined = {
+        (path.name, node.name)
+        for path, tree in _trees(PACKAGE).items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    used = set()
+    for tree in _trees(PACKAGE, ROOT / "perfbench").values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert sorted((mod, name) for mod, name in defined if name not in used) == []
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    monkeypatch.chdir(tmp_path)
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert (tmp_path / "model3.lp").read_text().startswith("Maximize")
