@@ -1,9 +1,9 @@
-"""Per-vertex candidate families: edit-distance-1 neighborhoods of the initial labels.
+"""Per-vertex candidate families: one-item edits of the deployed labels.
 
-A vertex may keep its current item set, drop one item, add one, or swap one
-for one other; the family is then thinned by a category rule (at most one
-item per category) and a per-vertex role (only items related to the vertex's
-purpose). Families are plain sets of frozensets and immutable once built.
+A vertex may keep its deployed item set, drop one item, add one, or swap one
+for one other. A candidate must also lie inside the vertex's role (the items
+related to its purpose) and hold at most one item of each category. Families
+are plain sets of frozensets and immutable once built.
 """
 from __future__ import annotations
 
@@ -13,20 +13,6 @@ from typing import Iterable
 from .core import InputError, ItemSet, ItemUniverse, Vertex
 
 Family = frozenset[ItemSet]
-
-
-@dataclass(frozen=True)
-class CategoryFamily:
-    """Disjoint item categories; a candidate may hold at most one item of each."""
-
-    categories: tuple[ItemSet, ...]
-
-    @staticmethod
-    def build(categories: Iterable[Iterable[int]]) -> "CategoryFamily":
-        return CategoryFamily(tuple(frozenset(c) for c in categories))
-
-    def admits(self, c: ItemSet) -> bool:
-        return all(len(c & cat) <= 1 for cat in self.categories)
 
 
 @dataclass(frozen=True)
@@ -54,52 +40,27 @@ class CandidateFamily:
         return tuple(sorted(self.candidates, key=lambda c: tuple(sorted(c))))
 
 
-def neighborhood(base: ItemSet | Iterable[int], universe: ItemUniverse) -> set[ItemSet]:
-    """All sets reachable from ``base`` by keeping it, or editing one item per side.
-
-    The result contains ``base`` itself, every one-item removal, every
-    one-item addition from the universe, and every single swap.
-    """
-    base = frozenset(base)
-    for i in base:
-        if i not in universe:
-            raise InputError(f"base item {i} not in universe")
-    others = [i for i in universe if i not in base]
-
-    family: set[ItemSet] = {base}
-    for i in base:
-        removed = base - {i}
-        family.add(removed)
-        for j in others:
-            family.add(removed | {j})
-    for j in others:
-        family.add(base | {j})
-    return family
-
-
-def category_filter(family: Iterable[ItemSet], categories: CategoryFamily) -> set[ItemSet]:
-    """Keep the sets holding at most one item per category; uncategorized items pass."""
-    return {c for c in family if categories.admits(c)}
-
-
-def role_restrict(
-    vertex: Vertex, family: Iterable[ItemSet], role: ItemSet | Iterable[int]
-) -> CandidateFamily:
-    """Keep the sets contained in the vertex's role pool."""
-    role = frozenset(role)
-    return CandidateFamily(
-        vertex=vertex,
-        candidates=frozenset(c for c in family if c <= role),
-        role=role,
-    )
-
-
 def build_family(
     vertex: Vertex,
     base: ItemSet | Iterable[int],
     universe: ItemUniverse,
-    categories: CategoryFamily,
+    categories: Iterable[ItemSet],
     role: ItemSet | Iterable[int],
 ) -> CandidateFamily:
-    """Full pipeline: neighborhood, then category filter, then role restriction."""
-    return role_restrict(vertex, category_filter(neighborhood(base, universe), categories), role)
+    """The sets within one removed and one added item of ``base`` that lie
+    inside ``role`` and hold at most one item of each category.
+
+    Uncategorized items are unconstrained. Raises ``InputError`` naming the
+    smallest item of ``base`` or ``role`` outside ``universe``.
+    """
+    base, role = frozenset(base), frozenset(role)
+    outside = [i for i in base | role if i not in universe]
+    if outside:
+        raise InputError(f"item {min(outside)} at {vertex} is outside the universe")
+    categories = tuple(categories)
+    kept = [base, *(base - {i} for i in base)]
+    edits = {*kept, *(c | {j} for c in kept for j in role - base)}
+    candidates = frozenset(
+        c for c in edits if c <= role and all(len(c & cat) <= 1 for cat in categories)
+    )
+    return CandidateFamily(vertex=vertex, candidates=candidates, role=role)

@@ -103,6 +103,8 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    if args.brute and (args.node_limit is not None or args.time_limit is not None):
+        raise InputError("--node-limit and --time-limit apply to the native search, not --brute")
     inst = read_instance(args.instance)
     if args.brute:
         sol = brute_force(inst, args.setting)
@@ -188,9 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an instance exactly")
     p.add_argument("--instance", required=True)
     p.add_argument("--setting", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("--brute", action="store_true", help="exhaustive enumeration oracle")
-    p.add_argument("--time-limit", type=float, help="wall-clock limit in seconds (native only)")
-    p.add_argument("--node-limit", type=int, help="search node limit (native only)")
+    p.add_argument("--brute", action="store_true", help="exhaustive oracle (takes no limits)")
+    p.add_argument("--time-limit", type=float, help="wall-clock limit in seconds (not with --brute)")
+    p.add_argument("--node-limit", type=int, help="search node limit (not with --brute)")
     p.add_argument("--out", help="report JSON to write")
     p.set_defaults(func=cmd_solve)
 

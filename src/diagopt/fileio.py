@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Mapping, TypeVar
 
-from .candidates import CategoryFamily, build_family
+from .candidates import build_family
 from .core import (
     Arc,
     Assignment,
@@ -363,8 +363,8 @@ class InstanceDoc:
     def instance(self, pop: Population) -> Instance:
         """Assemble the instance over ``pop``, which must use the doc's universes.
 
-        Candidate families are built from the initial labels through the
-        neighborhood, category, and role pipeline.
+        Each internal vertex's candidate family is built from its deployed
+        label, its role and the item categories (see ``build_family``).
         """
         if pop.items != self.items:
             raise InputError("population item universe differs from the instance's")
@@ -377,16 +377,13 @@ class InstanceDoc:
         if set(self.roles) != set(diagram.internals):
             raise InputError("roles must cover exactly the internal vertices")
         universe = set(pop.items)
-        for u, role in self.roles.items():
-            if not set(role) <= universe:
-                raise InputError(f"role at {u} names an item outside the universe")
         for k, category in enumerate(self.categories):
             if not set(category) <= universe:
                 raise InputError(f"category {k} names an item outside the universe")
         initial = self.initial
         if not initial.covers(diagram):
             raise InputError("initial labels must cover exactly the diagram's vertices")
-        categories = CategoryFamily.build(self.categories)
+        categories = [frozenset(c) for c in self.categories]
         families = {
             u: build_family(u, initial.node_items[u], pop.items, categories, self.roles[u])
             for u in diagram.internals

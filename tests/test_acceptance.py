@@ -13,7 +13,6 @@ from fractions import Fraction
 
 import pytest
 
-from diagopt.candidates import CategoryFamily
 from diagopt.core import Population, evaluate, reached_sinks
 from diagopt.datagen import GenConfig, generate_population
 from diagopt.encoder import VariablePoint, build_model, encode_assignment, export_lp
@@ -166,11 +165,15 @@ def test_oracle_equivalence():
 def test_candidate_family_exactness(desk_pop):
     def enumerator(base, role, categories):
         pool = sorted(role)
-        cats = CategoryFamily.build(categories)
+        cats = [frozenset(cat) for cat in categories]
         found = set()
         for mask in range(1 << len(pool)):
             c = frozenset(pool[i] for i in range(len(pool)) if (mask >> i) & 1)
-            if len(base - c) <= 1 and len(c - base) <= 1 and cats.admits(c):
+            if (
+                len(base - c) <= 1
+                and len(c - base) <= 1
+                and all(len(c & cat) <= 1 for cat in cats)
+            ):
                 found.add(c)
         return found
 

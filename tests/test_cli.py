@@ -417,6 +417,10 @@ def _role_with_item_outside_universe(obj):
     obj["roles"]["v1"].append(99)
 
 
+def _label_with_item_outside_universe(obj):
+    obj["initial"]["nodes"]["v1"].append(99)
+
+
 def _category_outside_universe(obj):
     obj["categories"].append([999, 998])
 
@@ -450,6 +454,7 @@ class TestErrors:
             _arc_labeled_seven,
             _role_outside_universe,
             _role_with_item_outside_universe,
+            _label_with_item_outside_universe,
             _role_without_deployed_label,
             _category_outside_universe,
             _second_one_arc,
@@ -489,6 +494,24 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: {bad}: invalid diagram: {message}\n"
 
     @pytest.mark.parametrize(
+        "corrupt",
+        [
+            _role_outside_universe,
+            _role_with_item_outside_universe,
+            _label_with_item_outside_universe,
+        ],
+    )
+    def test_item_outside_universe_error_text(self, workspace, tmp_path, capsys, corrupt):
+        _, _, inst_path = workspace
+        obj = json.loads(inst_path.read_text())
+        corrupt(obj)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["solve", "--instance", str(bad), "--setting", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: item 99 at v1 is outside the universe\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             [],
@@ -522,6 +545,18 @@ class TestErrors:
         assert main(["solve", "--instance", str(inst_path), "--setting", "3", *limit]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "limit" in err
+
+    @pytest.mark.parametrize(
+        "limit", [["--node-limit", "1"], ["--time-limit", "60"]], ids=["nodes", "seconds"]
+    )
+    def test_brute_rejects_limits(self, toy_instance_file, capsys, limit):
+        capsys.readouterr()
+        argv = ["solve", "--instance", str(toy_instance_file), "--setting", "1", "--brute"]
+        assert main([*argv, *limit]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert limit[0] in err and "--brute" in err
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main([
