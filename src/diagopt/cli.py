@@ -124,7 +124,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if sol.status == STATUS_LIMIT:
         print(f"best bound: {_fmt_objective(sol.best_bound)} (gap {_fmt_objective(sol.gap)})")
     print(
-        f"nodes: {sol.stats.nodes} ({sol.stats.dominated} dominated), "
+        f"nodes: {sol.stats.nodes} ({sol.stats.dominated} dominated, {sol.stats.pruned} pruned), "
         f"wall time: {sol.stats.wall_time:.3f}s"
     )
     if sol.assignment is not None:

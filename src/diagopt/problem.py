@@ -131,9 +131,10 @@ class Instance:
 def side_rows(inst: Instance) -> dict[str, tuple[str, str, int | Fraction]]:
     """Every side row by name, as (Metrics field, sense, right-hand side).
 
-    The search checks rows on optimistic Metrics (cost from below, indicators
-    from above), which stays admissible only while every row caps the cost
-    or floors an indicator.
+    The search's node bound checks rows on optimistic totals, one per
+    sink-method combination (cost from below, indicators from above), which
+    stays admissible only while every row caps the cost or floors an
+    indicator.
     """
     th1, th2, th3 = inst.targets
     return {
@@ -179,9 +180,10 @@ class Goal:
     """One setting bound to one instance's budget and targets.
 
     ``feasible`` checks the side rows on a ``Metrics``; ``score`` is the
-    integer objective signed so that larger is better under either sense;
-    ``value`` turns a score back into the objective value. Both are bound
-    once here, since the search calls them at every node.
+    integer objective signed so that larger is better under either sense,
+    the sum of ``signed_weights`` times the fields; ``value`` turns a score
+    back into the objective value. Both are bound once here, since the
+    search calls them at every node.
     """
 
     def __init__(self, inst: Instance, setting: int):
@@ -208,7 +210,8 @@ class Goal:
                 lo[k] = max(lo[k], ceil(rhs))
         (lc, l1, l2, l3), (hc, h1, h2, h3) = lo, hi
         self._sign = 1 if spec.sense == MAXIMIZE else -1
-        wc, w1, w2, w3 = (self._sign * w for w in self.weights)
+        self.signed_weights = tuple(self._sign * w for w in self.weights)
+        wc, w1, w2, w3 = self.signed_weights
 
         def feasible(m: Metrics) -> bool:
             cost, obj1, obj2, obj3 = m

@@ -19,8 +19,13 @@ The search cuts prefixes that reach an earlier prefix's reach frontier, as
 exact decision-diagram dynamic programming merges equal states (see
 ``_Search``), and branches on internal vertices only: one node per complete
 internal prefix scores every sink-method combination.
-A search stopped by a limit reports the root's bound, which no node's bound
-exceeds.
+One scorer serves every node: it splits the types into regions by the set
+of sinks they reach and scores every sink-method combination. At a complete
+internal prefix the regions are the sinks and the scores are exact; at an
+internal prefix, the node bound scores a relaxed reach and the deployed
+completion, as a width-2 relaxed decision diagram over the open positions
+would. A search stopped by a limit reports the root's bound, which no
+node's bound exceeds.
 
 ``brute_force`` is the ground-truth oracle: it enumerates every assignment
 and scores it through the scalar evaluation path, sharing no routing code
@@ -32,13 +37,14 @@ runs and both solvers agree on the exact same assignment.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -50,6 +56,10 @@ STATUS_INFEASIBLE = "infeasible"
 STATUS_LIMIT = "limit-reached"
 
 BRUTE_FORCE_CAP = 2_000_000
+
+# per sink-method combination, its score and its packed (cost, obj2, obj3)
+# (see _Tables); then the obj1 base the combinations' kept sinks add to
+_Scored = tuple[list[int], list[int], int]
 
 # masks hold one bit per examinee while the total weight is at most this many
 # bits per type, and one bit per type (with weight bit-planes) above it
@@ -65,6 +75,7 @@ class SolveStats:
     nodes: int
     wall_time: float
     dominated: int = 0  # prefixes cut at a frontier an earlier prefix reached
+    pruned: int = 0  # prefixes cut by the node bound
 
 
 @dataclass(frozen=True)
@@ -100,6 +111,17 @@ class _Tables:
     indexed by decision position (``Instance.positions``). Every arc points
     to a later position, so reach propagates in one forward pass over the
     positions.
+
+    The sink layer is scored per *region*: the types that reach exactly the
+    same nonempty set of sinks, keyed by a bit per sink (``sink_bits``).
+    ``sink_vectors`` lists every sink-method combination in canonical order
+    and ``sink_matches`` how many sinks each keeps at its deployed method.
+    ``region(key)`` gives, on first use, the method subsets the region's
+    sinks can take (each one's cheapest cost and the unions of its y and
+    y∧z masks) and which one each combination gives the region.
+    A combination's (cost, obj2, obj3) is summed as one int: obj2 and obj3
+    in the low fields of ``field_bits`` bits each, which no sum overflows
+    since a sum never exceeds the total weight, and cost above them.
     """
 
     def __init__(self, inst: Instance):
@@ -138,6 +160,12 @@ class _Tables:
 
         self.ones = [list(map(mask, fires)) for fires in inst.fires]
         self.heads = [(pos[h0], pos[h1]) for h0, h1 in d.heads.values()]
+        # what an open vertex can send on: to its 1-successor the types that
+        # fire for some candidate, to its 0-successor those that miss for some
+        self.fire_any = [mask(fires.any(0)) for fires in inst.fires]
+        self.miss_any = [mask(~fires.all(0)) for fires in inst.fires]
+        # per depth: whether some open internal position has a label to deviate to
+        self.deviates = [any(len(c) > 1 for c in inst.choices[k:n]) for k in range(n + 1)]
 
         # the deployed choice per position, for the similarity objective, and
         # branch order: internal candidates closest to the deployed label
@@ -152,15 +180,38 @@ class _Tables:
         ys = [np.array([t.y[mi] for t in pop.types], dtype=bool) for mi in range(len(self.methods))]
         self.y_masks = [mask(y) for y in ys]
         self.yz_masks = [mask(y & z) for y in ys]
-        # population totals, from which the last sink's tallies follow
-        self.y_totals = [self.tally(m) for m in self.y_masks]
-        self.yz_totals = [self.tally(m) for m in self.yz_masks]
-        # the node bound's constants: with every sink open, every type can
-        # take every method
-        self.cost_lb = min(self.costs) * self.total
-        any_y = np.logical_or.reduce(ys)
-        self.any_y = self.tally(mask(any_y))
-        self.any_yz = self.tally(mask(any_y & z))
+
+        n_sinks = self.n_positions - n
+        self.sink_bits = [1 << s for s in range(n_sinks)]
+        self.sink_vectors = list(itertools.product(range(len(self.methods)), repeat=n_sinks))
+        deployed = self.match[n:]
+        self.sink_matches = [sum(map(operator.eq, vec, deployed)) for vec in self.sink_vectors]
+        self.no_totals = [0] * len(self.sink_vectors)
+        self.field_bits = self.total.bit_length()
+        self.field = (1 << self.field_bits) - 1
+        self.cost_shift = 2 * self.field_bits
+        self._region_tables: dict[int, tuple[list[tuple[int, int, int]], list[int]]] = {}
+
+    def region(self, key: int) -> tuple[list[tuple[int, int, int]], list[int]]:
+        """The method subsets region ``key`` can take, as (cheapest cost, y
+        mask union, y∧z mask union), and per combination the index of the
+        one it takes."""
+        got = self._region_tables.get(key)
+        if got is None:
+            sinks = [s for s, bit in enumerate(self.sink_bits) if key & bit]
+            picks = [frozenset(vec[s] for s in sinks) for vec in self.sink_vectors]
+            subsets = sorted(set(picks), key=sorted)
+            index = {ms: i for i, ms in enumerate(subsets)}
+            tables = [
+                (
+                    min(self.costs[mi] for mi in ms),
+                    functools.reduce(operator.or_, (self.y_masks[mi] for mi in ms)),
+                    functools.reduce(operator.or_, (self.yz_masks[mi] for mi in ms)),
+                )
+                for ms in subsets
+            ]
+            got = self._region_tables[key] = (tables, [index[ms] for ms in picks])
+        return got
 
 
 def _split(tb: _Tables, f: list[int], k: int, ci: int) -> None:
@@ -183,35 +234,21 @@ def _frontier(tb: _Tables, prefix: Sequence[int]) -> list[int]:
     return f
 
 
-def _partial_bounds(tb: _Tables, depth: int, reach: list[int], matches: int) -> Metrics:
-    """Optimistic metrics of an internal prefix of ``depth`` choices with
-    ``matches`` deployed ones, every sink still open: cost from below,
-    indicators from above.
-
-    ``reach`` is the prefix's frontier (see :func:`_frontier`) and is
-    completed in place: open vertices forward every incoming type to both
-    successors. Only the per-sink reaction bound depends on the prefix: each
-    sink serves its possible audience with its single best method.
-    """
-    tally = tb.tally
-    for k in range(depth, tb.n_internal):
-        r = reach[k]
-        if r:
-            h0, h1 = tb.heads[k]
-            reach[h1] |= r
-            reach[h0] |= r
-    per_sink2 = 0
-    per_sink3 = 0
-    for r in reach[tb.n_internal :]:
-        if r:
-            per_sink2 += max([tally(r & y) for y in tb.y_masks])
-            per_sink3 += max([tally(r & yz) for yz in tb.yz_masks])
-    return Metrics(
-        tb.cost_lb,
-        matches + tb.n_positions - depth,
-        min(per_sink2, tb.any_y),
-        min(per_sink3, tb.any_yz),
-    )
+def _regions(tb: _Tables, sink_reach: Sequence[int]) -> list[tuple[int, int]]:
+    """Split the types into regions: each region holds the types that reach
+    exactly the same nonempty set of sinks, as (key, mask) with bit s of the
+    key set for sink s."""
+    regions = [(0, tb.full)]
+    for bit, r in zip(tb.sink_bits, sink_reach):
+        split = []
+        for key, m in regions:
+            on = m & r
+            if on:
+                split.append((key | bit, on))
+            if on != m:
+                split.append((key, m ^ on))
+        regions = split
+    return regions
 
 
 class _Search:
@@ -225,33 +262,37 @@ class _Search:
     matches, so a prefix is dominated, and cut, when an earlier one reached
     its frontier with at least as many matches and a smaller choice vector.
     The node at depth ``n_internal`` scores every sink-method combination.
+
+    An internal prefix is bounded by the larger of two scored parts (see
+    ``_relaxed`` and ``_deployed``): every completion either keeps each open
+    position at its deployed label or deviates at one of them. A child's
+    bound never exceeds its parent's, since fixing a vertex only shrinks
+    reach.
     """
 
     def __init__(self, tb: _Tables, goal: Goal, node_limit: int | None, time_limit: float | None):
         self.feasible = goal.feasible
-        self.score = goal.score
+        self.weights = goal.signed_weights
         self.tb = tb
         self.node_limit = node_limit
         self.deadline = None if time_limit is None else time.perf_counter() + time_limit
+        self.kept_scores = [self.weights[1] * kept for kept in tb.sink_matches]
 
         self.nodes = 0
         self.dominated = 0
+        self.pruned = 0
         self.aborted = False
         self.inc_obj: int | None = None
         self.inc_vec: tuple[int, ...] | None = None
 
         self.root = _frontier(tb, ())
-        # no node's bound exceeds the root's: fixing a vertex only shrinks reach
-        m = _partial_bounds(tb, 0, self.root.copy(), 0)
-        self.root_bound = goal.score(m) if goal.feasible(m) else None
+        self.root_bound = self.bound(0, self.root, 0)
         # per depth: hash of a frontier's open positions -> the prefixes that
         # reached it and no earlier prefix dominates (frontiers are recomputed
         # on a hit, so the table holds no reach masks)
         self.seen: list[dict[int, tuple[tuple[int, ...], ...]]] = [
             {} for _ in range(tb.n_internal + 1)
         ]
-        n_sinks = tb.n_positions - tb.n_internal
-        self.sink_vectors = list(itertools.product(range(len(tb.methods)), repeat=n_sinks))
 
     def _hit_limit(self) -> bool:
         if self.node_limit is not None and self.nodes >= self.node_limit:
@@ -260,14 +301,129 @@ class _Search:
             return True
         return False
 
-    def _prunable(self, scaled: int, choices: tuple[int, ...]) -> bool:
-        if self.inc_obj is None or scaled > self.inc_obj:
-            return False
-        if scaled == self.inc_obj:
+    def _score(self, regions: Iterable[tuple[int, int]], base_obj1: int) -> _Scored:
+        """The score and optimistic totals of every sink-method combination,
+        in canonical order, for the types of each region (see ``_regions``).
+
+        Each region pays its weight times the cheapest method its sinks take
+        and counts its types that respond (and improve) under any of those
+        methods; obj1 is ``base_obj1`` plus the sinks kept at their deployed
+        method. When the sink reach partitions the types (a complete internal
+        prefix), every region is one sink and the totals are exact.
+        """
+        tb = self.tb
+        # each region adds to every combination's packed totals and, as
+        # Goal's score is linear, to its score
+        wc, w1, w2, w3 = self.weights
+        tally = tb.tally
+        lo, hi = tb.field_bits, tb.cost_shift
+        add = operator.add
+        totals = tb.no_totals
+        scores = map(add, self.kept_scores, itertools.repeat(w1 * base_obj1))
+        for key, r in regions:
+            tables, picks = tb.region(key)
+            w = tally(r)
+            packed = []
+            gains = []
+            for cost, y, yz in tables:
+                c, o2, o3 = w * cost, tally(r & y), tally(r & yz)
+                packed.append(c << hi | o2 << lo | o3)
+                gains.append(wc * c + w2 * o2 + w3 * o3)
+            totals = map(add, totals, map(packed.__getitem__, picks))
+            scores = map(add, scores, map(gains.__getitem__, picks))
+        return list(scores), list(totals), base_obj1
+
+    def _relaxed(self, depth: int, frontier: list[int], matches: int) -> _Scored | None:
+        """The bound's part for the completions of a prefix of ``depth``
+        internal choices (``matches`` of them deployed) that deviate at some
+        open position, or ``None`` when no open position can deviate.
+
+        Each open vertex sends on every type some candidate could send it
+        on, and obj1 counts one open position fewer than there are.
+        """
+        tb = self.tb
+        if not tb.deviates[depth]:
+            return None
+        n = tb.n_internal
+        reach = frontier.copy()
+        for k in range(depth, n):
+            r = reach[k]
+            if r:
+                h0, h1 = tb.heads[k]
+                reach[h1] |= r & tb.fire_any[k]
+                reach[h0] |= r & tb.miss_any[k]
+        return self._score(_regions(tb, reach[n:]), matches + n - depth - 1)
+
+    def _deployed(self, depth: int, frontier: list[int], matches: int) -> _Scored:
+        """The bound's part for the completion of a prefix that keeps every
+        open position at its deployed label: exact."""
+        tb = self.tb
+        n = tb.n_internal
+        f = frontier.copy()
+        for k in range(depth, n):
+            _split(tb, f, k, tb.match[k])
+        return self._score(zip(tb.sink_bits, f[n:]), matches + n - depth)
+
+    def bound(self, depth: int, frontier: list[int], matches: int) -> int | None:
+        """The node bound of a prefix: the best score of a feasible
+        combination in either part; ``None`` when neither has one."""
+        best = None
+        parts = self._relaxed(depth, frontier, matches), self._deployed(depth, frontier, matches)
+        for part in parts:
+            if part is not None:
+                found = self._best(part, best)
+                if found is not None:
+                    best = found[0]
+        return best
+
+    def _promising(self, prefix: tuple[int, ...], frontier: list[int], matches: int) -> bool:
+        """Whether the bound of ``prefix`` can beat the incumbent (or, with
+        none yet, whether it has a feasible combination).
+
+        It decides as the full bound would, computing the deployed part only
+        when the relaxed part does not reach the threshold.
+        """
+        if self.inc_obj is None:
+            below = None
+        else:
             # an equal-bound subtree can only matter through the tie-break
-            pad = choices + (0,) * (self.tb.n_positions - len(choices))
-            return pad >= self.inc_vec
-        return True
+            pad = prefix + (0,) * (self.tb.n_positions - len(prefix))
+            below = self.inc_obj - (pad < self.inc_vec)
+        depth = len(prefix)
+        relaxed = self._relaxed(depth, frontier, matches)
+        if relaxed is not None and self._best(relaxed, below) is not None:
+            return True
+        return self._best(self._deployed(depth, frontier, matches), below) is not None
+
+    def _best(
+        self,
+        part: _Scored,
+        best: int | None,
+        prefix: tuple[int, ...] = (),
+        tied: tuple[int, ...] | None = None,
+    ) -> tuple[int, int] | None:
+        """The best feasible combination of ``part`` that scores above
+        ``best`` (or equal to it, when ``prefix`` plus its sink methods is
+        below ``tied``), as its score and index; ``None`` when none does.
+        Only a combination that would raise the best score has its rows
+        checked, so the first of equal scores wins."""
+        scores, totals, base_obj1 = part
+        if best is not None and max(scores) < best:
+            return None
+        tb = self.tb
+        lo, hi, field = tb.field_bits, tb.cost_shift, tb.field
+        feasible, kept, vectors = self.feasible, tb.sink_matches, tb.sink_vectors
+        found = None
+        for i, scaled in enumerate(scores):
+            if best is not None and (
+                scaled < best or (scaled == best and (tied is None or prefix + vectors[i] >= tied))
+            ):
+                continue
+            t = totals[i]
+            if feasible((t >> hi, base_obj1 + kept[i], t >> lo & field, t & field)):
+                best, tied = scaled, None
+                found = (scaled, i)
+        return found
 
     def _dominated(self, prefix: tuple[int, ...], frontier: list[int], matches: int) -> bool:
         """Whether an earlier prefix of this depth dominates ``prefix``;
@@ -302,14 +458,11 @@ class _Search:
         if k == tb.n_internal:
             self._score_sinks(prefix, frontier, matches)
             return
-        m = _partial_bounds(tb, k, frontier.copy(), matches)
-        if not self.feasible(m):
+        if not self._promising(prefix, frontier, matches):
+            self.pruned += 1
             return
-        scaled = self.score(m)
         if self._hit_limit():
             self.aborted = True
-            return
-        if self._prunable(scaled, prefix):
             return
 
         match = tb.match[k]
@@ -322,49 +475,15 @@ class _Search:
 
     def _score_sinks(self, prefix: tuple[int, ...], frontier: list[int], matches: int) -> None:
         """Score every sink-method combination of a complete internal prefix."""
-        tb = self.tb
         if self._hit_limit():
             self.aborted = True
             return
-
-        # the sinks partition the examinees: tally every sink but the last,
-        # which gets what the others leave of the population totals
-        tally = tb.tally
-        tallies = []
-        w_left, y_left, yz_left = tb.total, tb.y_totals, tb.yz_totals
-        for r in frontier[tb.n_internal : -1]:
-            w = tally(r)
-            y = [tally(r & m) for m in tb.y_masks]
-            yz = [tally(r & m) for m in tb.yz_masks]
-            tallies.append((w, y, yz))
-            w_left -= w
-            y_left = list(map(operator.sub, y_left, y))
-            yz_left = list(map(operator.sub, yz_left, yz))
-        tallies.append((w_left, y_left, yz_left))
-
-        # (cost, obj1, obj2, obj3) of every sink-method combination, in
-        # canonical order, so the first best is the smallest vector
-        totals = [(0, matches, 0, 0)]
-        for (w, y, yz), deployed in zip(tallies, tb.match[tb.n_internal :]):
-            sink = [
-                (cost * w, mi == deployed, y[mi], yz[mi]) for mi, cost in enumerate(tb.costs)
-            ]
-            totals = [
-                (c + dc, o1 + d1, o2 + d2, o3 + d3)
-                for c, o1, o2, o3 in totals
-                for dc, d1, d2, d3 in sink
-            ]
-        # only a combination that would be the incumbent has its rows checked
-        feasible, score = self.feasible, self.score
-        for vec, t in zip(self.sink_vectors, totals):
-            scaled = score(t)
-            if self.inc_obj is not None and (
-                scaled < self.inc_obj or (scaled == self.inc_obj and prefix + vec >= self.inc_vec)
-            ):
-                continue
-            if feasible(t):
-                self.inc_obj = scaled
-                self.inc_vec = prefix + vec
+        tb = self.tb
+        part = self._score(zip(tb.sink_bits, frontier[tb.n_internal :]), matches)
+        found = self._best(part, self.inc_obj, prefix, self.inc_vec)
+        if found is not None:
+            self.inc_obj, i = found
+            self.inc_vec = prefix + tb.sink_vectors[i]
 
 
 def _solution(
@@ -415,6 +534,7 @@ def solve(
         nodes=search.nodes,
         wall_time=time.perf_counter() - started,
         dominated=search.dominated,
+        pruned=search.pruned,
     )
     phi = None if search.inc_vec is None else inst.assignment(search.inc_vec)
     limit_bound = search.root_bound if search.aborted else None

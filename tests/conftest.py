@@ -30,7 +30,7 @@ from diagopt.datagen import GenConfig
 from diagopt.encoder import _SENSES, Instance, LinRow, _fmt_number, _fmt_terms, _wrap
 from diagopt.fileio import dump_canonical
 from diagopt.problem import FIELDS, Goal
-from diagopt.solver import _frontier, _partial_bounds, _Tables
+from diagopt.solver import _frontier, _Search, _Tables
 
 
 def make_type(
@@ -252,12 +252,50 @@ def point_metrics(model, pt) -> Metrics:
 
 
 def prefix_bound(inst: Instance, prefix: tuple[int, ...], setting: int):
-    """The objective bound the search computes at an internal choice prefix."""
+    """The objective bound the search computes at an internal choice prefix,
+    or ``None`` when it finds no completion feasible."""
     goal = Goal(inst, setting)
     tb = _Tables(inst)
     matches = sum(map(operator.eq, prefix, tb.match))
-    m = _partial_bounds(tb, len(prefix), _frontier(tb, prefix), matches)
-    return goal.value(goal.score(m))
+    scaled = _Search(tb, goal, None, None).bound(len(prefix), _frontier(tb, prefix), matches)
+    return None if scaled is None else goal.value(scaled)
+
+
+class RecordingSearch(_Search):
+    """The search, recording each prefix it cuts: ``("dominated", prefix,
+    cutter)`` with the earlier prefix that dominates it (``None`` if none
+    does), or ``("bound", prefix, inc_obj, inc_vec)`` with the incumbent
+    when the node bound cut it (``None`` twice when there was none)."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.cuts: list[tuple] = []
+
+    def _dominated(self, prefix, frontier, matches):
+        depth = len(prefix)
+        tail = frontier[depth:]
+        earlier = self.seen[depth].get(hash(tuple(tail)), ())
+        if not super()._dominated(prefix, frontier, matches):
+            return False
+        tb = self.tb
+        cutter = next(
+            (
+                p
+                for p in earlier
+                if sum(map(operator.eq, p, tb.match)) >= matches
+                and p < prefix
+                and _frontier(tb, p)[depth:] == tail
+            ),
+            None,
+        )
+        self.cuts.append(("dominated", prefix, cutter))
+        return True
+
+    def _promising(self, prefix, frontier, matches):
+        if super()._promising(prefix, frontier, matches):
+            return True
+        self.cuts.append(("bound", prefix, self.inc_obj, self.inc_vec))
+        return False
 
 
 def reference_rows(model) -> list[LinRow]:

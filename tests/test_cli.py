@@ -256,10 +256,12 @@ class TestSolveCommand:
         ]) == 0
         stats = json.loads(report_path.read_text())["stats"]
         sol = solve(read_instance(inst_path), 1)
-        assert (stats["nodes"], stats["dominated"]) == (sol.stats.nodes, sol.stats.dominated)
-        assert sol.stats.dominated > 0
+        counts = (sol.stats.nodes, sol.stats.dominated, sol.stats.pruned)
+        assert (stats["nodes"], stats["dominated"], stats["pruned"]) == counts
+        assert sol.stats.dominated > 0 and sol.stats.pruned > 0
         out = capsys.readouterr().out
-        assert f"nodes: {sol.stats.nodes} ({sol.stats.dominated} dominated), " in out
+        nodes, dominated, pruned = counts
+        assert f"nodes: {nodes} ({dominated} dominated, {pruned} pruned), " in out
 
     def test_report_reverifies(self, workspace):
         tmp, _, inst_path = workspace

@@ -1,8 +1,10 @@
 """Branch-and-bound solver against the exhaustive oracle."""
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -16,6 +18,7 @@ from diagopt.core import Assignment, InputError, evaluate
 from diagopt.datagen import GenConfig, generate_population
 from diagopt.encoder import Instance
 from diagopt.instances import build_instance
+from diagopt.problem import Goal
 from diagopt.solver import (
     STATUS_INFEASIBLE,
     STATUS_LIMIT,
@@ -26,6 +29,7 @@ from diagopt.solver import (
     verify,
 )
 from conftest import (
+    RecordingSearch,
     family,
     prefix_bound,
     random_feasible_assignment,
@@ -336,34 +340,65 @@ class TestMisplaced:
 
 
 class TestBound:
-    @pytest.mark.parametrize("setting", [1, 2, 3])
-    def test_admissible_on_random_partial_states(self, setting):
-        # every depth the search bounds, on unit-bit and weight-plane masks
-        rng = random.Random(7000 + setting)
-        checked = 0
-        for heavy in (False, True) * 12:
-            inst = random_toy_instance(rng, heavy=heavy)
+    @staticmethod
+    def bound_cases(setting, seed):
+        """Every internal prefix of unit and heavy, small and full toys, with
+        its depth, its node bound, its parent's, and the best feasible
+        objective of its completions (``None`` when none is feasible)."""
+        rng = random.Random(seed)
+        kinds = [(False, "small"), (True, "small"), (False, "full"), (True, "full")]
+        for heavy, scale in kinds * 20:
+            inst = random_toy_instance(rng, scale, heavy=heavy)
             if heavy:
                 assert not solver._Tables(inst).unit_bits
             sizes = [len(inst.families[u]) for u in inst.diagram.internals]
+            if scale == "full" and math.prod(sizes) > 60:
+                continue  # keep the enumeration cheap
+            space = sizes + [len(inst.population.methods)] * len(inst.diagram.sinks)
+            objective = {}
+            for vec, phi in zip(itertools.product(*map(range, space)), enumerate_completions(inst, ())):
+                m = evaluate(inst.diagram, phi, inst.initial, inst.population)
+                if setting_feasible(inst, setting, m):
+                    objective[vec] = setting_objective(inst, setting, m)
+            better = min if setting == 2 else max
+            bounds = {}
             for k in range(len(sizes) + 1):
-                prefix = tuple(rng.randrange(sizes[i]) for i in range(k))
-                b = prefix_bound(inst, prefix, setting)
-                best = None
-                for phi in enumerate_completions(inst, prefix):
-                    m = evaluate(inst.diagram, phi, inst.initial, inst.population)
-                    if not setting_feasible(inst, setting, m):
-                        continue
-                    obj = setting_objective(inst, setting, m)
-                    if best is None or (obj > best if setting != 2 else obj < best):
-                        best = obj
-                if best is not None:
-                    checked += 1
-                    if setting == 2:
-                        assert b <= best
-                    else:
-                        assert b >= best
-        assert checked > 20
+                for prefix in itertools.product(*map(range, sizes[:k])):
+                    b = bounds[prefix] = prefix_bound(inst, prefix, setting)
+                    below = [o for vec, o in objective.items() if vec[:k] == prefix]
+                    parent = bounds[prefix[:-1]] if prefix else None
+                    yield k, b, parent, better(below) if below else None
+
+    @pytest.mark.parametrize("setting", [1, 2, 3])
+    def test_admissible_on_random_partial_states(self, setting):
+        # every depth the search bounds, on unit-bit and weight-plane masks;
+        # no bound is missing where a completion is feasible
+        checked = 0
+        for _, b, _, best in self.bound_cases(setting, 7000 + setting):
+            if best is None:
+                continue
+            checked += 1
+            assert b is not None
+            if setting == 2:
+                assert b <= best
+            else:
+                assert b >= best
+        assert checked > 200
+
+    @pytest.mark.parametrize("setting", [1, 2, 3])
+    def test_child_bound_never_exceeds_its_parent(self, setting):
+        # a limit reports the root's bound, which covers every node's
+        checked = under_cut = 0
+        for depth, b, parent, _ in self.bound_cases(setting, 7100 + setting):
+            if depth == 0:
+                continue
+            checked += 1
+            if parent is None:
+                under_cut += 1
+                assert b is None
+            elif b is not None:
+                assert b >= parent if setting == 2 else b <= parent
+        assert checked > 200 and under_cut > 0
 
     @pytest.mark.parametrize("setting", [1, 2, 3])
     def test_carried_frontier_bounds_equal_the_from_source_ones(self, setting, monkeypatch):
@@ -372,20 +407,21 @@ class TestBound:
         visit = solver._Search._visit
 
         def spy(search, prefix, frontier, matches):
-            visited.append((search.tb, prefix, frontier.copy(), matches))
+            visited.append((search, prefix, frontier.copy(), matches))
             visit(search, prefix, frontier, matches)
 
         monkeypatch.setattr(solver._Search, "_visit", spy)
         rng = random.Random(8000 + setting)
-        for _ in range(30):
+        for _ in range(60):
             solve(random_toy_instance(rng, "full", heavy=rng.random() < 0.5), setting)
         assert len(visited) > 200
-        for tb, prefix, frontier, matches in visited:
+        for search, prefix, frontier, matches in visited:
+            tb = search.tb
             source = solver._frontier(tb, prefix)
             assert frontier[len(prefix) :] == source[len(prefix) :]
             assert matches == sum(c == m for c, m in zip(prefix, tb.match))
-            carried = solver._partial_bounds(tb, len(prefix), frontier, matches)
-            assert carried == solver._partial_bounds(tb, len(prefix), source, matches)
+            carried = search.bound(len(prefix), frontier, matches)
+            assert carried == search.bound(len(prefix), source, matches)
 
     def test_root_bound_covers_the_optimum(self, rng):
         for _ in range(10):
@@ -437,7 +473,7 @@ class TestLimits:
         sol = solve(inst, 1, node_limit=6)
         assert sol.status == STATUS_LIMIT
         assert sol.objective_value == Fraction(103, 36)
-        assert sol.best_bound == Fraction(5887, 1368)
+        assert sol.best_bound == Fraction(1715, 456)
         assert sol.objective_value < full.objective_value <= sol.best_bound
         assert sol.gap == sol.best_bound - sol.objective_value
         assert verify(sol, inst, 1).ok
@@ -480,7 +516,7 @@ class TestSearchOrder:
     # frontier merging and tie-break; any change to one of them shows here first
     @pytest.mark.parametrize(
         "seed, nodes",
-        [(1, (88, 28, 54)), (17, (15, 15, 15)), (44, (14, 14, 14))],
+        [(1, (64, 24, 24)), (17, (10, 15, 10)), (44, (11, 14, 11))],
     )
     def test_node_counts_are_pinned(self, seed, nodes):
         inst = random_toy_instance(random.Random(seed), "full")
@@ -489,7 +525,7 @@ class TestSearchOrder:
 
     @pytest.mark.parametrize(
         "seed, dominated",
-        [(1, (23, 1, 6)), (17, (2, 2, 2)), (44, (6, 6, 6))],
+        [(1, (13, 1, 2)), (17, (2, 2, 2)), (44, (5, 6, 5))],
     )
     def test_dominated_counts_are_pinned(self, seed, dominated):
         inst = random_toy_instance(random.Random(seed), "full")
@@ -500,24 +536,29 @@ class TestSearchOrder:
     def desk_instance_3(self):
         return build_instance(3, generate_population(GenConfig(n=800, seed=20240601)))
 
+    # per setting: status, nodes and dominated prefixes under the desk cap
+    DESK_CAP_COUNTS = {1: (STATUS_LIMIT, 50_001, 24_028), 2: (STATUS_OPTIMAL, 6_569, 2_261)}
+
     @pytest.mark.parametrize(
         "setting, objective, best_bound, vector",
         [
-            (1, Fraction(248171, 51336), Fraction(46675, 6417), (1, 8, 0, 19, 3, 1, 3, 1)),
-            (2, 161200, 0, (1, 9, 4, 10, 3, 1, 1, 2)),
+            (1, Fraction(248171, 51336), Fraction(10781, 1656), (1, 8, 0, 19, 3, 1, 3, 1)),
+            (2, 160900, 160900, (1, 12, 6, 10, 3, 1, 1, 2)),
         ],
     )
     def test_capped_desk_incumbents_are_pinned(
         self, desk_instance_3, setting, objective, best_bound, vector
     ):
         # the desk benchmark's node cap stops instance 3 before it proves
-        # settings 1 and 2, so only these pins fix the incumbents it holds
+        # setting 1, so only these pins fix the incumbent it holds; setting 2
+        # closes under the cap
         sol = solve(desk_instance_3, setting, node_limit=50_000)
-        assert sol.status == STATUS_LIMIT
+        status, nodes, dominated = self.DESK_CAP_COUNTS[setting]
+        assert sol.status == status
         assert sol.objective_value == objective
         assert sol.best_bound == best_bound
         assert desk_instance_3.choice_vector(sol.assignment) == vector
-        assert (sol.stats.nodes, sol.stats.dominated) == (50_000, 28_359)
+        assert (sol.stats.nodes, sol.stats.dominated) == (nodes, dominated)
         assert verify(sol, desk_instance_3, setting).ok
 
     def test_population_without_types(self):
@@ -529,6 +570,78 @@ class TestSearchOrder:
         assert sol.stats.nodes == 65
         for setting in (2, 3):
             assert solve(inst, setting).status == STATUS_INFEASIBLE
+
+
+class TestCutAudit:
+    """Sampled cuts of real searches, re-checked through the scalar walk.
+
+    A generated population of 60 examinees, with each instance's budget and
+    reaction targets scaled to it, so that every cell has a feasible optimum
+    to prune against. A search capped at 5,000 nodes records its cuts (see
+    ``conftest.RecordingSearch``); per cell, up to three cuts per reason and
+    depth are drawn among those whose subtree holds at most 1,000
+    completions, and every completion is scored with ``core.evaluate``.
+    """
+
+    N = 60
+    SAMPLES = 3
+
+    @pytest.fixture(scope="class")
+    def population(self):
+        return generate_population(GenConfig(n=self.N, seed=20240601))
+
+    def scaled(self, inst):
+        th1, th2, th3 = inst.targets
+        return dataclasses.replace(
+            inst,
+            budget=inst.budget * self.N // 800,
+            targets=(th1, max(1, th2 * self.N // 600), max(1, th3 * self.N // 600)),
+        )
+
+    @pytest.mark.parametrize("setting", [1, 2, 3])
+    @pytest.mark.parametrize("instance", [1, 2, 3])
+    def test_sampled_cuts_hold(self, population, instance, setting):
+        inst = self.scaled(build_instance(instance, population))
+        goal = Goal(inst, setting)
+        search = RecordingSearch(solver._Tables(inst), goal, 5_000, None)
+        search.run()
+        sizes = [len(labels) for labels in inst.choices]
+        groups = collections.defaultdict(list)
+        for cut in search.cuts:
+            depth = len(cut[1])
+            if math.prod(sizes[depth:]) <= 1_000:
+                reason = "infeasible" if cut[0] == "bound" and cut[2] is None else cut[0]
+                groups[reason, depth].append(cut)
+        rng = random.Random(100 * instance + setting)
+        better = (lambda a, b: a < b) if setting == 2 else (lambda a, b: a > b)
+
+        def metrics(vec):
+            return evaluate(inst.diagram, inst.assignment(vec), inst.initial, inst.population)
+
+        for (reason, depth), cuts in sorted(groups.items()):
+            for cut in rng.sample(cuts, min(self.SAMPLES, len(cuts))):
+                prefix = cut[1]
+                for tail in itertools.product(*map(range, sizes[depth:])):
+                    m = metrics(prefix + tail)
+                    if reason == "dominated":
+                        # the cutting prefix does at least as well on every completion
+                        cutter = cut[2]
+                        assert cutter is not None and cutter < prefix
+                        kept = metrics(cutter + tail)
+                        assert (kept.cost, kept.obj2, kept.obj3) == (m.cost, m.obj2, m.obj3)
+                        assert kept.obj1 >= m.obj1
+                    elif setting_feasible(inst, setting, m):
+                        # no completion beats the incumbent the bound cut against
+                        assert reason == "bound"
+                        inc = goal.value(cut[2])
+                        obj = setting_objective(inst, setting, m)
+                        assert not better(obj, inc)
+                        assert obj != inc or prefix + tail >= cut[3]
+        # every cell cuts by both reasons, and i3s2 also cuts a subtree
+        # with no feasible completion before its first incumbent
+        reasons = {reason for reason, _ in groups}
+        assert {"dominated", "bound"} <= reasons
+        assert "infeasible" in reasons or (instance, setting) != (3, 2)
 
 
 class TestBruteForce:
