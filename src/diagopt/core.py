@@ -106,7 +106,7 @@ class ExamineeType:
     def __post_init__(self) -> None:
         if self.weight < 1:
             raise InputError(f"type {self.id}: weight must be >= 1")
-        if any(b not in (0, 1) for b in self.x) or any(b not in (0, 1) for b in self.y):
+        if not {*self.x, *self.y} <= {0, 1}:
             raise InputError(f"type {self.id}: x and y must be 0/1 vectors")
         if self.z not in (0, 1):
             raise InputError(f"type {self.id}: z must be 0 or 1")

@@ -132,12 +132,16 @@ def _float(value: Any) -> float:
     return float(value)
 
 
-def _members(ids: Any, universe: set[int], what: str) -> set[int]:
-    """The ids of a type's ``x1`` or ``y1`` list, all inside ``universe``."""
+def _indicator(ids: Any, positions: dict[int, int], what: str) -> tuple[int, ...]:
+    """The 0/1 vector of a type's ``x1`` or ``y1`` list over a universe, given
+    each of its ids' position; every listed id must lie inside."""
     got = set(map(_int, ids))
-    if not got <= universe:
-        raise ValueError(f"{what} {min(got - universe)} outside the universe")
-    return got
+    if not got <= positions.keys():
+        raise ValueError(f"{what} {min(got - positions.keys())} outside the universe")
+    vec = [0] * len(positions)
+    for i in got:
+        vec[positions[i]] = 1
+    return tuple(vec)
 
 
 def _methods_to_obj(methods: MethodUniverse) -> list[list[int]]:
@@ -194,19 +198,14 @@ def population_to_obj(pop: Population) -> dict[str, Any]:
 def population_from_obj(obj: Mapping[str, Any]) -> Population:
     items = ItemUniverse(tuple(map(_int, obj["items"])))
     methods = _methods_from_obj(obj["methods"])
-    item_ids, method_ids = set(items.items), set(methods.methods)
+    item_pos = {i: k for k, i in enumerate(items.items)}
+    method_pos = {m: k for k, m in enumerate(methods.methods)}
     types = []
     for row in obj["types"]:
-        x1 = _members(row["x1"], item_ids, "item")
-        y1 = _members(row["y1"], method_ids, "method")
+        x = _indicator(row["x1"], item_pos, "item")
+        y = _indicator(row["y1"], method_pos, "method")
         types.append(
-            ExamineeType(
-                id=_int(row["id"]),
-                weight=_int(row["weight"]),
-                x=tuple(int(i in x1) for i in items.items),
-                y=tuple(int(m in y1) for m in methods.methods),
-                z=_int(row["z"]),
-            )
+            ExamineeType(id=_int(row["id"]), weight=_int(row["weight"]), x=x, y=y, z=_int(row["z"]))
         )
     return Population(items=items, methods=methods, types=tuple(types))
 

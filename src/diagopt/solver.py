@@ -44,7 +44,7 @@ import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -57,9 +57,16 @@ STATUS_LIMIT = "limit-reached"
 
 BRUTE_FORCE_CAP = 2_000_000
 
-# per sink-method combination, its score and its packed (cost, obj2, obj3)
-# (see _Tables); then the obj1 base the combinations' kept sinks add to
-_Scored = tuple[list[int], list[int], int]
+# per sink-method combination its score; per region its mask, its weight,
+# its method subsets and the subset each combination takes (see _Tables),
+# from which _best sums a checked combination's totals; then the obj1 base
+# the combinations' kept sinks add to
+_Scored = tuple[list[int], list[tuple[int, int, list[tuple[int, int, int]], list[int]]], int]
+
+# a region's method subsets as (cheapest cost, y mask union, y∧z mask union);
+# per sink-method combination the index of the subset it takes; and a getter
+# of a per-subset list's entries at those indices, as a tuple
+_Region = tuple[list[tuple[int, int, int]], list[int], Callable[[list[int]], tuple[int, ...]]]
 
 # masks hold one bit per examinee while the total weight is at most this many
 # bits per type, and one bit per type (with weight bit-planes) above it
@@ -118,10 +125,8 @@ class _Tables:
     and ``sink_matches`` how many sinks each keeps at its deployed method.
     ``region(key)`` gives, on first use, the method subsets the region's
     sinks can take (each one's cheapest cost and the unions of its y and
-    y∧z masks) and which one each combination gives the region.
-    A combination's (cost, obj2, obj3) is summed as one int: obj2 and obj3
-    in the low fields of ``field_bits`` bits each, which no sum overflows
-    since a sum never exceeds the total weight, and cost above them.
+    y∧z masks), which one each combination gives the region, and a getter
+    that gathers a per-subset list into combination order in one call.
     """
 
     def __init__(self, inst: Instance):
@@ -133,9 +138,8 @@ class _Tables:
         self.n_internal = n = len(d.internals)
         self.methods = pop.methods.methods
         self.costs = pop.methods.costs
-        self.total = pop.total_weight
         weights = [t.weight for t in pop.types]
-        self.unit_bits = self.total <= UNIT_BIT_MEAN_WEIGHT * len(weights)
+        self.unit_bits = pop.total_weight <= UNIT_BIT_MEAN_WEIGHT * len(weights)
         if self.unit_bits:
             repeats = np.array(weights, dtype=np.int64)
 
@@ -186,22 +190,18 @@ class _Tables:
         self.sink_vectors = list(itertools.product(range(len(self.methods)), repeat=n_sinks))
         deployed = self.match[n:]
         self.sink_matches = [sum(map(operator.eq, vec, deployed)) for vec in self.sink_vectors]
-        self.no_totals = [0] * len(self.sink_vectors)
-        self.field_bits = self.total.bit_length()
-        self.field = (1 << self.field_bits) - 1
-        self.cost_shift = 2 * self.field_bits
-        self._region_tables: dict[int, tuple[list[tuple[int, int, int]], list[int]]] = {}
+        self._region_tables: dict[int, _Region] = {}
 
-    def region(self, key: int) -> tuple[list[tuple[int, int, int]], list[int]]:
-        """The method subsets region ``key`` can take, as (cheapest cost, y
-        mask union, y∧z mask union), and per combination the index of the
-        one it takes."""
+    def region(self, key: int) -> _Region:
+        """The method subsets region ``key`` can take, which one each
+        combination takes, and their getter (see ``_Region``)."""
         got = self._region_tables.get(key)
         if got is None:
             sinks = [s for s, bit in enumerate(self.sink_bits) if key & bit]
-            picks = [frozenset(vec[s] for s in sinks) for vec in self.sink_vectors]
-            subsets = sorted(set(picks), key=sorted)
+            takes = [frozenset(vec[s] for s in sinks) for vec in self.sink_vectors]
+            subsets = sorted(set(takes), key=sorted)
             index = {ms: i for i, ms in enumerate(subsets)}
+            picks = [index[ms] for ms in takes]
             tables = [
                 (
                     min(self.costs[mi] for mi in ms),
@@ -210,7 +210,9 @@ class _Tables:
                 )
                 for ms in subsets
             ]
-            got = self._region_tables[key] = (tables, [index[ms] for ms in picks])
+            # itemgetter of one index returns the item, not a 1-tuple
+            gather = operator.itemgetter(*picks) if len(picks) > 1 else lambda seq: (seq[picks[0]],)
+            got = self._region_tables[key] = (tables, picks, gather)
         return got
 
 
@@ -277,6 +279,12 @@ class _Search:
         self.node_limit = node_limit
         self.deadline = None if time_limit is None else time.perf_counter() + time_limit
         self.kept_scores = [self.weights[1] * kept for kept in tb.sink_matches]
+        # responder counts are tallied for every method subset when the score
+        # weighs them, and per checked combination when a row reads them; a
+        # field no row reads is checked as 0, inside the range Goal gives it
+        _, _, w2, w3 = self.weights
+        self.scores_responders = bool(w2 or w3)
+        self.rows_read_responders = any(f in ("obj2", "obj3") for _, f, _, _ in goal.rows)
 
         self.nodes = 0
         self.dominated = 0
@@ -302,8 +310,9 @@ class _Search:
         return False
 
     def _score(self, regions: Iterable[tuple[int, int]], base_obj1: int) -> _Scored:
-        """The score and optimistic totals of every sink-method combination,
-        in canonical order, for the types of each region (see ``_regions``).
+        """The score of every sink-method combination, in canonical order,
+        and per region its optimistic totals, for the types of each region
+        (see ``_regions``).
 
         Each region pays its weight times the cheapest method its sinks take
         and counts its types that respond (and improve) under any of those
@@ -312,26 +321,25 @@ class _Search:
         prefix), every region is one sink and the totals are exact.
         """
         tb = self.tb
-        # each region adds to every combination's packed totals and, as
-        # Goal's score is linear, to its score
+        # each region adds to every combination's score, as Goal's score is
+        # linear; a combination's totals are summed only when _best checks
+        # its rows, and so are its responders when the score omits them
         wc, w1, w2, w3 = self.weights
         tally = tb.tally
-        lo, hi = tb.field_bits, tb.cost_shift
         add = operator.add
-        totals = tb.no_totals
         scores = map(add, self.kept_scores, itertools.repeat(w1 * base_obj1))
+        parts = []
         for key, r in regions:
-            tables, picks = tb.region(key)
+            tables, picks, gather = tb.region(key)
             w = tally(r)
-            packed = []
-            gains = []
-            for cost, y, yz in tables:
-                c, o2, o3 = w * cost, tally(r & y), tally(r & yz)
-                packed.append(c << hi | o2 << lo | o3)
-                gains.append(wc * c + w2 * o2 + w3 * o3)
-            totals = map(add, totals, map(packed.__getitem__, picks))
-            scores = map(add, scores, map(gains.__getitem__, picks))
-        return list(scores), list(totals), base_obj1
+            wcw = wc * w
+            if self.scores_responders:
+                gains = [wcw * c + w2 * tally(r & y) + w3 * tally(r & yz) for c, y, yz in tables]
+            else:
+                gains = [wcw * c for c, _, _ in tables]
+            scores = map(add, scores, gather(gains))
+            parts.append((r, w, tables, picks))
+        return list(scores), parts, base_obj1
 
     def _relaxed(self, depth: int, frontier: list[int], matches: int) -> _Scored | None:
         """The bound's part for the completions of a prefix of ``depth``
@@ -407,20 +415,26 @@ class _Search:
         below ``tied``), as its score and index; ``None`` when none does.
         Only a combination that would raise the best score has its rows
         checked, so the first of equal scores wins."""
-        scores, totals, base_obj1 = part
+        scores, parts, base_obj1 = part
         if best is not None and max(scores) < best:
             return None
         tb = self.tb
-        lo, hi, field = tb.field_bits, tb.cost_shift, tb.field
-        feasible, kept, vectors = self.feasible, tb.sink_matches, tb.sink_vectors
+        tally, feasible, kept, vectors = tb.tally, self.feasible, tb.sink_matches, tb.sink_vectors
+        responders = self.rows_read_responders
         found = None
         for i, scaled in enumerate(scores):
             if best is not None and (
                 scaled < best or (scaled == best and (tied is None or prefix + vectors[i] >= tied))
             ):
                 continue
-            t = totals[i]
-            if feasible((t >> hi, base_obj1 + kept[i], t >> lo & field, t & field)):
+            cost = obj2 = obj3 = 0
+            for r, w, tables, picks in parts:
+                c, y, yz = tables[picks[i]]
+                cost += w * c
+                if responders:
+                    obj2 += tally(r & y)
+                    obj3 += tally(r & yz)
+            if feasible((cost, base_obj1 + kept[i], obj2, obj3)):
                 best, tied = scaled, None
                 found = (scaled, i)
         return found
