@@ -311,8 +311,8 @@ class _Search:
 
     def _score(self, regions: Iterable[tuple[int, int]], base_obj1: int) -> _Scored:
         """The score of every sink-method combination, in canonical order,
-        and per region its optimistic totals, for the types of each region
-        (see ``_regions``).
+        and per region what its optimistic totals are summed from, for the
+        types of each region (see ``_regions``).
 
         Each region pays its weight times the cheapest method its sinks take
         and counts its types that respond (and improve) under any of those

@@ -182,6 +182,22 @@ def random_toy_instance(
     )
 
 
+def one_method_instance(inst: Instance) -> Instance:
+    """``inst`` with its method universe cut to its first method, which every
+    sink then deploys: one sink-method combination remains."""
+    pop = inst.population
+    first = pop.methods.methods[0]
+    methods = MethodUniverse(methods=(first,), costs=pop.methods.costs[:1])
+    types = tuple(replace(t, y=t.y[:1]) for t in pop.types)
+    initial = Assignment(
+        node_items=dict(inst.initial.node_items),
+        sink_methods={s: first for s in inst.initial.sink_methods},
+    )
+    return replace(
+        inst, population=replace(pop, methods=methods, types=types), initial=initial
+    )
+
+
 @st.composite
 def valid_diagram(draw, max_internal: int = 4, max_sinks: int = 3):
     """Arbitrary valid diagram: arcs only point at later vertices, one source."""

@@ -31,6 +31,7 @@ from diagopt.solver import (
 from conftest import (
     RecordingSearch,
     family,
+    one_method_instance,
     prefix_bound,
     random_feasible_assignment,
     random_toy_instance,
@@ -205,6 +206,26 @@ class TestOracleEquivalence:
             statuses.add(fast.status)
         assert STATUS_OPTIMAL in statuses
 
+    @pytest.mark.parametrize("setting", [1, 2, 3])
+    def test_matches_brute_force_with_one_method(self, setting):
+        # one method leaves a single sink-method combination, so each
+        # region's getter gathers one index
+        rng = random.Random(3200 + setting)
+        statuses = set()
+        for k in range(60):
+            toy = random_toy_instance(rng, ("small", "full")[k % 2], heavy=k % 3 == 0)
+            inst = one_method_instance(toy)
+            assert len(solver._Tables(inst).sink_vectors) == 1
+            fast = solve(inst, setting)
+            slow = brute_force(inst, setting)
+            assert fast.status == slow.status
+            assert fast.assignment == slow.assignment
+            assert fast.objective_value == slow.objective_value
+            assert fast.best_bound == slow.best_bound
+            assert fast.metrics == slow.metrics
+            statuses.add(fast.status)
+        assert STATUS_OPTIMAL in statuses
+
     def test_aggregated_population_keeps_masks_narrow(self):
         # one type stands for a billion examinees: masks stay one bit per
         # type, so the solve takes little memory and time
@@ -337,6 +358,51 @@ class TestMisplaced:
         assert issues == tuple(
             f"candidate/constraint violation: label at {v} not permitted" for v in (u, s)
         )
+
+
+class TestLeafScores:
+    @pytest.mark.parametrize("setting", [1, 2, 3])
+    def test_every_combination_matches_evaluate(self, setting):
+        # at every complete internal prefix, each sink-method combination's
+        # score, and the metrics _best checks its rows on, equal the scalar
+        # evaluation of its assignment; _best checks obj2 and obj3 as 0 when
+        # no row reads them
+        rng = random.Random(7200 + setting)
+        kinds = [(False, "small"), (True, "small"), (False, "full"), (True, "full")]
+        checked = 0
+        for heavy, scale in kinds * 10:
+            inst = random_toy_instance(rng, scale, heavy=heavy)
+            sizes = [len(inst.families[u]) for u in inst.diagram.internals]
+            if math.prod(sizes) > 60:
+                continue  # keep the enumeration cheap
+            goal = Goal(inst, setting)
+            reads_responders = any(f in ("obj2", "obj3") for _, f, _, _ in goal.rows)
+            tb = solver._Tables(inst)
+            search = solver._Search(tb, goal, None, None)
+            rebuilt = []
+
+            def reject(m):
+                # rejecting every combination makes _best check all of them
+                rebuilt.append(m)
+                return False
+
+            search.feasible = reject
+            for prefix in itertools.product(*map(range, sizes)):
+                frontier = solver._frontier(tb, prefix)
+                matches = sum(c == m for c, m in zip(prefix, tb.match))
+                part = search._score(zip(tb.sink_bits, frontier[tb.n_internal :]), matches)
+                rebuilt.clear()
+                assert search._best(part, None) is None
+                assert len(rebuilt) == len(part[0]) == len(tb.sink_vectors)
+                for vec, score, got in zip(tb.sink_vectors, part[0], rebuilt):
+                    phi = inst.assignment(prefix + vec)
+                    m = evaluate(inst.diagram, phi, inst.initial, inst.population)
+                    assert score == goal.score(m)
+                    if not reads_responders:
+                        m = m._replace(obj2=0, obj3=0)
+                    assert tuple(got) == tuple(m)
+                    checked += 1
+        assert checked > 1000
 
 
 class TestBound:
