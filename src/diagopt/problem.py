@@ -179,7 +179,8 @@ SETTINGS: dict[int, Setting] = {
 class Goal:
     """One setting bound to one instance's budget and targets.
 
-    ``feasible`` checks the side rows on a ``Metrics``; ``score`` is the
+    ``feasible`` checks the side rows on a ``Metrics``, which hold exactly
+    when each field lies within its entry of ``ranges``; ``score`` is the
     integer objective signed so that larger is better under either sense,
     the sum of ``signed_weights`` times the fields; ``value`` turns a score
     back into the objective value. Both are bound once here, since the
@@ -208,6 +209,7 @@ class Goal:
                 hi[k] = min(hi[k], floor(rhs))
             else:
                 lo[k] = max(lo[k], ceil(rhs))
+        self.ranges = tuple(zip(lo, hi))
         (lc, l1, l2, l3), (hc, h1, h2, h3) = lo, hi
         self._sign = 1 if spec.sense == MAXIMIZE else -1
         self.signed_weights = tuple(self._sign * w for w in self.weights)

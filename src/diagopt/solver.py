@@ -285,6 +285,7 @@ class _Search:
         _, _, w2, w3 = self.weights
         self.scores_responders = bool(w2 or w3)
         self.rows_read_responders = any(f in ("obj2", "obj3") for _, f, _, _ in goal.rows)
+        self.obj1_range = goal.ranges[1]
 
         self.nodes = 0
         self.dominated = 0
@@ -421,12 +422,16 @@ class _Search:
         tb = self.tb
         tally, feasible, kept, vectors = tb.tally, self.feasible, tb.sink_matches, tb.sink_vectors
         responders = self.rows_read_responders
+        lo1, hi1 = self.obj1_range
         found = None
         for i, scaled in enumerate(scores):
             if best is not None and (
                 scaled < best or (scaled == best and (tied is None or prefix + vectors[i] >= tied))
             ):
                 continue
+            obj1 = base_obj1 + kept[i]
+            if not lo1 <= obj1 <= hi1:
+                continue  # the obj1 row fails, with nothing tallied
             cost = obj2 = obj3 = 0
             for r, w, tables, picks in parts:
                 c, y, yz = tables[picks[i]]
@@ -434,7 +439,7 @@ class _Search:
                 if responders:
                     obj2 += tally(r & y)
                     obj3 += tally(r & yz)
-            if feasible((cost, base_obj1 + kept[i], obj2, obj3)):
+            if feasible((cost, obj1, obj2, obj3)):
                 best, tied = scaled, None
                 found = (scaled, i)
         return found

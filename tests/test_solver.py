@@ -365,11 +365,12 @@ class TestLeafScores:
     def test_every_combination_matches_evaluate(self, setting):
         # at every complete internal prefix, each sink-method combination's
         # score, and the metrics _best checks its rows on, equal the scalar
-        # evaluation of its assignment; _best checks obj2 and obj3 as 0 when
+        # evaluation of its assignment; _best skips a combination whose obj1
+        # row fails before tallying it, and checks obj2 and obj3 as 0 when
         # no row reads them
         rng = random.Random(7200 + setting)
         kinds = [(False, "small"), (True, "small"), (False, "full"), (True, "full")]
-        checked = 0
+        checked = skipped = 0
         for heavy, scale in kinds * 10:
             inst = random_toy_instance(rng, scale, heavy=heavy)
             sizes = [len(inst.families[u]) for u in inst.diagram.internals]
@@ -377,13 +378,14 @@ class TestLeafScores:
                 continue  # keep the enumeration cheap
             goal = Goal(inst, setting)
             reads_responders = any(f in ("obj2", "obj3") for _, f, _, _ in goal.rows)
+            lo1, hi1 = goal.ranges[1]
             tb = solver._Tables(inst)
             search = solver._Search(tb, goal, None, None)
             rebuilt = []
 
             def reject(m):
                 # rejecting every combination makes _best check all of them
-                rebuilt.append(m)
+                rebuilt.append(tuple(m))
                 return False
 
             search.feasible = reject
@@ -393,16 +395,22 @@ class TestLeafScores:
                 part = search._score(zip(tb.sink_bits, frontier[tb.n_internal :]), matches)
                 rebuilt.clear()
                 assert search._best(part, None) is None
-                assert len(rebuilt) == len(part[0]) == len(tb.sink_vectors)
-                for vec, score, got in zip(tb.sink_vectors, part[0], rebuilt):
+                assert len(part[0]) == len(tb.sink_vectors)
+                expected = []
+                for vec, score in zip(tb.sink_vectors, part[0]):
                     phi = inst.assignment(prefix + vec)
                     m = evaluate(inst.diagram, phi, inst.initial, inst.population)
                     assert score == goal.score(m)
+                    if not lo1 <= m.obj1 <= hi1:
+                        skipped += 1
+                        continue
                     if not reads_responders:
                         m = m._replace(obj2=0, obj3=0)
-                    assert tuple(got) == tuple(m)
-                    checked += 1
-        assert checked > 1000
+                    expected.append(tuple(m))
+                assert rebuilt == expected
+                checked += len(expected)
+        assert checked > 500
+        assert (skipped > 0) == (setting == 2)  # only setting 2 has an obj1 row
 
 
 class TestBound:
