@@ -31,9 +31,6 @@ class CandidateFamily:
     def __len__(self) -> int:
         return len(self.candidates)
 
-    def __contains__(self, c: ItemSet) -> bool:
-        return c in self.candidates
-
     @property
     def ordered(self) -> tuple[ItemSet, ...]:
         """Canonical candidate order: lexicographic on the sorted item tuple."""

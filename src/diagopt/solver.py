@@ -20,12 +20,12 @@ exact decision-diagram dynamic programming merges equal states (see
 ``_Search``), and branches on internal vertices only: one node per complete
 internal prefix scores every sink-method combination.
 One scorer serves every node: it splits the types into regions by the set
-of sinks they reach and scores every sink-method combination. At a complete
-internal prefix the regions are the sinks and the scores are exact; at an
-internal prefix, the node bound scores a relaxed reach and the deployed
-completion, as a width-2 relaxed decision diagram over the open positions
-would. A search stopped by a limit reports the root's bound, which no
-node's bound exceeds.
+of sinks they reach and scores every sink-method combination. A node is
+scored in two parts, a relaxed reach and the deployed completion, as a
+width-2 relaxed decision diagram over the open positions would; a complete
+internal prefix has no open position, so its deployed part is exact, with
+the sinks as its regions, and scores the leaf. A search stopped by a limit
+reports the root's bound, which no node's bound exceeds.
 
 ``brute_force`` is the ground-truth oracle: it enumerates every assignment
 and scores it through the scalar evaluation path, sharing no routing code
@@ -74,7 +74,7 @@ UNIT_BIT_MEAN_WEIGHT = 8
 
 
 class EnumerationCapError(RuntimeError):
-    """Raised when the brute-force space exceeds the configured cap."""
+    """Raised when the brute-force space exceeds ``BRUTE_FORCE_CAP``."""
 
 
 @dataclass(frozen=True)
@@ -168,8 +168,6 @@ class _Tables:
         # fire for some candidate, to its 0-successor those that miss for some
         self.fire_any = [mask(fires.any(0)) for fires in inst.fires]
         self.miss_any = [mask(~fires.all(0)) for fires in inst.fires]
-        # per depth: whether some open internal position has a label to deviate to
-        self.deviates = [any(len(c) > 1 for c in inst.choices[k:n]) for k in range(n + 1)]
 
         # the deployed choice per position, for the similarity objective, and
         # branch order: internal candidates closest to the deployed label
@@ -263,13 +261,13 @@ class _Search:
     (from that depth on) have the same completions and differ only in their
     matches, so a prefix is dominated, and cut, when an earlier one reached
     its frontier with at least as many matches and a smaller choice vector.
-    The node at depth ``n_internal`` scores every sink-method combination.
 
-    An internal prefix is bounded by the larger of two scored parts (see
-    ``_relaxed`` and ``_deployed``): every completion either keeps each open
-    position at its deployed label or deviates at one of them. A child's
-    bound never exceeds its parent's, since fixing a vertex only shrinks
-    reach.
+    A prefix is bounded by the larger of two scored parts (see ``_relaxed``
+    and ``_deployed``): every completion either keeps each open position at
+    its deployed label or deviates at one of them. A child's bound never
+    exceeds its parent's, since fixing a vertex only shrinks reach. The node
+    at depth ``n_internal`` scores every sink-method combination through its
+    deployed part.
     """
 
     def __init__(self, tb: _Tables, goal: Goal, node_limit: int | None, time_limit: float | None):
@@ -342,17 +340,18 @@ class _Search:
             parts.append((r, w, tables, picks))
         return list(scores), parts, base_obj1
 
-    def _relaxed(self, depth: int, frontier: list[int], matches: int) -> _Scored | None:
+    def _relaxed(self, depth: int, frontier: list[int], matches: int) -> _Scored:
         """The bound's part for the completions of a prefix of ``depth``
         internal choices (``matches`` of them deployed) that deviate at some
-        open position, or ``None`` when no open position can deviate.
+        open position.
 
         Each open vertex sends on every type some candidate could send it
-        on, and obj1 counts one open position fewer than there are.
+        on, and obj1 counts one open position fewer than there are. Where no
+        open position has a second candidate, the reach is the deployed
+        completion's and obj1 is one lower, so this part never beats the
+        deployed one.
         """
         tb = self.tb
-        if not tb.deviates[depth]:
-            return None
         n = tb.n_internal
         reach = frontier.copy()
         for k in range(depth, n):
@@ -365,7 +364,8 @@ class _Search:
 
     def _deployed(self, depth: int, frontier: list[int], matches: int) -> _Scored:
         """The bound's part for the completion of a prefix that keeps every
-        open position at its deployed label: exact."""
+        open position at its deployed label: exact. At depth ``n_internal``
+        no position is open, and it scores the leaf's sinks."""
         tb = self.tb
         n = tb.n_internal
         f = frontier.copy()
@@ -377,12 +377,10 @@ class _Search:
         """The node bound of a prefix: the best score of a feasible
         combination in either part; ``None`` when neither has one."""
         best = None
-        parts = self._relaxed(depth, frontier, matches), self._deployed(depth, frontier, matches)
-        for part in parts:
-            if part is not None:
-                found = self._best(part, best)
-                if found is not None:
-                    best = found[0]
+        for part in self._relaxed, self._deployed:
+            found = self._best(part(depth, frontier, matches), best)
+            if found is not None:
+                best = found[0]
         return best
 
     def _promising(self, prefix: tuple[int, ...], frontier: list[int], matches: int) -> bool:
@@ -399,8 +397,7 @@ class _Search:
             pad = prefix + (0,) * (self.tb.n_positions - len(prefix))
             below = self.inc_obj - (pad < self.inc_vec)
         depth = len(prefix)
-        relaxed = self._relaxed(depth, frontier, matches)
-        if relaxed is not None and self._best(relaxed, below) is not None:
+        if self._best(self._relaxed(depth, frontier, matches), below) is not None:
             return True
         return self._best(self._deployed(depth, frontier, matches), below) is not None
 
@@ -475,7 +472,14 @@ class _Search:
         tb = self.tb
         k = len(prefix)
         if k == tb.n_internal:
-            self._score_sinks(prefix, frontier, matches)
+            if self._hit_limit():
+                self.aborted = True
+                return
+            part = self._deployed(k, frontier, matches)
+            found = self._best(part, self.inc_obj, prefix, self.inc_vec)
+            if found is not None:
+                self.inc_obj, i = found
+                self.inc_vec = prefix + tb.sink_vectors[i]
             return
         if not self._promising(prefix, frontier, matches):
             self.pruned += 1
@@ -491,18 +495,6 @@ class _Search:
             self._visit(prefix + (ci,), f, matches + (ci == match))
             if self.aborted:
                 return
-
-    def _score_sinks(self, prefix: tuple[int, ...], frontier: list[int], matches: int) -> None:
-        """Score every sink-method combination of a complete internal prefix."""
-        if self._hit_limit():
-            self.aborted = True
-            return
-        tb = self.tb
-        part = self._score(zip(tb.sink_bits, frontier[tb.n_internal :]), matches)
-        found = self._best(part, self.inc_obj, prefix, self.inc_vec)
-        if found is not None:
-            self.inc_obj, i = found
-            self.inc_vec = prefix + tb.sink_vectors[i]
 
 
 def _solution(
@@ -560,15 +552,15 @@ def solve(
     return _solution(inst, setting, goal, phi, search.inc_obj, limit_bound, stats)
 
 
-def brute_force(inst: Instance, setting: int, cap: int = BRUTE_FORCE_CAP) -> Solution:
+def brute_force(inst: Instance, setting: int) -> Solution:
     """Exhaustive oracle: score every assignment through the scalar evaluator."""
     goal = Goal(inst, setting)
     feasible, score = goal.feasible, goal.score
     d = inst.diagram
     sizes = [len(labels) for labels in inst.choices]
     space = math.prod(sizes)
-    if space > cap:
-        raise EnumerationCapError(f"{space} assignments exceed the cap of {cap}")
+    if space > BRUTE_FORCE_CAP:
+        raise EnumerationCapError(f"{space} assignments exceed the cap of {BRUTE_FORCE_CAP}")
 
     started = time.perf_counter()
     best_score: int | None = None

@@ -94,11 +94,11 @@ class TestCategoryFilter:
 
     def test_one_item_per_category_kept(self):
         base = frozenset({1, 4, 8})
-        assert base in build_family("u", base, FULL, CATEGORIES, base)
+        assert base in build_family("u", base, FULL, CATEGORIES, base).candidates
 
     def test_uncategorized_items_unconstrained(self):
         fam = build_family("u", frozenset({40}), FULL, CATEGORIES, frozenset({40, 43}))
-        assert frozenset({40, 43}) in fam
+        assert frozenset({40, 43}) in fam.candidates
 
 
 class TestRoleRestrict:

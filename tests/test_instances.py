@@ -73,7 +73,7 @@ class TestConfiguration:
     def test_initial_labels_are_candidates(self, iid, pop):
         inst = build_instance(iid, pop)
         for u in inst.diagram.internals:
-            assert inst.initial.node_items[u] in inst.families[u]
+            assert inst.initial.node_items[u] in inst.families[u].candidates
             assert inst.initial.node_items[u] <= inst.families[u].role
 
     def test_root_family_has_two_members(self, iid, pop):

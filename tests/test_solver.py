@@ -417,8 +417,9 @@ class TestBound:
     @staticmethod
     def bound_cases(setting, seed):
         """Every internal prefix of unit and heavy, small and full toys, with
-        its depth, its node bound, its parent's, and the best feasible
-        objective of its completions (``None`` when none is feasible)."""
+        its depth, its node bound, its parent's, the best feasible objective
+        of its completions (``None`` when none is feasible), and the family
+        sizes of its open internal positions."""
         rng = random.Random(seed)
         kinds = [(False, "small"), (True, "small"), (False, "full"), (True, "full")]
         for heavy, scale in kinds * 20:
@@ -441,14 +442,19 @@ class TestBound:
                     b = bounds[prefix] = prefix_bound(inst, prefix, setting)
                     below = [o for vec, o in objective.items() if vec[:k] == prefix]
                     parent = bounds[prefix[:-1]] if prefix else None
-                    yield k, b, parent, better(below) if below else None
+                    yield k, b, parent, better(below) if below else None, sizes[k:]
 
     @pytest.mark.parametrize("setting", [1, 2, 3])
     def test_admissible_on_random_partial_states(self, setting):
         # every depth the search bounds, on unit-bit and weight-plane masks;
         # no bound is missing where a completion is feasible
-        checked = 0
-        for _, b, _, best in self.bound_cases(setting, 7000 + setting):
+        checked = settled = 0
+        for _, b, _, best, open_sizes in self.bound_cases(setting, 7000 + setting):
+            if all(size == 1 for size in open_sizes):
+                # each open position's one candidate is its deployed label, so
+                # the relaxed part must not raise the bound above the completion
+                settled += bool(open_sizes)
+                assert b == best
             if best is None:
                 continue
             checked += 1
@@ -457,13 +463,13 @@ class TestBound:
                 assert b <= best
             else:
                 assert b >= best
-        assert checked > 200
+        assert checked > 200 and settled > 20
 
     @pytest.mark.parametrize("setting", [1, 2, 3])
     def test_child_bound_never_exceeds_its_parent(self, setting):
         # a limit reports the root's bound, which covers every node's
         checked = under_cut = 0
-        for depth, b, parent, _ in self.bound_cases(setting, 7100 + setting):
+        for depth, b, parent, _, _ in self.bound_cases(setting, 7100 + setting):
             if depth == 0:
                 continue
             checked += 1
@@ -758,10 +764,11 @@ class TestBruteForce:
         assert sol.stats.nodes == 2 * 4 * 4  # candidates x methods^sinks
         assert sol.status == STATUS_OPTIMAL
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         inst = tiny_instance()
+        monkeypatch.setattr(solver, "BRUTE_FORCE_CAP", 3)
         with pytest.raises(EnumerationCapError):
-            brute_force(inst, 1, cap=3)
+            brute_force(inst, 1)
 
 
 class TestVerify:

@@ -14,16 +14,26 @@ def _trees(*dirs: Path) -> dict[Path, ast.Module]:
     return {p: ast.parse(p.read_text()) for d in dirs for p in sorted(d.glob("*.py"))}
 
 
-def test_every_public_definition_has_a_caller():
-    """A public top-level function or class of ``src/diagopt`` is named by a
-    ``Name``, an ``Attribute`` or an import in the package or the benchmark;
-    one only tests call is API to delete."""
-    defined = {
-        (path.name, node.name)
-        for path, tree in _trees(PACKAGE).items()
-        for node in tree.body
+def _public(body: list[ast.stmt]) -> list[ast.FunctionDef | ast.ClassDef]:
+    return [
+        node
+        for node in body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-    }
+    ]
+
+
+def test_every_public_definition_has_a_caller():
+    """A public top-level function or class of ``src/diagopt``, and a public
+    method or property of a public class, is named by a ``Name``, an
+    ``Attribute`` or an import in the package or the benchmark; one only
+    tests call is API to delete."""
+    defined = set()
+    for path, tree in _trees(PACKAGE).items():
+        for node in _public(tree.body):
+            defined.add((path.name, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                for member in _public(node.body):
+                    defined.add((path.name, f"{node.name}.{member.name}", member.name))
     used = set()
     for tree in _trees(PACKAGE, ROOT / "perfbench").values():
         for node in ast.walk(tree):
@@ -33,7 +43,7 @@ def test_every_public_definition_has_a_caller():
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-    assert sorted((mod, name) for mod, name in defined if name not in used) == []
+    assert sorted((mod, qual) for mod, qual, name in defined if name not in used) == []
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):
