@@ -51,22 +51,23 @@ class LinRow:
 
 
 class IPModel:
-    """Immutable binary program for one instance and setting.
+    """Immutable binary program for one instance and setting. It reads the
+    decision space (vertices, choices, methods, types) from ``instance``.
 
     The variable layout is decided once, in ``_build_layout``: each block is
     a numpy array of indices into ``names``, and the blocks follow one
     another, type-major, in this order:
 
-    - ``p[ui][ci]``: internal vertex ``ui`` carries ``candidates[ui][ci]``
-      (one array per internal vertex, in candidate order);
-    - ``q[si, mi]``: sink ``si`` carries method ``methods[mi]``;
-    - ``alpha[ti, vi]``: type ``ti`` visits ``vertex_order[vi]``
+    - ``p[ui][ci]``: internal vertex ``ui`` carries its choice ``ci``
+      (one array per internal vertex, in the order of ``Instance.choices``);
+    - ``q[si, mi]``: sink ``si`` carries method ``mi``;
+    - ``alpha[ti, vi]``: type ``ti`` visits ``Instance.positions[vi]``
       (internals, then sinks, so ``vi == ui`` for an internal vertex);
     - ``beta[ti, ui, label]``: type ``ti`` leaves ``ui`` along its
       ``label`` arc;
     - ``gamma[ti, si, mi]``: type ``ti`` ends at sink ``si``, which carries
-      ``methods[mi]``;
-    - ``z[ti, mi]``: type ``ti`` ends up with ``methods[mi]``.
+      method ``mi``;
+    - ``z[ti, mi]``: type ``ti`` ends up with method ``mi``.
 
     ``choice_blocks`` holds one p or q array per decision position, indexed
     like ``Instance.choices``. The names, the rows, ``encode_assignment``,
@@ -76,9 +77,9 @@ class IPModel:
     text, one integer CSR matrix, the row names ``violations`` reports and the
     ``LinRow`` objects ``rows`` yields are all read; the linking rows' keep
     masks read ``Instance.fires``. It holds the objective (integer terms,
-    divided exactly by ``objective_divisor`` unless it is ``None``), and the
-    linear expressions for cost and the three indicators. Safe to share
-    read-only.
+    divided exactly by ``objective_divisor`` unless it is ``None``), and
+    ``exprs``, the linear expressions of the ``FIELDS`` (cost and the three
+    indicators). Safe to share read-only.
     """
 
     def __init__(self, instance: Instance, setting: int):
@@ -87,15 +88,6 @@ class IPModel:
         self.instance = instance
         self.setting = setting
         goal = Goal(instance, setting)
-
-        d = instance.diagram
-        pop = instance.population
-        self.internals = d.internals
-        self.sinks = d.sinks
-        self.vertex_order = instance.positions
-        self.methods = pop.methods.methods
-        self.n_types = len(pop.types)
-
         self._build_layout()
         self._build_expressions()
         self._build_rows(goal)
@@ -115,9 +107,10 @@ class IPModel:
             names.extend(fmt.format(*at) for at in product(*map(range, shape)))
             return np.arange(start, len(names)).reshape(shape)
 
-        n_t, n_u, n_s, n_m = self.n_types, len(self.internals), len(self.sinks), len(self.methods)
-        self.candidates = self.instance.choices[:n_u]
-        self.p = [block(f"p_u{ui}", "c", (len(c),)) for ui, c in enumerate(self.candidates)]
+        inst = self.instance
+        n_t, n_m = len(inst.population.types), len(inst.population.methods)
+        n_u, n_s = len(inst.diagram.internals), len(inst.diagram.sinks)
+        self.p = [block(f"p_u{ui}", "c", (len(c),)) for ui, c in enumerate(inst.choices[:n_u])]
         self.q = block("q", "sm", (n_s, n_m))
         self.choice_blocks: tuple[np.ndarray, ...] = (*self.p, *self.q)
         self.alpha = block("a", "tv", (n_t, n_u + n_s))
@@ -160,12 +153,8 @@ class IPModel:
 
         obj1_terms = [(1, int(b[k])) for b, k in zip(self.choice_blocks, inst.deployed)]
 
-        self.cost_expr: tuple[Term, ...] = tuple(cost_terms)
-        self.obj_exprs: tuple[tuple[Term, ...], ...] = (
-            tuple(obj1_terms),
-            tuple(obj2_terms),
-            tuple(obj3_terms),
-        )
+        fields = (cost_terms, obj1_terms, obj2_terms, obj3_terms)  # in FIELDS order
+        self.exprs: tuple[tuple[Term, ...], ...] = tuple(map(tuple, fields))
 
     def _build_rows(self, goal: Goal) -> None:
         """Lay the rows out as blocks, each written once for type 0.
@@ -176,7 +165,8 @@ class IPModel:
         """
         inst = self.instance
         d = inst.diagram
-        n_u = len(self.internals)
+        n_t = len(inst.population.types)
+        n_u = len(d.internals)
         p = [b.tolist() for b in self.p]
         q = self.q.tolist()
         stride = np.zeros(self.num_variables, dtype=np.int64)
@@ -192,7 +182,7 @@ class IPModel:
             term kept only for the types whose indicator of that candidate is
             ``label``. A block that is not ``per_type`` is written once.
             """
-            reps = self.n_types if per_type else 1
+            reps = n_t if per_type else 1
             terms = [(*t, -1)[:3] for _, ts, _, _ in rows for t in ts]
             coef, base, label = np.array(terms, dtype=np.int64).reshape(-1, 3).T
             keep = np.ones((reps, len(base)), dtype=bool)
@@ -218,16 +208,16 @@ class IPModel:
         asg += [(f"asg_s{si}", [(1, i) for i in qs], "=", 1) for si, qs in enumerate(q)]
         blocks = [row_block(asg, per_type=False)]
 
-        if self.n_types:
+        if n_t:
             a0, b0, g0, z0 = (b[0].tolist() for b in (self.alpha, self.beta, self.gamma, self.z))
 
             # routing rows: the source is always visited; any other vertex is
             # visited exactly when some predecessor forwards the walk into it
             # (ui, label) of each arc into a vertex: a tail is internal, and
-            # the internals lead vertex_order, so a tail's vertex position is
+            # the internals lead the positions, so a tail's vertex position is
             # its ui
-            vpos = {v: vi for vi, v in enumerate(self.vertex_order)}
-            in_arcs: list[list[tuple[int, int]]] = [[] for _ in self.vertex_order]
+            vpos = {v: vi for vi, v in enumerate(inst.positions)}
+            in_arcs: list[list[tuple[int, int]]] = [[] for _ in inst.positions]
             for a in d.arcs:
                 in_arcs[vpos[a.head]].append((vpos[a.tail], a.label))
             root = vpos[d.source]
@@ -283,7 +273,7 @@ class IPModel:
             blocks.append(row_block(ag))
 
         # per-setting side rows
-        exprs = dict(zip(FIELDS, (self.cost_expr,) + self.obj_exprs))
+        exprs = dict(zip(FIELDS, self.exprs))
         blocks.append(
             row_block(
                 [(name, exprs[field], sense, rhs) for name, field, sense, rhs in goal.rows],
@@ -300,7 +290,7 @@ class IPModel:
 
     def _build_objective(self, goal: Goal) -> None:
         merged: dict[int, int] = {}
-        for expr, w in zip((self.cost_expr,) + self.obj_exprs, goal.weights):
+        for expr, w in zip(self.exprs, goal.weights):
             if not w:
                 continue
             for coef, idx in expr:
@@ -446,11 +436,11 @@ def encode_assignment(model: IPModel, phi: Assignment) -> VariablePoint:
     for b, k in zip(model.choice_blocks, vec):
         x[b[k]] = 1
 
-    n_u = len(model.internals)
-    pos = {v: vi for vi, v in enumerate(model.vertex_order)}
-    reach = np.zeros((len(pos), model.n_types), dtype=bool)
+    n_u = len(d.internals)
+    pos = {v: vi for vi, v in enumerate(inst.positions)}
+    reach = np.zeros((len(pos), len(inst.population.types)), dtype=bool)
     reach[pos[d.source]] = True
-    # internals lead vertex_order in topological order: reach is complete when read
+    # internals lead the positions in topological order: reach is complete when read
     for ui, (head0, head1) in enumerate(d.heads.values()):
         ones = inst.fires[ui][vec[ui]]
         on, off = reach[ui] & ones, reach[ui] & ~ones
@@ -470,7 +460,7 @@ def encode_assignment(model: IPModel, phi: Assignment) -> VariablePoint:
 def decode(model: IPModel, point: VariablePoint) -> Assignment:
     """Read the assignment back from the p/q blocks of a point."""
     vec: list[int] = []
-    for v, block in zip(model.vertex_order, model.choice_blocks):
+    for v, block in zip(model.instance.positions, model.choice_blocks):
         hits = np.nonzero(point.values[block])[0]
         if len(hits) != 1:
             raise DecodeError(f"vertex {v}: {len(hits)} labels selected, expected 1")

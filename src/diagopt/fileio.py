@@ -21,7 +21,7 @@ import os
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Mapping, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Mapping, TypeVar
 
 from .candidates import build_family
 from .core import (
@@ -43,7 +43,9 @@ from .datagen import (
     ThresholdTable,
 )
 from .problem import Instance
-from .solver import Solution
+
+if TYPE_CHECKING:  # the file formats do not load the search
+    from .solver import Solution
 
 CONFIG_DIR_ENV = "DIAGOPT_CONFIG_DIR"
 

@@ -33,7 +33,8 @@ with the search. ``verify`` independently re-checks any returned solution.
 
 Ties between optimal assignments break toward the lexicographically smallest
 choice vector (one index into ``Instance.choices`` per position), so repeated
-runs and both solvers agree on the exact same assignment.
+runs and both solvers agree on the exact same assignment. The search applies
+the rule as one threshold per node (``_Search._below``).
 """
 from __future__ import annotations
 
@@ -267,7 +268,9 @@ class _Search:
     its deployed label or deviates at one of them. A child's bound never
     exceeds its parent's, since fixing a vertex only shrinks reach. The node
     at depth ``n_internal`` scores every sink-method combination through its
-    deployed part.
+    deployed part. Every node, leaf included, must score above one threshold
+    (``_below``), in which the tie-break toward the smallest choice vector
+    is folded.
     """
 
     def __init__(self, tb: _Tables, goal: Goal, node_limit: int | None, time_limit: float | None):
@@ -383,6 +386,16 @@ class _Search:
                 best = found[0]
         return best
 
+    def _below(self, prefix: tuple[int, ...]) -> int | None:
+        """The score a completion of ``prefix`` must beat to replace the
+        incumbent (``None`` while there is none): one lower when ``prefix``
+        padded with zeros is below the incumbent's choice vector, since the
+        tie-break then lets an equal score win."""
+        if self.inc_obj is None:
+            return None
+        pad = prefix + (0,) * (self.tb.n_positions - len(prefix))
+        return self.inc_obj - (pad < self.inc_vec)
+
     def _promising(self, prefix: tuple[int, ...], frontier: list[int], matches: int) -> bool:
         """Whether the bound of ``prefix`` can beat the incumbent (or, with
         none yet, whether it has a feasible combination).
@@ -390,41 +403,27 @@ class _Search:
         It decides as the full bound would, computing the deployed part only
         when the relaxed part does not reach the threshold.
         """
-        if self.inc_obj is None:
-            below = None
-        else:
-            # an equal-bound subtree can only matter through the tie-break
-            pad = prefix + (0,) * (self.tb.n_positions - len(prefix))
-            below = self.inc_obj - (pad < self.inc_vec)
+        below = self._below(prefix)
         depth = len(prefix)
         if self._best(self._relaxed(depth, frontier, matches), below) is not None:
             return True
         return self._best(self._deployed(depth, frontier, matches), below) is not None
 
-    def _best(
-        self,
-        part: _Scored,
-        best: int | None,
-        prefix: tuple[int, ...] = (),
-        tied: tuple[int, ...] | None = None,
-    ) -> tuple[int, int] | None:
+    def _best(self, part: _Scored, below: int | None) -> tuple[int, int] | None:
         """The best feasible combination of ``part`` that scores above
-        ``best`` (or equal to it, when ``prefix`` plus its sink methods is
-        below ``tied``), as its score and index; ``None`` when none does.
-        Only a combination that would raise the best score has its rows
-        checked, so the first of equal scores wins."""
+        ``below`` (any score when ``None``), as its score and index; ``None``
+        when none does. Only a combination that would raise the best score
+        has its rows checked, so the first of equal scores wins."""
         scores, parts, base_obj1 = part
-        if best is not None and max(scores) < best:
+        if below is not None and max(scores) <= below:
             return None
         tb = self.tb
-        tally, feasible, kept, vectors = tb.tally, self.feasible, tb.sink_matches, tb.sink_vectors
+        tally, feasible, kept = tb.tally, self.feasible, tb.sink_matches
         responders = self.rows_read_responders
         lo1, hi1 = self.obj1_range
         found = None
         for i, scaled in enumerate(scores):
-            if best is not None and (
-                scaled < best or (scaled == best and (tied is None or prefix + vectors[i] >= tied))
-            ):
+            if below is not None and scaled <= below:
                 continue
             obj1 = base_obj1 + kept[i]
             if not lo1 <= obj1 <= hi1:
@@ -437,7 +436,7 @@ class _Search:
                     obj2 += tally(r & y)
                     obj3 += tally(r & yz)
             if feasible((cost, obj1, obj2, obj3)):
-                best, tied = scaled, None
+                below = scaled
                 found = (scaled, i)
         return found
 
@@ -476,7 +475,7 @@ class _Search:
                 self.aborted = True
                 return
             part = self._deployed(k, frontier, matches)
-            found = self._best(part, self.inc_obj, prefix, self.inc_vec)
+            found = self._best(part, self._below(prefix))
             if found is not None:
                 self.inc_obj, i = found
                 self.inc_vec = prefix + tb.sink_vectors[i]

@@ -263,8 +263,7 @@ def genconfig_doc(cfg: GenConfig) -> dict:
 
 def point_metrics(model, pt) -> Metrics:
     """The model's cost and indicator expressions, summed exactly at a 0/1 point."""
-    exprs = (model.cost_expr, *model.obj_exprs)
-    return Metrics(*(sum(coef for coef, idx in e if pt.values[idx]) for e in exprs))
+    return Metrics(*(sum(coef for coef, idx in e if pt.values[idx]) for e in model.exprs))
 
 
 def prefix_bound(inst: Instance, prefix: tuple[int, ...], setting: int):
@@ -323,7 +322,7 @@ def reference_rows(model) -> list[LinRow]:
     """
     inst = model.instance
     d = inst.diagram
-    n_u = len(model.internals)
+    n_u = len(d.internals)
     p = [b.tolist() for b in model.p]
     q, alpha, beta, gamma, z = (
         b.tolist() for b in (model.q, model.alpha, model.beta, model.gamma, model.z)
@@ -338,8 +337,8 @@ def reference_rows(model) -> list[LinRow]:
 
     # routing rows: the source is visited; another vertex is visited exactly
     # when some predecessor forwards the walk into it
-    vpos = {v: vi for vi, v in enumerate(model.vertex_order)}
-    in_arcs: list[list[tuple[int, int]]] = [[] for _ in model.vertex_order]
+    vpos = {v: vi for vi, v in enumerate(inst.positions)}
+    in_arcs: list[list[tuple[int, int]]] = [[] for _ in inst.positions]
     for a in d.arcs:
         in_arcs[vpos[a.head]].append((vpos[a.tail], a.label))
     root = vpos[d.source]
@@ -401,7 +400,7 @@ def reference_rows(model) -> list[LinRow]:
                 rows.append(LinRow(f"ag_lb_t{ti}_s{si}_m{mi}", ((1, zi), g), ">=", 0))
 
     # per-setting side rows
-    exprs = dict(zip(FIELDS, (model.cost_expr,) + model.obj_exprs))
+    exprs = dict(zip(FIELDS, model.exprs))
     for name, field, sense, rhs in Goal(inst, model.setting).rows:
         rows.append(LinRow(name, exprs[field], sense, rhs))
     return rows

@@ -107,8 +107,8 @@ def test_encoding_soundness_and_objective_consistency(desk_pop):
             # the z block must agree with scalar routing for every type
             for ti, s in enumerate(reached_sinks(inst.diagram, phi, inst.population)):
                 m = phi.sink_methods[s]
-                assert pt.values[base.z[ti, base.methods.index(m)]] == 1
-            assert int(pt.values[base.z].sum()) == base.n_types
+                assert pt.values[base.z[ti, inst.population.methods.methods.index(m)]] == 1
+            assert int(pt.values[base.z].sum()) == len(inst.population.types)
 
             # objective consistency, exact integers and the scaled scalar
             want = evaluate(inst.diagram, phi, inst.initial, inst.population)

@@ -667,6 +667,16 @@ def _renamed_method_key(new_key, name):
     return corrupt
 
 
+def _instance_value(key, value, name):
+    """Set the instance document's ``key`` to ``value``."""
+
+    def corrupt(docs):
+        docs["instance"][key] = value
+
+    corrupt.__name__ = name
+    return corrupt
+
+
 def _threshold(docs, item):
     at, pred = docs["genconfig"]["thresholds"][item]
     assert at == item
@@ -754,6 +764,11 @@ class TestMalformedDocuments:
             ("population", _population_list),
             ("instance", _inline_null_weight),
             ("instance", _inline_and_path_population),
+            ("instance", _instance_value("targets", [3, 1], "_two_targets")),
+            ("instance", _instance_value("population_path", 7, "_numeric_population_path")),
+            ("instance", _instance_value("roles", {}, "_role_missing")),
+            ("instance", _instance_value("budget", -1, "_negative_budget")),
+            ("instance", _instance_value("targets", [3, 0, 1], "_zero_target")),
             ("assignment", _assignment_list),
             ("assignment", _null_node_label),
             ("assignment", _assignment_covering_nothing),

@@ -177,7 +177,7 @@ class TestSettingShapes:
         inst = tiny_instance(targets=(3, 5, 7))
         model = build_model(inst, 1)
         coefs = {idx: Fraction(c, model.objective_divisor) for c, idx in model.objective}
-        p_initial = model.p[0][model.candidates[0].index(frozenset({0}))]
+        p_initial = model.p[0][inst.choices[0].index(frozenset({0}))]
         assert coefs[p_initial] == Fraction(1, 3)
 
 
@@ -202,7 +202,7 @@ class TestEncode:
         model = build_model(inst, 1)
         phi = random_feasible(inst, rng)
         pt = encode_assignment(model, phi)
-        for ti in range(model.n_types):
+        for ti in range(len(inst.population.types)):
             assert pt.values[model.z[ti]].sum() == 1
 
     def test_identity_assignment_scores_full_similarity(self):
@@ -237,7 +237,7 @@ class TestEncode:
             pt = encode_assignment(model, phi)
             for ti, s in enumerate(reached_sinks(inst.diagram, phi, inst.population)):
                 m = phi.sink_methods[s]
-                for mi, other in enumerate(model.methods):
+                for mi, other in enumerate(inst.population.methods):
                     want = 1 if other == m else 0
                     assert pt.values[model.z[ti, mi]] == want
 
@@ -321,7 +321,7 @@ class TestEncodeProperty:
         )
         for ti, s in enumerate(reached_sinks(inst.diagram, phi, inst.population)):
             m = phi.sink_methods[s]
-            assert pt.values[model.z[ti, model.methods.index(m)]] == 1
+            assert pt.values[model.z[ti, inst.population.methods.methods.index(m)]] == 1
 
 
 class TestDecode:
@@ -343,7 +343,7 @@ class TestDecode:
         inst = tiny_instance()
         model = build_model(inst, 1)
         values = np.zeros(model.num_variables, dtype=np.int8)
-        values[model.p[0][model.candidates[0].index(frozenset({0}))]] = 1
+        values[model.p[0][inst.choices[0].index(frozenset({0}))]] = 1
         values[model.q[0, [0, 1]]] = 1  # sink s0 gets methods 0 and 1
         values[model.q[1, 0]] = 1
         with pytest.raises(DecodeError):
@@ -421,7 +421,7 @@ class TestParallelArcs:
         phi = Assignment.build({"r": {0}, "v": set()}, {"s": 1})
         pt = encode_assignment(model, phi)
         assert structural_violations(model, pt) == ()
-        vi = [model.vertex_order.index(v) for v in ("v", "s")]
+        vi = [inst.positions.index(v) for v in ("v", "s")]
         assert pt.values[model.alpha[:, vi]].all()
         m = point_metrics(model, pt)
         assert (m.cost, m.obj2, m.obj3) == (500, 5, 2)
@@ -543,7 +543,7 @@ class TestExportLp:
         inst = tiny_instance(targets=(3, 5, 7))
         model = build_model(inst, 1)
         parsed = parse_lp(export_lp(model))
-        p_initial = model.names[model.p[0][model.candidates[0].index(frozenset({0}))]]
+        p_initial = model.names[model.p[0][inst.choices[0].index(frozenset({0}))]]
         assert float(parsed.objective.terms[p_initial]) == pytest.approx(1 / 3)
 
     def test_long_rows_wrap_into_continuation_lines(self):
@@ -671,6 +671,6 @@ class TestBlockWriter:
             base = random_toy_instance(rng, "full")
         for n_types in (0, 1, 12, 120):
             model = build_model(with_random_types(base, rng, n_types), setting)
-            assert model.n_types == n_types
+            assert len(model.instance.population.types) == n_types
             self.assert_matches_reference(model)
         assert wrapped_typed_rows(export_lp(model)) > 0

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -37,6 +38,7 @@ from conftest import (
     random_toy_instance,
     tiny_instance,
 )
+from test_external_milp import check_against_native
 
 
 def setting_objective(inst, setting, m):
@@ -68,6 +70,17 @@ def enumerate_completions(inst, prefix):
             s: methods[combo[len(orders) + j]] for j, s in enumerate(inst.diagram.sinks)
         }
         yield Assignment(node_items=node_items, sink_methods=sink_methods)
+
+
+def truncated(inst, extra):
+    """``inst`` with each family cut to its deployed label and the first
+    ``extra`` other members in canonical order."""
+    families = {}
+    for u, fam in inst.families.items():
+        keep = [inst.initial.node_items[u]]
+        keep += [c for c in fam.ordered if c not in keep][:extra]
+        families[u] = CandidateFamily(vertex=u, candidates=frozenset(keep), role=fam.role)
+    return dataclasses.replace(inst, families=families)
 
 
 class TestSolveBasics:
@@ -612,6 +625,30 @@ class TestSearchOrder:
         got = tuple(solve(inst, setting).stats.dominated for setting in (1, 2, 3))
         assert got == dominated
 
+    # sha256 of one line per solve of the toy differential below (status,
+    # node counts, objective, bound and choice vector), recorded before the
+    # tie-break became one threshold
+    TOY_DECISIONS_SHA256 = "e4edb859f0bf7ded6f0b67cf9a7df9d74d6351384161250a4b3a49cb6c52c65a"
+
+    def test_toy_decisions_are_pinned(self):
+        # seeds 0-149 of both toy scales, unit and heavy weights, every
+        # method and cut to one, settings 1-3, uncapped and at 7 nodes
+        digest = hashlib.sha256()
+        for seed, scale, heavy, one in itertools.product(
+            range(150), ("small", "full"), (False, True), (False, True)
+        ):
+            inst = random_toy_instance(random.Random(seed), scale, heavy=heavy)
+            if one:
+                inst = one_method_instance(inst)
+            for setting, limit in itertools.product((1, 2, 3), (None, 7)):
+                sol = solve(inst, setting, node_limit=limit)
+                vec = None if sol.assignment is None else inst.choice_vector(sol.assignment)
+                s = sol.stats
+                line = f"{sol.status} {s.nodes} {s.dominated} {s.pruned} "
+                line += f"{sol.objective_value} {sol.best_bound} {vec}\n"
+                digest.update(line.encode())
+        assert digest.hexdigest() == self.TOY_DECISIONS_SHA256
+
     @pytest.fixture(scope="class")
     def desk_instance_3(self):
         return build_instance(3, generate_population(GenConfig(n=800, seed=20240601)))
@@ -653,7 +690,8 @@ class TestSearchOrder:
 
 
 class TestCutAudit:
-    """Sampled cuts of real searches, re-checked through the scalar walk.
+    """Sampled cuts of real searches, re-checked through the scalar walk,
+    and whole optima checked three ways.
 
     A generated population of 60 examinees, with each instance's budget and
     reaction targets scaled to it, so that every cell has a feasible optimum
@@ -661,6 +699,8 @@ class TestCutAudit:
     ``conftest.RecordingSearch``); per cell, up to three cuts per reason and
     depth are drawn among those whose subtree holds at most 1,000
     completions, and every completion is scored with ``core.evaluate``.
+    Each cell cut to its deployed label and one more candidate per vertex is
+    solved natively, by ``brute_force`` and by HiGHS on its LP export.
     """
 
     N = 60
@@ -723,32 +763,24 @@ class TestCutAudit:
         assert {"dominated", "bound"} <= reasons
         assert "infeasible" in reasons or (instance, setting) != (3, 2)
 
+    @pytest.mark.parametrize("setting", [1, 2, 3])
+    @pytest.mark.parametrize("instance", [1, 2, 3])
+    def test_truncated_cells_agree_three_ways(self, population, instance, setting):
+        inst = truncated(self.scaled(build_instance(instance, population)), 1)
+        fast = solve(inst, setting)
+        slow = brute_force(inst, setting)
+        assert fast.status == slow.status == STATUS_OPTIMAL
+        assert fast.assignment == slow.assignment
+        assert fast.objective_value == slow.objective_value
+        assert fast.best_bound == slow.best_bound
+        check_against_native(inst, setting)
+
 
 class TestBruteForce:
     def test_truncated_shipped_instance(self):
         """First shipped instance with families cut to four members each."""
-        import time
-
-        from diagopt.datagen import GenConfig, generate_population
-        from diagopt.instances import build_instance
-
         pop = generate_population(GenConfig(n=60, seed=31))
-        inst = build_instance(1, pop)
-        families = {}
-        for u, fam in inst.families.items():
-            keep = [inst.initial.node_items[u]]
-            keep += [c for c in fam.ordered if c not in keep][:3]
-            families[u] = CandidateFamily(
-                vertex=u, candidates=frozenset(keep), role=fam.role
-            )
-        small = Instance(
-            diagram=inst.diagram,
-            population=inst.population,
-            families=families,
-            initial=inst.initial,
-            budget=inst.budget,
-            targets=inst.targets,
-        )
+        small = truncated(build_instance(1, pop), 3)
         started = time.perf_counter()
         slow = brute_force(small, 1)
         elapsed = time.perf_counter() - started
@@ -803,3 +835,34 @@ class TestVerify:
         inst = tiny_instance(budget=10**6)
         sol = solve(inst, 1)
         assert not verify(sol, inst, 3).ok
+
+    def test_optimal_status_without_assignment_flagged(self):
+        inst = tiny_instance(budget=10**6)
+        bad = dataclasses.replace(solve(inst, 1), assignment=None)
+        assert verify(bad, inst, 1).issues == ("optimal status without an assignment",)
+
+    def test_assignment_missing_a_vertex_flagged(self):
+        inst = tiny_instance(budget=10**6)
+        sol = solve(inst, 1)
+        phi = sol.assignment
+        bad_phi = Assignment(dict(phi.node_items), {"s0": phi.sink_methods["s0"]})
+        bad = dataclasses.replace(sol, assignment=bad_phi)
+        assert verify(bad, inst, 1).issues == ("assignment does not cover the diagram",)
+
+    def test_metrics_mismatch_flagged(self):
+        inst = tiny_instance(budget=10**6)
+        sol = solve(inst, 1)
+        bad = dataclasses.replace(sol, metrics=sol.metrics._replace(obj2=sol.metrics.obj2 + 1))
+        assert verify(bad, inst, 1).issues == (
+            f"metrics mismatch: recomputed {sol.metrics}, reported {bad.metrics}",
+        )
+
+    def test_failing_side_rows_flagged(self):
+        # the optimum under an ample budget pays for a method
+        inst = tiny_instance(budget=10**6)
+        sol = solve(inst, 1)
+        assert sol.metrics.cost > 0
+        poor = dataclasses.replace(inst, budget=0)
+        assert verify(sol, poor, 1).issues == (
+            "candidate/constraint violation: setting side constraints fail",
+        )

@@ -3,7 +3,10 @@ README's library example runs as written."""
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,6 +47,20 @@ def test_every_public_definition_has_a_caller():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     assert sorted((mod, qual) for mod, qual, name in defined if name not in used) == []
+
+
+def test_file_formats_do_not_import_the_search():
+    """Reading and writing documents loads no search code."""
+    code = "import sys, diagopt.fileio, diagopt.instances; print('diagopt.solver' in sys.modules)"
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run.stdout == "False\n"
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):
