@@ -626,8 +626,8 @@ class TestSearchOrder:
         assert got == dominated
 
     # sha256 of one line per solve of the toy differential below (status,
-    # node counts, objective, bound and choice vector), recorded before the
-    # tie-break became one threshold
+    # node counts, objective, bound and choice vector): a change to any
+    # decision the search makes on a toy changes it
     TOY_DECISIONS_SHA256 = "e4edb859f0bf7ded6f0b67cf9a7df9d74d6351384161250a4b3a49cb6c52c65a"
 
     def test_toy_decisions_are_pinned(self):
