@@ -13,10 +13,9 @@ from pathlib import Path
 from typing import NoReturn
 
 from .core import InputError, Metrics, evaluate
-from .datagen import GenConfig, GenerationError, generate_population
-from .encoder import BuildError, build_model, export_lp
+from .datagen import GenConfig, generate_population
+from .encoder import build_model, export_lp
 from .fileio import (
-    FormatError,
     instance_doc_from_template,
     read_assignment,
     read_genconfig,
@@ -31,7 +30,6 @@ from .solver import (
     STATUS_INFEASIBLE,
     STATUS_LIMIT,
     STATUS_OPTIMAL,
-    EnumerationCapError,
     brute_force,
     solve,
 )
@@ -209,14 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        InputError,
-        BuildError,
-        FormatError,
-        GenerationError,
-        EnumerationCapError,
-        OSError,
-    ) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -17,7 +17,7 @@ ItemSet = frozenset[int]
 
 
 class InputError(ValueError):
-    """Raised when an argument refers to ids outside the relevant universe."""
+    """Raised for any input the package cannot use; a document's error names its file."""
 
 
 @dataclass(frozen=True)

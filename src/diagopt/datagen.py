@@ -32,10 +32,6 @@ from .core import (
 RESAMPLE_CAP = 1_000_000
 
 
-class GenerationError(RuntimeError):
-    """Raised when sampling cannot produce a value (signals a bad attribute spec)."""
-
-
 @dataclass(frozen=True)
 class TruncatedNormal:
     """Normal(mean, sd) restricted to [lo, hi] by rejection."""
@@ -60,7 +56,7 @@ class TruncatedNormal:
             v = rng.gauss(self.mean, self.sd)
             if self.lo <= v <= self.hi:
                 return v
-        raise GenerationError(f"{self.name}: exceeded {RESAMPLE_CAP} rejection resamples")
+        raise InputError(f"{self.name}: exceeded {RESAMPLE_CAP} rejection resamples")
 
 
 @dataclass(frozen=True)

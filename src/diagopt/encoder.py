@@ -24,20 +24,12 @@ import numpy as np
 from scipy import sparse
 
 from .core import Assignment, InputError
-from .problem import FIELDS, SETTINGS, Goal, Instance
+from .problem import FIELDS, Goal, Instance
 
 Term = tuple[int, int]  # (coefficient, variable index)
 
 _LINE_WIDTH = 72
 _SENSES = {"<=": -1, "=": 0, ">=": 1}
-
-
-class BuildError(ValueError):
-    """Raised when an instance cannot be encoded."""
-
-
-class DecodeError(ValueError):
-    """Raised when a variable point does not describe a unique assignment."""
 
 
 @dataclass(frozen=True)
@@ -83,8 +75,6 @@ class IPModel:
     """
 
     def __init__(self, instance: Instance, setting: int):
-        if setting not in SETTINGS:
-            raise BuildError(f"unknown setting {setting}, expected 1, 2 or 3")
         self.instance = instance
         self.setting = setting
         goal = Goal(instance, setting)
@@ -429,7 +419,7 @@ def encode_assignment(model: IPModel, phi: Assignment) -> VariablePoint:
     inst = model.instance
     d = inst.diagram
     if not inst.is_feasible(phi):
-        raise BuildError("assignment is not feasible for this instance")
+        raise InputError("assignment is not feasible for this instance")
 
     x = np.zeros(model.num_variables, dtype=np.int8)
     vec = inst.choice_vector(phi)
@@ -463,7 +453,7 @@ def decode(model: IPModel, point: VariablePoint) -> Assignment:
     for v, block in zip(model.instance.positions, model.choice_blocks):
         hits = np.nonzero(point.values[block])[0]
         if len(hits) != 1:
-            raise DecodeError(f"vertex {v}: {len(hits)} labels selected, expected 1")
+            raise InputError(f"vertex {v}: {len(hits)} labels selected, expected 1")
         vec.append(int(hits[0]))
     return model.instance.assignment(vec)
 

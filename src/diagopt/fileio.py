@@ -8,7 +8,7 @@ document or a solve report's ``assignment`` block) and generator configs are
 only read. A block several formats share has one codec: methods
 (``_methods_to_obj`` / ``_methods_from_obj``) and assignment labels
 (``_labels_to_obj`` / ``assignment_from_obj``). Every reader goes
-through ``_from_doc``, so a schema error is one ``FormatError`` naming the file,
+through ``_from_doc``, so a schema error is one ``InputError`` naming the file,
 and reads integer fields through ``_int``, which rejects a float or a bool
 instead of truncating it, and real fields through ``_float``, which rejects a
 string, a bool or a non-finite number.
@@ -52,10 +52,6 @@ CONFIG_DIR_ENV = "DIAGOPT_CONFIG_DIR"
 _Doc = TypeVar("_Doc")
 
 
-class FormatError(ValueError):
-    """Raised when a document does not match its schema."""
-
-
 def resolve_path(path: str | Path) -> Path:
     """Use the path as given, or fall back to the configured directory."""
     p = Path(path)
@@ -80,7 +76,7 @@ def load_json(path: str | Path) -> Any:
             return json.load(fh)
     # ValueError covers bad JSON and bytes that are not UTF-8
     except (ValueError, RecursionError) as exc:
-        raise FormatError(f"{p}: invalid JSON ({exc})") from exc
+        raise InputError(f"{p}: invalid JSON ({exc})") from exc
 
 
 def write_text(path: str | Path, text: str) -> None:
@@ -91,15 +87,15 @@ def write_text(path: str | Path, text: str) -> None:
 def _from_doc(
     obj: Any, kind: str, from_obj: Callable[[Mapping[str, Any]], _Doc], where: str | Path
 ) -> _Doc:
-    """Parse a document of ``kind``: any schema error is a FormatError naming ``where``."""
+    """Parse a document of ``kind``: any schema error is an InputError naming ``where``."""
     if not isinstance(obj, dict) or obj.get("kind") != kind:
-        raise FormatError(f"{where}: not a document of kind {kind!r}")
+        raise InputError(f"{where}: not a document of kind {kind!r}")
     try:
         return from_obj(obj)
     except KeyError as exc:
-        raise FormatError(f"{where}: malformed {kind} document (missing key {exc})") from exc
+        raise InputError(f"{where}: malformed {kind} document (missing key {exc})") from exc
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{where}: malformed {kind} document ({exc})") from exc
+        raise InputError(f"{where}: malformed {kind} document ({exc})") from exc
 
 
 def _read_doc(
@@ -231,7 +227,7 @@ def read_assignment(path: str | Path) -> Assignment:
     obj = load_json(path)
     if isinstance(obj, dict) and obj.get("kind") == "report":
         if "assignment" not in obj:
-            raise FormatError(f"{path}: report holds no assignment (status {obj.get('status')!r})")
+            raise InputError(f"{path}: report holds no assignment (status {obj.get('status')!r})")
         return _from_doc(obj, "report", lambda rep: assignment_from_obj(rep["assignment"]), path)
     return _from_doc(obj, "assignment", assignment_from_obj, path)
 
@@ -408,7 +404,7 @@ class InstanceDoc:
         try:
             return self.instance(pop)
         except InputError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
+            raise InputError(f"{path}: {exc}") from exc
 
 
 def instance_doc_from_template(doc: InstanceDoc, population_path: str | None = None) -> InstanceDoc:

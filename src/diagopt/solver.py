@@ -74,10 +74,6 @@ _Region = tuple[list[tuple[int, int, int]], list[int], Callable[[list[int]], tup
 UNIT_BIT_MEAN_WEIGHT = 8
 
 
-class EnumerationCapError(RuntimeError):
-    """Raised when the brute-force space exceeds ``BRUTE_FORCE_CAP``."""
-
-
 @dataclass(frozen=True)
 class SolveStats:
     nodes: int
@@ -559,7 +555,7 @@ def brute_force(inst: Instance, setting: int) -> Solution:
     sizes = [len(labels) for labels in inst.choices]
     space = math.prod(sizes)
     if space > BRUTE_FORCE_CAP:
-        raise EnumerationCapError(f"{space} assignments exceed the cap of {BRUTE_FORCE_CAP}")
+        raise InputError(f"{space} assignments exceed the cap of {BRUTE_FORCE_CAP}")
 
     started = time.perf_counter()
     best_score: int | None = None

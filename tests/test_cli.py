@@ -12,11 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagopt.cli import main
-from diagopt.core import Assignment, ItemUniverse, MethodUniverse, evaluate
+from diagopt.core import Assignment, InputError, ItemUniverse, MethodUniverse, evaluate
 from diagopt.datagen import GenConfig
 from diagopt.encoder import build_model
 from diagopt.fileio import (
-    FormatError,
     InstanceDoc,
     dump_canonical,
     read_instance,
@@ -169,7 +168,9 @@ class TestInstanceFiles:
         obj["items"] = obj["items"][:-1]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
-        with pytest.raises(FormatError) as excinfo:
+        with pytest.raises(
+            InputError, match="population item universe differs from the instance's$"
+        ) as excinfo:
             read_instance(bad)
         assert str(bad) in str(excinfo.value)
 
@@ -179,7 +180,10 @@ class TestInstanceFiles:
         del obj["population_path"]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
-        with pytest.raises(FormatError):
+        with pytest.raises(
+            InputError,
+            match=r"malformed instance document \(needs exactly one of population and population_path\)$",
+        ):
             read_instance_doc(bad)
 
 
@@ -576,18 +580,17 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(bad) in err
 
-    def test_brute_cap_error_code(self, workspace, monkeypatch):
+    def test_brute_cap_error_code(self, workspace, monkeypatch, capsys):
         _, _, inst_path = workspace
-        import diagopt.cli as cli_mod
-        from diagopt.solver import EnumerationCapError
+        import diagopt.solver as solver_mod
 
-        def too_big(inst, setting):
-            raise EnumerationCapError("too big")
-
-        monkeypatch.setattr(cli_mod, "brute_force", too_big)
+        monkeypatch.setattr(solver_mod, "BRUTE_FORCE_CAP", 3)
         assert main([
             "solve", "--instance", str(inst_path), "--setting", "1", "--brute",
         ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "exceed the cap of 3" in err
 
 
 def _null_weight(docs):

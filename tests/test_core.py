@@ -64,6 +64,30 @@ class TestUniverses:
         with pytest.raises(InputError):
             ExamineeType(id=0, weight=0, x=(0,), y=(0,), z=0)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: METHODS.index(9), "^method 9 not in universe$"),
+            (
+                lambda: ExamineeType(id=4, weight=1, x=(2,), y=(0,), z=0),
+                "^type 4: x and y must be 0/1 vectors$",
+            ),
+            (lambda: ExamineeType(id=4, weight=1, x=(0,), y=(0,), z=2), "^type 4: z must be 0 or 1$"),
+            (
+                lambda: Population(ITEMS, METHODS, (t_with(set()), t_with({1}))),
+                "^duplicate examinee type ids$",
+            ),
+            (
+                lambda: Population(ITEMS, METHODS, (replace(t_with(set()), y=(0,)),)),
+                r"^type 0: y length 1 != \|methods\| 4$",
+            ),
+        ],
+        ids=["unknown-method", "x-not-binary", "z-not-binary", "duplicate-type", "y-length"],
+    )
+    def test_bad_values_rejected(self, build, message):
+        with pytest.raises(InputError, match=message):
+            build()
+
 
 class TestValidateDiagram:
     def test_single_vertex_is_valid(self):
@@ -109,6 +133,15 @@ class TestValidateDiagram:
         d = one_test_diagram()
         with pytest.raises(InputError, match="vertex r has out-degree 3, expected 2"):
             Diagram(vertices=d.vertices, arcs=(*d.arcs, Arc("r", "s0", 1)))
+
+    @pytest.mark.parametrize(
+        "vertices, message",
+        [(("r", "r"), "^duplicate vertex ids$"), ((), "^invalid diagram: no source vertex$")],
+        ids=["duplicate-vertex", "empty"],
+    )
+    def test_degenerate_vertex_lists_rejected(self, vertices, message):
+        with pytest.raises(InputError, match=message):
+            Diagram(vertices=vertices, arcs=())
 
     def test_unknown_endpoint_rejected_at_construction(self):
         with pytest.raises(InputError):

@@ -11,8 +11,8 @@ from diagopt.datagen import (
     PREDICATE_OPS,
     Categorical,
     GenConfig,
-    GenerationError,
     Predicate,
+    ThresholdTable,
     TruncatedNormal,
     binarize,
     default_attribute_specs,
@@ -92,6 +92,33 @@ class TestSpecValidation:
         with pytest.raises(InputError):
             GenConfig(n=1, seed=0, response_probs={1: 1.5})
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: Categorical("c", ((0, 1.5), (1, -0.5))),
+                r"^c: probabilities must lie in \[0, 1\]$",
+            ),
+            (
+                lambda: ThresholdTable(((1, Predicate("bit", "a")), (1, Predicate("bit", "b")))),
+                "^threshold table defines an item more than once$",
+            ),
+            (lambda: GenConfig(n=-1, seed=0), "^record count must be >= 0$"),
+            (
+                lambda: GenConfig(n=1, seed=0, improvement_prob=1.5),
+                r"^improvement probability must lie in \[0, 1\]$",
+            ),
+            (
+                lambda: GenConfig(n=1, seed=0, response_probs={9: 0.5}),
+                "^response probability for unknown method 9$",
+            ),
+        ],
+        ids=["negative-probability", "duplicate-item", "negative-count", "improvement", "method"],
+    )
+    def test_bad_values_rejected(self, build, message):
+        with pytest.raises(InputError, match=message):
+            build()
+
 
 class TestSampleRaw:
     def test_bernoulli_frequency(self):
@@ -115,7 +142,7 @@ class TestSampleRaw:
     def test_unreachable_band_raises(self):
         rng = random.Random(1)
         spec = (TruncatedNormal("x", 0.0, 1.0, 1e6, 1e-3),)
-        with pytest.raises(GenerationError):
+        with pytest.raises(InputError, match="^x: exceeded 1000000 rejection resamples$"):
             sample_raw(spec, rng)
 
     def test_consumes_specs_in_order(self):

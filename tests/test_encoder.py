@@ -15,8 +15,6 @@ from diagopt.candidates import CandidateFamily
 from diagopt.core import Assignment, ExamineeType, InputError, evaluate, reached_sinks
 from diagopt.datagen import GenConfig, generate_population
 from diagopt.encoder import (
-    BuildError,
-    DecodeError,
     VariablePoint,
     build_model,
     decode,
@@ -135,7 +133,7 @@ class TestRegistry:
         assert names[1] == names[2] == names[3]
 
     def test_unknown_setting_rejected(self):
-        with pytest.raises(BuildError):
+        with pytest.raises(InputError, match="^unknown setting 4, expected 1, 2 or 3$"):
             build_model(tiny_instance(), 4)
 
     def test_infeasible_initial_assignment_rejected(self):
@@ -215,7 +213,7 @@ class TestEncode:
         inst = tiny_instance()
         model = build_model(inst, 1)
         bad = Assignment.build({"r": {1}}, {"s0": 0, "s1": 1})
-        with pytest.raises(BuildError):
+        with pytest.raises(InputError, match="^assignment is not feasible for this instance$"):
             encode_assignment(model, bad)
 
     def test_encoded_points_satisfy_all_structural_rows(self, rng):
@@ -332,11 +330,24 @@ class TestDecode:
             phi = random_feasible(inst, rng)
             assert decode(model, encode_assignment(model, phi)) == phi
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (lambda n: np.zeros(n + 1, dtype=np.int8), "^point length does not match the model$"),
+            (lambda n: np.full(n, 2, dtype=np.int8), "^point values must be 0 or 1$"),
+        ],
+        ids=["length", "values"],
+    )
+    def test_malformed_point_rejected(self, values, message):
+        model = build_model(tiny_instance(), 1)
+        with pytest.raises(InputError, match=message):
+            VariablePoint(model=model, values=values(model.num_variables))
+
     def test_empty_p_block_rejected(self):
         inst = tiny_instance()
         model = build_model(inst, 1)
         pt = VariablePoint(model=model, values=np.zeros(model.num_variables, dtype=np.int8))
-        with pytest.raises(DecodeError):
+        with pytest.raises(InputError, match="^vertex r: 0 labels selected, expected 1$"):
             decode(model, pt)
 
     def test_double_q_block_rejected(self):
@@ -346,7 +357,7 @@ class TestDecode:
         values[model.p[0][inst.choices[0].index(frozenset({0}))]] = 1
         values[model.q[0, [0, 1]]] = 1  # sink s0 gets methods 0 and 1
         values[model.q[1, 0]] = 1
-        with pytest.raises(DecodeError):
+        with pytest.raises(InputError, match="^vertex s0: 2 labels selected, expected 1$"):
             decode(model, VariablePoint(model=model, values=values))
 
 

@@ -128,3 +128,11 @@ class TestErrors:
         )
         with pytest.raises(InputError):
             build_instance(1, tiny)
+
+    def test_population_method_costs_must_match(self, pop):
+        methods = MethodUniverse(methods=pop.methods.methods, costs=(0, 1, 2, 3))
+        other = Population(items=pop.items, methods=methods, types=pop.types)
+        with pytest.raises(
+            InputError, match="^population method universe differs from the instance's$"
+        ):
+            build_instance(1, other)

@@ -24,7 +24,6 @@ from diagopt.solver import (
     STATUS_INFEASIBLE,
     STATUS_LIMIT,
     STATUS_OPTIMAL,
-    EnumerationCapError,
     brute_force,
     solve,
     verify,
@@ -343,6 +342,21 @@ class TestFires:
             dataclasses.replace(
                 tiny_instance(), families={"r": family("r", [set(), {0}, {99}], {0, 1, 99})}
             )
+
+    @pytest.mark.parametrize(
+        "part, message",
+        [
+            ({"families": {}}, "^candidate families must cover exactly the internal vertices$"),
+            (
+                {"initial": Assignment.build({"r": {0}}, {"s0": 0})},
+                "^initial assignment must cover the diagram$",
+            ),
+        ],
+        ids=["families", "initial"],
+    )
+    def test_parts_that_miss_a_vertex_are_rejected(self, part, message):
+        with pytest.raises(InputError, match=message):
+            dataclasses.replace(tiny_instance(), **part)
 
     def test_diagram_with_only_a_sink(self):
         from diagopt.core import Diagram
@@ -700,7 +714,10 @@ class TestCutAudit:
     depth are drawn among those whose subtree holds at most 1,000
     completions, and every completion is scored with ``core.evaluate``.
     Each cell cut to its deployed label and one more candidate per vertex is
-    solved natively, by ``brute_force`` and by HiGHS on its LP export.
+    solved natively, by ``brute_force`` and by HiGHS on its LP export. Those
+    cuts merge no frontier, so instances 1 and 2 cut to three more candidates
+    per vertex, where four of the six cells do, are also solved natively and
+    by ``brute_force``.
     """
 
     N = 60
@@ -767,13 +784,24 @@ class TestCutAudit:
     @pytest.mark.parametrize("instance", [1, 2, 3])
     def test_truncated_cells_agree_three_ways(self, population, instance, setting):
         inst = truncated(self.scaled(build_instance(instance, population)), 1)
+        self.assert_matches_oracle(inst, setting)
+        check_against_native(inst, setting)
+
+    @pytest.mark.parametrize("setting", [1, 2, 3])
+    @pytest.mark.parametrize("instance", [1, 2])
+    def test_merged_frontiers_match_brute_force(self, population, instance, setting):
+        inst = truncated(self.scaled(build_instance(instance, population)), 3)
+        self.assert_matches_oracle(inst, setting)
+
+    @staticmethod
+    def assert_matches_oracle(inst, setting):
+        """Native equals ``brute_force`` in status, assignment, objective and bound."""
         fast = solve(inst, setting)
         slow = brute_force(inst, setting)
         assert fast.status == slow.status == STATUS_OPTIMAL
         assert fast.assignment == slow.assignment
         assert fast.objective_value == slow.objective_value
         assert fast.best_bound == slow.best_bound
-        check_against_native(inst, setting)
 
 
 class TestBruteForce:
@@ -799,7 +827,7 @@ class TestBruteForce:
     def test_cap_enforced(self, monkeypatch):
         inst = tiny_instance()
         monkeypatch.setattr(solver, "BRUTE_FORCE_CAP", 3)
-        with pytest.raises(EnumerationCapError):
+        with pytest.raises(InputError, match="^32 assignments exceed the cap of 3$"):
             brute_force(inst, 1)
 
 

@@ -1,9 +1,11 @@
-"""The package's public surface: every public definition has a caller, and
-README's library example runs as written."""
+"""The package's public surface: every public definition has a caller, bad
+input has one exception type, and README's library example runs as written."""
 from __future__ import annotations
 
 import ast
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -47,6 +49,27 @@ def test_every_public_definition_has_a_caller():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     assert sorted((mod, qual) for mod, qual, name in defined if name not in used) == []
+
+
+def test_one_exception_type_for_bad_input():
+    """``core.InputError`` is the one exception class the package defines,
+    and ``cli.main`` reports it and ``OSError`` as one ``error:`` line, so a
+    new error class cannot escape the CLI as a traceback."""
+    defined = []
+    for info in pkgutil.iter_modules([str(PACKAGE)]):
+        module = importlib.import_module(f"diagopt.{info.name}")
+        defined += [
+            f"{info.name}.{name}"
+            for name, obj in vars(module).items()
+            if isinstance(obj, type)
+            and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__
+        ]
+    assert defined == ["core.InputError"]
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    handlers = [ast.unparse(n.type) for n in ast.walk(main) if isinstance(n, ast.ExceptHandler)]
+    assert handlers == ["(InputError, OSError)"]
 
 
 def test_file_formats_do_not_import_the_search():
