@@ -67,7 +67,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
         cfg = read_genconfig(args.config, n=args.n, seed=args.seed)
     else:
         cfg = GenConfig(n=args.n, seed=args.seed)
-    pop = generate_population(cfg)
+    try:
+        pop = generate_population(cfg)
+    except InputError as exc:
+        # only a --config file can hold tables that fail to draw
+        raise InputError(f"{args.config}: {exc}") from exc
     if args.n == 0:
         print("warning: generated an empty population (n = 0)", file=sys.stderr)
     write_population(pop, args.out)
@@ -141,12 +145,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     phi = read_assignment(args.assignment)
     if not phi.covers(inst.diagram):
         raise InputError(f"{args.assignment}: assignment does not cover the instance diagram")
+    try:
+        m = evaluate(inst.diagram, phi, inst.initial, inst.population)
+    except InputError as exc:  # a label outside the item or method universe
+        raise InputError(f"{args.assignment}: {exc}") from exc
     if inst.misplaced(phi):
         print(
             "warning: assignment is not candidate-feasible for this instance",
             file=sys.stderr,
         )
-    m = evaluate(inst.diagram, phi, inst.initial, inst.population)
     print(_metrics_header())
     print(_metrics_row("assignment", m))
     return EXIT_OK

@@ -294,13 +294,12 @@ def _walk_table(d: Diagram, phi: Assignment, items: ItemUniverse) -> dict[Vertex
     }
 
 
-def _walk(source: Vertex, table: Mapping[Vertex, _Step], x: tuple[int, ...]) -> list[Vertex]:
-    """The vertices visited by a type with item vector ``x``, source to sink.
+def _walk(source: Vertex, table: Mapping[Vertex, _Step], x: tuple[int, ...]) -> Vertex:
+    """The sink a type with item vector ``x`` reaches from ``source``.
 
     Terminates in at most |V| steps on any valid diagram.
     """
     v = source
-    path = [v]
     while v in table:
         # the 0-successor, unless some carried item is positive
         positions, v, head1 = table[v]
@@ -308,14 +307,44 @@ def _walk(source: Vertex, table: Mapping[Vertex, _Step], x: tuple[int, ...]) -> 
             if x[p]:
                 v = head1
                 break
-        path.append(v)
-    return path
+    return v
 
 
 def reached_sinks(d: Diagram, phi: Assignment, pop: Population) -> list[Vertex]:
     """The sink each type of ``pop`` reaches under ``phi``, in population order."""
     table = _walk_table(d, phi, pop.items)
-    return [_walk(d.source, table, t.x)[-1] for t in pop.types]
+    return [_walk(d.source, table, t.x) for t in pop.types]
+
+
+def sink_totals(
+    d: Diagram, phi: Assignment, pop: Population
+) -> dict[Vertex, list[tuple[int, int, int]]]:
+    """Per sink, per method in universe order: weight x cost, responders and
+    improvers over the types that reach the sink.
+
+    Only ``phi``'s internal labels are read. Each sink's weight is tallied
+    per (y, z) signature first, so the per-method expansion runs once per
+    signature rather than once per type.
+    """
+    tallies: dict[Vertex, dict[tuple[tuple[int, ...], int], int]] = {s: {} for s in d.sinks}
+    for t, s in zip(pop.types, reached_sinks(d, phi, pop)):
+        tally = tallies[s]
+        key = (t.y, t.z)
+        tally[key] = tally.get(key, 0) + t.weight
+    costs = pop.methods.costs
+    totals = {}
+    for s, tally in tallies.items():
+        responders = [0] * len(costs)
+        improvers = [0] * len(costs)
+        for (y, z), w in tally.items():
+            for mi, responds in enumerate(y):
+                if responds:
+                    responders[mi] += w
+                    if z:
+                        improvers[mi] += w
+        weight = sum(tally.values())
+        totals[s] = [(c * weight, r, i) for c, r, i in zip(costs, responders, improvers)]
+    return totals
 
 
 def evaluate(d: Diagram, phi: Assignment, phi_in: Assignment, pop: Population) -> Metrics:
@@ -327,17 +356,17 @@ def evaluate(d: Diagram, phi: Assignment, phi_in: Assignment, pop: Population) -
     - obj1: number of vertices whose decoration equals the initial one,
     - obj2: examinees reacting positively to their assigned method,
     - obj3: the obj2 subpopulation whose tracked item also improves.
+
+    Each sink adds its method's entry of :func:`sink_totals`.
     """
     cost = 0
     obj2 = 0
     obj3 = 0
-    for t, s in zip(pop.types, reached_sinks(d, phi, pop)):
-        mi = pop.methods.index(phi.sink_methods[s])
-        cost += pop.methods.costs[mi] * t.weight
-        if t.y[mi]:
-            obj2 += t.weight
-            if t.z:
-                obj3 += t.weight
+    for s, per_method in sink_totals(d, phi, pop).items():
+        c, responders, improvers = per_method[pop.methods.index(phi.sink_methods[s])]
+        cost += c
+        obj2 += responders
+        obj3 += improvers
 
     obj1 = sum(1 for u in d.internals if phi.node_items[u] == phi_in.node_items[u])
     obj1 += sum(1 for s in d.sinks if phi.sink_methods[s] == phi_in.sink_methods[s])

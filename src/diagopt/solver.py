@@ -27,9 +27,11 @@ internal prefix has no open position, so its deployed part is exact, with
 the sinks as its regions, and scores the leaf. A search stopped by a limit
 reports the root's bound, which no node's bound exceeds.
 
-``brute_force`` is the ground-truth oracle: it enumerates every assignment
-and scores it through the scalar evaluation path, sharing no routing code
-with the search. ``verify`` independently re-checks any returned solution.
+``brute_force`` is the ground-truth oracle: it enumerates every assignment,
+walking the types through ``core``'s scalar walk once per internal choice
+vector and summing each sink-method vector from the per-sink totals
+(``core.sink_totals``), so it shares no routing code with the search.
+``verify`` independently re-checks any returned solution.
 
 Ties between optimal assignments break toward the lexicographically smallest
 choice vector (one index into ``Instance.choices`` per position), so repeated
@@ -49,7 +51,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import Assignment, InputError, Metrics, evaluate
+from .core import Assignment, InputError, Metrics, evaluate, sink_totals
 from .problem import Goal, Instance
 
 STATUS_OPTIMAL = "optimal"
@@ -548,29 +550,48 @@ def solve(
 
 
 def brute_force(inst: Instance, setting: int) -> Solution:
-    """Exhaustive oracle: score every assignment through the scalar evaluator."""
+    """Exhaustive oracle: score every assignment through the scalar walk.
+
+    The walk reads only the internal labels, so it runs once per internal
+    choice vector; each sink-method vector then sums its sinks' entries of
+    ``sink_totals``. Both loops run in ``itertools.product`` order, so the
+    first of equal scores is the smallest choice vector.
+    """
     goal = Goal(inst, setting)
     feasible, score = goal.feasible, goal.score
-    d = inst.diagram
+    d, pop = inst.diagram, inst.population
+    n = len(d.internals)
     sizes = [len(labels) for labels in inst.choices]
     space = math.prod(sizes)
     if space > BRUTE_FORCE_CAP:
         raise InputError(f"{space} assignments exceed the cap of {BRUTE_FORCE_CAP}")
 
     started = time.perf_counter()
+    sink_ranges = [range(size) for size in sizes[n:]]
+    sink_deployed = inst.deployed[n:]
     best_score: int | None = None
-    best_phi: Assignment | None = None
-    for vec in itertools.product(*map(range, sizes)):
-        phi = inst.assignment(vec)
-        m = evaluate(d, phi, inst.initial, inst.population)
-        if not feasible(m):
-            continue
-        scaled = score(m)
-        if best_score is None or scaled > best_score:
-            best_score, best_phi = scaled, phi
+    best_vec: tuple[int, ...] | None = None
+    for head in itertools.product(*map(range, sizes[:n])):
+        # a choice prefix picks the internal labels, all the walk reads
+        totals = sink_totals(d, inst.assignment(head), pop)
+        # the internal vector's Metrics terms, then per sink, per method
+        # the terms that method adds
+        base = (0, sum(map(operator.eq, head, inst.deployed)), 0, 0)
+        terms = [
+            [(c, mi == dep, r, i) for mi, (c, r, i) in enumerate(totals[s])]
+            for s, dep in zip(d.sinks, sink_deployed)
+        ]
+        for tail, picks in zip(itertools.product(*sink_ranges), itertools.product(*terms)):
+            m = Metrics(*map(sum, zip(base, *picks)))
+            if not feasible(m):
+                continue
+            scaled = score(m)
+            if best_score is None or scaled > best_score:
+                best_score, best_vec = scaled, head + tail
 
     stats = SolveStats(nodes=space, wall_time=time.perf_counter() - started)
-    return _solution(inst, setting, goal, best_phi, best_score, None, stats)
+    phi = None if best_vec is None else inst.assignment(best_vec)
+    return _solution(inst, setting, goal, phi, best_score, None, stats)
 
 
 def verify(sol: Solution, inst: Instance, setting: int) -> VerificationReport:

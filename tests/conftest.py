@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 import random
@@ -25,12 +26,14 @@ from diagopt.core import (
     Metrics,
     MethodUniverse,
     Population,
+    evaluate,
+    reached_sinks,
 )
 from diagopt.datagen import GenConfig
 from diagopt.encoder import _SENSES, Instance, LinRow, _fmt_number, _fmt_terms, _wrap
 from diagopt.fileio import dump_canonical
 from diagopt.problem import FIELDS, Goal
-from diagopt.solver import _frontier, _Search, _Tables
+from diagopt.solver import Solution, SolveStats, _frontier, _Search, _solution, _Tables
 
 
 def make_type(
@@ -259,6 +262,40 @@ def genconfig_doc(cfg: GenConfig) -> dict:
     }
     # as a reader sees it: tuples become JSON lists
     return json.loads(json.dumps(obj))
+
+
+def reference_metrics(d: Diagram, phi: Assignment, phi_in: Assignment, pop: Population) -> Metrics:
+    """``phi``'s metrics summed type by type, each type paying and earning
+    through its own sink's method: the reference for ``core.sink_totals``."""
+    cost = obj2 = obj3 = 0
+    for t, s in zip(pop.types, reached_sinks(d, phi, pop)):
+        mi = pop.methods.index(phi.sink_methods[s])
+        cost += pop.methods.costs[mi] * t.weight
+        if t.y[mi]:
+            obj2 += t.weight
+            obj3 += t.weight * t.z
+    obj1 = sum(phi.node_items[u] == phi_in.node_items[u] for u in d.internals)
+    obj1 += sum(phi.sink_methods[s] == phi_in.sink_methods[s] for s in d.sinks)
+    return Metrics(cost=cost, obj1=obj1, obj2=obj2, obj3=obj3)
+
+
+def reference_brute_force(inst: Instance, setting: int) -> Solution:
+    """Every assignment scored by its own ``evaluate`` call, the first strictly
+    better score winning: the reference for ``solver.brute_force``, which
+    walks once per internal choice vector."""
+    goal = Goal(inst, setting)
+    sizes = [len(labels) for labels in inst.choices]
+    best_score = best_phi = None
+    nodes = 0
+    for vec in itertools.product(*map(range, sizes)):
+        nodes += 1
+        phi = inst.assignment(vec)
+        m = evaluate(inst.diagram, phi, inst.initial, inst.population)
+        if goal.feasible(m) and (best_score is None or goal.score(m) > best_score):
+            best_score, best_phi = goal.score(m), phi
+    return _solution(
+        inst, setting, goal, best_phi, best_score, None, SolveStats(nodes=nodes, wall_time=0.0)
+    )
 
 
 def point_metrics(model, pt) -> Metrics:

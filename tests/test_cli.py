@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagopt import datagen
 from diagopt.cli import main
 from diagopt.core import Assignment, InputError, ItemUniverse, MethodUniverse, evaluate
 from diagopt.datagen import GenConfig
@@ -331,6 +332,24 @@ class TestEvalCommand:
         captured = capsys.readouterr()
         assert "warning" in captured.err
         assert "cost" in captured.out
+
+    @pytest.mark.parametrize(
+        "part, vertex, label, message",
+        [
+            ("nodes", "r", [-1], "item -1 not in universe"),
+            ("sinks", "s0", -1, "method -1 not in universe"),
+        ],
+        ids=["node-item", "sink-method"],
+    )
+    def test_label_outside_the_universe_is_one_error_line(
+        self, tmp_path, capsys, part, vertex, label, message
+    ):
+        docs = _file_docs()
+        docs["assignment"][part][vertex] = label
+        assert _run_on_files(tmp_path, "assignment", docs) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {tmp_path / 'assignment.json'}: {message}\n"
+        assert captured.out == ""
 
     def test_solve_report_evaluates(self, workspace, capsys):
         tmp, _, inst_path = workspace
@@ -814,6 +833,49 @@ class TestMalformedDocuments:
             f"error: {tmp_path / 'genconfig.json'}: malformed genconfig document "
             "(item 25 reads attribute 'egfr', which no spec draws)\n"
         )
+
+
+def _drawn_table(value):
+    """Make ``health_checkup_history``, which item 0 reads as a bit, always draw ``value``."""
+
+    def corrupt(docs):
+        spec = docs["genconfig"]["attributes"][0]
+        assert spec["name"] == "health_checkup_history"
+        spec["table"] = [[value, 1.0]]
+
+    return corrupt
+
+
+def _unreachable_band(docs):
+    spec = docs["genconfig"]["attributes"][1]
+    assert spec["name"] == "fasting_blood_glucose"
+    spec["lo"], spec["hi"] = 500, 600  # 18 sd above the mean
+
+
+def _no_thresholds(docs):
+    docs["genconfig"]["thresholds"] = []
+
+
+class TestDrawErrors:
+    """A genconfig that parses but cannot be drawn is one error line naming the file."""
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (_drawn_table(1.5), "bit attribute 'health_checkup_history' drew 1.5, expected 0 or 1"),
+            (_drawn_table(-1), "bit attribute 'health_checkup_history' drew -1.0, expected 0 or 1"),
+            (_unreachable_band, "fasting_blood_glucose: exceeded 1000 rejection resamples"),
+            (_no_thresholds, "item universe must be non-empty"),
+        ],
+        ids=["bit-drew-1.5", "bit-drew-minus-1", "unreachable-band", "no-thresholds"],
+    )
+    def test_names_the_config_file(self, tmp_path, capsys, monkeypatch, corrupt, message):
+        monkeypatch.setattr(datagen, "RESAMPLE_CAP", 1000)
+        docs = _file_docs()
+        corrupt(docs)
+        assert _run_on_files(tmp_path, "genconfig", docs) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'genconfig.json'}: {message}\n"
 
 
 def _locations(obj, at=()):

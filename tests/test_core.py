@@ -1,6 +1,7 @@
 """Diagram model, routing, and metric evaluation."""
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -22,8 +23,15 @@ from diagopt.core import (
     _walk_table,
     evaluate,
     reached_sinks,
+    sink_totals,
 )
-from conftest import make_type, one_test_diagram, valid_diagram
+from conftest import (
+    make_type,
+    one_test_diagram,
+    random_toy_instance,
+    reference_metrics,
+    valid_diagram,
+)
 
 ITEMS = ItemUniverse(tuple(range(10)))
 METHODS = MethodUniverse(methods=(0, 1, 2, 3), costs=(0, 200, 500, 700))
@@ -185,9 +193,15 @@ class TestDiagramProperties:
 
 
 def route(d, phi, t):
-    """The method ``t`` ends up with and the vertices its walk visits."""
-    path = _walk(d.source, _walk_table(d, phi, ITEMS), t.x)
+    """The method ``t`` ends up with and the vertices it visits, re-walked
+    step by step; the walk must end at the last of them."""
+    path = [d.source]
+    while path[-1] in phi.node_items:
+        label = int(any(t.x[ITEMS.index(i)] for i in phi.node_items[path[-1]]))
+        path.append(d.heads[path[-1]][label])
+        assert len(set(path)) == len(path) <= len(d.vertices)
     pop = Population(items=ITEMS, methods=METHODS, types=(t,))
+    assert _walk(d.source, _walk_table(d, phi, ITEMS), t.x) == path[-1]
     assert reached_sinks(d, phi, pop) == [path[-1]]
     return phi.sink_methods[path[-1]], frozenset(path)
 
@@ -239,18 +253,9 @@ class TestRouteProperties:
             {u: data.draw(st.sets(st.integers(0, 9))) for u in d.internals},
             {s: data.draw(st.sampled_from(METHODS.methods)) for s in d.sinks},
         )
-        t = t_with(data.draw(st.sets(st.integers(0, 9))))
-        method, visited = route(d, phi, t)
-
-        # re-walk step by step and require a repeat-free path of <= |V| vertices
-        path = [d.source]
-        while path[-1] in phi.node_items:
-            label = int(any(t.x[ITEMS.index(i)] for i in phi.node_items[path[-1]]))
-            path.append(d.heads[path[-1]][label])
-            assert len(path) <= len(d.vertices)
-        assert len(set(path)) == len(path)
-        assert visited == frozenset(path)
-        assert method == phi.sink_methods[path[-1]]
+        # route re-walks a repeat-free path of <= |V| vertices and checks
+        # that the walk and reached_sinks end where it ends
+        route(d, phi, t_with(data.draw(st.sets(st.integers(0, 9)))))
 
 
 class TestEvaluate:
@@ -324,3 +329,36 @@ class TestEvaluate:
     def test_metrics_bounds(self):
         m = Metrics(cost=0, obj1=2, obj2=5, obj3=3)
         assert m.obj3 <= m.obj2
+
+
+class TestSinkTotals:
+    @pytest.mark.parametrize(
+        "scale, heavy", [("small", False), ("full", False), ("full", True)],
+        ids=["small", "full", "heavy"],
+    )
+    def test_every_assignment_matches_the_per_type_sums(self, scale, heavy):
+        # each sink's entry for the method an assignment puts there sums to
+        # the metrics a type-by-type walk gives, and so does evaluate
+        rng = random.Random(4000 + len(scale) + heavy)
+        for _ in range(20):
+            inst = random_toy_instance(rng, scale, heavy)
+            d, pop = inst.diagram, inst.population
+            n = len(d.internals)
+            for vec in itertools.product(*(range(len(labels)) for labels in inst.choices)):
+                phi = inst.assignment(vec)
+                want = reference_metrics(d, phi, inst.initial, pop)
+                assert evaluate(d, phi, inst.initial, pop) == want
+                totals = sink_totals(d, phi, pop)
+                assert list(totals) == list(d.sinks)
+                picked = [totals[s][mi] for s, mi in zip(d.sinks, vec[n:])]
+                assert tuple(map(sum, zip(*picked))) == (want.cost, want.obj2, want.obj3)
+
+    def test_sinks_no_type_reaches_total_zero(self):
+        d = one_test_diagram()
+        pop = Population(items=ITEMS, methods=METHODS,
+                         types=(t_with({0}, responds={1, 2}, z=1, w=3),))
+        phi = Assignment.build({"r": {0}}, {})  # only the internal labels are read
+        totals = sink_totals(d, phi, pop)
+        assert totals["s0"] == [(0, 0, 0)] * 4
+        assert totals["s1"] == [(0, 0, 0), (600, 3, 3), (1500, 3, 3), (2100, 0, 0)]
+

@@ -35,6 +35,7 @@ from conftest import (
     prefix_bound,
     random_feasible_assignment,
     random_toy_instance,
+    reference_brute_force,
     tiny_instance,
 )
 from test_external_milp import check_against_native
@@ -237,6 +238,33 @@ class TestOracleEquivalence:
             assert fast.metrics == slow.metrics
             statuses.add(fast.status)
         assert STATUS_OPTIMAL in statuses
+
+    @pytest.mark.parametrize("setting", [1, 2, 3])
+    def test_brute_force_matches_the_reference_oracle(self, setting):
+        # the oracle's two loops against one evaluate per assignment, on
+        # small, full and heavy toys; free methods make every feasible
+        # assignment tie in setting 2, and a single method leaves one
+        # sink-method vector per internal vector
+        rng = random.Random(3400 + setting)
+        statuses = set()
+        for k in range(96):
+            inst = random_toy_instance(rng, ("small", "full")[k % 2], heavy=k % 3 == 0)
+            if k % 4 == 1:
+                pop = inst.population
+                methods = dataclasses.replace(pop.methods, costs=(0,) * len(pop.methods))
+                inst = dataclasses.replace(inst, population=dataclasses.replace(pop, methods=methods))
+            elif k % 4 == 3:
+                inst = one_method_instance(inst)
+            slow = brute_force(inst, setting)
+            ref = reference_brute_force(inst, setting)
+            assert slow.status == ref.status
+            assert slow.assignment == ref.assignment
+            assert slow.objective_value == ref.objective_value
+            assert slow.best_bound == ref.best_bound
+            assert slow.metrics == ref.metrics
+            assert slow.stats.nodes == ref.stats.nodes
+            statuses.add(slow.status)
+        assert statuses == {STATUS_OPTIMAL, STATUS_INFEASIBLE}
 
     def test_aggregated_population_keeps_masks_narrow(self):
         # one type stands for a billion examinees: masks stay one bit per
@@ -716,8 +744,9 @@ class TestCutAudit:
     Each cell cut to its deployed label and one more candidate per vertex is
     solved natively, by ``brute_force`` and by HiGHS on its LP export. Those
     cuts merge no frontier, so instances 1 and 2 cut to three more candidates
-    per vertex, where four of the six cells do, are also solved natively and
-    by ``brute_force``.
+    per vertex (2,048 assignments), where four of the six cells do, and
+    instance 3 cut to two more (7,776 assignments), where settings 1 and 2
+    do, are also solved natively and by ``brute_force``.
     """
 
     N = 60
@@ -788,9 +817,10 @@ class TestCutAudit:
         check_against_native(inst, setting)
 
     @pytest.mark.parametrize("setting", [1, 2, 3])
-    @pytest.mark.parametrize("instance", [1, 2])
+    @pytest.mark.parametrize("instance", [1, 2, 3])
     def test_merged_frontiers_match_brute_force(self, population, instance, setting):
-        inst = truncated(self.scaled(build_instance(instance, population)), 3)
+        extra = 2 if instance == 3 else 3
+        inst = truncated(self.scaled(build_instance(instance, population)), extra)
         self.assert_matches_oracle(inst, setting)
 
     @staticmethod
