@@ -17,7 +17,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, compress, product
 from math import ceil, floor
 
 import numpy as np
@@ -63,15 +63,18 @@ class IPModel:
 
     ``choice_blocks`` holds one p or q array per decision position, indexed
     like ``Instance.choices``. The names, the rows, ``encode_assignment``,
-    ``decode`` and ``variable_counts`` all read these arrays. The model also
-    holds the constraint rows in family order as row blocks (one template per
-    family, repeated for every type; see ``_RowBlock``), from which the LP
-    text, one integer CSR matrix, the row names ``violations`` reports and the
-    ``LinRow`` objects ``rows`` yields are all read; the linking rows' keep
-    masks read ``Instance.fires``. It holds the objective (integer terms,
-    divided exactly by ``objective_divisor`` unless it is ``None``), and
-    ``exprs``, the linear expressions of the ``FIELDS`` (cost and the three
-    indicators). Safe to share read-only.
+    ``decode`` and ``variable_counts`` all read these arrays. A variable's
+    name is its block's letter, then its key letters and indices in order
+    (``b_t12_u2_l1``); each block's suffixes past the first index are
+    formatted once. The model also holds the constraint rows in family order
+    as row blocks (one template per family, repeated for every type; see
+    ``_RowBlock``), from which the LP text (rendered from per-group token
+    tables, see ``_block_lp``), one integer CSR matrix, the row names
+    ``violations`` reports and the ``LinRow`` objects ``rows`` yields are all
+    read; the linking rows' keep masks read ``Instance.fires``. It holds the
+    objective (integer terms, divided exactly by ``objective_divisor`` unless
+    it is ``None``), and ``exprs``, the linear expressions of the ``FIELDS``
+    (cost and the three indicators). Safe to share read-only.
     """
 
     def __init__(self, instance: Instance, setting: int):
@@ -91,10 +94,17 @@ class IPModel:
         names: list[str] = []
 
         def block(prefix: str, keys: str, shape: tuple[int, ...]) -> np.ndarray:
-            """Name a block's variables in index order, e.g. ``a_t{ti}_v{vi}``."""
+            """Name a block's variables in index order, e.g. ``a_t{ti}_v{vi}``.
+
+            The suffixes after the first key (``_v0``, ``_v1``, ...) are
+            formatted once and repeated for every value of the first key.
+            """
             start = len(names)
-            fmt = prefix + "".join(f"_{k}{{}}" for k in keys)
-            names.extend(fmt.format(*at) for at in product(*map(range, shape)))
+            fmt = "".join(f"_{k}{{}}" for k in keys[1:])
+            suffixes = [fmt.format(*at) for at in product(*map(range, shape[1:]))]
+            for i in range(shape[0]):
+                head = f"{prefix}_{keys[0]}{i}"
+                names.extend([head + suffix for suffix in suffixes])
             return np.arange(start, len(names)).reshape(shape)
 
         inst = self.instance
@@ -471,85 +481,110 @@ def _fmt_number(x: int | Fraction) -> str:
     return str(x)
 
 
-def _fmt_terms(terms: Sequence[tuple[int | Fraction, int]], names: Sequence[str]) -> Iterator[str]:
-    """Tokens of a linear expression: sign, optional magnitude, variable name."""
-    if not terms:
-        yield f"0 {names[0]}"
-        return
-    for k, (coef, idx) in enumerate(terms):
-        neg = coef < 0
-        mag = -coef if neg else coef
-        if k == 0:
-            sign = "- " if neg else ""
-        else:
-            sign = "- " if neg else "+ "
-        if mag == 1:
-            yield f"{sign}{names[idx]}"
-        else:
-            yield f"{sign}{_fmt_number(mag)} {names[idx]}"
+def _term_token(coef: int | Fraction, name: str) -> str:
+    """A term's LP token as a later term of its row, led by its space: sign,
+    magnitude unless it is 1, variable name."""
+    sign, mag = ("-", -coef) if coef < 0 else ("+", coef)
+    return f" {sign} {name}" if mag == 1 else f" {sign} {_fmt_number(mag)} {name}"
 
 
-def _wrap(prefix: str, tokens: Iterator[str], tail: str) -> list[str]:
-    lines: list[str] = []
-    current = prefix
-    for tok in tokens:
-        if len(current) + 1 + len(tok) > _LINE_WIDTH and current != prefix:
-            lines.append(current)
-            current = " " + tok
-        else:
-            current += " " + tok
-    if tail:
-        current += " " + tail
-    lines.append(current)
-    return lines
+def _row_lp(prefix: str, tokens: list[str], tail: str, empty: str) -> str:
+    """LP text of one row from its terms' tokens (see ``_term_token``).
 
-
-def _render_run(
-    block: _RowBlock, r0: int, r1: int, keep: np.ndarray, ph: str, names: Sequence[str]
-) -> str:
-    """LP text of rows ``r0:r1`` of ``block`` for a type whose id reads ``ph``.
-
-    ``keep`` is that type's keep mask over the run's terms.
+    The row reads ``prefix``, the tokens with a first ``+`` dropped, then
+    ``tail``; a line breaks before any token after the first that would take
+    it past ``_LINE_WIDTH``. A row without terms reads ``empty`` in their
+    place. ``tokens`` is the caller's fresh list, and its first token is
+    rewritten in place.
     """
-    k0, k1 = block.bounds[r0], block.bounds[r1]
-    base = block.base[k0:k1].tolist()
-    # a per-type variable is named "{letter}_t0_..." at type 0; an empty row
-    # is written "0 <first variable>"
-    var = {0: names[0]} | {
-        i: names[i][:3] + ph + names[i][4:] if s else names[i]
-        for i, s in zip(base, block.stride[k0:k1].tolist())
-    }
-    coef = block.coef[k0:k1].tolist()
-    lines: list[str] = []
-    for r in range(r0, r1):
-        ks = range(block.bounds[r] - k0, block.bounds[r + 1] - k0)
-        terms = [(coef[k], base[k]) for k in ks if keep[k]]
-        tail = f"{block.senses[r]} {_fmt_number(block.rhs[r])}"
-        lines += _wrap(f" {block.names[r].format(ph)}:", _fmt_terms(terms, var), tail)
-    return "\n".join(lines)
+    if not tokens:
+        return prefix + empty + tail
+    if tokens[0][1] == "+":
+        tokens[0] = tokens[0][2:]
+    # ends[j]: the width of the prefix and tokens[:j] on one line
+    ends = list(accumulate(map(len, tokens), initial=len(prefix)))
+    if ends[-1] <= _LINE_WIDTH:
+        return prefix + "".join(tokens) + tail
+    lines = []
+    start, width = 0, 0  # the line's first token, the width before the line
+    while start < len(tokens):
+        end = max(start + 1, bisect_right(ends, width + _LINE_WIDTH) - 1)
+        lines.append("".join(tokens[start:end]))
+        start, width = end, ends[end]
+    return prefix + "\n".join(lines) + tail
 
 
-def _block_lp(block: _RowBlock, names: Sequence[str]) -> Iterator[str]:
+def _keep_patterns(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of one row of ``keep`` with each distinct pattern, and
+    every row's pattern id."""
+    if keep.all():  # one pattern, also for a run without terms
+        return np.zeros(1, dtype=np.int64), np.zeros(len(keep), dtype=np.int64)
+    packed = np.packbits(keep, axis=1)
+    # one opaque scalar per row, so that np.unique sorts rows, not bits
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, sample, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return sample, inverse
+
+
+def _block_lp(block: _RowBlock, names: Sequence[str]) -> list[str]:
     """LP text of a block: one string per type and row group, in row order.
 
     A group's text depends on the type only through the digit count of its
-    id and its keep pattern over the group's terms. It is rendered once per
-    such key, with a placeholder of as many characters in place of the id
-    so that ``_wrap`` breaks lines where it would for the real id; each type
-    with that key then joins the pieces around its id.
+    id and its keep pattern over the group's terms. For each digit count the
+    group gets one token table: per row its prefix, its tail and each term's
+    token (``_term_token``), written with a placeholder of as many
+    characters in place of the id, so that lines break where they would for
+    the real id. Each distinct keep pattern is rendered once from the table
+    by picking its kept tokens, and each type with that pattern joins the
+    pieces around its id.
     """
+    bounds = block.bounds.tolist()
+    coef, base, stride = block.coef.tolist(), block.base.tolist(), block.stride.tolist()
+    empty = f" 0 {names[0]}"
+    spans: list[tuple[int, int]] = []  # (first, end) of the type ids with each digit count
+    lo = 0
+    while lo < block.reps:
+        spans.append((lo, min(block.reps, 10 ** len(str(lo)))))
+        lo = spans[-1][1]
     cuts = (*block.groups, len(block.names))
-    runs = [(r0, r1) for r0, r1 in zip(cuts, cuts[1:]) if r0 < r1]
-    pieces: dict[tuple[int, int, bytes], list[str]] = {}
-    for ti in range(block.reps):
-        tid = str(ti)
-        for r0, r1 in runs:
-            keep = block.keep[ti, block.bounds[r0] : block.bounds[r1]]
-            key = (len(tid), r0, keep.tobytes())
-            if key not in pieces:
-                ph = "\0" * len(tid)
-                pieces[key] = _render_run(block, r0, r1, keep, ph, names).split(ph)
-            yield tid.join(pieces[key])
+    per_run = []
+    for r0, r1 in zip(cuts, cuts[1:]):
+        if r0 == r1:
+            continue
+        k0, k1 = bounds[r0], bounds[r1]
+        sample, inverse = _keep_patterns(block.keep[:, k0:k1])
+        pieces: list[list[str]] = []
+        for lo, hi in spans:
+            ph = "\0" * len(str(lo))
+            # a per-type variable is named "{letter}_t0_..." at type 0
+            tokens = [
+                _term_token(coef[k], names[i][:3] + ph + names[i][4:] if stride[k] else names[i])
+                for k, i in enumerate(base[k0:k1], k0)
+            ]
+            table = [
+                (
+                    f" {block.names[r].format(ph)}:",
+                    tokens[bounds[r] - k0 : bounds[r + 1] - k0],
+                    f" {block.senses[r]} {_fmt_number(block.rhs[r])}",
+                    bounds[r] - k0,
+                    bounds[r + 1] - k0,
+                )
+                for r in range(r0, r1)
+            ]
+            ids = inverse[lo:hi].tolist()
+            text: dict[int, list[str]] = {}
+            for pid in set(ids):
+                keep = block.keep[sample[pid], k0:k1].tolist()
+                text[pid] = "\n".join(
+                    _row_lp(prefix, list(compress(terms, keep[a:b])), tail, empty)
+                    for prefix, terms, tail, a, b in table
+                ).split(ph)
+            pieces += [text[pid] for pid in ids]
+        per_run.append(pieces)
+    out: list[str] = []
+    for ti, parts in enumerate(zip(*per_run)):
+        out += map(str(ti).join, parts)
+    return out
 
 
 def export_lp(model: IPModel) -> str:
@@ -561,13 +596,9 @@ def export_lp(model: IPModel) -> str:
     """
     names = model.names
     d = model.objective_divisor
-    objective = model.objective if d is None else [(Fraction(c, d), i) for c, i in model.objective]
-    out: list[str] = [model.objective_sense]
-    out += _wrap(" obj:", _fmt_terms(objective, names), "")
-    out.append("Subject To")
+    obj = [_term_token(c if d is None else Fraction(c, d), names[i]) for c, i in model.objective]
+    out = [model.objective_sense, _row_lp(" obj:", obj, "", f" 0 {names[0]}"), "Subject To"]
     for block in model._blocks:
         out += _block_lp(block, names)
-    out.append("Binary")
-    out += [f" {n}" for n in names]
-    out.append("End")
-    return "\n".join(out) + "\n"
+    out += ["Binary", " " + "\n ".join(names), "End", ""]  # "" ends the text with a newline
+    return "\n".join(out)

@@ -5,6 +5,7 @@ import itertools
 import json
 import operator
 import random
+from collections.abc import Iterator
 from dataclasses import asdict, replace
 from fractions import Fraction
 from math import ceil, floor
@@ -30,7 +31,7 @@ from diagopt.core import (
     reached_sinks,
 )
 from diagopt.datagen import GenConfig
-from diagopt.encoder import _SENSES, Instance, LinRow, _fmt_number, _fmt_terms, _wrap
+from diagopt.encoder import _LINE_WIDTH, _SENSES, Instance, LinRow, _fmt_number
 from diagopt.fileio import dump_canonical
 from diagopt.problem import FIELDS, Goal
 from diagopt.solver import Solution, SolveStats, _frontier, _Search, _solution, _Tables
@@ -443,12 +444,48 @@ def reference_rows(model) -> list[LinRow]:
     return rows
 
 
+def _fmt_terms(terms, names) -> Iterator[str]:
+    """Tokens of a linear expression: sign, optional magnitude, variable name."""
+    if not terms:
+        yield f"0 {names[0]}"
+        return
+    for k, (coef, idx) in enumerate(terms):
+        neg = coef < 0
+        mag = -coef if neg else coef
+        if k == 0:
+            sign = "- " if neg else ""
+        else:
+            sign = "- " if neg else "+ "
+        if mag == 1:
+            yield f"{sign}{names[idx]}"
+        else:
+            yield f"{sign}{_fmt_number(mag)} {names[idx]}"
+
+
+def _wrap(prefix: str, tokens: Iterator[str], tail: str) -> list[str]:
+    """Lines of one row: each token joins the line unless it would pass
+    ``_LINE_WIDTH`` and the line already holds one."""
+    lines: list[str] = []
+    current = prefix
+    for tok in tokens:
+        if len(current) + 1 + len(tok) > _LINE_WIDTH and current != prefix:
+            lines.append(current)
+            current = " " + tok
+        else:
+            current += " " + tok
+    if tail:
+        current += " " + tail
+    lines.append(current)
+    return lines
+
+
 def reference_lp(model) -> str:
     """The model's LP text written row by row from ``reference_rows``.
 
     The reference for ``export_lp``, which renders each row block once per
-    text shape: objective, rows, Binary section and End marker, each row
-    wrapped by the encoder's own ``_wrap``/``_fmt_terms``.
+    text shape from token tables: objective, rows, Binary section and End
+    marker, each row formatted term by term (``_fmt_terms``) and wrapped
+    token by token (``_wrap``), sharing no rendering code with the encoder.
     """
     names = model.names
     d = model.objective_divisor

@@ -5,6 +5,7 @@ import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -54,6 +55,22 @@ PINNED_LP_SHA256 = {
 # so that type ids reach four digits
 WIDE_POP = GenConfig(n=1050, seed=20240601)
 WIDE_LP_SHA256 = "55db5cf5f57eadb33d908e94fcfa3ea90e7c97996656c6d314655318a83c65ad"
+
+
+def reference_names(inst: Instance) -> tuple[str, ...]:
+    """Every variable name in layout order, each block's format string filled
+    in index by index."""
+    n_t, n_m = len(inst.population.types), len(inst.population.methods)
+    n_u, n_s = len(inst.diagram.internals), len(inst.diagram.sinks)
+    blocks = [(f"p_u{ui}_c{{}}", (len(c),)) for ui, c in enumerate(inst.choices[:n_u])]
+    blocks += [
+        ("q_s{}_m{}", (n_s, n_m)),
+        ("a_t{}_v{}", (n_t, n_u + n_s)),
+        ("b_t{}_u{}_l{}", (n_t, n_u, 2)),
+        ("g_t{}_s{}_m{}", (n_t, n_s, n_m)),
+        ("z_t{}_m{}", (n_t, n_m)),
+    ]
+    return tuple(fmt.format(*at) for fmt, shape in blocks for at in product(*map(range, shape)))
 
 
 def structural_violations(model, point) -> tuple[str, ...]:
@@ -107,6 +124,13 @@ class TestRegistry:
             blocks = model.p + [model.q, model.alpha, model.beta, model.gamma, model.z]
             every = np.concatenate([b.ravel() for b in blocks])
             assert sorted(every.tolist()) == list(range(model.num_variables))
+
+    def test_names_match_a_per_index_formatter(self, rng):
+        for _ in range(3):
+            base = random_toy_instance(rng, "full")
+            for n_types in (0, 1, 12, 120, 1001):
+                inst = with_random_types(base, rng, n_types)
+                assert build_model(inst, 1).names == reference_names(inst)
 
     def test_row_count_formula(self, rng):
         inst = random_toy_instance(rng)
@@ -614,14 +638,15 @@ def with_random_types(inst: Instance, rng: random.Random, n_types: int) -> Insta
     )
 
 
-def wrapped_typed_rows(text: str) -> int:
-    """Per-type rows (names ``*_t<id>*``) whose LP text spans several lines."""
+def wrapped_typed_rows(text: str, family: str) -> int:
+    """Per-type rows (names ``*_t<id>*``) of one family (names starting with
+    ``family``) whose LP text spans several lines."""
     rows = text.split("\nSubject To\n")[1].split("\nBinary\n")[0].splitlines()
     wrapped, name = set(), ""
     for line in rows:
         if ":" in line:
             name = line.split(":")[0]
-        elif "_t" in name:
+        elif "_t" in name and name.startswith(f" {family}"):
             wrapped.add(name)
     return len(wrapped)
 
@@ -680,8 +705,12 @@ class TestBlockWriter:
         base = random_toy_instance(rng, "full")
         while max(map(len, base.families.values())) < 4:  # long enough ln_lb rows to wrap
             base = random_toy_instance(rng, "full")
-        for n_types in (0, 1, 12, 120):
+        # 1,001 types: the ids cross 9 -> 10, 99 -> 100 and 999 -> 1000
+        for n_types in (0, 1, 12, 120, 1001):
             model = build_model(with_random_types(base, rng, n_types), setting)
             assert len(model.instance.population.types) == n_types
             self.assert_matches_reference(model)
-        assert wrapped_typed_rows(export_lp(model)) > 0
+        assert wrapped_typed_rows(export_lp(model), "ln_") > 0
+        # some type keeps no p term in the linking rows of some vertex and label
+        fires = model.instance.fires
+        assert any((f != label).all(axis=0).any() for f in fires for label in (0, 1))
