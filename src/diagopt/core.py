@@ -124,11 +124,12 @@ class Population:
         ids = [t.id for t in self.types]
         if len(set(ids)) != len(ids):
             raise InputError("duplicate examinee type ids")
+        n_items, n_methods = len(self.items), len(self.methods)
         for t in self.types:
-            if len(t.x) != len(self.items):
-                raise InputError(f"type {t.id}: x length {len(t.x)} != |items| {len(self.items)}")
-            if len(t.y) != len(self.methods):
-                raise InputError(f"type {t.id}: y length {len(t.y)} != |methods| {len(self.methods)}")
+            if len(t.x) != n_items:
+                raise InputError(f"type {t.id}: x length {len(t.x)} != |items| {n_items}")
+            if len(t.y) != n_methods:
+                raise InputError(f"type {t.id}: y length {len(t.y)} != |methods| {n_methods}")
 
     def __len__(self) -> int:
         return len(self.types)

@@ -1,8 +1,9 @@
 """Synthetic examinee populations: raw health attributes, item bits, responses.
 
 Generation is a single seeded stream: per record, every attribute is sampled
-in declaration order, binarized through the threshold table into the item
-vector, and a response vector plus improvement bit are drawn. Records with
+in declaration order, then a response vector plus improvement bit are drawn.
+Each attribute's draws are kept as a column, and each threshold is evaluated
+once over its attribute's whole column into that item's bits. Records with
 identical (X, Y, z) triples collapse into one weighted examinee type.
 
 Each attribute kind is one spec class with a ``kind`` tag and a ``draw``
@@ -18,8 +19,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Iterable, Mapping
+
+import numpy as np
 
 from .core import (
     ExamineeType,
@@ -94,18 +98,23 @@ AttributeSpec = TruncatedNormal | Categorical
 ATTRIBUTE_KINDS = {c.kind: c for c in (TruncatedNormal, Categorical)}
 
 
-def _bit(pred: "Predicate", v: float) -> float:
-    if v not in (0, 1):
-        raise InputError(f"bit attribute {pred.attr!r} drew {v}, expected 0 or 1")
-    return v
+def _bit(pred: "Predicate", v: Any) -> Any:
+    """Whether a 0/1 draw, or each of a column of them, is 1; any other value is an error."""
+    ones = v == 1
+    fine = ones | (v == 0)
+    if not np.all(fine):
+        drew = v[np.argmin(fine)] if np.ndim(v) else v
+        raise InputError(f"bit attribute {pred.attr!r} drew {drew}, expected 0 or 1")
+    return ones
 
 
-# each predicate op: the threshold fields it reads, and its test of a raw value
-PREDICATE_OPS: dict[str, tuple[tuple[str, ...], Callable[["Predicate", float], Any]]] = {
+# each predicate op: the threshold fields it reads, and its test of a raw value,
+# which also takes a whole column of raw values (a numpy array) at once
+PREDICATE_OPS: dict[str, tuple[tuple[str, ...], Callable[["Predicate", Any], Any]]] = {
     "ge": (("value",), lambda pred, v: v >= pred.value),
     "lt": (("value",), lambda pred, v: v < pred.value),
     "eq": (("value",), lambda pred, v: v == pred.value),
-    "band": (("value", "upper"), lambda pred, v: pred.value <= v < pred.upper),
+    "band": (("value", "upper"), lambda pred, v: (v >= pred.value) & (v < pred.upper)),
     "bit": ((), _bit),
 }
 
@@ -198,16 +207,35 @@ def binarize(raw: Mapping[str, float], tbl: ThresholdTable) -> tuple[int, ...]:
     return tuple(pred.evaluate(raw) for _, pred in tbl.entries)
 
 
+def binarize_columns(columns: Mapping[str, np.ndarray], tbl: ThresholdTable) -> np.ndarray:
+    """Evaluate every item predicate over whole attribute columns, one bool row per record.
+
+    A column is an object array of the values as drawn, so each comparison is
+    Python's own. An error is the one ``binarize`` raises on the earliest
+    record that fails, naming the first threshold in table order within it.
+    """
+    try:
+        bits = [PREDICATE_OPS[pred.op][1](pred, columns[pred.attr]) for _, pred in tbl.entries]
+    except (InputError, TypeError):  # a bad bit, or values that do not compare
+        names = list(columns)
+        for values in zip(*columns.values()):
+            binarize(dict(zip(names, values)), tbl)
+        raise
+    return np.column_stack(bits)
+
+
+def _columns(specs: Iterable[AttributeSpec], records: list[tuple[Any, ...]]) -> dict[str, np.ndarray]:
+    """Records of ``sample_raw`` values as one object array per attribute."""
+    names = dict.fromkeys(spec.name for spec in specs)  # in the order of sample_raw's keys
+    values = zip(*records) if records else [()] * len(names)
+    return {a: np.fromiter(v, dtype=object, count=len(records)) for a, v in zip(names, values)}
+
+
 def sample_response(cfg: GenConfig, rng: random.Random) -> tuple[tuple[int, ...], int]:
     """Draw the response vector (method 0 pinned to 0) and the improvement bit."""
-    y = [0] * len(cfg.methods)
-    for idx, m in enumerate(cfg.methods.methods):
-        if idx == 0:
-            continue
-        p = cfg.response_probs.get(m, 0.0)
-        y[idx] = int(rng.random() < p)
-    z = int(rng.random() < cfg.improvement_prob)
-    return tuple(y), z
+    probs = cfg.response_probs
+    y = (0, *[int(rng.random() < probs.get(m, 0.0)) for m in cfg.methods.methods[1:]])
+    return y, int(rng.random() < cfg.improvement_prob)
 
 
 def generate_population(cfg: GenConfig) -> Population:
@@ -220,17 +248,28 @@ def generate_population(cfg: GenConfig) -> Population:
     items = ItemUniverse(cfg.thresholds.item_ids)
 
     rng = random.Random(cfg.seed)
-    weights: dict[tuple[tuple[int, ...], tuple[int, ...], int], int] = {}
-    for _ in range(cfg.n):
-        raw = sample_raw(cfg.specs, rng)
-        x = binarize(raw, cfg.thresholds)
-        y, z = sample_response(cfg, rng)
-        key = (x, y, z)
-        weights[key] = weights.get(key, 0) + 1
+    records: list[tuple[Any, ...]] = []
+    responses: list[tuple[tuple[int, ...], int]] = []
+    try:
+        for _ in range(cfg.n):
+            records.append(tuple(sample_raw(cfg.specs, rng).values()))
+            responses.append(sample_response(cfg, rng))
+    except InputError:
+        # binarize the records drawn before the failure: a bad bit among them is the error
+        binarize_columns(_columns(cfg.specs, records), cfg.thresholds)
+        raise
+    x = binarize_columns(_columns(cfg.specs, records), cfg.thresholds)
+    yz = np.array([(*y, z) for y, z in responses], dtype=np.uint8)
+    rows = np.hstack((x, yz.reshape(cfg.n, len(cfg.methods) + 1)))
+    del records, responses  # free the raw values before the types are built: a lower peak
+    width, buf = rows.shape[1], rows.tobytes()
+    weights = Counter(buf[k:k + width] for k in range(0, len(buf), width))
+    unique = np.frombuffer(b"".join(weights), dtype=np.uint8).reshape(-1, width).tolist()
 
+    n_items = len(items)
     types = tuple(
-        ExamineeType(id=i, weight=w, x=x, y=y, z=z)
-        for i, ((x, y, z), w) in enumerate(weights.items())
+        ExamineeType(id=i, weight=w, x=tuple(row[:n_items]), y=tuple(row[n_items:-1]), z=row[-1])
+        for i, (row, w) in enumerate(zip(unique, weights.values()))
     )
     return Population(items=items, methods=cfg.methods, types=types)
 

@@ -11,7 +11,10 @@ only read. A block several formats share has one codec: methods
 through ``_from_doc``, so a schema error is one ``InputError`` naming the file,
 and reads integer fields through ``_int``, which rejects a float or a bool
 instead of truncating it, and real fields through ``_float``, which rejects a
-string, a bool or a non-finite number.
+string, a bool or a non-finite number. The population reader also rejects a
+key its objects do not declare (``_declared_keys``). Populations, the largest
+documents, are written from a per-type template, byte for byte what
+``dump_canonical`` gives for their document.
 """
 from __future__ import annotations
 
@@ -20,6 +23,8 @@ import math
 import os
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, TypeVar
 
@@ -133,13 +138,23 @@ def _float(value: Any) -> float:
 def _indicator(ids: Any, positions: dict[int, int], what: str) -> tuple[int, ...]:
     """The 0/1 vector of a type's ``x1`` or ``y1`` list over a universe, given
     each of its ids' position; every listed id must lie inside."""
-    got = set(map(_int, ids))
-    if not got <= positions.keys():
-        raise ValueError(f"{what} {min(got - positions.keys())} outside the universe")
     vec = [0] * len(positions)
-    for i in got:
-        vec[positions[i]] = 1
+    try:
+        for i in ids:
+            vec[positions[_int(i)]] = 1
+    except KeyError:
+        # every id is checked to be an integer before any is checked to lie inside
+        outside = set(map(_int, ids)) - positions.keys()
+        raise ValueError(f"{what} {min(outside)} outside the universe") from None
     return tuple(vec)
+
+
+def _declared_keys(obj: Mapping[str, Any], keys: frozenset[str]) -> None:
+    """Reject the first key of ``obj`` outside ``keys``, the object's required
+    and optional keys. Called once the object is read, so that a missing key
+    or a bad value is the error a document with both reports."""
+    if not obj.keys() <= keys:
+        raise ValueError(f"unexpected key {next(k for k in obj if k not in keys)!r}")
 
 
 def _methods_to_obj(methods: MethodUniverse) -> list[list[int]]:
@@ -173,24 +188,8 @@ def assignment_from_obj(obj: Mapping[str, Any]) -> Assignment:
 # ----------------------------------------------------------------------
 
 
-def population_to_obj(pop: Population) -> dict[str, Any]:
-    items = pop.items
-    methods = pop.methods
-    return {
-        "kind": "population",
-        "items": list(items.items),
-        "methods": _methods_to_obj(methods),
-        "types": [
-            {
-                "id": t.id,
-                "weight": t.weight,
-                "x1": sorted(i for i, b in zip(items.items, t.x) if b),
-                "y1": sorted(m for m, b in zip(methods.methods, t.y) if b),
-                "z": t.z,
-            }
-            for t in pop.types
-        ],
-    }
+_POPULATION_KEYS = frozenset(("kind", "items", "methods", "types"))
+_TYPE_KEYS = frozenset(("id", "weight", "x1", "y1", "z"))
 
 
 def population_from_obj(obj: Mapping[str, Any]) -> Population:
@@ -205,11 +204,60 @@ def population_from_obj(obj: Mapping[str, Any]) -> Population:
         types.append(
             ExamineeType(id=_int(row["id"]), weight=_int(row["weight"]), x=x, y=y, z=_int(row["z"]))
         )
+        _declared_keys(row, _TYPE_KEYS)
+    _declared_keys(obj, _POPULATION_KEYS)
     return Population(items=items, methods=methods, types=tuple(types))
 
 
+def _json_scalar(value: Any) -> str:
+    """A type's scalar field as ``json`` writes it (``true`` for a bool)."""
+    return str(value) if type(value) is int else json.dumps(value)
+
+
+def _sorted_ids(ids: tuple[Any, ...]) -> tuple[list[str], Callable[[tuple[int, ...]], Any]]:
+    """Each id of a universe as a JSON token, in sorted-id order, and a function
+    that puts a 0/1 vector over the universe into that order."""
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    return [json.dumps(ids[k]) for k in order], itemgetter(*order) if len(order) > 1 else tuple
+
+
+def _json_ids(tokens: list[str]) -> str:
+    """A type's ``x1`` or ``y1`` list as ``dump_canonical`` indents it."""
+    return "[\n        " + ",\n        ".join(tokens) + "\n      ]" if tokens else "[]"
+
+
+_TYPE_TEMPLATE = """    {{
+      "id": {},
+      "weight": {},
+      "x1": {},
+      "y1": {},
+      "z": {}
+    }}"""
+
+
 def write_population(pop: Population, path: str | Path) -> None:
-    write_text(path, dump_canonical(population_to_obj(pop)))
+    """Write ``dump_canonical`` of the population's document, each type from one template."""
+    doc = dump_canonical({
+        "kind": "population",
+        "items": list(pop.items.items),
+        "methods": _methods_to_obj(pop.methods),
+        "types": [],
+    })
+    if pop.types:
+        item_tokens, item_order = _sorted_ids(pop.items.items)
+        method_tokens, method_order = _sorted_ids(pop.methods.methods)
+        rows = [
+            _TYPE_TEMPLATE.format(
+                _json_scalar(t.id),
+                _json_scalar(t.weight),
+                _json_ids(list(compress(item_tokens, item_order(t.x)))),
+                _json_ids(list(compress(method_tokens, method_order(t.y)))),
+                _json_scalar(t.z),
+            )
+            for t in pop.types
+        ]
+        doc = doc[: -len("[]\n}\n")] + "[\n" + ",\n".join(rows) + "\n  ]\n}\n"
+    write_text(path, doc)
 
 
 def read_population(path: str | Path) -> Population:

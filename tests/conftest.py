@@ -8,7 +8,7 @@ import random
 from collections.abc import Iterator
 from dataclasses import asdict, replace
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, inf, nextafter
 
 import numpy as np
 
@@ -30,7 +30,16 @@ from diagopt.core import (
     evaluate,
     reached_sinks,
 )
-from diagopt.datagen import GenConfig
+from diagopt.datagen import (
+    Categorical,
+    GenConfig,
+    Predicate,
+    ThresholdTable,
+    TruncatedNormal,
+    binarize,
+    sample_raw,
+    sample_response,
+)
 from diagopt.encoder import _LINE_WIDTH, _SENSES, Instance, LinRow, _fmt_number
 from diagopt.fileio import dump_canonical
 from diagopt.problem import FIELDS, Goal
@@ -263,6 +272,71 @@ def genconfig_doc(cfg: GenConfig) -> dict:
     }
     # as a reader sees it: tuples become JSON lists
     return json.loads(json.dumps(obj))
+
+
+def population_doc(pop: Population) -> dict:
+    """The population document of ``pop``, written here as the reference for
+    ``fileio.write_population``, which renders ``dump_canonical`` of it."""
+    items, methods = pop.items, pop.methods
+    return {
+        "kind": "population",
+        "items": list(items.items),
+        "methods": [[m, c] for m, c in zip(methods.methods, methods.costs)],
+        "types": [
+            {
+                "id": t.id,
+                "weight": t.weight,
+                "x1": sorted(i for i, b in zip(items.items, t.x) if b),
+                "y1": sorted(m for m, b in zip(methods.methods, t.y) if b),
+                "z": t.z,
+            }
+            for t in pop.types
+        ],
+    }
+
+
+def reference_population(cfg: GenConfig) -> Population:
+    """``cfg``'s population drawn record by record: each record's raw values,
+    then its item bits through the scalar ``binarize``, then its response;
+    identical (X, Y, z) triples merge in first-occurrence order. The reference
+    for ``datagen.generate_population``, which binarizes whole columns."""
+    rng = random.Random(cfg.seed)
+    weights: dict = {}
+    for _ in range(cfg.n):
+        raw = sample_raw(cfg.specs, rng)
+        x = binarize(raw, cfg.thresholds)
+        y, z = sample_response(cfg, rng)
+        weights[x, y, z] = weights.get((x, y, z), 0) + 1
+    types = tuple(
+        ExamineeType(id=i, weight=w, x=x, y=y, z=z)
+        for i, ((x, y, z), w) in enumerate(weights.items())
+    )
+    return Population(items=ItemUniverse(cfg.thresholds.item_ids), methods=cfg.methods, types=types)
+
+
+def every_op_genconfig(n: int, seed: int) -> GenConfig:
+    """A config whose thresholds use every ``PREDICATE_OPS`` op, on values
+    drawn exactly at each threshold and one ulp to either side, and on ints
+    drawn from a value table; its item ids are not in sorted order."""
+    near = [nextafter(t, d) for t in (6.0, 6.5) for d in (-inf, t, inf)]
+    values = (0.0, *near, 9.0)
+    specs = (
+        Categorical.bernoulli("flag", 0.3),
+        Categorical("level", tuple((v, 1 / len(values)) for v in values)),
+        Categorical("count", ((1, 0.5), (2, 0.5))),
+        TruncatedNormal("tn", 0.0, 1.0, 0.5, 0.3),
+    )
+    thresholds = ThresholdTable((
+        (7, Predicate("bit", "flag")),
+        (3, Predicate("ge", "level", 6.0)),
+        (5, Predicate("lt", "level", 6.5)),
+        (1, Predicate("eq", "level", 6.0)),
+        (4, Predicate("band", "level", 6.0, 6.5)),
+        (8, Predicate("eq", "count", 2.0)),
+        (0, Predicate("ge", "tn", 0.5)),
+        (6, Predicate("band", "tn", 0.25, 0.75)),
+    ))
+    return GenConfig(n=n, seed=seed, specs=specs, thresholds=thresholds)
 
 
 def reference_metrics(d: Diagram, phi: Assignment, phi_in: Assignment, pop: Population) -> Metrics:

@@ -13,8 +13,16 @@ from hypothesis import strategies as st
 
 from diagopt import datagen
 from diagopt.cli import main
-from diagopt.core import Assignment, InputError, ItemUniverse, MethodUniverse, evaluate
-from diagopt.datagen import GenConfig
+from diagopt.core import (
+    Assignment,
+    ExamineeType,
+    InputError,
+    ItemUniverse,
+    MethodUniverse,
+    Population,
+    evaluate,
+)
+from diagopt.datagen import GenConfig, generate_population
 from diagopt.encoder import build_model
 from diagopt.fileio import (
     InstanceDoc,
@@ -22,11 +30,17 @@ from diagopt.fileio import (
     read_instance,
     read_instance_doc,
     read_population,
-    population_to_obj,
+    write_population,
 )
 from diagopt.instances import instance_template
 from diagopt.solver import solve
-from conftest import assignment_doc, genconfig_doc, write_assignment
+from conftest import (
+    assignment_doc,
+    every_op_genconfig,
+    genconfig_doc,
+    population_doc,
+    write_assignment,
+)
 from lp_reader import parse_lp
 
 # sha256 of the files `generate --seed 7 --n 120` and `make-instance` write,
@@ -63,7 +77,7 @@ def toy_docs(population_path: str | None = None) -> dict:
 
     inst = tiny_instance(budget=10**6, weights=(2, 5), positive=({0}, set()),
                          responds=({1}, {2}), improves=(1, 0))
-    pop = population_to_obj(inst.population)
+    pop = population_doc(inst.population)
     doc = InstanceDoc(
         items=ItemUniverse((0, 1)),
         methods=MethodUniverse(methods=(0, 1, 2, 3), costs=(0, 200, 400, 600)),
@@ -146,6 +160,42 @@ class TestJsonBytes:
         got = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
                for name in PINNED_JSON_SHA256}
         assert got == PINNED_JSON_SHA256
+
+
+class TestPopulationFiles:
+    """``write_population`` writes exactly ``dump_canonical`` of the reference document."""
+
+    @staticmethod
+    def written(pop, tmp_path) -> bytes:
+        path = tmp_path / "pop.json"
+        write_population(pop, path)
+        assert path.read_bytes() == dump_canonical(population_doc(pop)).encode("utf-8")
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("seed", [7, 977, 20240601])
+    @pytest.mark.parametrize("n", [0, 1, 120, 800])
+    def test_generated_populations(self, tmp_path, n, seed):
+        pop = generate_population(GenConfig(n=n, seed=seed))
+        self.written(pop, tmp_path)
+        assert read_population(tmp_path / "pop.json") == pop
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_op_population_over_unsorted_items(self, tmp_path, seed):
+        pop = generate_population(every_op_genconfig(800, seed))
+        self.written(pop, tmp_path)
+        assert read_population(tmp_path / "pop.json") == pop
+
+    def test_empty_lists_and_bool_fields(self, tmp_path):
+        pop = Population(
+            items=ItemUniverse((3, 1, 2)),
+            methods=MethodUniverse(methods=(0, 1), costs=(0, 5)),
+            types=(
+                ExamineeType(id=0, weight=2, x=(0, 0, 0), y=(0, 0), z=0),
+                ExamineeType(id=1, weight=1, x=(True, 0, 1), y=(0, True), z=True),
+            ),
+        )
+        text = self.written(pop, tmp_path).decode()
+        assert '"x1": [],' in text and '"y1": [],' in text and '"z": true' in text
 
 
 class TestInstanceFiles:
@@ -833,6 +883,30 @@ class TestMalformedDocuments:
             f"error: {tmp_path / 'genconfig.json'}: malformed genconfig document "
             "(item 25 reads attribute 'egfr', which no spec draws)\n"
         )
+
+
+class TestUnknownKeys:
+    """A population object holding a key its format does not declare is one
+    error line naming the file, as the type's misspelled ``wieght`` here."""
+
+    @pytest.mark.parametrize("inline", [False, True], ids=["file", "inline"])
+    @pytest.mark.parametrize("at", [(), ("types", 0), ("types", 1)], ids=["document", "type0", "type1"])
+    def test_added_key_is_one_error_line(self, tmp_path, capsys, inline, at):
+        docs = _file_docs()
+        kind, where = "population", tmp_path / "population.json"
+        if inline:
+            docs["instance"]["population"] = docs["population"]
+            del docs["instance"]["population_path"]
+            kind, where = "instance", f"{tmp_path / 'instance.json'} (inline population)"
+        assert _run_on_files(tmp_path, kind, docs) == 0
+        obj = docs["population"]
+        for key in at:
+            obj = obj[key]
+        obj["wieght"] = 3
+        capsys.readouterr()
+        assert _run_on_files(tmp_path, kind, docs) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {where}: malformed population document (unexpected key 'wieght')\n"
 
 
 def _drawn_table(value):

@@ -4,8 +4,11 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
+from conftest import every_op_genconfig, reference_population
+from diagopt import datagen
 from diagopt.core import InputError
 from diagopt.datagen import (
     PREDICATE_OPS,
@@ -15,6 +18,7 @@ from diagopt.datagen import (
     ThresholdTable,
     TruncatedNormal,
     binarize,
+    binarize_columns,
     default_attribute_specs,
     default_threshold_table,
     generate_population,
@@ -39,6 +43,19 @@ def raw_with(**overrides: float) -> dict[str, float]:
     values["urine_protein"] = 1.0
     values.update(overrides)
     return values
+
+
+def columns_of(*raws: dict[str, float]) -> dict[str, np.ndarray]:
+    """Raw records as the attribute columns ``binarize_columns`` reads."""
+    return {a: np.array([raw[a] for raw in raws], dtype=object) for a in raws[0]}
+
+
+def binarized(raw: dict[str, float]) -> tuple[int, ...]:
+    """One record's item bits over whole columns, checked against the scalar ``binarize``."""
+    tbl = default_threshold_table()
+    x = tuple(binarize_columns(columns_of(raw), tbl)[0].astype(int).tolist())
+    assert x == binarize(raw, tbl)
+    return x
 
 
 class TestSpecValidation:
@@ -158,30 +175,30 @@ class TestSampleRaw:
 
 class TestBinarize:
     def test_hba1c_thresholds(self):
-        x = binarize(raw_with(hba1c=6.7), default_threshold_table())
+        x = binarized(raw_with(hba1c=6.7))
         assert [x[i] for i in (5, 6, 7, 8)] == [1, 1, 1, 1]
         assert [x[i] for i in (9, 10, 11)] == [0, 0, 0]
 
     def test_urine_protein_category_one(self):
-        x = binarize(raw_with(urine_protein=1), default_threshold_table())
+        x = binarized(raw_with(urine_protein=1))
         assert x[18] == 1 and x[21] == 1
         assert [x[i] for i in (19, 20, 22, 23, 24)] == [0, 0, 0, 0, 0]
 
     def test_egfr_55(self):
         # every eGFR predicate evaluated at 55: <60, <90, >=30, and the
         # bands [30,60), [30,90), [45,60) hold; the rest do not
-        x = binarize(raw_with(egfr=55), default_threshold_table())
+        x = binarized(raw_with(egfr=55))
         on = {i for i in range(25, 36) if x[i]}
         assert on == {28, 29, 30, 32, 33, 34}
 
     def test_direct_bits_pass_through(self):
-        x = binarize(raw_with(diabetes_medication=1), default_threshold_table())
+        x = binarized(raw_with(diabetes_medication=1))
         assert x[44] == 1 and x[36] == 0
 
     @pytest.mark.parametrize("value", [2.0, float("inf"), float("nan")])
     def test_bit_attribute_outside_0_1_raises(self, value):
         with pytest.raises(InputError):
-            binarize(raw_with(diabetes_medication=value), default_threshold_table())
+            binarize_columns(columns_of(raw_with(diabetes_medication=value)), default_threshold_table())
 
     def test_missing_attribute_raises(self):
         # the default thresholds read attributes this spec list does not draw
@@ -214,8 +231,19 @@ class TestPredicateOps:
         if op != "bit":
             for t in thresholds.values():
                 points |= {math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)}
-        for v in sorted(points):
+        column = sorted(points)
+        for v in column:
             assert pred.evaluate({"a": v}) == int(self.REFERENCE[op](v)), v
+        bits = PREDICATE_OPS[op][1](pred, np.array(column, dtype=object))
+        assert bits.tolist() == [bool(self.REFERENCE[op](v)) for v in column]
+
+    @pytest.mark.parametrize("v, bit", [(True, 1), (False, 0), (1, 1), (0.0, 0)])
+    def test_bit_takes_any_value_equal_to_0_or_1(self, v, bit):
+        # as a Python bool, ~True is -2: the check must not negate a scalar bitwise
+        pred = Predicate("bit", "a")
+        assert pred.evaluate({"a": v}) == bit
+        column = np.array([v, 1 - bit], dtype=object)
+        assert PREDICATE_OPS["bit"][1](pred, column).tolist() == [bool(bit), not bit]
 
 
 class TestSampleResponse:
@@ -291,3 +319,73 @@ class TestGeneratePopulation:
         freq = sum(t.weight * t.x[8] for t in pop.types) / pop.total_weight
         want = truncated_tail_oracle(3, 20, 5.19, 0.73, 6.5)
         assert abs(freq - want) < 0.01
+
+
+class TestColumnwiseGeneration:
+    """``generate_population`` against the record-by-record reference."""
+
+    @pytest.mark.parametrize("seed", [7, 977, 20240601])
+    @pytest.mark.parametrize("n", [0, 1, 120, 800])
+    def test_equals_the_record_by_record_reference(self, n, seed):
+        cfg = GenConfig(n=n, seed=seed)
+        assert generate_population(cfg) == reference_population(cfg)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_op_at_its_thresholds(self, seed):
+        cfg = every_op_genconfig(800, seed)
+        pop = generate_population(cfg)
+        assert pop == reference_population(cfg)
+        assert all(type(v) is int for t in pop.types for v in (*t.x, *t.y, t.z))
+
+
+def _bit_config(n: int, seed: int, *specs, table: tuple[str, ...]) -> GenConfig:
+    """A config of ``specs`` whose items read the attributes in ``table`` as bits."""
+    entries = tuple((k, Predicate("bit", a)) for k, a in enumerate(table))
+    return GenConfig(n=n, seed=seed, specs=specs, thresholds=ThresholdTable(entries))
+
+
+def _error(cfg: GenConfig, draw=generate_population) -> str:
+    with pytest.raises(InputError) as info:
+        draw(cfg)
+    return str(info.value)
+
+
+class TestDrawErrorOrder:
+    """A bad draw is reported as drawing record by record reports it."""
+
+    def test_an_int_is_reported_as_drawn(self):
+        cfg = _bit_config(5, 0, Categorical("b", ((2, 1.0),)), table=("b",))
+        assert _error(cfg) == "bit attribute 'b' drew 2, expected 0 or 1"
+
+    def test_the_earliest_record_is_named_before_table_order(self):
+        # p's bits come first in the table, but q draws a bad value in an earlier record
+        def cfg(q_bad):
+            p = Categorical("p", ((0, 0.8), (7, 0.2)))
+            q = Categorical("q", ((0, 0.8), (q_bad, 0.2)))
+            return _bit_config(50, 1, p, q, table=("p", "q"))
+
+        assert _error(cfg(1)) == "bit attribute 'p' drew 7, expected 0 or 1"
+        assert _error(cfg(9)) == "bit attribute 'q' drew 9, expected 0 or 1"
+        assert _error(cfg(9)) == _error(cfg(9), reference_population)
+
+    def test_table_order_names_the_threshold_within_a_record(self):
+        q, p = Categorical("q", ((9, 1.0),)), Categorical("p", ((7, 1.0),))
+        cfg = _bit_config(3, 0, q, p, table=("p", "q"))
+        assert _error(cfg) == "bit attribute 'p' drew 7, expected 0 or 1"
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(0, "t: exceeded 2 rejection resamples"), (2, "bit attribute 'b' drew 2, expected 0 or 1")],
+        ids=["draw-error-first", "earlier-bad-bit"],
+    )
+    def test_a_failed_draw_comes_after_the_records_before_it(self, monkeypatch, seed, message):
+        monkeypatch.setattr(datagen, "RESAMPLE_CAP", 2)
+
+        def cfg(b_bad):
+            b = Categorical("b", ((0, 0.9), (b_bad, 0.1)))
+            t = TruncatedNormal("t", 0.0, 1.0, 0.0, 1.0)
+            return _bit_config(40, seed, b, t, table=("b",))
+
+        # the same stream with a valid bit table fails a draw
+        assert _error(cfg(1)) == "t: exceeded 2 rejection resamples"
+        assert _error(cfg(2)) == message == _error(cfg(2), reference_population)

@@ -823,6 +823,15 @@ class TestCutAudit:
         inst = truncated(self.scaled(build_instance(instance, population)), extra)
         self.assert_matches_oracle(inst, setting)
 
+    @pytest.mark.parametrize("seed, extra, setting", [(1, 3, 1)])
+    def test_instance_3_merged_frontiers_match_brute_force(self, seed, extra, setting):
+        """Instance 3 over another n=60 population, cut to three more candidates
+        per vertex (32,768 assignments): unlike its cells above, a dominance cut
+        that ignores deployed matches changes this cell's optimum."""
+        population = generate_population(GenConfig(n=self.N, seed=seed))
+        inst = truncated(self.scaled(build_instance(3, population)), extra)
+        self.assert_matches_oracle(inst, setting)
+
     @staticmethod
     def assert_matches_oracle(inst, setting):
         """Native equals ``brute_force`` in status, assignment, objective and bound."""
