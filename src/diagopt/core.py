@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 Vertex = str
 ItemSet = frozenset[int]
@@ -33,7 +35,7 @@ class ItemUniverse:
             raise InputError("duplicate item identifiers")
 
     @cached_property
-    def _pos(self) -> dict[int, int]:
+    def positions(self) -> dict[int, int]:
         return {item: i for i, item in enumerate(self.items)}
 
     def __len__(self) -> int:
@@ -43,11 +45,11 @@ class ItemUniverse:
         return iter(self.items)
 
     def __contains__(self, item: int) -> bool:
-        return item in self._pos
+        return item in self.positions
 
     def index(self, item: int) -> int:
         try:
-            return self._pos[item]
+            return self.positions[item]
         except KeyError:
             raise InputError(f"item {item} not in universe") from None
 
@@ -70,7 +72,7 @@ class MethodUniverse:
             raise InputError("method costs must be non-negative")
 
     @cached_property
-    def _pos(self) -> dict[int, int]:
+    def positions(self) -> dict[int, int]:
         return {m: i for i, m in enumerate(self.methods)}
 
     def __len__(self) -> int:
@@ -80,63 +82,57 @@ class MethodUniverse:
         return iter(self.methods)
 
     def __contains__(self, method: int) -> bool:
-        return method in self._pos
+        return method in self.positions
 
     def index(self, method: int) -> int:
         try:
-            return self._pos[method]
+            return self.positions[method]
         except KeyError:
             raise InputError(f"method {method} not in universe") from None
 
 
-@dataclass(frozen=True)
-class ExamineeType:
-    """One row of the population: a weighted equivalence class of examinees.
-
-    ``x`` and ``y`` are 0/1 vectors aligned with the item and method universes;
-    ``z`` marks whether a positive reaction also improves the tracked item.
-    """
-
-    id: int
-    weight: int
-    x: tuple[int, ...]
-    y: tuple[int, ...]
-    z: int
-
-    def __post_init__(self) -> None:
-        if self.weight < 1:
-            raise InputError(f"type {self.id}: weight must be >= 1")
-        if not {*self.x, *self.y} <= {0, 1}:
-            raise InputError(f"type {self.id}: x and y must be 0/1 vectors")
-        if self.z not in (0, 1):
-            raise InputError(f"type {self.id}: z must be 0 or 1")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Population:
-    """All examinee types together with the universes their vectors index."""
+    """All examinee types as read-only columns; row ``t`` of each is one type.
+
+    ``ids`` and ``weights`` are int64 (each weight >= 1, their sum below 2**63,
+    so no int64 sum of weights wraps); ``x`` and ``y`` are bool over the items
+    and methods, and ``z`` marks a reaction that also improves the item.
+    """
 
     items: ItemUniverse
     methods: MethodUniverse
-    types: tuple[ExamineeType, ...]
+    ids: np.ndarray
+    weights: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
 
     def __post_init__(self) -> None:
-        ids = [t.id for t in self.types]
-        if len(set(ids)) != len(ids):
+        n = len(self.ids) if np.ndim(self.ids) == 1 else None
+        shapes = {"ids": (n,), "weights": (n,), "z": (n,)}
+        shapes |= {"x": (n, len(self.items)), "y": (n, len(self.methods))}
+        for name, shape in shapes.items():
+            dtype = np.dtype(np.int64 if name in ("ids", "weights") else bool)
+            col = np.array(getattr(self, name))  # a copy, then read-only
+            if col.dtype != dtype or col.shape != shape:
+                raise InputError(f"{name} must be a {dtype} array of shape {shape}")
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        light = np.flatnonzero(self.weights < 1)
+        if light.size:
+            raise InputError(f"type {self.ids[light[0]]}: weight must be >= 1")
+        if len(np.unique(self.ids)) != n:
             raise InputError("duplicate examinee type ids")
-        n_items, n_methods = len(self.items), len(self.methods)
-        for t in self.types:
-            if len(t.x) != n_items:
-                raise InputError(f"type {t.id}: x length {len(t.x)} != |items| {n_items}")
-            if len(t.y) != n_methods:
-                raise InputError(f"type {t.id}: y length {len(t.y)} != |methods| {n_methods}")
+        if self.total_weight >= 2**63:
+            raise InputError(f"total weight {self.total_weight} does not fit in 64 bits")
 
     def __len__(self) -> int:
-        return len(self.types)
+        return len(self.ids)
 
-    @property
+    @cached_property
     def total_weight(self) -> int:
-        return sum(t.weight for t in self.types)
+        return sum(self.weights.tolist())
 
 
 @dataclass(frozen=True)
@@ -295,8 +291,8 @@ def _walk_table(d: Diagram, phi: Assignment, items: ItemUniverse) -> dict[Vertex
     }
 
 
-def _walk(source: Vertex, table: Mapping[Vertex, _Step], x: tuple[int, ...]) -> Vertex:
-    """The sink a type with item vector ``x`` reaches from ``source``.
+def _walk(source: Vertex, table: Mapping[Vertex, _Step], x: Sequence[int]) -> Vertex:
+    """The sink a type with 0/1 item row ``x`` reaches from ``source``.
 
     Terminates in at most |V| steps on any valid diagram.
     """
@@ -314,7 +310,9 @@ def _walk(source: Vertex, table: Mapping[Vertex, _Step], x: tuple[int, ...]) -> 
 def reached_sinks(d: Diagram, phi: Assignment, pop: Population) -> list[Vertex]:
     """The sink each type of ``pop`` reaches under ``phi``, in population order."""
     table = _walk_table(d, phi, pop.items)
-    return [_walk(d.source, table, t.x) for t in pop.types]
+    # each type's row of x as bytes, one 0/1 byte per item: far cheaper to make than x.tolist()
+    width, buf = len(pop.items), pop.x.tobytes()
+    return [_walk(d.source, table, buf[k:k + width]) for k in range(0, len(buf), width)]
 
 
 def sink_totals(
@@ -323,29 +321,19 @@ def sink_totals(
     """Per sink, per method in universe order: weight x cost, responders and
     improvers over the types that reach the sink.
 
-    Only ``phi``'s internal labels are read. Each sink's weight is tallied
-    per (y, z) signature first, so the per-method expansion runs once per
-    signature rather than once per type.
+    Only ``phi``'s internal labels are read. Each type's weight goes to its
+    sink's column; one product of those columns with ``y`` (with ``y`` and
+    ``z``) sums the responders (improvers). Costs multiply Python ints.
     """
-    tallies: dict[Vertex, dict[tuple[tuple[int, ...], int], int]] = {s: {} for s in d.sinks}
-    for t, s in zip(pop.types, reached_sinks(d, phi, pop)):
-        tally = tallies[s]
-        key = (t.y, t.z)
-        tally[key] = tally.get(key, 0) + t.weight
-    costs = pop.methods.costs
-    totals = {}
-    for s, tally in tallies.items():
-        responders = [0] * len(costs)
-        improvers = [0] * len(costs)
-        for (y, z), w in tally.items():
-            for mi, responds in enumerate(y):
-                if responds:
-                    responders[mi] += w
-                    if z:
-                        improvers[mi] += w
-        weight = sum(tally.values())
-        totals[s] = [(c * weight, r, i) for c, r, i in zip(costs, responders, improvers)]
-    return totals
+    at = np.zeros((len(pop), len(d.sinks)), dtype=np.int64)
+    at[np.arange(len(pop)), [d.sinks.index(s) for s in reached_sinks(d, phi, pop)]] = pop.weights
+    weights = at.sum(axis=0).tolist()
+    responders = (at.T @ pop.y).tolist()
+    improvers = (at.T @ (pop.y & pop.z[:, None])).tolist()
+    return {
+        s: [(c * w, r, i) for c, r, i in zip(pop.methods.costs, rs, fs)]
+        for s, w, rs, fs in zip(d.sinks, weights, responders, improvers)
+    }
 
 
 def evaluate(d: Diagram, phi: Assignment, phi_in: Assignment, pop: Population) -> Metrics:

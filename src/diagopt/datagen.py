@@ -25,13 +25,7 @@ from typing import Any, Callable, ClassVar, Iterable, Mapping
 
 import numpy as np
 
-from .core import (
-    ExamineeType,
-    InputError,
-    ItemUniverse,
-    MethodUniverse,
-    Population,
-)
+from .core import InputError, ItemUniverse, MethodUniverse, Population
 
 RESAMPLE_CAP = 1_000_000
 
@@ -261,17 +255,14 @@ def generate_population(cfg: GenConfig) -> Population:
     x = binarize_columns(_columns(cfg.specs, records), cfg.thresholds)
     yz = np.array([(*y, z) for y, z in responses], dtype=np.uint8)
     rows = np.hstack((x, yz.reshape(cfg.n, len(cfg.methods) + 1)))
-    del records, responses  # free the raw values before the types are built: a lower peak
+    del records, responses  # free the raw values before the columns are built: a lower peak
     width, buf = rows.shape[1], rows.tobytes()
     weights = Counter(buf[k:k + width] for k in range(0, len(buf), width))
-    unique = np.frombuffer(b"".join(weights), dtype=np.uint8).reshape(-1, width).tolist()
-
-    n_items = len(items)
-    types = tuple(
-        ExamineeType(id=i, weight=w, x=tuple(row[:n_items]), y=tuple(row[n_items:-1]), z=row[-1])
-        for i, (row, w) in enumerate(zip(unique, weights.values()))
-    )
-    return Population(items=items, methods=cfg.methods, types=types)
+    unique = np.frombuffer(b"".join(weights), dtype=np.uint8).reshape(-1, width).astype(bool)
+    ids = np.arange(len(unique), dtype=np.int64)
+    counts = np.fromiter(weights.values(), dtype=np.int64, count=len(unique))
+    x, y, z = np.split(unique, [len(items), width - 1], axis=1)
+    return Population(items, cfg.methods, ids, counts, x, y, z[:, 0])
 
 
 def default_method_universe() -> MethodUniverse:

@@ -127,7 +127,7 @@ class IPModel:
             return np.arange(start, len(names)).reshape(shape)
 
         inst = self.instance
-        n_t, n_m = len(inst.population.types), len(inst.population.methods)
+        n_t, n_m = len(inst.population), len(inst.population.methods)
         n_u, n_s = len(inst.diagram.internals), len(inst.diagram.sinks)
         self.p = [block(f"p_u{ui}", "c", (len(c),)) for ui, c in enumerate(inst.choices[:n_u])]
         self.q = block("q", "sm", (n_s, n_m))
@@ -156,24 +156,20 @@ class IPModel:
     def _build_expressions(self) -> None:
         inst = self.instance
         pop = inst.population
-        z = self.z.tolist()
+        weights, z, costs = pop.weights.tolist(), self.z.tolist(), pop.methods.costs
 
-        cost_terms: list[Term] = []
-        obj2_terms: list[Term] = []
-        obj3_terms: list[Term] = []
-        for ti, t in enumerate(pop.types):
-            for mi, c in enumerate(pop.methods.costs):
-                if c:
-                    cost_terms.append((c * t.weight, z[ti][mi]))
-                if t.y[mi]:
-                    obj2_terms.append((t.weight, z[ti][mi]))
-                    if t.z:
-                        obj3_terms.append((t.weight, z[ti][mi]))
+        def terms(holds: np.ndarray, coefs: Sequence[int]) -> tuple[Term, ...]:
+            """Type-major, where ``holds``: the type's weight x the method's coef, on z."""
+            ts, ms = (a.tolist() for a in np.nonzero(holds))
+            return tuple((coefs[mi] * weights[ti], z[ti][mi]) for ti, mi in zip(ts, ms))
 
-        obj1_terms = [(1, int(b[k])) for b, k in zip(self.choice_blocks, inst.deployed)]
-
-        fields = (cost_terms, obj1_terms, obj2_terms, obj3_terms)  # in FIELDS order
-        self.exprs: tuple[tuple[Term, ...], ...] = tuple(map(tuple, fields))
+        ones = [1] * len(costs)
+        self.exprs: tuple[tuple[Term, ...], ...] = (  # in FIELDS order
+            terms(np.broadcast_to([c != 0 for c in costs], pop.y.shape), costs),
+            tuple((1, int(b[k])) for b, k in zip(self.choice_blocks, inst.deployed)),
+            terms(pop.y, ones),
+            terms(pop.y & pop.z[:, None], ones),
+        )
 
     def _build_rows(self, goal: Goal) -> None:
         """Lay the rows out as blocks, each written once for type 0.
@@ -184,7 +180,7 @@ class IPModel:
         """
         inst = self.instance
         d = inst.diagram
-        n_t = len(inst.population.types)
+        n_t = len(inst.population)
         n_u = len(d.internals)
         p = [b.tolist() for b in self.p]
         q = self.q.tolist()
@@ -455,7 +451,7 @@ def encode_assignment(model: IPModel, phi: Assignment) -> VariablePoint:
 
     n_u = len(d.internals)
     pos = {v: vi for vi, v in enumerate(inst.positions)}
-    reach = np.zeros((len(pos), len(inst.population.types)), dtype=bool)
+    reach = np.zeros((len(pos), len(inst.population)), dtype=bool)
     reach[pos[d.source]] = True
     # internals lead the positions in topological order: reach is complete when read
     for ui, (head0, head1) in enumerate(d.heads.values()):

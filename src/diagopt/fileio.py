@@ -7,13 +7,14 @@ byte-identical and files diff cleanly. Assignments (an ``assignment``
 document or a solve report's ``assignment`` block) and generator configs are
 only read. A block several formats share has one codec: methods
 (``_methods_to_obj`` / ``_methods_from_obj``) and assignment labels
-(``_labels_to_obj`` / ``assignment_from_obj``). Every reader goes
+(``_labels_to_obj`` / ``_labels_from_obj``). Every reader goes
 through ``_from_doc``, so a schema error is one ``InputError`` naming the file,
 and reads integer fields through ``_int``, which rejects a float or a bool
 instead of truncating it, and real fields through ``_float``, which rejects a
-string, a bool or a non-finite number. The population reader also rejects a
-key its objects do not declare (``_declared_keys``). Populations, the largest
-documents, are written from a per-type template, byte for byte what
+string, a bool or a non-finite number. The population, instance and
+assignment readers also reject a key their objects do not declare
+(``_declared_keys``). Populations, the largest documents, are read in one pass
+into numpy columns and written from a per-type template, byte for byte what
 ``dump_canonical`` gives for their document.
 """
 from __future__ import annotations
@@ -23,17 +24,17 @@ import math
 import os
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
-from itertools import compress
-from operator import itemgetter
+from itertools import chain, compress
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, TypeVar
+
+import numpy as np
 
 from .candidates import build_family
 from .core import (
     Arc,
     Assignment,
     Diagram,
-    ExamineeType,
     InputError,
     ItemUniverse,
     MethodUniverse,
@@ -135,18 +136,29 @@ def _float(value: Any) -> float:
     return float(value)
 
 
-def _indicator(ids: Any, positions: dict[int, int], what: str) -> tuple[int, ...]:
-    """The 0/1 vector of a type's ``x1`` or ``y1`` list over a universe, given
-    each of its ids' position; every listed id must lie inside."""
-    vec = [0] * len(positions)
+def _positions(ids: Any, positions: dict[int, int], what: str) -> list[int]:
+    """The positions of a type's ``x1`` or ``y1`` ids, each inside the universe."""
     try:
-        for i in ids:
-            vec[positions[_int(i)]] = 1
+        return [positions[_int(i)] for i in ids]
     except KeyError:
         # every id is checked to be an integer before any is checked to lie inside
         outside = set(map(_int, ids)) - positions.keys()
         raise ValueError(f"{what} {min(outside)} outside the universe") from None
-    return tuple(vec)
+
+
+def _int64s(values: tuple[int, ...], what: str) -> np.ndarray:
+    """An int64 column of ``values``; a value int64 cannot hold is an error, never wrapped."""
+    for v in values:
+        if not -(2**63) <= v < 2**63:
+            raise ValueError(f"{what} {v} does not fit in 64 bits")
+    return np.array(values, dtype=np.int64)
+
+
+def _scatter(rows: tuple[list[int], ...], width: int) -> np.ndarray:
+    """A bool matrix of ``width`` columns, True in row ``t`` where ``rows[t]`` lists."""
+    m = np.zeros((len(rows), width), dtype=bool)
+    m[np.repeat(np.arange(len(rows)), list(map(len, rows))), list(chain.from_iterable(rows))] = True
+    return m
 
 
 def _declared_keys(obj: Mapping[str, Any], keys: frozenset[str]) -> None:
@@ -175,12 +187,22 @@ def _labels_to_obj(phi: Assignment) -> dict[str, Any]:
     }
 
 
-def assignment_from_obj(obj: Mapping[str, Any]) -> Assignment:
+_LABEL_KEYS = frozenset(("nodes", "sinks"))
+
+
+def _labels_from_obj(obj: Mapping[str, Any]) -> Assignment:
     """The assignment an object's ``nodes`` and ``sinks`` labels describe."""
     return Assignment.build(
         {str(u): (_int(i) for i in c) for u, c in obj["nodes"].items()},
         {str(s): _int(m) for s, m in obj["sinks"].items()},
     )
+
+
+def assignment_from_obj(obj: Mapping[str, Any]) -> Assignment:
+    """The labels of an object holding no key but ``kind`` and its labels."""
+    phi = _labels_from_obj(obj)
+    _declared_keys(obj, _LABEL_KEYS | {"kind"})
+    return phi
 
 
 # ----------------------------------------------------------------------
@@ -193,32 +215,33 @@ _TYPE_KEYS = frozenset(("id", "weight", "x1", "y1", "z"))
 
 
 def population_from_obj(obj: Mapping[str, Any]) -> Population:
+    """One pass checks each type in document order; ``x`` and ``y`` are then
+    scattered from the types' id positions at once."""
     items = ItemUniverse(tuple(map(_int, obj["items"])))
     methods = _methods_from_obj(obj["methods"])
-    item_pos = {i: k for k, i in enumerate(items.items)}
-    method_pos = {m: k for k, m in enumerate(methods.methods)}
     types = []
     for row in obj["types"]:
-        x = _indicator(row["x1"], item_pos, "item")
-        y = _indicator(row["y1"], method_pos, "method")
-        types.append(
-            ExamineeType(id=_int(row["id"]), weight=_int(row["weight"]), x=x, y=y, z=_int(row["z"]))
-        )
+        xs = _positions(row["x1"], items.positions, "item")
+        ys = _positions(row["y1"], methods.positions, "method")
+        tid, weight, z = _int(row["id"]), _int(row["weight"]), _int(row["z"])
+        if weight < 1:
+            raise ValueError(f"type {tid}: weight must be >= 1")
+        if z not in (0, 1):
+            raise ValueError(f"type {tid}: z must be 0 or 1")
         _declared_keys(row, _TYPE_KEYS)
+        types.append((tid, weight, xs, ys, z))
     _declared_keys(obj, _POPULATION_KEYS)
-    return Population(items=items, methods=methods, types=tuple(types))
+    ids, weights, xs, ys, zs = zip(*types) if types else ((),) * 5
+    ids, weights = _int64s(ids, "type id"), _int64s(weights, "weight")
+    x, y = _scatter(xs, len(items)), _scatter(ys, len(methods))
+    return Population(items, methods, ids, weights, x, y, np.array(zs, dtype=bool))
 
 
-def _json_scalar(value: Any) -> str:
-    """A type's scalar field as ``json`` writes it (``true`` for a bool)."""
-    return str(value) if type(value) is int else json.dumps(value)
-
-
-def _sorted_ids(ids: tuple[Any, ...]) -> tuple[list[str], Callable[[tuple[int, ...]], Any]]:
-    """Each id of a universe as a JSON token, in sorted-id order, and a function
-    that puts a 0/1 vector over the universe into that order."""
+def _sorted_ids(ids: tuple[Any, ...]) -> tuple[list[str], list[int]]:
+    """Each id of a universe as a JSON token, in sorted-id order, and the
+    universe positions in that order."""
     order = sorted(range(len(ids)), key=ids.__getitem__)
-    return [json.dumps(ids[k]) for k in order], itemgetter(*order) if len(order) > 1 else tuple
+    return [json.dumps(ids[k]) for k in order], order
 
 
 def _json_ids(tokens: list[str]) -> str:
@@ -226,12 +249,13 @@ def _json_ids(tokens: list[str]) -> str:
     return "[\n        " + ",\n        ".join(tokens) + "\n      ]" if tokens else "[]"
 
 
+# each field as its integer, a bool z as 0 or 1
 _TYPE_TEMPLATE = """    {{
-      "id": {},
-      "weight": {},
+      "id": {:d},
+      "weight": {:d},
       "x1": {},
       "y1": {},
-      "z": {}
+      "z": {:d}
     }}"""
 
 
@@ -243,18 +267,19 @@ def write_population(pop: Population, path: str | Path) -> None:
         "methods": _methods_to_obj(pop.methods),
         "types": [],
     })
-    if pop.types:
+    if len(pop):
         item_tokens, item_order = _sorted_ids(pop.items.items)
         method_tokens, method_order = _sorted_ids(pop.methods.methods)
+        columns = (pop.ids, pop.weights, pop.x[:, item_order], pop.y[:, method_order], pop.z)
         rows = [
             _TYPE_TEMPLATE.format(
-                _json_scalar(t.id),
-                _json_scalar(t.weight),
-                _json_ids(list(compress(item_tokens, item_order(t.x)))),
-                _json_ids(list(compress(method_tokens, method_order(t.y)))),
-                _json_scalar(t.z),
+                tid,
+                weight,
+                _json_ids(list(compress(item_tokens, x))),
+                _json_ids(list(compress(method_tokens, y))),
+                z,
             )
-            for t in pop.types
+            for tid, weight, x, y, z in zip(*(c.tolist() for c in columns))
         ]
         doc = doc[: -len("[]\n}\n")] + "[\n" + ",\n".join(rows) + "\n  ]\n}\n"
     write_text(path, doc)
@@ -276,7 +301,7 @@ def read_assignment(path: str | Path) -> Assignment:
     if isinstance(obj, dict) and obj.get("kind") == "report":
         if "assignment" not in obj:
             raise InputError(f"{path}: report holds no assignment (status {obj.get('status')!r})")
-        return _from_doc(obj, "report", lambda rep: assignment_from_obj(rep["assignment"]), path)
+        return _from_doc(obj, "report", lambda rep: _labels_from_obj(rep["assignment"]), path)
     return _from_doc(obj, "assignment", assignment_from_obj, path)
 
 
@@ -380,7 +405,7 @@ class InstanceDoc:
             arcs=tuple((str(t), str(h), _int(l)) for t, h, l in obj["arcs"]),
             roles={str(u): tuple(sorted(map(_int, r))) for u, r in obj["roles"].items()},
             categories=tuple(tuple(sorted(map(_int, c))) for c in obj["categories"]),
-            initial=assignment_from_obj(obj["initial"]),
+            initial=_labels_from_obj(obj["initial"]),
             budget=_int(obj["budget"]),
             targets=tuple(map(_int, obj["targets"])),
             population_inline=obj.get("population"),
@@ -392,6 +417,8 @@ class InstanceDoc:
             raise ValueError("needs exactly one of population and population_path")
         if not isinstance(doc.population_path, (str, type(None))):
             raise ValueError("population_path must be a string")
+        _declared_keys(obj["initial"], _LABEL_KEYS)
+        _declared_keys(obj, _INSTANCE_KEYS)
         return doc
 
     def load_population(self, path: Path) -> Population:
@@ -453,6 +480,11 @@ class InstanceDoc:
             return self.instance(pop)
         except InputError as exc:
             raise InputError(f"{path}: {exc}") from exc
+
+
+# an instance document's keys: the doc's fields, the inline population as "population"
+_INSTANCE_KEYS = frozenset(f.name for f in fields(InstanceDoc)) - {"population_inline"}
+_INSTANCE_KEYS |= {"kind", "population"}
 
 
 def instance_doc_from_template(doc: InstanceDoc, population_path: str | None = None) -> InstanceDoc:

@@ -118,11 +118,10 @@ class Instance:
         """Per internal position, a read-only (candidates x types) bool array:
         whether each type is positive on some item of each of ``choices[k]``,
         that is, leaves the vertex by its 1-arc under that candidate."""
-        pop = self.population
-        x = np.array([t.x for t in pop.types], dtype=bool).reshape(-1, len(pop.items))
+        x, items = self.population.x, self.population.items
         tables = []
         for labels in self.choices[: len(self.diagram.internals)]:
-            fires = np.array([x[:, [pop.items.index(i) for i in c]].any(axis=1) for c in labels])
+            fires = np.array([x[:, [items.index(i) for i in c]].any(axis=1) for c in labels])
             fires.setflags(write=False)
             tables.append(fires)
         return tuple(tables)

@@ -137,29 +137,24 @@ class _Tables:
         self.n_internal = n = len(d.internals)
         self.methods = pop.methods.methods
         self.costs = pop.methods.costs
-        weights = [t.weight for t in pop.types]
-        self.unit_bits = pop.total_weight <= UNIT_BIT_MEAN_WEIGHT * len(weights)
-        if self.unit_bits:
-            repeats = np.array(weights, dtype=np.int64)
+        self.unit_bits = pop.total_weight <= UNIT_BIT_MEAN_WEIGHT * len(pop)
 
         def mask(col: np.ndarray) -> int:
             if self.unit_bits:
-                col = np.repeat(col, repeats)
+                col = np.repeat(col, pop.weights)
             return int.from_bytes(np.packbits(col, bitorder="little").tobytes(), "little")
 
         if self.unit_bits:
             self.tally = int.bit_count
         else:
-            planes = [
-                (k, mask(np.array([(w >> k) & 1 for w in weights], dtype=bool)))
-                for k in range(max(weights).bit_length())
-            ]
+            w = pop.weights
+            planes = [(k, mask(w >> k & 1 == 1)) for k in range(int(w.max()).bit_length())]
 
             def wsum(m: int) -> int:
                 return sum((m & plane).bit_count() << k for k, plane in planes)
 
             self.tally = wsum
-        self.full = mask(np.ones(len(weights), dtype=bool))
+        self.full = mask(np.ones(len(pop), dtype=bool))
 
         self.ones = [list(map(mask, fires)) for fires in inst.fires]
         self.heads = [(pos[h0], pos[h1]) for h0, h1 in d.heads.values()]
@@ -177,10 +172,8 @@ class _Tables:
             for cands, m in zip(inst.choices[:n], self.match)
         ]
 
-        z = np.array([t.z for t in pop.types], dtype=bool)
-        ys = [np.array([t.y[mi] for t in pop.types], dtype=bool) for mi in range(len(self.methods))]
-        self.y_masks = [mask(y) for y in ys]
-        self.yz_masks = [mask(y & z) for y in ys]
+        self.y_masks = [mask(y) for y in pop.y.T]
+        self.yz_masks = [mask(y & pop.z) for y in pop.y.T]
 
         n_sinks = self.n_positions - n
         self.sink_bits = [1 << s for s in range(n_sinks)]

@@ -5,7 +5,7 @@ import itertools
 import json
 import operator
 import random
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, replace
 from fractions import Fraction
 from math import ceil, floor, inf, nextafter
@@ -22,7 +22,6 @@ from diagopt.core import (
     Arc,
     Assignment,
     Diagram,
-    ExamineeType,
     ItemUniverse,
     Metrics,
     MethodUniverse,
@@ -46,6 +45,27 @@ from diagopt.problem import FIELDS, Goal
 from diagopt.solver import Solution, SolveStats, _frontier, _Search, _solution, _Tables
 
 
+# one examinee type as (id, weight, x, y, z), x and y 0/1 over the universes
+TypeRow = tuple[int, int, tuple[int, ...], tuple[int, ...], int]
+
+
+def population_from_rows(
+    items: ItemUniverse, methods: MethodUniverse, rows: Iterable[TypeRow]
+) -> Population:
+    """The population whose types are ``rows``, in order, as checked columns."""
+    rows = list(rows)
+    ids, weights, x, y, z = zip(*rows) if rows else ((),) * 5
+    return Population(
+        items=items,
+        methods=methods,
+        ids=np.array(ids, dtype=np.int64),
+        weights=np.array(weights, dtype=np.int64),
+        x=np.array(x, dtype=bool).reshape(len(rows), len(items)),
+        y=np.array(y, dtype=bool).reshape(len(rows), len(methods)),
+        z=np.array(z, dtype=bool),
+    )
+
+
 def make_type(
     tid: int,
     weight: int,
@@ -54,13 +74,13 @@ def make_type(
     z: int,
     items: ItemUniverse,
     methods: MethodUniverse,
-) -> ExamineeType:
-    return ExamineeType(
-        id=tid,
-        weight=weight,
-        x=tuple(int(i in positive_items) for i in items.items),
-        y=tuple(int(m in positive_methods) for m in methods.methods),
-        z=z,
+) -> TypeRow:
+    return (
+        tid,
+        weight,
+        tuple(int(i in positive_items) for i in items.items),
+        tuple(int(m in positive_methods) for m in methods.methods),
+        z,
     )
 
 
@@ -94,11 +114,10 @@ def tiny_instance(
     methods = MethodUniverse(
         methods=tuple(range(n_methods)), costs=tuple(200 * m for m in range(n_methods))
     )
-    types = tuple(
+    pop = population_from_rows(items, methods, (
         make_type(i, w, positive[i], responds[i], improves[i], items, methods)
         for i, w in enumerate(weights)
-    )
-    pop = Population(items=items, methods=methods, types=types)
+    ))
     d = one_test_diagram()
     fam = family("r", [set(), {0}], {0, 1})
     initial = Assignment.build({"r": {0}}, {"s0": 0, "s1": 1})
@@ -161,22 +180,21 @@ def random_toy_instance(
     initial = Assignment.build(node_labels, sink_labels)
 
     n_types = rng.randint(2, 50 if full else 12)
-    types = tuple(
-        ExamineeType(
-            id=i,
-            weight=rng.randint(1, 10**4 if heavy else 9),
-            x=tuple(int(rng.random() < 0.5) for _ in range(n_items)),
-            y=tuple(int(rng.random() < 0.5) for _ in range(n_methods)),
-            z=int(rng.random() < 0.5),
+    # each type draws its weight, x, y and z in turn
+    types = [
+        (
+            i,
+            rng.randint(1, 10**4 if heavy else 9),
+            tuple(int(rng.random() < 0.5) for _ in range(n_items)),
+            tuple(int(rng.random() < 0.5) for _ in range(n_methods)),
+            int(rng.random() < 0.5),
         )
         for i in range(n_types)
-    )
+    ]
     if heavy:
         wide = rng.randrange(n_types)
-        types = tuple(
-            replace(t, weight=rng.randint(2**16, 2**17)) if t.id == wide else t for t in types
-        )
-    pop = Population(items=items, methods=methods, types=types)
+        types[wide] = (wide, rng.randint(2**16, 2**17), *types[wide][2:])
+    pop = population_from_rows(items, methods, types)
 
     total = pop.total_weight
     budget = rng.choice([0, total * 50, total * 200, total * 700])
@@ -201,13 +219,12 @@ def one_method_instance(inst: Instance) -> Instance:
     pop = inst.population
     first = pop.methods.methods[0]
     methods = MethodUniverse(methods=(first,), costs=pop.methods.costs[:1])
-    types = tuple(replace(t, y=t.y[:1]) for t in pop.types)
     initial = Assignment(
         node_items=dict(inst.initial.node_items),
         sink_methods={s: first for s in inst.initial.sink_methods},
     )
     return replace(
-        inst, population=replace(pop, methods=methods, types=types), initial=initial
+        inst, population=replace(pop, methods=methods, y=pop.y[:, :1]), initial=initial
     )
 
 
@@ -278,19 +295,20 @@ def population_doc(pop: Population) -> dict:
     """The population document of ``pop``, written here as the reference for
     ``fileio.write_population``, which renders ``dump_canonical`` of it."""
     items, methods = pop.items, pop.methods
+    columns = (pop.ids.tolist(), pop.weights.tolist(), pop.x.tolist(), pop.y.tolist(), pop.z)
     return {
         "kind": "population",
         "items": list(items.items),
         "methods": [[m, c] for m, c in zip(methods.methods, methods.costs)],
         "types": [
             {
-                "id": t.id,
-                "weight": t.weight,
-                "x1": sorted(i for i, b in zip(items.items, t.x) if b),
-                "y1": sorted(m for m, b in zip(methods.methods, t.y) if b),
-                "z": t.z,
+                "id": tid,
+                "weight": weight,
+                "x1": sorted(i for i, b in zip(items.items, x) if b),
+                "y1": sorted(m for m, b in zip(methods.methods, y) if b),
+                "z": int(z),
             }
-            for t in pop.types
+            for tid, weight, x, y, z in zip(*columns)
         ],
     }
 
@@ -307,11 +325,8 @@ def reference_population(cfg: GenConfig) -> Population:
         x = binarize(raw, cfg.thresholds)
         y, z = sample_response(cfg, rng)
         weights[x, y, z] = weights.get((x, y, z), 0) + 1
-    types = tuple(
-        ExamineeType(id=i, weight=w, x=x, y=y, z=z)
-        for i, ((x, y, z), w) in enumerate(weights.items())
-    )
-    return Population(items=ItemUniverse(cfg.thresholds.item_ids), methods=cfg.methods, types=types)
+    rows = ((i, w, x, y, z) for i, ((x, y, z), w) in enumerate(weights.items()))
+    return population_from_rows(ItemUniverse(cfg.thresholds.item_ids), cfg.methods, rows)
 
 
 def every_op_genconfig(n: int, seed: int) -> GenConfig:
@@ -343,12 +358,13 @@ def reference_metrics(d: Diagram, phi: Assignment, phi_in: Assignment, pop: Popu
     """``phi``'s metrics summed type by type, each type paying and earning
     through its own sink's method: the reference for ``core.sink_totals``."""
     cost = obj2 = obj3 = 0
-    for t, s in zip(pop.types, reached_sinks(d, phi, pop)):
+    types = zip(pop.weights.tolist(), pop.y.tolist(), pop.z.tolist())
+    for (weight, y, z), s in zip(types, reached_sinks(d, phi, pop)):
         mi = pop.methods.index(phi.sink_methods[s])
-        cost += pop.methods.costs[mi] * t.weight
-        if t.y[mi]:
-            obj2 += t.weight
-            obj3 += t.weight * t.z
+        cost += pop.methods.costs[mi] * weight
+        if y[mi]:
+            obj2 += weight
+            obj3 += weight * z
     obj1 = sum(phi.node_items[u] == phi_in.node_items[u] for u in d.internals)
     obj1 += sum(phi.sink_methods[s] == phi_in.sink_methods[s] for s in d.sinks)
     return Metrics(cost=cost, obj1=obj1, obj2=obj2, obj3=obj3)

@@ -108,7 +108,7 @@ def test_encoding_soundness_and_objective_consistency(desk_pop):
             for ti, s in enumerate(reached_sinks(inst.diagram, phi, inst.population)):
                 m = phi.sink_methods[s]
                 assert pt.values[base.z[ti, inst.population.methods.methods.index(m)]] == 1
-            assert int(pt.values[base.z].sum()) == len(inst.population.types)
+            assert int(pt.values[base.z].sum()) == len(inst.population)
 
             # objective consistency, exact integers and the scaled scalar
             want = evaluate(inst.diagram, phi, inst.initial, inst.population)
@@ -207,7 +207,7 @@ def test_datagen_statistics():
 
     def freq(item: int) -> float:
         pos = pop.items.index(item)
-        return sum(t.weight * t.x[pos] for t in pop.types) / total
+        return sum(pop.weights[pop.x[:, pos]].tolist()) / total
 
     # item frequencies implied by the categorical tables
     expected = {

@@ -15,11 +15,9 @@ from diagopt import datagen
 from diagopt.cli import main
 from diagopt.core import (
     Assignment,
-    ExamineeType,
     InputError,
     ItemUniverse,
     MethodUniverse,
-    Population,
     evaluate,
 )
 from diagopt.datagen import GenConfig, generate_population
@@ -39,6 +37,7 @@ from conftest import (
     every_op_genconfig,
     genconfig_doc,
     population_doc,
+    population_from_rows,
     write_assignment,
 )
 from lp_reader import parse_lp
@@ -177,25 +176,25 @@ class TestPopulationFiles:
     def test_generated_populations(self, tmp_path, n, seed):
         pop = generate_population(GenConfig(n=n, seed=seed))
         self.written(pop, tmp_path)
-        assert read_population(tmp_path / "pop.json") == pop
+        assert population_doc(read_population(tmp_path / "pop.json")) == population_doc(pop)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_every_op_population_over_unsorted_items(self, tmp_path, seed):
         pop = generate_population(every_op_genconfig(800, seed))
         self.written(pop, tmp_path)
-        assert read_population(tmp_path / "pop.json") == pop
+        assert population_doc(read_population(tmp_path / "pop.json")) == population_doc(pop)
 
     def test_empty_lists_and_bool_fields(self, tmp_path):
-        pop = Population(
-            items=ItemUniverse((3, 1, 2)),
-            methods=MethodUniverse(methods=(0, 1), costs=(0, 5)),
-            types=(
-                ExamineeType(id=0, weight=2, x=(0, 0, 0), y=(0, 0), z=0),
-                ExamineeType(id=1, weight=1, x=(True, 0, 1), y=(0, True), z=True),
-            ),
+        # the bool columns are written as 0/1, so every written population reads back
+        pop = population_from_rows(
+            ItemUniverse((3, 1, 2)),
+            MethodUniverse(methods=(0, 1), costs=(0, 5)),
+            [(0, 2, (0, 0, 0), (0, 0), 0), (1, 1, (True, 0, 1), (0, True), True)],
         )
         text = self.written(pop, tmp_path).decode()
-        assert '"x1": [],' in text and '"y1": [],' in text and '"z": true' in text
+        assert '"x1": [],' in text and '"y1": [],' in text and '"z": 1' in text
+        assert "true" not in text
+        assert population_doc(read_population(tmp_path / "pop.json")) == population_doc(pop)
 
 
 class TestInstanceFiles:
@@ -874,6 +873,49 @@ class TestMalformedDocuments:
         assert "Traceback" not in err
         assert str(tmp_path / f"{kind}.json") in err
 
+    @staticmethod
+    def population_error(tmp_path, capsys, edits: dict) -> str:
+        """The one error line of the toy population with each type's fields edited."""
+        docs = _file_docs()
+        for k, fields in edits.items():
+            docs["population"]["types"][k].update(fields)
+        assert _run_on_files(tmp_path, "population", docs) == 1
+        err = capsys.readouterr().err
+        head = f"error: {tmp_path / 'population.json'}: malformed population document ("
+        assert err.startswith(head) and err.endswith(")\n") and err.count("\n") == 1
+        return err[len(head):-2]
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({0: {"weight": 0}, 1: {"x1": [999]}}, "type 0: weight must be >= 1"),
+            ({0: {"x1": [999]}, 1: {"weight": 0}}, "item 999 outside the universe"),
+            ({0: {"z": 2}, 1: {"y1": [7]}}, "type 0: z must be 0 or 1"),
+            ({0: {"y1": [7]}, 1: {"z": 2}}, "method 7 outside the universe"),
+        ],
+        ids=["weight-then-item", "item-then-weight", "z-then-method", "method-then-z"],
+    )
+    def test_error_names_the_first_bad_type(self, tmp_path, capsys, edits, message):
+        # each type is checked in full before the next is read
+        assert self.population_error(tmp_path, capsys, edits) == message
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({0: {"id": 2**63}}, f"type id {2**63} does not fit in 64 bits"),
+            ({1: {"id": -(2**63) - 1}}, f"type id {-(2**63) - 1} does not fit in 64 bits"),
+            ({1: {"weight": 2**63}}, f"weight {2**63} does not fit in 64 bits"),
+            (
+                {0: {"weight": 2**62}, 1: {"weight": 2**62}},
+                f"total weight {2**63} does not fit in 64 bits",
+            ),
+        ],
+        ids=["id", "negative-id", "weight", "total-weight"],
+    )
+    def test_value_outside_int64_is_one_error_line(self, tmp_path, capsys, edits, message):
+        # ids and weights are int64 columns: a value they cannot hold is never wrapped
+        assert self.population_error(tmp_path, capsys, edits) == message
+
     def test_undrawn_attribute_is_an_error_without_records(self, tmp_path, capsys):
         docs = _file_docs()
         _undrawn_attribute(docs)
@@ -886,27 +928,41 @@ class TestMalformedDocuments:
 
 
 class TestUnknownKeys:
-    """A population object holding a key its format does not declare is one
-    error line naming the file, as the type's misspelled ``wieght`` here."""
+    """A population, instance or assignment object holding a key its format
+    does not declare is one error line naming the file, as the misspelled
+    ``wieght`` here; ``at`` is the document, then the path to the object."""
 
     @pytest.mark.parametrize("inline", [False, True], ids=["file", "inline"])
-    @pytest.mark.parametrize("at", [(), ("types", 0), ("types", 1)], ids=["document", "type0", "type1"])
+    @pytest.mark.parametrize(
+        "at",
+        [
+            ("population",),
+            ("population", "types", 0),
+            ("population", "types", 1),
+            ("instance",),
+            ("instance", "initial"),
+            ("assignment",),
+        ],
+        ids=["document", "type0", "type1", "instance", "initial", "assignment"],
+    )
     def test_added_key_is_one_error_line(self, tmp_path, capsys, inline, at):
         docs = _file_docs()
-        kind, where = "population", tmp_path / "population.json"
+        kind, *path = at
+        read, where = kind, tmp_path / f"{kind}.json"
         if inline:
             docs["instance"]["population"] = docs["population"]
             del docs["instance"]["population_path"]
-            kind, where = "instance", f"{tmp_path / 'instance.json'} (inline population)"
-        assert _run_on_files(tmp_path, kind, docs) == 0
-        obj = docs["population"]
-        for key in at:
+            if kind == "population":
+                read, where = "instance", f"{tmp_path / 'instance.json'} (inline population)"
+        assert _run_on_files(tmp_path, read, docs) == 0
+        obj = docs[kind]
+        for key in path:
             obj = obj[key]
         obj["wieght"] = 3
         capsys.readouterr()
-        assert _run_on_files(tmp_path, kind, docs) == 1
+        assert _run_on_files(tmp_path, read, docs) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {where}: malformed population document (unexpected key 'wieght')\n"
+        assert err == f"error: {where}: malformed {kind} document (unexpected key 'wieght')\n"
 
 
 def _drawn_table(value):

@@ -5,6 +5,8 @@ import itertools
 import random
 from dataclasses import replace
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,12 +15,10 @@ from diagopt.core import (
     Arc,
     Assignment,
     Diagram,
-    ExamineeType,
     InputError,
     ItemUniverse,
     Metrics,
     MethodUniverse,
-    Population,
     _walk,
     _walk_table,
     evaluate,
@@ -26,8 +26,10 @@ from diagopt.core import (
     sink_totals,
 )
 from conftest import (
+    TypeRow,
     make_type,
     one_test_diagram,
+    population_from_rows,
     random_toy_instance,
     reference_metrics,
     valid_diagram,
@@ -38,8 +40,11 @@ METHODS = MethodUniverse(methods=(0, 1, 2, 3), costs=(0, 200, 500, 700))
 
 
 def t_with(positive: set[int], responds: set[int] = frozenset(), z: int = 0, w: int = 1,
-           tid: int = 0) -> ExamineeType:
+           tid: int = 0) -> TypeRow:
     return make_type(tid, w, positive, responds, z, ITEMS, METHODS)
+
+
+ONE_TYPE = population_from_rows(ITEMS, METHODS, [t_with(set(), tid=4)])
 
 
 class TestUniverses:
@@ -64,33 +69,45 @@ class TestUniverses:
             MethodUniverse(methods=(0, 1), costs=(0,))
 
     def test_population_checks_vector_lengths(self):
-        bad = ExamineeType(id=0, weight=1, x=(1,), y=(0, 0, 0, 0), z=0)
+        pop = population_from_rows(ITEMS, METHODS, [t_with({1})])
         with pytest.raises(InputError):
-            Population(items=ITEMS, methods=METHODS, types=(bad,))
+            replace(pop, x=pop.x[:, :1])
 
     def test_weight_must_be_positive(self):
-        with pytest.raises(InputError):
-            ExamineeType(id=0, weight=0, x=(0,), y=(0,), z=0)
+        with pytest.raises(InputError, match="^type 0: weight must be >= 1$"):
+            population_from_rows(ITEMS, METHODS, [t_with(set(), w=0)])
 
     @pytest.mark.parametrize(
         "build, message",
         [
             (lambda: METHODS.index(9), "^method 9 not in universe$"),
             (
-                lambda: ExamineeType(id=4, weight=1, x=(2,), y=(0,), z=0),
-                "^type 4: x and y must be 0/1 vectors$",
+                lambda: replace(ONE_TYPE, x=np.full((1, 10), 2)),
+                r"^x must be a bool array of shape \(1, 10\)$",
             ),
-            (lambda: ExamineeType(id=4, weight=1, x=(0,), y=(0,), z=2), "^type 4: z must be 0 or 1$"),
             (
-                lambda: Population(ITEMS, METHODS, (t_with(set()), t_with({1}))),
+                lambda: replace(ONE_TYPE, z=np.array([2])),
+                r"^z must be a bool array of shape \(1,\)$",
+            ),
+            (
+                lambda: population_from_rows(ITEMS, METHODS, (t_with(set()), t_with({1}))),
                 "^duplicate examinee type ids$",
             ),
             (
-                lambda: Population(ITEMS, METHODS, (replace(t_with(set()), y=(0,)),)),
-                r"^type 0: y length 1 != \|methods\| 4$",
+                lambda: replace(ONE_TYPE, y=ONE_TYPE.y[:, :1]),
+                r"^y must be a bool array of shape \(1, 4\)$",
+            ),
+            (
+                lambda: population_from_rows(
+                    ITEMS, METHODS, (t_with(set(), w=2**62), t_with(set(), w=2**62, tid=1))
+                ),
+                "^total weight 9223372036854775808 does not fit in 64 bits$",
             ),
         ],
-        ids=["unknown-method", "x-not-binary", "z-not-binary", "duplicate-type", "y-length"],
+        ids=[
+            "unknown-method", "x-not-binary", "z-not-binary", "duplicate-type", "y-length",
+            "total-weight",
+        ],
     )
     def test_bad_values_rejected(self, build, message):
         with pytest.raises(InputError, match=message):
@@ -195,13 +212,14 @@ class TestDiagramProperties:
 def route(d, phi, t):
     """The method ``t`` ends up with and the vertices it visits, re-walked
     step by step; the walk must end at the last of them."""
+    x = t[2]
     path = [d.source]
     while path[-1] in phi.node_items:
-        label = int(any(t.x[ITEMS.index(i)] for i in phi.node_items[path[-1]]))
+        label = int(any(x[ITEMS.index(i)] for i in phi.node_items[path[-1]]))
         path.append(d.heads[path[-1]][label])
         assert len(set(path)) == len(path) <= len(d.vertices)
-    pop = Population(items=ITEMS, methods=METHODS, types=(t,))
-    assert _walk(d.source, _walk_table(d, phi, ITEMS), t.x) == path[-1]
+    pop = population_from_rows(ITEMS, METHODS, [t])
+    assert _walk(d.source, _walk_table(d, phi, ITEMS), x) == path[-1]
     assert reached_sinks(d, phi, pop) == [path[-1]]
     return phi.sink_methods[path[-1]], frozenset(path)
 
@@ -261,24 +279,20 @@ class TestRouteProperties:
 class TestEvaluate:
     def test_single_type_cost(self):
         d = one_test_diagram()
-        pop = Population(items=ITEMS, methods=METHODS,
-                         types=(t_with({0}, w=10),))
+        pop = population_from_rows(ITEMS, METHODS, (t_with({0}, w=10),))
         phi = Assignment.build({"r": {0}}, {"s0": 0, "s1": 2})
         m = evaluate(d, phi, phi, pop)
         assert m.cost == 5000
 
     def test_identity_assignment_maximizes_similarity(self):
         d = one_test_diagram()
-        pop = Population(items=ITEMS, methods=METHODS, types=(t_with(set()),))
+        pop = population_from_rows(ITEMS, METHODS, (t_with(set()),))
         phi = Assignment.build({"r": {1, 2}}, {"s0": 0, "s1": 1})
         assert evaluate(d, phi, phi, pop).obj1 == len(d.vertices)
 
     def test_weighted_reaction_sums(self):
         d = one_test_diagram()
-        pop = Population(
-            items=ITEMS,
-            methods=METHODS,
-            types=(
+        pop = population_from_rows(ITEMS, METHODS, (
                 t_with({0}, responds={1}, z=1, w=3, tid=0),
                 t_with({0}, responds={1}, z=0, w=5, tid=1),
             ),
@@ -289,8 +303,7 @@ class TestEvaluate:
 
     def test_method_zero_everywhere_costs_nothing(self):
         d = one_test_diagram()
-        pop = Population(items=ITEMS, methods=METHODS,
-                         types=(t_with({0}, w=7), t_with(set(), w=2, tid=1)))
+        pop = population_from_rows(ITEMS, METHODS, (t_with({0}, w=7), t_with(set(), w=2, tid=1)))
         phi = Assignment.build({"r": {0}}, {"s0": 0, "s1": 0})
         assert evaluate(d, phi, phi, pop).cost == 0
 
@@ -308,7 +321,7 @@ class TestEvaluate:
                 )
                 for k in range(5)
             )
-            pop = Population(items=ITEMS, methods=METHODS, types=types)
+            pop = population_from_rows(ITEMS, METHODS, types)
             phi = Assignment.build(
                 {"r": {i for i in range(10) if rng.random() < 0.3}},
                 {"s0": rng.choice(METHODS.methods), "s1": rng.choice(METHODS.methods)},
@@ -322,8 +335,8 @@ class TestEvaluate:
         b = t_with(set(), w=4, tid=1)
         phi_in = Assignment.build({"r": {0}}, {"s0": 0, "s1": 1})
         phi = Assignment.build({"r": {1}}, {"s0": 0, "s1": 2})
-        m1 = evaluate(d, phi, phi_in, Population(items=ITEMS, methods=METHODS, types=(a, b)))
-        m2 = evaluate(d, phi, phi_in, Population(items=ITEMS, methods=METHODS, types=(b, a)))
+        m1 = evaluate(d, phi, phi_in, population_from_rows(ITEMS, METHODS, (a, b)))
+        m2 = evaluate(d, phi, phi_in, population_from_rows(ITEMS, METHODS, (b, a)))
         assert m1.obj1 == m2.obj1 == 1
 
     def test_metrics_bounds(self):
@@ -355,8 +368,7 @@ class TestSinkTotals:
 
     def test_sinks_no_type_reaches_total_zero(self):
         d = one_test_diagram()
-        pop = Population(items=ITEMS, methods=METHODS,
-                         types=(t_with({0}, responds={1, 2}, z=1, w=3),))
+        pop = population_from_rows(ITEMS, METHODS, (t_with({0}, responds={1, 2}, z=1, w=3),))
         phi = Assignment.build({"r": {0}}, {})  # only the internal labels are read
         totals = sink_totals(d, phi, pop)
         assert totals["s0"] == [(0, 0, 0)] * 4

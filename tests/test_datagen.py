@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import every_op_genconfig, reference_population
+from conftest import every_op_genconfig, population_doc, reference_population
 from diagopt import datagen
 from diagopt.core import InputError
 from diagopt.datagen import (
@@ -269,7 +269,7 @@ class TestGeneratePopulation:
     def test_single_record(self):
         pop = generate_population(GenConfig(n=1, seed=5))
         assert len(pop) == 1
-        assert pop.types[0].weight == 1
+        assert pop.weights.tolist() == [1]
 
     @pytest.mark.parametrize("n", [0, 1, 10, 500])
     def test_weights_partition_the_records(self, n):
@@ -279,12 +279,12 @@ class TestGeneratePopulation:
     def test_same_seed_is_identical(self):
         a = generate_population(GenConfig(n=300, seed=77))
         b = generate_population(GenConfig(n=300, seed=77))
-        assert a == b
+        assert population_doc(a) == population_doc(b)
 
     def test_different_seeds_differ(self):
         a = generate_population(GenConfig(n=300, seed=1))
         b = generate_population(GenConfig(n=300, seed=2))
-        assert a != b
+        assert population_doc(a) != population_doc(b)
 
     def test_duplicate_triples_are_aggregated(self):
         from diagopt.datagen import ThresholdTable
@@ -302,21 +302,21 @@ class TestGeneratePopulation:
         pop = generate_population(cfg)
         assert len(pop) == 2
         assert pop.total_weight == 2000
-        assert all(t.weight > 1 for t in pop.types)
+        assert (pop.weights > 1).all()
 
     def test_item_invariants_across_population(self):
         pop = generate_population(GenConfig(n=2000, seed=13))
         up_pos = pop.items.index(21)
         hb = [pop.items.index(i) for i in (5, 6, 7, 8, 9, 10)]
-        for t in pop.types:
-            assert t.x[up_pos] == 1  # urine protein categories are all >= 1
-            bits = [t.x[i] for i in hb]
+        for x, y in zip(pop.x.tolist(), pop.y.tolist()):
+            assert x[up_pos] == 1  # urine protein categories are all >= 1
+            bits = [x[i] for i in hb]
             assert all(a >= b for a, b in zip(bits, bits[1:]))
-            assert t.y[0] == 0
+            assert y[0] == 0
 
     def test_item8_frequency_tracks_cdf_oracle(self):
         pop = generate_population(GenConfig(n=20_000, seed=21))
-        freq = sum(t.weight * t.x[8] for t in pop.types) / pop.total_weight
+        freq = sum(pop.weights[pop.x[:, 8]].tolist()) / pop.total_weight
         want = truncated_tail_oracle(3, 20, 5.19, 0.73, 6.5)
         assert abs(freq - want) < 0.01
 
@@ -328,14 +328,15 @@ class TestColumnwiseGeneration:
     @pytest.mark.parametrize("n", [0, 1, 120, 800])
     def test_equals_the_record_by_record_reference(self, n, seed):
         cfg = GenConfig(n=n, seed=seed)
-        assert generate_population(cfg) == reference_population(cfg)
+        assert population_doc(generate_population(cfg)) == population_doc(reference_population(cfg))
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_every_op_at_its_thresholds(self, seed):
         cfg = every_op_genconfig(800, seed)
         pop = generate_population(cfg)
-        assert pop == reference_population(cfg)
-        assert all(type(v) is int for t in pop.types for v in (*t.x, *t.y, t.z))
+        assert population_doc(pop) == population_doc(reference_population(cfg))
+        columns = (pop.ids, pop.weights, pop.x, pop.y, pop.z)
+        assert [c.dtype for c in columns] == [np.int64, np.int64, bool, bool, bool]
 
 
 def _bit_config(n: int, seed: int, *specs, table: tuple[str, ...]) -> GenConfig:

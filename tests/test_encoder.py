@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -13,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagopt.candidates import CandidateFamily
-from diagopt.core import Assignment, ExamineeType, InputError, evaluate, reached_sinks
+from diagopt.core import Assignment, InputError, evaluate, reached_sinks
 from diagopt.datagen import GenConfig, generate_population
 from diagopt.encoder import (
     VariablePoint,
@@ -27,6 +26,7 @@ from diagopt.problem import Instance
 from conftest import random_feasible_assignment as random_feasible
 from conftest import (
     point_metrics,
+    population_from_rows,
     random_toy_instance,
     reference_compiled,
     reference_lp,
@@ -60,7 +60,7 @@ WIDE_LP_SHA256 = "55db5cf5f57eadb33d908e94fcfa3ea90e7c97996656c6d314655318a83c65
 def reference_names(inst: Instance) -> tuple[str, ...]:
     """Every variable name in layout order, each block's format string filled
     in index by index."""
-    n_t, n_m = len(inst.population.types), len(inst.population.methods)
+    n_t, n_m = len(inst.population), len(inst.population.methods)
     n_u, n_s = len(inst.diagram.internals), len(inst.diagram.sinks)
     blocks = [(f"p_u{ui}_c{{}}", (len(c),)) for ui, c in enumerate(inst.choices[:n_u])]
     blocks += [
@@ -93,7 +93,7 @@ class TestRegistry:
     def test_count_formulas_on_a_toy(self, rng):
         inst = random_toy_instance(rng)
         model = build_model(inst, 1)
-        n_t = len(inst.population.types)
+        n_t = len(inst.population)
         n_u = len(inst.diagram.internals)
         n_s = len(inst.diagram.sinks)
         n_m = len(inst.population.methods)
@@ -136,7 +136,7 @@ class TestRegistry:
         inst = random_toy_instance(rng)
         for setting, side in ((1, 1), (2, 3), (3, 3)):
             model = build_model(inst, setting)
-            n_t = len(inst.population.types)
+            n_t = len(inst.population)
             n_u = len(inst.diagram.internals)
             n_s = len(inst.diagram.sinks)
             n_m = len(inst.population.methods)
@@ -224,7 +224,7 @@ class TestEncode:
         model = build_model(inst, 1)
         phi = random_feasible(inst, rng)
         pt = encode_assignment(model, phi)
-        for ti in range(len(inst.population.types)):
+        for ti in range(len(inst.population)):
             assert pt.values[model.z[ti]].sum() == 1
 
     def test_identity_assignment_scores_full_similarity(self):
@@ -279,9 +279,9 @@ class TestEncodeProperty:
     @settings(max_examples=60, deadline=None)
     @given(valid_diagram(max_internal=3, max_sinks=2), st.data())
     def test_any_feasible_assignment_encodes_cleanly(self, d, data):
-        from diagopt.core import ItemUniverse, MethodUniverse, Population
+        from diagopt.core import ItemUniverse, MethodUniverse
         from diagopt.encoder import Instance
-        from conftest import make_type
+        from conftest import make_type, population_from_rows
 
         items = ItemUniverse((0, 1, 2))
         methods = MethodUniverse(methods=(0, 1), costs=(0, 100))
@@ -298,7 +298,7 @@ class TestEncodeProperty:
             )
             for i in range(n_types)
         )
-        pop = Population(items=items, methods=methods, types=types)
+        pop = population_from_rows(items, methods, types)
 
         families = {}
         node_labels = {}
@@ -422,20 +422,16 @@ class TestParallelArcs:
     """Both arcs of a vertex may enter the same head; every type passes through."""
 
     def make(self):
-        from diagopt.core import Arc, Diagram, ItemUniverse, MethodUniverse, Population
+        from diagopt.core import Arc, Diagram, ItemUniverse, MethodUniverse
         from diagopt.encoder import Instance
-        from conftest import family, make_type
+        from conftest import family, make_type, population_from_rows
 
         items = ItemUniverse((0, 1))
         methods = MethodUniverse(methods=(0, 1), costs=(0, 100))
-        pop = Population(
-            items=items,
-            methods=methods,
-            types=(
-                make_type(0, 2, {0}, {1}, 1, items, methods),
-                make_type(1, 3, set(), {1}, 0, items, methods),
-            ),
-        )
+        pop = population_from_rows(items, methods, (
+            make_type(0, 2, {0}, {1}, 1, items, methods),
+            make_type(1, 3, set(), {1}, 0, items, methods),
+        ))
         d = Diagram(
             vertices=("r", "v", "s"),
             arcs=(Arc("r", "v", 0), Arc("r", "v", 1), Arc("v", "s", 0), Arc("v", "s", 1)),
@@ -477,16 +473,16 @@ class TestDegenerateDiagram:
     """Source-is-sink diagrams and empty populations still encode correctly."""
 
     def make(self, n_types: int = 0):
-        from diagopt.core import Diagram, ItemUniverse, MethodUniverse, Population
+        from diagopt.core import Diagram, ItemUniverse, MethodUniverse
         from diagopt.encoder import Instance
-        from conftest import make_type
+        from conftest import make_type, population_from_rows
 
         items = ItemUniverse((0,))
         methods = MethodUniverse(methods=(0, 1), costs=(0, 100))
         types = tuple(
             make_type(i, 1, {0}, {1}, 1, items, methods) for i in range(n_types)
         )
-        pop = Population(items=items, methods=methods, types=types)
+        pop = population_from_rows(items, methods, types)
         d = Diagram(vertices=("r",), arcs=())
         return Instance(
             diagram=d,
@@ -570,7 +566,7 @@ class TestExportLp:
 
     def test_lp_bytes_are_pinned_at_four_digit_type_ids(self):
         pop = generate_population(WIDE_POP)
-        assert len(pop.types) == 1032
+        assert len(pop) == 1032
         text = export_lp(build_model(build_instance(3, pop), 1))
         assert hashlib.sha256(text.encode()).hexdigest() == WIDE_LP_SHA256
 
@@ -618,19 +614,19 @@ class TestExportLp:
 def with_random_types(inst: Instance, rng: random.Random, n_types: int) -> Instance:
     """``inst`` over ``n_types`` random examinee types on the same universes."""
     pop = inst.population
-    types = tuple(
-        ExamineeType(
-            id=i,
-            weight=rng.randint(1, 9),
-            x=tuple(rng.randint(0, 1) for _ in pop.items.items),
-            y=tuple(rng.randint(0, 1) for _ in pop.methods.methods),
-            z=rng.randint(0, 1),
+    types = [
+        (
+            i,
+            rng.randint(1, 9),
+            tuple(rng.randint(0, 1) for _ in pop.items.items),
+            tuple(rng.randint(0, 1) for _ in pop.methods.methods),
+            rng.randint(0, 1),
         )
         for i in range(n_types)
-    )
+    ]
     return Instance(
         diagram=inst.diagram,
-        population=replace(pop, types=types),
+        population=population_from_rows(pop.items, pop.methods, types),
         families=inst.families,
         initial=inst.initial,
         budget=inst.budget,
@@ -708,7 +704,7 @@ class TestBlockWriter:
         # 1,001 types: the ids cross 9 -> 10, 99 -> 100 and 999 -> 1000
         for n_types in (0, 1, 12, 120, 1001):
             model = build_model(with_random_types(base, rng, n_types), setting)
-            assert len(model.instance.population.types) == n_types
+            assert len(model.instance.population) == n_types
             self.assert_matches_reference(model)
         assert wrapped_typed_rows(export_lp(model), "ln_") > 0
         # some type keeps no p term in the linking rows of some vertex and label

@@ -1,12 +1,14 @@
 """Shipped instance templates: configuration values, labels, families."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from diagopt.core import InputError, ItemUniverse, MethodUniverse, Population
 from diagopt.datagen import GenConfig, generate_population
 from diagopt.instances import build_instance, instance_template
-from conftest import make_type
+from conftest import make_type, population_from_rows
 
 
 @pytest.fixture(scope="module")
@@ -121,17 +123,15 @@ class TestErrors:
     def test_population_universe_must_match(self):
         items = ItemUniverse((0, 1, 2))
         methods = MethodUniverse(methods=(0, 1), costs=(0, 100))
-        tiny = Population(
-            items=items,
-            methods=methods,
-            types=(make_type(0, 1, {0}, set(), 0, items, methods),),
+        tiny = population_from_rows(
+            items, methods, [make_type(0, 1, {0}, set(), 0, items, methods)]
         )
         with pytest.raises(InputError):
             build_instance(1, tiny)
 
     def test_population_method_costs_must_match(self, pop):
         methods = MethodUniverse(methods=pop.methods.methods, costs=(0, 1, 2, 3))
-        other = Population(items=pop.items, methods=methods, types=pop.types)
+        other = replace(pop, methods=methods)
         with pytest.raises(
             InputError, match="^population method universe differs from the instance's$"
         ):

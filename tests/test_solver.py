@@ -133,16 +133,12 @@ class TestSolveBasics:
         assert first.stats.nodes == second.stats.nodes
 
     def test_single_vertex_diagram(self):
-        from diagopt.core import Diagram, ItemUniverse, MethodUniverse, Population
-        from conftest import make_type
+        from diagopt.core import Diagram, ItemUniverse, MethodUniverse
+        from conftest import make_type, population_from_rows
 
         items = ItemUniverse((0,))
         methods = MethodUniverse(methods=(0, 1), costs=(0, 100))
-        pop = Population(
-            items=items,
-            methods=methods,
-            types=(make_type(0, 3, {0}, {1}, 1, items, methods),),
-        )
+        pop = population_from_rows(items, methods, [make_type(0, 3, {0}, {1}, 1, items, methods)])
         inst = Instance(
             diagram=Diagram(vertices=("r",), arcs=()),
             population=pop,
@@ -207,7 +203,7 @@ class TestOracleEquivalence:
         statuses = set()
         for _ in range(10):
             inst = random_toy_instance(rng, "full", heavy=True)
-            assert max(t.weight for t in inst.population.types) >= 2**16
+            assert inst.population.weights.max() >= 2**16
             assert solver._Tables(inst).unit_bits == unit_bits
             fast = solve(inst, setting)
             slow = brute_force(inst, setting)
@@ -274,9 +270,9 @@ class TestOracleEquivalence:
         assert solver._Tables(light).unit_bits
         for _ in range(3):
             inst = random_toy_instance(rng, "full")
-            types = list(inst.population.types)
-            types[0] = dataclasses.replace(types[0], weight=10**9 + 7)
-            pop = dataclasses.replace(inst.population, types=tuple(types))
+            weights = inst.population.weights.copy()
+            weights[0] = 10**9 + 7
+            pop = dataclasses.replace(inst.population, weights=weights)
             inst = dataclasses.replace(inst, population=pop)
             assert not solver._Tables(inst).unit_bits
             for setting in (1, 2, 3):
@@ -345,14 +341,14 @@ class TestFires:
     @staticmethod
     def assert_matches_items(inst):
         """``fires[k][ci, ti]`` is whether type ti is positive on an item of candidate ci."""
-        items, types = inst.population.items, inst.population.types
+        items, xs = inst.population.items, inst.population.x.tolist()
         assert len(inst.fires) == len(inst.diagram.internals)
         for fires, cands in zip(inst.fires, inst.choices):
-            assert fires.shape == (len(cands), len(types)) and fires.dtype == bool
+            assert fires.shape == (len(cands), len(xs)) and fires.dtype == bool
             assert not fires.flags.writeable
             for ci, c in enumerate(cands):
-                for ti, t in enumerate(types):
-                    assert fires[ci, ti] == any(t.x[items.index(i)] for i in c)
+                for ti, x in enumerate(xs):
+                    assert fires[ci, ti] == any(x[items.index(i)] for i in c)
 
     def test_random_toys(self, rng):
         for heavy in (False, True) * 10:
@@ -723,7 +719,7 @@ class TestSearchOrder:
     def test_population_without_types(self):
         # every mask is empty: the one feasible setting is won on similarity
         inst = build_instance(1, generate_population(GenConfig(n=0, seed=20240601)))
-        assert not inst.population.types
+        assert len(inst.population) == 0
         sol = solve(inst, 1)
         assert sol.status == STATUS_OPTIMAL and sol.objective_value == 1
         assert sol.stats.nodes == 65
