@@ -136,6 +136,13 @@ def _float(value: Any) -> float:
     return float(value)
 
 
+def _list(value: Any, what: str) -> list[Any]:
+    """A JSON array field: an object is an error, never read as its keys."""
+    if type(value) is not list:
+        raise ValueError(f"{what} must be a list")
+    return value
+
+
 def _positions(ids: Any, positions: dict[int, int], what: str) -> list[int]:
     """The positions of a type's ``x1`` or ``y1`` ids, each inside the universe."""
     try:
@@ -193,7 +200,7 @@ _LABEL_KEYS = frozenset(("nodes", "sinks"))
 def _labels_from_obj(obj: Mapping[str, Any]) -> Assignment:
     """The assignment an object's ``nodes`` and ``sinks`` labels describe."""
     return Assignment.build(
-        {str(u): (_int(i) for i in c) for u, c in obj["nodes"].items()},
+        {str(u): (_int(i) for i in _list(c, f"label at {u}")) for u, c in obj["nodes"].items()},
         {str(s): _int(m) for s, m in obj["sinks"].items()},
     )
 
@@ -220,9 +227,9 @@ def population_from_obj(obj: Mapping[str, Any]) -> Population:
     items = ItemUniverse(tuple(map(_int, obj["items"])))
     methods = _methods_from_obj(obj["methods"])
     types = []
-    for row in obj["types"]:
-        xs = _positions(row["x1"], items.positions, "item")
-        ys = _positions(row["y1"], methods.positions, "method")
+    for row in _list(obj["types"], "types"):
+        xs = _positions(_list(row["x1"], "x1"), items.positions, "item")
+        ys = _positions(_list(row["y1"], "y1"), methods.positions, "method")
         tid, weight, z = _int(row["id"]), _int(row["weight"]), _int(row["z"])
         if weight < 1:
             raise ValueError(f"type {tid}: weight must be >= 1")
@@ -403,8 +410,14 @@ class InstanceDoc:
             methods=_methods_from_obj(obj["methods"]),
             vertices=tuple(str(v) for v in obj["vertices"]),
             arcs=tuple((str(t), str(h), _int(l)) for t, h, l in obj["arcs"]),
-            roles={str(u): tuple(sorted(map(_int, r))) for u, r in obj["roles"].items()},
-            categories=tuple(tuple(sorted(map(_int, c))) for c in obj["categories"]),
+            roles={
+                str(u): tuple(sorted(map(_int, _list(r, f"role of {u}"))))
+                for u, r in obj["roles"].items()
+            },
+            categories=tuple(
+                tuple(sorted(map(_int, _list(c, "a category"))))
+                for c in _list(obj["categories"], "categories")
+            ),
             initial=_labels_from_obj(obj["initial"]),
             budget=_int(obj["budget"]),
             targets=tuple(map(_int, obj["targets"])),

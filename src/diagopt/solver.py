@@ -18,9 +18,13 @@ count however large the weights are.
 The search cuts prefixes that reach an earlier prefix's reach frontier, as
 exact decision-diagram dynamic programming merges equal states (see
 ``_Search``), and branches on internal vertices only: one node per complete
-internal prefix scores every sink-method combination.
+internal prefix scores the sink-method combinations.
 One scorer serves every node: it splits the types into regions by the set
-of sinks they reach and scores every sink-method combination. A node is
+of sinks they reach and scores the sink-method combinations still *live*
+at the node. A node passes to its children only the combinations that its
+bound's relaxed part leaves able to beat the incumbent within the budget,
+as local bounds filter a decision diagram's nodes; no combination dropped
+there can win anywhere below it (see ``_Search``). A node is
 scored in two parts, a relaxed reach and the deployed completion, as a
 width-2 relaxed decision diagram over the open positions would; a complete
 internal prefix has no open position, so its deployed part is exact, with
@@ -60,16 +64,34 @@ STATUS_LIMIT = "limit-reached"
 
 BRUTE_FORCE_CAP = 2_000_000
 
-# per sink-method combination its score; per region its mask, its weight,
-# its method subsets and the subset each combination takes (see _Tables),
-# from which _best sums a checked combination's totals; then the obj1 base
-# the combinations' kept sinks add to
-_Scored = tuple[list[int], list[tuple[int, int, list[tuple[int, int, int]], list[int]]], int]
-
 # a region's method subsets as (cheapest cost, y mask union, y∧z mask union);
-# per sink-method combination the index of the subset it takes; and a getter
-# of a per-subset list's entries at those indices, as a tuple
+# per live sink-method combination the index of the subset it takes; and a
+# getter of a per-subset list's entries at those indices, as a tuple
 _Region = tuple[list[tuple[int, int, int]], list[int], Callable[[list[int]], tuple[int, ...]]]
+
+
+class _Live:
+    """Sink-method combinations still live at a node: their indices into
+    ``_Tables.sink_vectors`` in canonical order, how many sinks each keeps
+    at its deployed method and the score that adds, and per region key, on
+    first use, its ``_Region`` over them (see ``_Tables.region``)."""
+
+    __slots__ = ("combos", "kept", "kept_scores", "regions")
+
+    def __init__(self, combos: tuple[int, ...], sink_matches: list[int], w1: int):
+        self.combos = combos
+        self.kept = [sink_matches[i] for i in combos]
+        self.kept_scores = [w1 * kept for kept in self.kept]
+        self.regions: dict[int, _Region] = {}
+
+
+# per live combination its score; per region its mask, its weight, its
+# method subsets and the subset each live combination takes, from which
+# _best sums a checked combination's totals; the obj1 base the
+# combinations' kept sinks add to; and the live combinations scored
+_Scored = tuple[
+    list[int], list[tuple[int, int, list[tuple[int, int, int]], list[int]]], int, _Live
+]
 
 # masks hold one bit per examinee while the total weight is at most this many
 # bits per type, and one bit per type (with weight bit-planes) above it
@@ -122,10 +144,11 @@ class _Tables:
     same nonempty set of sinks, keyed by a bit per sink (``sink_bits``).
     ``sink_vectors`` lists every sink-method combination in canonical order
     and ``sink_matches`` how many sinks each keeps at its deployed method.
-    ``region(key)`` gives, on first use, the method subsets the region's
-    sinks can take (each one's cheapest cost and the unions of its y and
-    y∧z masks), which one each combination gives the region, and a getter
-    that gathers a per-subset list into combination order in one call.
+    ``region(key, live)`` gives, on first use, the method subsets the
+    region's sinks take under the live combinations (each subset's cheapest
+    cost and the unions of its y and y∧z masks), which one each live
+    combination gives the region, and a getter that gathers a per-subset
+    list into live-combination order in one call.
     """
 
     def __init__(self, inst: Instance):
@@ -180,15 +203,15 @@ class _Tables:
         self.sink_vectors = list(itertools.product(range(len(self.methods)), repeat=n_sinks))
         deployed = self.match[n:]
         self.sink_matches = [sum(map(operator.eq, vec, deployed)) for vec in self.sink_vectors]
-        self._region_tables: dict[int, _Region] = {}
 
-    def region(self, key: int) -> _Region:
-        """The method subsets region ``key`` can take, which one each
-        combination takes, and their getter (see ``_Region``)."""
-        got = self._region_tables.get(key)
+    def region(self, key: int, live: _Live) -> _Region:
+        """The method subsets region ``key`` takes under the ``live``
+        combinations, which one each takes, and their getter (see
+        ``_Region``), cached in ``live``."""
+        got = live.regions.get(key)
         if got is None:
             sinks = [s for s, bit in enumerate(self.sink_bits) if key & bit]
-            takes = [frozenset(vec[s] for s in sinks) for vec in self.sink_vectors]
+            takes = [frozenset(self.sink_vectors[i][s] for s in sinks) for i in live.combos]
             subsets = sorted(set(takes), key=sorted)
             index = {ms: i for i, ms in enumerate(subsets)}
             picks = [index[ms] for ms in takes]
@@ -202,7 +225,7 @@ class _Tables:
             ]
             # itemgetter of one index returns the item, not a 1-tuple
             gather = operator.itemgetter(*picks) if len(picks) > 1 else lambda seq: (seq[picks[0]],)
-            got = self._region_tables[key] = (tables, picks, gather)
+            got = live.regions[key] = (tables, picks, gather)
         return got
 
 
@@ -253,15 +276,29 @@ class _Search:
     (from that depth on) have the same completions and differ only in their
     matches, so a prefix is dominated, and cut, when an earlier one reached
     its frontier with at least as many matches and a smaller choice vector.
+    A child whose split of the vertex's reach equals an earlier sibling's,
+    with no more matches and a larger choice, is counted as such a cut
+    without a frontier or a table lookup (``_sibling``).
 
     A prefix is bounded by the larger of two scored parts (see ``_relaxed``
     and ``_deployed``): every completion either keeps each open position at
     its deployed label or deviates at one of them. A child's bound never
     exceeds its parent's, since fixing a vertex only shrinks reach. The node
-    at depth ``n_internal`` scores every sink-method combination through its
+    at depth ``n_internal`` scores the sink-method combinations through its
     deployed part. Every node, leaf included, must score above one threshold
     (``_below``), in which the tie-break toward the smallest choice vector
     is folded.
+
+    Each node also carries the combinations still *live* (a ``_Live``) and
+    scores only those. It passes on to its children those whose relaxed
+    score plus w1 beats the node's threshold and whose relaxed cost fits the
+    budget (``_narrowed``). A dropped combination cannot win below the node:
+    per combination, neither part of a child exceeds its parent's relaxed
+    part plus w1 (reach only shrinks, the deployed completion keeps one
+    more match, and wc <= 0 <= w1, w2, w3, as ``problem.Setting`` requires),
+    the threshold never falls along a path, and no completion pays less
+    than the relaxed part, whose regions each pay their cheapest method.
+    ``bound`` and the root's bound score every combination.
     """
 
     def __init__(self, tb: _Tables, goal: Goal, node_limit: int | None, time_limit: float | None):
@@ -270,7 +307,6 @@ class _Search:
         self.tb = tb
         self.node_limit = node_limit
         self.deadline = None if time_limit is None else time.perf_counter() + time_limit
-        self.kept_scores = [self.weights[1] * kept for kept in tb.sink_matches]
         # responder counts are tallied for every method subset when the score
         # weighs them, and per checked combination when a row reads them; a
         # field no row reads is checked as 0, inside the range Goal gives it
@@ -278,6 +314,9 @@ class _Search:
         self.scores_responders = bool(w2 or w3)
         self.rows_read_responders = any(f in ("obj2", "obj3") for _, f, _, _ in goal.rows)
         self.obj1_range = goal.ranges[1]
+        # the budget, when a row caps the cost
+        caps_cost = any(f == "cost" for _, f, _, _ in goal.rows)
+        self.cost_cap = goal.ranges[0][1] if caps_cost else None
 
         self.nodes = 0
         self.dominated = 0
@@ -286,6 +325,9 @@ class _Search:
         self.inc_obj: int | None = None
         self.inc_vec: tuple[int, ...] | None = None
 
+        # each distinct live set once, so its region tables are built once
+        self.live_sets: dict[tuple[int, ...], _Live] = {}
+        self.every = self._live(tuple(range(len(tb.sink_vectors))))
         self.root = _frontier(tb, ())
         self.root_bound = self.bound(0, self.root, 0)
         # per depth: hash of a frontier's open positions -> the prefixes that
@@ -295,6 +337,13 @@ class _Search:
             {} for _ in range(tb.n_internal + 1)
         ]
 
+    def _live(self, combos: tuple[int, ...]) -> _Live:
+        """The one ``_Live`` of the combinations ``combos``."""
+        live = self.live_sets.get(combos)
+        if live is None:
+            live = self.live_sets[combos] = _Live(combos, self.tb.sink_matches, self.weights[1])
+        return live
+
     def _hit_limit(self) -> bool:
         if self.node_limit is not None and self.nodes >= self.node_limit:
             return True
@@ -302,10 +351,10 @@ class _Search:
             return True
         return False
 
-    def _score(self, regions: Iterable[tuple[int, int]], base_obj1: int) -> _Scored:
-        """The score of every sink-method combination, in canonical order,
-        and per region what its optimistic totals are summed from, for the
-        types of each region (see ``_regions``).
+    def _score(self, regions: Iterable[tuple[int, int]], base_obj1: int, live: _Live) -> _Scored:
+        """The score of every ``live`` combination, in canonical order, and
+        per region what its optimistic totals are summed from, for the types
+        of each region (see ``_regions``).
 
         Each region pays its weight times the cheapest method its sinks take
         and counts its types that respond (and improve) under any of those
@@ -320,10 +369,10 @@ class _Search:
         wc, w1, w2, w3 = self.weights
         tally = tb.tally
         add = operator.add
-        scores = map(add, self.kept_scores, itertools.repeat(w1 * base_obj1))
+        scores = map(add, live.kept_scores, itertools.repeat(w1 * base_obj1))
         parts = []
         for key, r in regions:
-            tables, picks, gather = tb.region(key)
+            tables, picks, gather = tb.region(key, live)
             w = tally(r)
             wcw = wc * w
             if self.scores_responders:
@@ -332,9 +381,9 @@ class _Search:
                 gains = [wcw * c for c, _, _ in tables]
             scores = map(add, scores, gather(gains))
             parts.append((r, w, tables, picks))
-        return list(scores), parts, base_obj1
+        return list(scores), parts, base_obj1, live
 
-    def _relaxed(self, depth: int, frontier: list[int], matches: int) -> _Scored:
+    def _relaxed(self, depth: int, frontier: list[int], matches: int, live: _Live) -> _Scored:
         """The bound's part for the completions of a prefix of ``depth``
         internal choices (``matches`` of them deployed) that deviate at some
         open position.
@@ -354,9 +403,9 @@ class _Search:
                 h0, h1 = tb.heads[k]
                 reach[h1] |= r & tb.fire_any[k]
                 reach[h0] |= r & tb.miss_any[k]
-        return self._score(_regions(tb, reach[n:]), matches + n - depth - 1)
+        return self._score(_regions(tb, reach[n:]), matches + n - depth - 1, live)
 
-    def _deployed(self, depth: int, frontier: list[int], matches: int) -> _Scored:
+    def _deployed(self, depth: int, frontier: list[int], matches: int, live: _Live) -> _Scored:
         """The bound's part for the completion of a prefix that keeps every
         open position at its deployed label: exact. At depth ``n_internal``
         no position is open, and it scores the leaf's sinks."""
@@ -365,14 +414,14 @@ class _Search:
         f = frontier.copy()
         for k in range(depth, n):
             _split(tb, f, k, tb.match[k])
-        return self._score(zip(tb.sink_bits, f[n:]), matches + n - depth)
+        return self._score(zip(tb.sink_bits, f[n:]), matches + n - depth, live)
 
     def bound(self, depth: int, frontier: list[int], matches: int) -> int | None:
         """The node bound of a prefix: the best score of a feasible
         combination in either part; ``None`` when neither has one."""
         best = None
         for part in self._relaxed, self._deployed:
-            found = self._best(part(depth, frontier, matches), best)
+            found = self._best(part(depth, frontier, matches, self.every), best)
             if found is not None:
                 best = found[0]
         return best
@@ -387,48 +436,80 @@ class _Search:
         pad = prefix + (0,) * (self.tb.n_positions - len(prefix))
         return self.inc_obj - (pad < self.inc_vec)
 
-    def _promising(self, prefix: tuple[int, ...], frontier: list[int], matches: int) -> bool:
-        """Whether the bound of ``prefix`` can beat the incumbent (or, with
-        none yet, whether it has a feasible combination).
+    def _promising(
+        self, prefix: tuple[int, ...], frontier: list[int], matches: int, live: _Live
+    ) -> _Live | None:
+        """The combinations still live for the children of ``prefix``, or
+        ``None`` when its bound cannot beat the incumbent (or, with none
+        yet, has no feasible combination).
 
         It decides as the full bound would, computing the deployed part only
-        when the relaxed part does not reach the threshold.
+        when the relaxed part does not reach the threshold, and only over
+        the combinations it passes on: no other can reach it.
         """
         below = self._below(prefix)
         depth = len(prefix)
-        if self._best(self._relaxed(depth, frontier, matches), below) is not None:
-            return True
-        return self._best(self._deployed(depth, frontier, matches), below) is not None
+        relaxed = self._relaxed(depth, frontier, matches, live)
+        narrowed = self._narrowed(relaxed, below)
+        if narrowed is None:
+            return None
+        if self._best(relaxed, below) is not None:
+            return narrowed
+        if self._best(self._deployed(depth, frontier, matches, narrowed), below) is not None:
+            return narrowed
+        return None
+
+    def _narrowed(self, relaxed: _Scored, below: int | None) -> _Live | None:
+        """The combinations of a node's relaxed part that a completion could
+        still win with: those whose score plus w1 beats ``below`` and whose
+        optimistic cost fits the budget; ``None`` when none does."""
+        scores, parts, _, live = relaxed
+        if below is not None:
+            floor = below - self.weights[1]
+            keep = [j for j, scaled in enumerate(scores) if scaled > floor]
+        else:
+            keep = range(len(scores))
+        cap = self.cost_cap
+        if cap is not None:
+            keep = [
+                j for j in keep if sum(w * tables[picks[j]][0] for _, w, tables, picks in parts) <= cap
+            ]
+        if len(keep) == len(scores):
+            return live
+        if not keep:
+            return None
+        combos = live.combos
+        return self._live(tuple([combos[j] for j in keep]))
 
     def _best(self, part: _Scored, below: int | None) -> tuple[int, int] | None:
         """The best feasible combination of ``part`` that scores above
-        ``below`` (any score when ``None``), as its score and index; ``None``
-        when none does. Only a combination that would raise the best score
-        has its rows checked, so the first of equal scores wins."""
-        scores, parts, base_obj1 = part
+        ``below`` (any score when ``None``), as its score and its index into
+        ``sink_vectors``; ``None`` when none does. Only a combination that
+        would raise the best score has its rows checked, so the first of
+        equal scores wins."""
+        scores, parts, base_obj1, live = part
         if below is not None and max(scores) <= below:
             return None
-        tb = self.tb
-        tally, feasible, kept = tb.tally, self.feasible, tb.sink_matches
+        tally, feasible, kept = self.tb.tally, self.feasible, live.kept
         responders = self.rows_read_responders
         lo1, hi1 = self.obj1_range
         found = None
-        for i, scaled in enumerate(scores):
+        for j, scaled in enumerate(scores):
             if below is not None and scaled <= below:
                 continue
-            obj1 = base_obj1 + kept[i]
+            obj1 = base_obj1 + kept[j]
             if not lo1 <= obj1 <= hi1:
                 continue  # the obj1 row fails, with nothing tallied
             cost = obj2 = obj3 = 0
             for r, w, tables, picks in parts:
-                c, y, yz = tables[picks[i]]
+                c, y, yz = tables[picks[j]]
                 cost += w * c
                 if responders:
                     obj2 += tally(r & y)
                     obj3 += tally(r & yz)
             if feasible((cost, obj1, obj2, obj3)):
                 below = scaled
-                found = (scaled, i)
+                found = (scaled, live.combos[j])
         return found
 
     def _dominated(self, prefix: tuple[int, ...], frontier: list[int], matches: int) -> bool:
@@ -451,10 +532,18 @@ class _Search:
         table[key] = (*kept, prefix)
         return False
 
-    def run(self) -> None:
-        self._visit((), self.root, 0)
+    def _sibling(self, prefix: tuple[int, ...], ci: int, low: int) -> None:
+        """Count child ``ci`` of ``prefix`` as a dominated node: its earlier
+        sibling ``low < ci`` split the vertex's reach the same way with no
+        fewer matches, so ``_dominated`` would cut it, by ``low`` or by the
+        prefix that cut or replaced ``low``."""
+        self.nodes += 1
+        self.dominated += 1
 
-    def _visit(self, prefix: tuple[int, ...], frontier: list[int], matches: int) -> None:
+    def run(self) -> None:
+        self._visit((), self.root, 0, self.every)
+
+    def _visit(self, prefix: tuple[int, ...], frontier: list[int], matches: int, live: _Live) -> None:
         self.nodes += 1
         if self._dominated(prefix, frontier, matches):
             self.dominated += 1
@@ -465,13 +554,14 @@ class _Search:
             if self._hit_limit():
                 self.aborted = True
                 return
-            part = self._deployed(k, frontier, matches)
+            part = self._deployed(k, frontier, matches, live)
             found = self._best(part, self._below(prefix))
             if found is not None:
                 self.inc_obj, i = found
                 self.inc_vec = prefix + tb.sink_vectors[i]
             return
-        if not self._promising(prefix, frontier, matches):
+        live = self._promising(prefix, frontier, matches, live)
+        if live is None:
             self.pruned += 1
             return
         if self._hit_limit():
@@ -479,10 +569,21 @@ class _Search:
             return
 
         match = tb.match[k]
+        r = frontier[k]
+        ones = tb.ones[k]
+        h0, h1 = tb.heads[k]
+        lowest: dict[int, int] = {}  # per split mask, the smallest choice that made it
         for ci in tb.children[k]:
+            on = r & ones[ci]
+            low = lowest.setdefault(on, ci)
+            if low < ci and ci != match:
+                self._sibling(prefix, ci, low)
+                continue
+            lowest[on] = min(low, ci)
             f = frontier.copy()
-            _split(tb, f, k, ci)
-            self._visit(prefix + (ci,), f, matches + (ci == match))
+            f[h1] |= on
+            f[h0] |= r ^ on
+            self._visit(prefix + (ci,), f, matches + (ci == match), live)
             if self.aborted:
                 return
 

@@ -389,6 +389,118 @@ def reference_brute_force(inst: Instance, setting: int) -> Solution:
     )
 
 
+def reach_state_optima(
+    inst: Instance, settings: Iterable[int] = (1, 2, 3), batch: int = 1024
+) -> dict[int, tuple[int, tuple[int, ...]] | None]:
+    """Per setting, the best score and the smallest choice vector reaching
+    it (``None`` when no assignment is feasible), by dynamic programming
+    over reach states: the oracle for whole shipped families, which
+    ``brute_force``'s cap rules out. It uses nothing from ``solver``.
+
+    A state is one position per type and the count of deployed labels kept.
+    Layer by layer over the internal positions, each state tries every
+    candidate in canonical order, each type's test outcome taken from
+    ``population.x`` over the candidate's items. Children with equal
+    positions and matches merge, the first kept: states expand in
+    lexicographic order, so it is the smallest prefix. Every leaf state is
+    then scored against each sink-method vector in one numpy pass per
+    vector, through ``Goal.ranges`` and ``Goal.signed_weights``.
+    """
+    d, pop = inst.diagram, inst.population
+    n = len(d.internals)
+    at = {v: k for k, v in enumerate(inst.positions)}
+    head = {(at[a.tail], a.label): at[a.head] for a in d.arcs}
+    column = {item: j for j, item in enumerate(pop.items.items)}
+    # a state's positions are packed as bit planes over their offsets from
+    # ``base``, the first position they can hold: after layer k, k + 1
+    def planes(base: int) -> np.ndarray:
+        return np.arange(max(1, (len(inst.positions) - 1 - base).bit_length()), dtype=np.uint8)
+
+    def pack(block: np.ndarray, base: int) -> np.ndarray:
+        bits = (block - base)[:, None, :] >> planes(base)[:, None] & 1 == 1
+        return np.packbits(bits, axis=2).reshape(len(block), -1)
+
+    def unpack(rows: np.ndarray, base: int) -> np.ndarray:
+        p = planes(base)
+        bits = np.unpackbits(rows.reshape(len(rows), len(p), -1), axis=2, count=len(pop))
+        return (bits << p[:, None]).sum(axis=1, dtype=np.uint8) + np.uint8(base)
+
+    prefixes: list[tuple[int, ...]] = [()]
+    matches = [0]
+    states = pack(np.full((1, len(pop)), at[d.source], dtype=np.uint8), 0)
+    for k, labels in enumerate(inst.choices[:n]):
+        to = [
+            np.where(pop.x[:, [column[i] for i in c]].any(axis=1), head[k, 1], head[k, 0])
+            for c in labels
+        ]
+        seen: set[tuple[bytes, int]] = set()
+        next_prefixes, next_matches, keys = [], [], []
+        for start in range(0, len(prefixes), batch):
+            block = unpack(states[start : start + batch], k)
+            here = block == k
+            children = [pack(np.where(here, t, block).astype(np.uint8), k + 1) for t in to]
+            for b, (prefix, m) in enumerate(zip(prefixes[start:], matches[start : start + batch])):
+                for ci, child in enumerate(children):
+                    key = (child[b].tobytes(), m + (ci == inst.deployed[k]))
+                    if key not in seen:
+                        seen.add(key)
+                        next_prefixes.append(prefix + (ci,))
+                        next_matches.append(key[1])
+                        keys.append(key[0])
+        prefixes, matches = next_prefixes, next_matches
+        packed = np.frombuffer(b"".join(keys), dtype=np.uint8)
+        states = packed.reshape(len(keys), len(planes(k + 1)) * -(-len(pop) // 8))
+
+    # per leaf state and sink: its weight, and per method its responders'
+    # and improvers' weights
+    methods = pop.methods
+    w = pop.weights
+    wy, wyz = w[:, None] * pop.y, w[:, None] * (pop.y & pop.z[:, None])
+    sinks = range(len(d.sinks))
+    weight = np.zeros((len(prefixes), len(sinks)), dtype=np.int64)
+    resp = np.zeros((len(prefixes), len(sinks), len(methods)), dtype=np.int64)
+    impr = np.zeros_like(resp)
+    for start in range(0, len(prefixes), batch):
+        block = unpack(states[start : start + batch], n)
+        for s in sinks:
+            there = (block == n + s).astype(np.int64)
+            weight[start : start + batch, s] = there @ w
+            resp[start : start + batch, s] = there @ wy
+            impr[start : start + batch, s] = there @ wyz
+    matches = np.array(matches, dtype=np.int64)
+
+    vectors = list(itertools.product(range(len(methods)), repeat=len(sinks)))
+    optima = {}
+    for setting in settings:
+        goal = Goal(inst, setting)
+        top = (max(methods.costs) + 1) * pop.total_weight + len(d.vertices)
+        assert sum(map(abs, goal.signed_weights)) * top < 2**62  # no int64 overflow
+        low = np.iinfo(np.int64).min
+        scores = np.full((len(prefixes), len(vectors)), low, dtype=np.int64)
+        for j, vec in enumerate(vectors):
+            fields = (
+                sum(weight[:, s] * methods.costs[mi] for s, mi in enumerate(vec)),
+                matches + sum(map(operator.eq, vec, inst.deployed[n:])),
+                sum(resp[:, s, mi] for s, mi in enumerate(vec)),
+                sum(impr[:, s, mi] for s, mi in enumerate(vec)),
+            )
+            ok = np.ones(len(prefixes), dtype=bool)
+            score = np.zeros(len(prefixes), dtype=np.int64)
+            for f, (lo, hi), wf in zip(fields, goal.ranges, goal.signed_weights):
+                f = np.broadcast_to(f, (len(prefixes),))
+                ok &= (lo <= f) & (f <= hi)
+                score += wf * f
+            scores[ok, j] = score[ok]
+        # the first maximum in row-major order: the smallest prefix, then vector
+        best = int(np.argmax(scores))
+        state, j = divmod(best, len(vectors))
+        if scores[state, j] == low:
+            optima[setting] = None
+        else:
+            optima[setting] = (int(scores[state, j]), prefixes[state] + vectors[j])
+    return optima
+
+
 def point_metrics(model, pt) -> Metrics:
     """The model's cost and indicator expressions, summed exactly at a 0/1 point."""
     return Metrics(*(sum(coef for coef, idx in e if pt.values[idx]) for e in model.exprs))
@@ -407,12 +519,17 @@ def prefix_bound(inst: Instance, prefix: tuple[int, ...], setting: int):
 class RecordingSearch(_Search):
     """The search, recording each prefix it cuts: ``("dominated", prefix,
     cutter)`` with the earlier prefix that dominates it (``None`` if none
-    does), or ``("bound", prefix, inc_obj, inc_vec)`` with the incumbent
-    when the node bound cut it (``None`` twice when there was none)."""
+    does), ``("sibling", prefix, cutter)`` with the sibling whose split cut
+    it (see ``_Search._sibling``), or ``("bound", prefix,
+    inc_obj, inc_vec)`` with the incumbent when the node bound cut it
+    (``None`` twice when there was none). ``kept`` maps each prefix the
+    bound kept to its threshold and the live set it passed on, ``every``
+    included."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.cuts: list[tuple] = []
+        self.kept: dict[tuple[int, ...], tuple] = {}
 
     def _dominated(self, prefix, frontier, matches):
         depth = len(prefix)
@@ -434,11 +551,18 @@ class RecordingSearch(_Search):
         self.cuts.append(("dominated", prefix, cutter))
         return True
 
-    def _promising(self, prefix, frontier, matches):
-        if super()._promising(prefix, frontier, matches):
-            return True
-        self.cuts.append(("bound", prefix, self.inc_obj, self.inc_vec))
-        return False
+    def _sibling(self, prefix, ci, low):
+        super()._sibling(prefix, ci, low)
+        self.cuts.append(("sibling", prefix + (ci,), prefix + (low,)))
+
+    def _promising(self, prefix, frontier, matches, live):
+        below = self._below(prefix)
+        live = super()._promising(prefix, frontier, matches, live)
+        if live is None:
+            self.cuts.append(("bound", prefix, self.inc_obj, self.inc_vec))
+        else:
+            self.kept[prefix] = (below, live)
+        return live
 
 
 def reference_rows(model) -> list[LinRow]:

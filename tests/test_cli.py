@@ -916,6 +916,36 @@ class TestMalformedDocuments:
         # ids and weights are int64 columns: a value they cannot hold is never wrapped
         assert self.population_error(tmp_path, capsys, edits) == message
 
+    @pytest.mark.parametrize("value", [{}, {"0": 1}], ids=["empty", "keyed"])
+    @pytest.mark.parametrize(
+        "at, message",
+        [
+            (("population", "types"), "types must be a list"),
+            (("population", "types", 0, "x1"), "x1 must be a list"),
+            (("population", "types", 1, "y1"), "y1 must be a list"),
+            (("instance", "categories"), "categories must be a list"),
+            (("instance", "categories", 0), "a category must be a list"),
+            (("instance", "roles", "r"), "role of r must be a list"),
+            (("instance", "initial", "nodes", "r"), "label at r must be a list"),
+            (("assignment", "nodes", "r"), "label at r must be a list"),
+        ],
+        ids=["types", "x1", "y1", "categories", "category", "role", "initial-label", "label"],
+    )
+    def test_object_for_a_list_is_one_error_line(self, tmp_path, capsys, at, message, value):
+        # an object is never read as the list of its keys, an empty one as no entries
+        kind, *path = at
+        docs = _file_docs()
+        docs["instance"]["categories"] = [[0]]
+        assert _run_on_files(tmp_path, kind, docs) == 0
+        parent = docs[kind]
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        capsys.readouterr()
+        assert _run_on_files(tmp_path, kind, docs) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / f'{kind}.json'}: malformed {kind} document ({message})\n"
+
     def test_undrawn_attribute_is_an_error_without_records(self, tmp_path, capsys):
         docs = _file_docs()
         _undrawn_attribute(docs)

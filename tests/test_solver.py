@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import operator
 import random
 import time
 import tracemalloc
@@ -35,6 +36,7 @@ from conftest import (
     prefix_bound,
     random_feasible_assignment,
     random_toy_instance,
+    reach_state_optima,
     reference_brute_force,
     tiny_instance,
 )
@@ -443,7 +445,8 @@ class TestLeafScores:
             for prefix in itertools.product(*map(range, sizes)):
                 frontier = solver._frontier(tb, prefix)
                 matches = sum(c == m for c, m in zip(prefix, tb.match))
-                part = search._score(zip(tb.sink_bits, frontier[tb.n_internal :]), matches)
+                sinks = zip(tb.sink_bits, frontier[tb.n_internal :])
+                part = search._score(sinks, matches, search.every)
                 rebuilt.clear()
                 assert search._best(part, None) is None
                 assert len(part[0]) == len(tb.sink_vectors)
@@ -537,9 +540,9 @@ class TestBound:
         visited = []
         visit = solver._Search._visit
 
-        def spy(search, prefix, frontier, matches):
+        def spy(search, prefix, frontier, matches, live):
             visited.append((search, prefix, frontier.copy(), matches))
-            visit(search, prefix, frontier, matches)
+            visit(search, prefix, frontier, matches, live)
 
         monkeypatch.setattr(solver._Search, "_visit", spy)
         rng = random.Random(8000 + setting)
@@ -553,6 +556,83 @@ class TestBound:
             assert matches == sum(c == m for c, m in zip(prefix, tb.match))
             carried = search.bound(len(prefix), frontier, matches)
             assert carried == search.bound(len(prefix), source, matches)
+
+    @staticmethod
+    def parent_child_cases(setting, seed):
+        """Per internal prefix of unit and heavy, small and full toys, its
+        search and the per-combination scores and optimistic costs of its
+        relaxed part, then of each child's relaxed and deployed parts."""
+        rng = random.Random(seed)
+        kinds = [(False, "small"), (True, "small"), (False, "full"), (True, "full")]
+        for heavy, scale in kinds * 15:
+            inst = random_toy_instance(rng, scale, heavy=heavy)
+            tb = solver._Tables(inst)
+            search = solver._Search(tb, Goal(inst, setting), None, None)
+            sizes = [len(labels) for labels in inst.choices[: tb.n_internal]]
+
+            def parts(prefix, *scorers):
+                frontier = solver._frontier(tb, prefix)
+                matches = sum(map(operator.eq, prefix, tb.match))
+                for scorer in scorers:
+                    scores, regions, _, _ = scorer(len(prefix), frontier, matches, search.every)
+                    costs = [
+                        sum(w * tables[picks[j]][0] for _, w, tables, picks in regions)
+                        for j in range(len(scores))
+                    ]
+                    yield scores, costs
+
+            for k in range(len(sizes)):
+                for prefix in itertools.product(*map(range, sizes[:k])):
+                    (parent,) = parts(prefix, search._relaxed)
+                    children = [
+                        list(parts(prefix + (ci,), search._relaxed, search._deployed))
+                        for ci in range(sizes[k])
+                    ]
+                    yield search, parent, children
+
+    @pytest.mark.parametrize("setting", [1, 2, 3])
+    def test_child_parts_stay_within_the_parents_relaxed_part(self, setting):
+        # per combination, neither part of a child scores above its parent's
+        # relaxed part plus w1, and neither pays less than its optimistic cost:
+        # so a combination the parent's relaxed part rules out stays out
+        checked = 0
+        for search, (top, least), children in self.parent_child_cases(setting, 7300 + setting):
+            w1 = search.weights[1]
+            for child in children:
+                for scores, costs in child:
+                    assert all(map(operator.le, scores, (s + w1 for s in top)))
+                    assert all(map(operator.ge, costs, least))
+                    checked += 1
+        assert checked > 500
+
+    @pytest.mark.parametrize("setting", [1, 2, 3])
+    def test_live_sets_keep_every_winning_combination(self, setting):
+        # every combination a node drops, completed any way below it, is
+        # over the budget or does not beat the threshold the node dropped it
+        # at; so every combination a descendant leaf could pick stays live
+        rng = random.Random(7400 + setting)
+        kinds = [(False, "small"), (True, "small"), (False, "full"), (True, "full")]
+        narrowed = completions = 0
+        for heavy, scale in kinds * 40:
+            inst = random_toy_instance(rng, scale, heavy=heavy)
+            goal = Goal(inst, setting)
+            tb = solver._Tables(inst)
+            search = RecordingSearch(tb, goal, None, None)
+            search.run()
+            sizes = [len(labels) for labels in inst.choices]
+            for prefix, (below, live) in search.kept.items():
+                if live is search.every:
+                    continue
+                narrowed += 1
+                dropped = [i for i in range(len(tb.sink_vectors)) if i not in live.combos]
+                for tail in itertools.product(*map(range, sizes[len(prefix) : tb.n_internal])):
+                    for i in dropped:
+                        vec = prefix + tail + tb.sink_vectors[i]
+                        m = evaluate(inst.diagram, inst.assignment(vec), inst.initial, inst.population)
+                        completions += 1
+                        if goal.feasible(m):
+                            assert below is not None and goal.score(m) <= below
+        assert narrowed > 60 and completions > 1000
 
     def test_root_bound_covers_the_optimum(self, rng):
         for _ in range(10):
@@ -736,7 +816,9 @@ class TestCutAudit:
     to prune against. A search capped at 5,000 nodes records its cuts (see
     ``conftest.RecordingSearch``); per cell, up to three cuts per reason and
     depth are drawn among those whose subtree holds at most 1,000
-    completions, and every completion is scored with ``core.evaluate``.
+    completions, and every completion is scored with ``core.evaluate``. A
+    child cut by its sibling's split is audited as a dominated prefix, with
+    that sibling as the cutter.
     Each cell cut to its deployed label and one more candidate per vertex is
     solved natively, by ``brute_force`` and by HiGHS on its LP export. Those
     cuts merge no frontier, so instances 1 and 2 cut to three more candidates
@@ -785,7 +867,7 @@ class TestCutAudit:
                 prefix = cut[1]
                 for tail in itertools.product(*map(range, sizes[depth:])):
                     m = metrics(prefix + tail)
-                    if reason == "dominated":
+                    if reason in ("dominated", "sibling"):
                         # the cutting prefix does at least as well on every completion
                         cutter = cut[2]
                         assert cutter is not None and cutter < prefix
@@ -799,10 +881,12 @@ class TestCutAudit:
                         obj = setting_objective(inst, setting, m)
                         assert not better(obj, inc)
                         assert obj != inc or prefix + tail >= cut[3]
-        # every cell cuts by both reasons, and i3s2 also cuts a subtree
-        # with no feasible completion before its first incumbent
+        # every cell cuts by the bound and by a sibling's split, all but i1s2
+        # and i2s3 also at a frontier an earlier prefix reached, and i3s2
+        # cuts a subtree with no feasible completion before its first incumbent
         reasons = {reason for reason, _ in groups}
-        assert {"dominated", "bound"} <= reasons
+        assert {"sibling", "bound"} <= reasons
+        assert "dominated" in reasons or (instance, setting) in ((1, 2), (2, 3))
         assert "infeasible" in reasons or (instance, setting) != (3, 2)
 
     @pytest.mark.parametrize("setting", [1, 2, 3])
@@ -837,6 +921,47 @@ class TestCutAudit:
         assert fast.assignment == slow.assignment
         assert fast.objective_value == slow.objective_value
         assert fast.best_bound == slow.best_bound
+
+
+class TestReachStateOracle:
+    """``conftest.reach_state_optima``, a dynamic program over reach states
+    that shares no code with ``solver``, checked against ``brute_force`` on
+    toys and then against the native search on whole shipped families."""
+
+    @staticmethod
+    def assert_matches(sol, inst, setting, optimum):
+        if optimum is None:
+            assert sol.status == STATUS_INFEASIBLE and sol.assignment is None
+            return
+        score, vec = optimum
+        value = Goal(inst, setting).value(score)
+        assert sol.status == STATUS_OPTIMAL
+        assert inst.choice_vector(sol.assignment) == vec
+        assert sol.objective_value == sol.best_bound == value
+
+    def test_matches_brute_force_on_toys(self):
+        rng = random.Random(4400)
+        kinds = [(False, "small"), (True, "small"), (False, "full"), (True, "full")]
+        statuses = collections.Counter()
+        for heavy, scale in kinds * 12:
+            inst = random_toy_instance(rng, scale, heavy=heavy)
+            optima = reach_state_optima(inst)
+            for setting in (1, 2, 3):
+                sol = brute_force(inst, setting)
+                self.assert_matches(sol, inst, setting, optima[setting])
+                statuses[sol.status] += 1
+        assert statuses[STATUS_OPTIMAL] > 50 and statuses[STATUS_INFEASIBLE] > 10
+
+    @pytest.mark.parametrize("instance", [1, 2, 3])
+    def test_full_shipped_cells_match_native(self, instance):
+        # n=60, seed 20240601, budget and targets scaled as in TestCutAudit;
+        # instance 3 has 36.6M assignments, far past brute_force's cap
+        audit = TestCutAudit()
+        population = generate_population(GenConfig(n=audit.N, seed=20240601))
+        inst = audit.scaled(build_instance(instance, population))
+        optima = reach_state_optima(inst)
+        for setting in (1, 2, 3):
+            self.assert_matches(solve(inst, setting), inst, setting, optima[setting])
 
 
 class TestBruteForce:
