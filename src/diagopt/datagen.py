@@ -1,14 +1,16 @@
 """Synthetic examinee populations: raw health attributes, item bits, responses.
 
-Generation is a single seeded stream: per record, every attribute is sampled
-in declaration order, then a response vector plus improvement bit are drawn.
-Each attribute's draws are kept as a column, and each threshold is evaluated
-once over its attribute's whole column into that item's bits. Records with
-identical (X, Y, z) triples collapse into one weighted examinee type.
+Generation is a single seeded stream: per record, every attribute is drawn
+in declaration order straight onto its own column, then a response vector
+plus improvement bit are drawn. Each threshold is evaluated once over its
+attribute's whole column into that item's bits (``binarize_columns``, the one
+binarizer, which also reports a ``bit`` attribute that drew neither 0 nor 1).
+Records with identical (X, Y, z) triples collapse into one weighted examinee
+type.
 
 Each attribute kind is one spec class with a ``kind`` tag and a ``draw``
 (``ATTRIBUTE_KINDS``), each threshold op one ``PREDICATE_OPS`` entry; the
-sampler, ``Predicate`` and the genconfig codec in ``fileio`` read them.
+generator, ``Predicate`` and the genconfig codec in ``fileio`` read them.
 
 The shipped attribute set models Japanese health-checkup screening data
 (blood glucose, HbA1c, blood pressure, urine protein, eGFR, visit and
@@ -21,7 +23,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Iterable, Mapping
+from typing import Any, Callable, ClassVar, Mapping
 
 import numpy as np
 
@@ -92,24 +94,15 @@ AttributeSpec = TruncatedNormal | Categorical
 ATTRIBUTE_KINDS = {c.kind: c for c in (TruncatedNormal, Categorical)}
 
 
-def _bit(pred: "Predicate", v: Any) -> Any:
-    """Whether a 0/1 draw, or each of a column of them, is 1; any other value is an error."""
-    ones = v == 1
-    fine = ones | (v == 0)
-    if not np.all(fine):
-        drew = v[np.argmin(fine)] if np.ndim(v) else v
-        raise InputError(f"bit attribute {pred.attr!r} drew {drew}, expected 0 or 1")
-    return ones
-
-
-# each predicate op: the threshold fields it reads, and its test of a raw value,
-# which also takes a whole column of raw values (a numpy array) at once
+# each predicate op: the threshold fields it reads, and its test of a whole
+# column of raw values (an object array); a ``bit`` draw that is neither 0 nor 1
+# is ``binarize_columns``' error
 PREDICATE_OPS: dict[str, tuple[tuple[str, ...], Callable[["Predicate", Any], Any]]] = {
     "ge": (("value",), lambda pred, v: v >= pred.value),
     "lt": (("value",), lambda pred, v: v < pred.value),
     "eq": (("value",), lambda pred, v: v == pred.value),
     "band": (("value", "upper"), lambda pred, v: (v >= pred.value) & (v < pred.upper)),
-    "bit": ((), _bit),
+    "bit": ((), lambda pred, v: v == 1),
 }
 
 
@@ -138,9 +131,6 @@ class Predicate:
                 raise InputError(f"{self.op} on {self.attr!r} {need} threshold {f!r}")
         if self.op == "band" and not self.value < self.upper:
             raise InputError(f"band on {self.attr!r} never fires: upper must be > value")
-
-    def evaluate(self, raw: Mapping[str, float]) -> int:
-        return int(PREDICATE_OPS[self.op][1](self, raw[self.attr]))
 
 
 @dataclass(frozen=True)
@@ -185,44 +175,33 @@ class GenConfig:
                 raise InputError(f"response probability for unknown method {m}")
             if not 0.0 <= p <= 1.0:
                 raise InputError(f"response probability for method {m} must lie in [0, 1]")
-        drawn = {spec.name for spec in self.specs}
+        drawn = Counter(spec.name for spec in self.specs)
+        twice = next((name for name, k in drawn.items() if k > 1), None)
+        if twice is not None:
+            raise InputError(f"attribute {twice!r} is declared more than once")
         for item, pred in self.thresholds.entries:
             if pred.attr not in drawn:
                 raise InputError(f"item {item} reads attribute {pred.attr!r}, which no spec draws")
-
-
-def sample_raw(specs: Iterable[AttributeSpec], rng: random.Random) -> dict[str, float]:
-    """Draw one raw record, each attribute's value by name, in spec declaration order."""
-    return {spec.name: spec.draw(rng) for spec in specs}
-
-
-def binarize(raw: Mapping[str, float], tbl: ThresholdTable) -> tuple[int, ...]:
-    """Evaluate every item predicate on one raw record."""
-    return tuple(pred.evaluate(raw) for _, pred in tbl.entries)
 
 
 def binarize_columns(columns: Mapping[str, np.ndarray], tbl: ThresholdTable) -> np.ndarray:
     """Evaluate every item predicate over whole attribute columns, one bool row per record.
 
     A column is an object array of the values as drawn, so each comparison is
-    Python's own. An error is the one ``binarize`` raises on the earliest
-    record that fails, naming the first threshold in table order within it.
+    Python's own. A ``bit`` attribute that drew neither 0 nor 1 is an error
+    naming the earliest record that holds one, at its first ``bit`` threshold
+    in table order.
     """
-    try:
-        bits = [PREDICATE_OPS[pred.op][1](pred, columns[pred.attr]) for _, pred in tbl.entries]
-    except (InputError, TypeError):  # a bad bit, or values that do not compare
-        names = list(columns)
-        for values in zip(*columns.values()):
-            binarize(dict(zip(names, values)), tbl)
-        raise
+    bits = [PREDICATE_OPS[pred.op][1](pred, columns[pred.attr]) for _, pred in tbl.entries]
+    ones = {pred.attr: b for (_, pred), b in zip(tbl.entries, bits) if pred.op == "bit"}
+    if ones:
+        bad = np.column_stack([~(b | (columns[a] == 0)) for a, b in ones.items()])
+        records = bad.any(axis=1)
+        if records.any():
+            r = int(records.argmax())
+            a = list(ones)[int(bad[r].argmax())]
+            raise InputError(f"bit attribute {a!r} drew {columns[a][r]}, expected 0 or 1")
     return np.column_stack(bits)
-
-
-def _columns(specs: Iterable[AttributeSpec], records: list[tuple[Any, ...]]) -> dict[str, np.ndarray]:
-    """Records of ``sample_raw`` values as one object array per attribute."""
-    names = dict.fromkeys(spec.name for spec in specs)  # in the order of sample_raw's keys
-    values = zip(*records) if records else [()] * len(names)
-    return {a: np.fromiter(v, dtype=object, count=len(records)) for a, v in zip(names, values)}
 
 
 def sample_response(cfg: GenConfig, rng: random.Random) -> tuple[tuple[int, ...], int]:
@@ -242,20 +221,25 @@ def generate_population(cfg: GenConfig) -> Population:
     items = ItemUniverse(cfg.thresholds.item_ids)
 
     rng = random.Random(cfg.seed)
-    records: list[tuple[Any, ...]] = []
+    values: list[list[Any]] = [[] for _ in cfg.specs]
+    draws = [(spec.draw, column.append) for spec, column in zip(cfg.specs, values)]
     responses: list[tuple[tuple[int, ...], int]] = []
+    failed: InputError | None = None
     try:
         for _ in range(cfg.n):
-            records.append(tuple(sample_raw(cfg.specs, rng).values()))
+            for draw, append in draws:
+                append(draw(rng))
             responses.append(sample_response(cfg, rng))
-    except InputError:
-        # binarize the records drawn before the failure: a bad bit among them is the error
-        binarize_columns(_columns(cfg.specs, records), cfg.thresholds)
-        raise
-    x = binarize_columns(_columns(cfg.specs, records), cfg.thresholds)
+    except InputError as exc:  # a bad bit in a record drawn before it is the error
+        failed = exc
+    n = len(responses)  # the records drawn in full
+    columns = {spec.name: np.fromiter(c, dtype=object, count=n) for spec, c in zip(cfg.specs, values)}
+    x = binarize_columns(columns, cfg.thresholds)
+    if failed is not None:
+        raise failed
     yz = np.array([(*y, z) for y, z in responses], dtype=np.uint8)
+    del values, draws, columns, responses  # free the draws before the rows are aggregated: a lower peak
     rows = np.hstack((x, yz.reshape(cfg.n, len(cfg.methods) + 1)))
-    del records, responses  # free the raw values before the columns are built: a lower peak
     width, buf = rows.shape[1], rows.tobytes()
     weights = Counter(buf[k:k + width] for k in range(0, len(buf), width))
     unique = np.frombuffer(b"".join(weights), dtype=np.uint8).reshape(-1, width).astype(bool)

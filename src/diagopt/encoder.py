@@ -32,25 +32,6 @@ _LINE_WIDTH = 72
 _SENSES = {"<=": -1, "=": 0, ">=": 1}
 
 
-def _merge_terms(a: list[Term], b: list[Term]) -> list[Term]:
-    """The sum of two term lists, each in variable-index order, in that order."""
-    out: list[Term] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        (ca, ia), (cb, ib) = a[i], b[j]
-        if ia < ib:
-            out.append(a[i])
-            i += 1
-        elif ib < ia:
-            out.append(b[j])
-            j += 1
-        else:
-            out.append((ca + cb, ia))
-            i += 1
-            j += 1
-    return out + a[i:] + b[j:]
-
-
 @dataclass(frozen=True)
 class LinRow:
     """One linear constraint with all variables on the left-hand side."""
@@ -304,14 +285,14 @@ class IPModel:
         return (row for block in self._blocks for row in block.rows())
 
     def _build_objective(self, goal: Goal) -> None:
-        # every expression lists its terms in variable-index order, so each
-        # weighted one merges into the running sum in one ordered pass
-        merged: list[Term] = []
+        # the weighted expressions summed per variable, in variable-index order
+        total: dict[int, int] = {}
         for expr, w in zip(self.exprs, goal.weights):
             if w:
-                merged = _merge_terms(merged, [(coef * w, idx) for coef, idx in expr])
+                for coef, idx in expr:
+                    total[idx] = total.get(idx, 0) + coef * w
         self.objective_sense = goal.sense
-        self.objective: tuple[Term, ...] = tuple(t for t in merged if t[0])
+        self.objective: tuple[Term, ...] = tuple((total[i], i) for i in sorted(total) if total[i])
         self.objective_divisor: int | None = goal.divisor
 
     @property

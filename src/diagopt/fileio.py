@@ -11,11 +11,11 @@ only read. A block several formats share has one codec: methods
 through ``_from_doc``, so a schema error is one ``InputError`` naming the file,
 and reads integer fields through ``_int``, which rejects a float or a bool
 instead of truncating it, and real fields through ``_float``, which rejects a
-string, a bool or a non-finite number. The population, instance and
-assignment readers also reject a key their objects do not declare
-(``_declared_keys``). Populations, the largest documents, are read in one pass
-into numpy columns and written from a per-type template, byte for byte what
-``dump_canonical`` gives for their document.
+string, a bool or a non-finite number. Every reader also rejects a key its
+objects do not declare (``_declared_keys``). Populations, the largest
+documents, are read in one pass into numpy columns and written from a
+per-type template, byte for byte what ``dump_canonical`` gives for their
+document.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from itertools import chain, compress
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping, TypeVar
+from typing import Any, Callable, Mapping, TypeVar
 
 import numpy as np
 
@@ -48,10 +48,7 @@ from .datagen import (
     Predicate,
     ThresholdTable,
 )
-from .problem import Instance
-
-if TYPE_CHECKING:  # the file formats do not load the search
-    from .solver import Solution
+from .problem import Instance, Solution
 
 CONFIG_DIR_ENV = "DIAGOPT_CONFIG_DIR"
 
@@ -301,6 +298,20 @@ def read_population(path: str | Path) -> Population:
 # ----------------------------------------------------------------------
 
 
+# a report document's keys: the solution's fields, its objective value as
+# "objective", and the solver's name
+_REPORT_KEYS = frozenset(f.name for f in fields(Solution)) - {"objective_value"}
+_REPORT_KEYS |= {"kind", "objective", "solver"}
+
+
+def _report_labels(obj: Mapping[str, Any]) -> Assignment:
+    """The labels of a report's ``assignment`` block."""
+    phi = _labels_from_obj(obj["assignment"])
+    _declared_keys(obj["assignment"], _LABEL_KEYS)
+    _declared_keys(obj, _REPORT_KEYS)
+    return phi
+
+
 def read_assignment(path: str | Path) -> Assignment:
     """The labels of an ``assignment`` document, or of a solve report's
     ``assignment`` block, which only a solve that found an incumbent writes."""
@@ -308,7 +319,7 @@ def read_assignment(path: str | Path) -> Assignment:
     if isinstance(obj, dict) and obj.get("kind") == "report":
         if "assignment" not in obj:
             raise InputError(f"{path}: report holds no assignment (status {obj.get('status')!r})")
-        return _from_doc(obj, "report", lambda rep: _labels_from_obj(rep["assignment"]), path)
+        return _from_doc(obj, "report", _report_labels, path)
     return _from_doc(obj, "assignment", assignment_from_obj, path)
 
 
@@ -330,18 +341,32 @@ def _attribute_from_obj(obj: Mapping[str, Any]) -> AttributeSpec:
     if kind not in ATTRIBUTE_KINDS:
         raise ValueError(f"attribute {name}: unknown kind {kind!r}")
     cls = ATTRIBUTE_KINDS[kind]
-    return cls(**{f.name: _SPEC_FIELDS[f.type](obj[f.name]) for f in fields(cls)})
+    spec = cls(**{f.name: _SPEC_FIELDS[f.type](obj[f.name]) for f in fields(cls)})
+    _declared_keys(obj, frozenset(f.name for f in fields(cls)) | {"kind"})
+    return spec
+
+
+# a predicate object's keys: the predicate's fields
+_PREDICATE_KEYS = frozenset(f.name for f in fields(Predicate))
 
 
 def _predicate_from_obj(obj: Mapping[str, Any]) -> Predicate:
     """A predicate with every threshold the file gives; ``Predicate``
     rejects a missing or an extra one."""
     thresholds = {f: _float(obj[f]) for f in ("value", "upper") if f in obj}
-    return Predicate(op=str(obj["op"]), attr=str(obj["attr"]), **thresholds)
+    pred = Predicate(op=str(obj["op"]), attr=str(obj["attr"]), **thresholds)
+    _declared_keys(obj, _PREDICATE_KEYS)
+    return pred
+
+
+# a genconfig document's keys: the config's fields but the record count and
+# seed, which the command line gives, with the specs as "attributes"
+_GENCONFIG_KEYS = frozenset(f.name for f in fields(GenConfig)) - {"n", "seed", "specs"}
+_GENCONFIG_KEYS |= {"kind", "attributes"}
 
 
 def _genconfig_from_obj(obj: Mapping[str, Any]) -> GenConfig:
-    return GenConfig(
+    cfg = GenConfig(
         n=0,
         seed=0,
         specs=tuple(_attribute_from_obj(a) for a in obj["attributes"]),
@@ -352,6 +377,8 @@ def _genconfig_from_obj(obj: Mapping[str, Any]) -> GenConfig:
         response_probs={_int_key(m): _float(p) for m, p in obj["response_probs"].items()},
         improvement_prob=_float(obj["improvement_prob"]),
     )
+    _declared_keys(obj, _GENCONFIG_KEYS)
+    return cfg
 
 
 def read_genconfig(path: str | Path, n: int, seed: int) -> GenConfig:

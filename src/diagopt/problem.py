@@ -13,6 +13,8 @@ test outcome for each examinee type.
 ``SETTINGS`` is the one definition of each setting's sense, objective and
 side rows. The encoder writes it out as LP rows; the search, the brute-force
 oracle and ``verify`` all check and score ``Metrics`` through :class:`Goal`.
+A solve's result is a :class:`Solution`, which the search returns and a
+report document holds.
 """
 from __future__ import annotations
 
@@ -228,3 +230,30 @@ class Goal:
     def value(self, score: int) -> int | Fraction:
         v = self._sign * score
         return v if self.divisor is None else Fraction(v, self.divisor)
+
+
+@dataclass(frozen=True)
+class SolveStats:
+    nodes: int
+    wall_time: float
+    dominated: int = 0  # prefixes cut at a frontier an earlier prefix reached
+    pruned: int = 0  # prefixes cut by the node bound
+
+
+@dataclass(frozen=True)
+class Solution:
+    """Result of one solve: status, the assignment (if any), and its scores."""
+
+    setting: int
+    status: str
+    assignment: Assignment | None
+    metrics: Metrics | None
+    objective_value: int | Fraction | None
+    best_bound: int | Fraction | None
+    stats: SolveStats
+
+    @property
+    def gap(self) -> int | Fraction | None:
+        if self.objective_value is None or self.best_bound is None:
+            return None
+        return abs(self.best_bound - self.objective_value)

@@ -50,13 +50,12 @@ import math
 import operator
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .core import Assignment, InputError, Metrics, evaluate, sink_totals
-from .problem import Goal, Instance
+from .problem import Goal, Instance, Solution, SolveStats
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -96,33 +95,6 @@ _Scored = tuple[
 # masks hold one bit per examinee while the total weight is at most this many
 # bits per type, and one bit per type (with weight bit-planes) above it
 UNIT_BIT_MEAN_WEIGHT = 8
-
-
-@dataclass(frozen=True)
-class SolveStats:
-    nodes: int
-    wall_time: float
-    dominated: int = 0  # prefixes cut at a frontier an earlier prefix reached
-    pruned: int = 0  # prefixes cut by the node bound
-
-
-@dataclass(frozen=True)
-class Solution:
-    """Result of one solve: status, the assignment (if any), and its scores."""
-
-    setting: int
-    status: str
-    assignment: Assignment | None
-    metrics: Metrics | None
-    objective_value: int | Fraction | None
-    best_bound: int | Fraction | None
-    stats: SolveStats
-
-    @property
-    def gap(self) -> int | Fraction | None:
-        if self.objective_value is None or self.best_bound is None:
-            return None
-        return abs(self.best_bound - self.objective_value)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from diagopt.core import (
     Arc,
     Assignment,
     Diagram,
+    InputError,
     ItemUniverse,
     Metrics,
     MethodUniverse,
@@ -30,13 +31,13 @@ from diagopt.core import (
     reached_sinks,
 )
 from diagopt.datagen import (
+    PREDICATE_OPS,
+    AttributeSpec,
     Categorical,
     GenConfig,
     Predicate,
     ThresholdTable,
     TruncatedNormal,
-    binarize,
-    sample_raw,
     sample_response,
 )
 from diagopt.encoder import _LINE_WIDTH, _SENSES, Instance, LinRow, _fmt_number
@@ -313,11 +314,31 @@ def population_doc(pop: Population) -> dict:
     }
 
 
+def sample_raw(specs: Iterable[AttributeSpec], rng: random.Random) -> dict[str, float]:
+    """Draw one raw record, each attribute's value by name, in spec declaration order."""
+    return {spec.name: spec.draw(rng) for spec in specs}
+
+
+def evaluate_predicate(pred: Predicate, raw: dict[str, float]) -> int:
+    """One predicate on one raw record, through its op's test on a scalar; a
+    ``bit`` attribute that drew neither 0 nor 1 is an error."""
+    v = raw[pred.attr]
+    if pred.op == "bit" and not (v == 1 or v == 0):
+        raise InputError(f"bit attribute {pred.attr!r} drew {v}, expected 0 or 1")
+    return int(PREDICATE_OPS[pred.op][1](pred, v))
+
+
+def binarize(raw: dict[str, float], tbl: ThresholdTable) -> tuple[int, ...]:
+    """Evaluate every item predicate on one raw record, in table order."""
+    return tuple(evaluate_predicate(pred, raw) for _, pred in tbl.entries)
+
+
 def reference_population(cfg: GenConfig) -> Population:
     """``cfg``'s population drawn record by record: each record's raw values,
     then its item bits through the scalar ``binarize``, then its response;
     identical (X, Y, z) triples merge in first-occurrence order. The reference
-    for ``datagen.generate_population``, which binarizes whole columns."""
+    for ``datagen.generate_population``, which binarizes whole columns, so a
+    bad bit is reported at the earliest record, before any later draw fails."""
     rng = random.Random(cfg.seed)
     weights: dict = {}
     for _ in range(cfg.n):

@@ -1,7 +1,9 @@
 """Command-line workflows and the stable file formats behind them."""
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import tempfile
 from fractions import Fraction
@@ -26,6 +28,7 @@ from diagopt.fileio import (
     InstanceDoc,
     dump_canonical,
     read_instance,
+    read_genconfig,
     read_instance_doc,
     read_population,
     write_population,
@@ -38,6 +41,7 @@ from conftest import (
     genconfig_doc,
     population_doc,
     population_from_rows,
+    reference_population,
     write_assignment,
 )
 from lp_reader import parse_lp
@@ -722,6 +726,13 @@ def _nan_mean(docs):
     spec["mean"] = float("nan")  # json writes NaN
 
 
+def _duplicate_attribute(docs):
+    # the second spec would shadow the first: its mean lands every record on item 1
+    attrs = docs["genconfig"]["attributes"]
+    assert attrs[1]["name"] == "fasting_blood_glucose"
+    attrs.append({**attrs[1], "mean": 400.0})
+
+
 def _undrawn_attribute(docs):
     attrs = docs["genconfig"]["attributes"]
     attrs[:] = [a for a in attrs if a["name"] != "egfr"]  # items 25-35 still read it
@@ -810,9 +821,9 @@ def _run_on_files(tmp: Path, kind: str, docs: dict, n: int = 5) -> int:
     if kind == "genconfig":
         argv = ["generate", "--config", str(paths[kind]), "--seed", "1", "--n", str(n),
                 "--out", str(tmp / "out.json")]
-    elif kind == "assignment":
+    elif kind in ("assignment", "report"):
         argv = ["eval", "--instance", str(paths["instance"]),
-                "--assignment", str(paths["assignment"])]
+                "--assignment", str(paths[kind])]
     else:
         argv = ["solve", "--instance", str(paths["instance"]), "--setting", "1"]
     return main(argv)
@@ -849,6 +860,7 @@ class TestMalformedDocuments:
             ("genconfig", _boolean_probability),
             ("genconfig", _nan_mean),
             ("genconfig", _undrawn_attribute),
+            ("genconfig", _duplicate_attribute),
             ("genconfig", _renamed_method_key(" 1 ", "_padded_method_key")),
             ("genconfig", _renamed_method_key("+1", "_signed_method_key")),
             ("genconfig", _renamed_method_key("0_1", "_underscored_method_key")),
@@ -956,11 +968,22 @@ class TestMalformedDocuments:
             "(item 25 reads attribute 'egfr', which no spec draws)\n"
         )
 
+    def test_duplicate_attribute_is_one_error_line(self, tmp_path, capsys):
+        docs = _file_docs()
+        _duplicate_attribute(docs)
+        assert _run_on_files(tmp_path, "genconfig", docs) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {tmp_path / 'genconfig.json'}: malformed genconfig document "
+            "(attribute 'fasting_blood_glucose' is declared more than once)\n"
+        )
+
 
 class TestUnknownKeys:
-    """A population, instance or assignment object holding a key its format
-    does not declare is one error line naming the file, as the misspelled
-    ``wieght`` here; ``at`` is the document, then the path to the object."""
+    """A population, instance, assignment, genconfig or report object holding
+    a key its format does not declare is one error line naming the file, as
+    the misspelled ``wieght`` here; ``at`` is the document, then the path to
+    the object."""
 
     @pytest.mark.parametrize("inline", [False, True], ids=["file", "inline"])
     @pytest.mark.parametrize(
@@ -993,6 +1016,49 @@ class TestUnknownKeys:
         assert _run_on_files(tmp_path, read, docs) == 1
         err = capsys.readouterr().err
         assert err == f"error: {where}: malformed {kind} document (unexpected key 'wieght')\n"
+
+    @pytest.mark.parametrize(
+        "at, key",
+        [
+            ((), "budgte"),
+            (("attributes", 0), "meen"),
+            (("attributes", 1), "meen"),
+            (("thresholds", 0, 1), "uper"),
+            (("thresholds", 1, 1), "uper"),
+            (("thresholds", 11, 1), "uper"),
+        ],
+        ids=["document", "categorical", "truncnormal", "bit", "ge", "band"],
+    )
+    def test_added_genconfig_key_is_one_error_line(self, tmp_path, capsys, at, key):
+        docs = _file_docs()
+        obj = docs["genconfig"]
+        for k in at:
+            obj = obj[k]
+        obj[key] = 1.0
+        assert _run_on_files(tmp_path, "genconfig", docs) == 1
+        err = capsys.readouterr().err
+        where = tmp_path / "genconfig.json"
+        assert err == f"error: {where}: malformed genconfig document (unexpected key {key!r})\n"
+
+    @pytest.mark.parametrize("at", [(), ("assignment",)], ids=["report", "labels"])
+    def test_added_report_key_is_one_error_line(self, tmp_path, capsys, at):
+        docs = _file_docs()
+        report = tmp_path / "report.json"
+        _run_on_files(tmp_path, "instance", docs)
+        assert main([
+            "solve", "--instance", str(tmp_path / "instance.json"), "--setting", "1",
+            "--out", str(report),
+        ]) == 0
+        docs["report"] = json.loads(report.read_text())
+        assert _run_on_files(tmp_path, "report", docs) == 0
+        obj = docs["report"]
+        for k in at:
+            obj = obj[k]
+        obj["wieght"] = 3
+        capsys.readouterr()
+        assert _run_on_files(tmp_path, "report", docs) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {report}: malformed report document (unexpected key 'wieght')\n"
 
 
 def _drawn_table(value):
@@ -1036,6 +1102,10 @@ class TestDrawErrors:
         assert _run_on_files(tmp_path, "genconfig", docs) == 1
         err = capsys.readouterr().err
         assert err == f"error: {tmp_path / 'genconfig.json'}: {message}\n"
+        # the record-by-record reference draws the same stream to the same error
+        with pytest.raises(InputError) as info:
+            reference_population(read_genconfig(tmp_path / "genconfig.json", 5, 1))
+        assert str(info.value) == message
 
 
 def _locations(obj, at=()):
@@ -1077,6 +1147,26 @@ def _mutated_docs(draw):
     return kind, docs
 
 
+@st.composite
+def _docs_with_an_added_key(draw):
+    """The file documents with a key no format declares added to one object
+    of one document, the document itself included."""
+    kind = draw(st.sampled_from(["population", "instance", "assignment", "genconfig"]))
+    docs = _file_docs()
+    objects = [docs[kind]]
+    for at in _locations(docs[kind]):
+        obj = docs[kind]
+        for key in at:
+            obj = obj[key]
+        if isinstance(obj, dict):
+            objects.append(obj)
+    obj = draw(st.sampled_from(objects))
+    obj[draw(st.sampled_from(["wieght", "budgte", "meen", "uper"]))] = draw(
+        _replacements.filter(lambda v: v is not _DROP)
+    )
+    return kind, docs
+
+
 class TestFuzzDocuments:
     @settings(max_examples=80, deadline=None)
     @given(mutated=_mutated_docs())
@@ -1084,3 +1174,12 @@ class TestFuzzDocuments:
         kind, docs = mutated
         with tempfile.TemporaryDirectory() as tmp:
             assert _run_on_files(Path(tmp), kind, docs) in (0, 1, 2, 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(mutated=_docs_with_an_added_key())
+    def test_added_key_is_one_error_line(self, mutated):
+        kind, docs = mutated
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+            assert _run_on_files(Path(tmp), kind, docs) == 1
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert str(Path(tmp) / f"{kind}.json") in err.getvalue()

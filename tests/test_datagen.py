@@ -7,7 +7,14 @@ import random
 import numpy as np
 import pytest
 
-from conftest import every_op_genconfig, population_doc, reference_population
+from conftest import (
+    binarize,
+    evaluate_predicate,
+    every_op_genconfig,
+    population_doc,
+    reference_population,
+    sample_raw,
+)
 from diagopt import datagen
 from diagopt.core import InputError
 from diagopt.datagen import (
@@ -17,12 +24,10 @@ from diagopt.datagen import (
     Predicate,
     ThresholdTable,
     TruncatedNormal,
-    binarize,
     binarize_columns,
     default_attribute_specs,
     default_threshold_table,
     generate_population,
-    sample_raw,
     sample_response,
 )
 
@@ -51,7 +56,7 @@ def columns_of(*raws: dict[str, float]) -> dict[str, np.ndarray]:
 
 
 def binarized(raw: dict[str, float]) -> tuple[int, ...]:
-    """One record's item bits over whole columns, checked against the scalar ``binarize``."""
+    """One record's item bits over whole columns, checked against conftest's scalar ``binarize``."""
     tbl = default_threshold_table()
     x = tuple(binarize_columns(columns_of(raw), tbl)[0].astype(int).tolist())
     assert x == binarize(raw, tbl)
@@ -129,8 +134,24 @@ class TestSpecValidation:
                 lambda: GenConfig(n=1, seed=0, response_probs={9: 0.5}),
                 "^response probability for unknown method 9$",
             ),
+            (
+                # both specs would consume the stream, and the later one shadow the first
+                lambda: GenConfig(
+                    n=1,
+                    seed=0,
+                    specs=(*default_attribute_specs(), TruncatedNormal("egfr", 1, 500, 400, 1)),
+                ),
+                "^attribute 'egfr' is declared more than once$",
+            ),
         ],
-        ids=["negative-probability", "duplicate-item", "negative-count", "improvement", "method"],
+        ids=[
+            "negative-probability",
+            "duplicate-item",
+            "negative-count",
+            "improvement",
+            "method",
+            "duplicate-attribute",
+        ],
     )
     def test_bad_values_rejected(self, build, message):
         with pytest.raises(InputError, match=message):
@@ -233,7 +254,7 @@ class TestPredicateOps:
                 points |= {math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)}
         column = sorted(points)
         for v in column:
-            assert pred.evaluate({"a": v}) == int(self.REFERENCE[op](v)), v
+            assert evaluate_predicate(pred, {"a": v}) == int(self.REFERENCE[op](v)), v
         bits = PREDICATE_OPS[op][1](pred, np.array(column, dtype=object))
         assert bits.tolist() == [bool(self.REFERENCE[op](v)) for v in column]
 
@@ -241,7 +262,7 @@ class TestPredicateOps:
     def test_bit_takes_any_value_equal_to_0_or_1(self, v, bit):
         # as a Python bool, ~True is -2: the check must not negate a scalar bitwise
         pred = Predicate("bit", "a")
-        assert pred.evaluate({"a": v}) == bit
+        assert evaluate_predicate(pred, {"a": v}) == bit
         column = np.array([v, 1 - bit], dtype=object)
         assert PREDICATE_OPS["bit"][1](pred, column).tolist() == [bool(bit), not bit]
 
@@ -390,3 +411,24 @@ class TestDrawErrorOrder:
         # the same stream with a valid bit table fails a draw
         assert _error(cfg(1)) == "t: exceeded 2 rejection resamples"
         assert _error(cfg(2)) == message == _error(cfg(2), reference_population)
+
+    def test_a_non_bit_threshold_reads_any_value(self):
+        # only a bit threshold requires a 0/1 draw: 2 is an ordinary value to ge and eq
+        c = Categorical("c", ((0, 0.5), (2, 0.5)))
+        thresholds = ThresholdTable(((0, Predicate("ge", "c", 1.0)), (1, Predicate("eq", "c", 2.0))))
+        cfg = GenConfig(n=40, seed=3, specs=(c,), thresholds=thresholds)
+        pop = generate_population(cfg)
+        assert population_doc(pop) == population_doc(reference_population(cfg))
+        assert pop.x.any(axis=0).tolist() == [True, True]
+
+    def test_one_attribute_feeds_two_bit_thresholds(self):
+        b = Categorical.bernoulli("b", 0.5)
+        cfg = _bit_config(40, 4, b, table=("b", "b"))
+        pop = generate_population(cfg)
+        assert population_doc(pop) == population_doc(reference_population(cfg))
+        assert pop.x[:, 0].tolist() == pop.x[:, 1].tolist() and pop.x[:, 0].any()
+
+        c = Categorical.bernoulli("c", 0.5)
+        bad = _bit_config(40, 4, Categorical("b", ((0, 0.8), (3, 0.2))), c, table=("c", "b", "b"))
+        assert _error(bad) == "bit attribute 'b' drew 3, expected 0 or 1"
+        assert _error(bad) == _error(bad, reference_population)

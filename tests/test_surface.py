@@ -1,5 +1,6 @@
-"""The package's public surface: every public definition has a caller, bad
-input has one exception type, and README's library example runs as written."""
+"""The package's public surface: every public definition has a caller, every
+private one is named in the package, bad input has one exception type, and
+README's library example runs as written."""
 from __future__ import annotations
 
 import ast
@@ -19,12 +20,31 @@ def _trees(*dirs: Path) -> dict[Path, ast.Module]:
     return {p: ast.parse(p.read_text()) for d in dirs for p in sorted(d.glob("*.py"))}
 
 
+def _definitions(body: list[ast.stmt]) -> list[ast.FunctionDef | ast.ClassDef]:
+    return [node for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
 def _public(body: list[ast.stmt]) -> list[ast.FunctionDef | ast.ClassDef]:
-    return [
-        node
-        for node in body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-    ]
+    return [node for node in _definitions(body) if not node.name.startswith("_")]
+
+
+def _private(body: list[ast.stmt]) -> list[ast.FunctionDef | ast.ClassDef]:
+    """The private definitions; a dunder method is named by the language."""
+    return [n for n in _definitions(body) if n.name.startswith("_") and not n.name.endswith("__")]
+
+
+def _named(*dirs: Path) -> set[str]:
+    """Every name a ``Name``, an ``Attribute`` or an import in ``dirs`` gives."""
+    used = set()
+    for tree in _trees(*dirs).values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return used
 
 
 def test_every_public_definition_has_a_caller():
@@ -39,15 +59,24 @@ def test_every_public_definition_has_a_caller():
             if isinstance(node, ast.ClassDef):
                 for member in _public(node.body):
                     defined.add((path.name, f"{node.name}.{member.name}", member.name))
-    used = set()
-    for tree in _trees(PACKAGE, ROOT / "perfbench").values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
+    used = _named(PACKAGE, ROOT / "perfbench")
+    assert sorted((mod, qual) for mod, qual, name in defined if name not in used) == []
+
+
+def test_every_private_definition_is_named_in_the_package():
+    """A private top-level function or class of ``src/diagopt``, and a private
+    method of any class there, is named by a ``Name``, an ``Attribute`` or an
+    import in the package itself; one that only tests or nothing names is
+    dead code."""
+    defined = set()
+    for path, tree in _trees(PACKAGE).items():
+        for node in _private(tree.body):
+            defined.add((path.name, node.name, node.name))
+        for cls in _definitions(tree.body):
+            if isinstance(cls, ast.ClassDef):
+                for member in _private(cls.body):
+                    defined.add((path.name, f"{cls.name}.{member.name}", member.name))
+    used = _named(PACKAGE)
     assert sorted((mod, qual) for mod, qual, name in defined if name not in used) == []
 
 
