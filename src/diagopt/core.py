@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -278,41 +278,27 @@ class Metrics(NamedTuple):
     obj3: int
 
 
-# a decorated vertex's carried item positions, then its 0- and 1-successors
-_Step = tuple[tuple[int, ...], Vertex, Vertex]
+def routes(
+    d: Diagram, phi: Assignment, pop: Population
+) -> tuple[dict[Vertex, np.ndarray], dict[Vertex, np.ndarray]]:
+    """Which types of ``pop`` visit each vertex under ``phi``, and which of
+    each internal vertex's visitors leave it by the 1-arc: bool masks over
+    the types.
 
-
-def _walk_table(d: Diagram, phi: Assignment, items: ItemUniverse) -> dict[Vertex, _Step]:
-    """Every decorated vertex's step, resolved once per assignment."""
-    return {
-        u: (tuple(items.index(i) for i in phi.node_items[u]), *heads)
-        for u, heads in d.heads.items()
-        if u in phi.node_items
-    }
-
-
-def _walk(source: Vertex, table: Mapping[Vertex, _Step], x: Sequence[int]) -> Vertex:
-    """The sink a type with 0/1 item row ``x`` reaches from ``source``.
-
-    Terminates in at most |V| steps on any valid diagram.
+    One pass over ``Diagram.heads`` in topological order, so a vertex's
+    visit mask is complete before it is read. A visitor leaves by the 1-arc
+    when some carried item is positive for it. Every internal label of
+    ``phi`` is read, and none of its sink methods.
     """
-    v = source
-    while v in table:
-        # the 0-successor, unless some carried item is positive
-        positions, v, head1 = table[v]
-        for p in positions:
-            if x[p]:
-                v = head1
-                break
-    return v
-
-
-def reached_sinks(d: Diagram, phi: Assignment, pop: Population) -> list[Vertex]:
-    """The sink each type of ``pop`` reaches under ``phi``, in population order."""
-    table = _walk_table(d, phi, pop.items)
-    # each type's row of x as bytes, one 0/1 byte per item: far cheaper to make than x.tolist()
-    width, buf = len(pop.items), pop.x.tobytes()
-    return [_walk(d.source, table, buf[k:k + width]) for k in range(0, len(buf), width)]
+    visits = {v: np.zeros(len(pop), dtype=bool) for v in d.vertices}
+    visits[d.source][:] = True
+    ones: dict[Vertex, np.ndarray] = {}
+    for u, (head0, head1) in d.heads.items():
+        carried = [pop.items.index(i) for i in phi.node_items[u]]
+        on = ones[u] = visits[u] & pop.x[:, carried].any(axis=1)
+        visits[head1] |= on
+        visits[head0] |= visits[u] & ~on
+    return visits, ones
 
 
 def sink_totals(
@@ -321,12 +307,13 @@ def sink_totals(
     """Per sink, per method in universe order: weight x cost, responders and
     improvers over the types that reach the sink.
 
-    Only ``phi``'s internal labels are read. Each type's weight goes to its
-    sink's column; one product of those columns with ``y`` (with ``y`` and
-    ``z``) sums the responders (improvers). Costs multiply Python ints.
+    Only ``phi``'s internal labels are read. Each type's weight goes to the
+    column of the sink it reaches (``routes``); one product of those columns
+    with ``y`` (with ``y`` and ``z``) sums the responders (improvers). Costs
+    multiply Python ints.
     """
-    at = np.zeros((len(pop), len(d.sinks)), dtype=np.int64)
-    at[np.arange(len(pop)), [d.sinks.index(s) for s in reached_sinks(d, phi, pop)]] = pop.weights
+    visits, _ = routes(d, phi, pop)
+    at = np.column_stack([visits[s] for s in d.sinks]) * pop.weights[:, None]
     weights = at.sum(axis=0).tolist()
     responders = (at.T @ pop.y).tolist()
     improvers = (at.T @ (pop.y & pop.z[:, None])).tolist()

@@ -23,7 +23,7 @@ from math import ceil, floor
 import numpy as np
 from scipy import sparse
 
-from .core import Assignment, InputError
+from .core import Assignment, InputError, routes
 from .problem import FIELDS, Goal, Instance
 
 Term = tuple[int, int]  # (coefficient, variable index)
@@ -417,8 +417,8 @@ def build_model(inst: Instance, setting: int) -> IPModel:
 def encode_assignment(model: IPModel, phi: Assignment) -> VariablePoint:
     """The variable point induced by a feasible assignment.
 
-    p/q follow the decoration directly; the walk variables are derived by
-    propagating per-type reachability from the source, vectorized over types.
+    p/q follow the decoration directly; alpha, beta, gamma and z are read
+    from the types' routes (``core.routes``).
     """
     inst = model.instance
     d = inst.diagram
@@ -430,22 +430,14 @@ def encode_assignment(model: IPModel, phi: Assignment) -> VariablePoint:
     for b, k in zip(model.choice_blocks, vec):
         x[b[k]] = 1
 
-    n_u = len(d.internals)
-    pos = {v: vi for vi, v in enumerate(inst.positions)}
-    reach = np.zeros((len(pos), len(inst.population)), dtype=bool)
-    reach[pos[d.source]] = True
-    # internals lead the positions in topological order: reach is complete when read
-    for ui, (head0, head1) in enumerate(d.heads.values()):
-        ones = inst.fires[ui][vec[ui]]
-        on, off = reach[ui] & ones, reach[ui] & ~ones
-        x[model.beta[:, ui, 1]] = on
-        x[model.beta[:, ui, 0]] = off
-        reach[pos[head1]] |= on
-        reach[pos[head0]] |= off
-    x[model.alpha] = reach.T
-    for si, mi in enumerate(vec[n_u:]):
-        x[model.gamma[:, si, mi]] = reach[n_u + si]
-        x[model.z[:, mi]] |= reach[n_u + si]
+    visits, ones = routes(d, phi, inst.population)
+    x[model.alpha] = np.column_stack([visits[v] for v in inst.positions])
+    for ui, u in enumerate(d.internals):
+        x[model.beta[:, ui, 1]] = ones[u]
+        x[model.beta[:, ui, 0]] = visits[u] & ~ones[u]
+    for si, (s, mi) in enumerate(zip(d.sinks, vec[len(d.internals):])):
+        x[model.gamma[:, si, mi]] = visits[s]
+        x[model.z[:, mi]] |= visits[s]
 
     x.setflags(write=False)
     return VariablePoint(model=model, values=x)

@@ -435,7 +435,7 @@ class InstanceDoc:
         doc = InstanceDoc(
             items=ItemUniverse(tuple(map(_int, obj["items"]))),
             methods=_methods_from_obj(obj["methods"]),
-            vertices=tuple(str(v) for v in obj["vertices"]),
+            vertices=tuple(str(v) for v in _list(obj["vertices"], "vertices")),
             arcs=tuple((str(t), str(h), _int(l)) for t, h, l in obj["arcs"]),
             roles={
                 str(u): tuple(sorted(map(_int, _list(r, f"role of {u}"))))

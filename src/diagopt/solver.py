@@ -32,8 +32,8 @@ the sinks as its regions, and scores the leaf. A search stopped by a limit
 reports the root's bound, which no node's bound exceeds.
 
 ``brute_force`` is the ground-truth oracle: it enumerates every assignment,
-walking the types through ``core``'s scalar walk once per internal choice
-vector and summing each sink-method vector from the per-sink totals
+routing the types through ``core.routes`` once per internal choice vector
+and summing each sink-method vector from the per-sink totals
 (``core.sink_totals``), so it shares no routing code with the search.
 ``verify`` independently re-checks any returned solution.
 
@@ -99,7 +99,6 @@ UNIT_BIT_MEAN_WEIGHT = 8
 
 @dataclass(frozen=True)
 class VerificationReport:
-    ok: bool
     issues: tuple[str, ...]
 
 
@@ -616,9 +615,9 @@ def solve(
 
 
 def brute_force(inst: Instance, setting: int) -> Solution:
-    """Exhaustive oracle: score every assignment through the scalar walk.
+    """Exhaustive oracle: score every assignment through ``core.routes``.
 
-    The walk reads only the internal labels, so it runs once per internal
+    Routing reads only the internal labels, so it runs once per internal
     choice vector; each sink-method vector then sums its sinks' entries of
     ``sink_totals``. Both loops run in ``itertools.product`` order, so the
     first of equal scores is the smallest choice vector.
@@ -638,7 +637,7 @@ def brute_force(inst: Instance, setting: int) -> Solution:
     best_score: int | None = None
     best_vec: tuple[int, ...] | None = None
     for head in itertools.product(*map(range, sizes[:n])):
-        # a choice prefix picks the internal labels, all the walk reads
+        # a choice prefix picks the internal labels, all routing reads
         totals = sink_totals(d, inst.assignment(head), pop)
         # the internal vector's Metrics terms, then per sink, per method
         # the terms that method adds
@@ -669,16 +668,16 @@ def verify(sol: Solution, inst: Instance, setting: int) -> VerificationReport:
     if sol.assignment is None:
         if sol.status == STATUS_OPTIMAL:
             issues.append("optimal status without an assignment")
-        return VerificationReport(ok=not issues, issues=tuple(issues))
+        return VerificationReport(tuple(issues))
 
     phi = sol.assignment
     if not phi.covers(inst.diagram):
         issues.append("assignment does not cover the diagram")
-        return VerificationReport(ok=False, issues=tuple(issues))
+        return VerificationReport(tuple(issues))
     for v in inst.misplaced(phi):
         issues.append(f"candidate/constraint violation: label at {v} not permitted")
     if issues:
-        return VerificationReport(ok=False, issues=tuple(issues))
+        return VerificationReport(tuple(issues))
 
     m = evaluate(inst.diagram, phi, inst.initial, inst.population)
     if sol.metrics is not None and m != sol.metrics:
@@ -690,4 +689,4 @@ def verify(sol: Solution, inst: Instance, setting: int) -> VerificationReport:
         issues.append(
             f"objective mismatch: recomputed {recomputed}, reported {sol.objective_value}"
         )
-    return VerificationReport(ok=not issues, issues=tuple(issues))
+    return VerificationReport(tuple(issues))

@@ -5,7 +5,7 @@ import itertools
 import json
 import operator
 import random
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import asdict, replace
 from fractions import Fraction
 from math import ceil, floor, inf, nextafter
@@ -27,8 +27,8 @@ from diagopt.core import (
     Metrics,
     MethodUniverse,
     Population,
+    Vertex,
     evaluate,
-    reached_sinks,
 )
 from diagopt.datagen import (
     PREDICATE_OPS,
@@ -373,6 +373,45 @@ def every_op_genconfig(n: int, seed: int) -> GenConfig:
         (6, Predicate("band", "tn", 0.25, 0.75)),
     ))
     return GenConfig(n=n, seed=seed, specs=specs, thresholds=thresholds)
+
+
+# the type-by-type walk, the reference for ``core.routes``, which routes every
+# type at once; a step is a decorated vertex's carried item positions, then
+# its 0- and 1-successors
+_Step = tuple[tuple[int, ...], Vertex, Vertex]
+
+
+def _walk_table(d: Diagram, phi: Assignment, items: ItemUniverse) -> dict[Vertex, _Step]:
+    """Every decorated vertex's step, resolved once per assignment."""
+    return {
+        u: (tuple(items.index(i) for i in phi.node_items[u]), *heads)
+        for u, heads in d.heads.items()
+        if u in phi.node_items
+    }
+
+
+def _walk(source: Vertex, table: Mapping[Vertex, _Step], x: Sequence[int]) -> Vertex:
+    """The sink a type with 0/1 item row ``x`` reaches from ``source``.
+
+    Terminates in at most |V| steps on any valid diagram.
+    """
+    v = source
+    while v in table:
+        # the 0-successor, unless some carried item is positive
+        positions, v, head1 = table[v]
+        for p in positions:
+            if x[p]:
+                v = head1
+                break
+    return v
+
+
+def reached_sinks(d: Diagram, phi: Assignment, pop: Population) -> list[Vertex]:
+    """The sink each type of ``pop`` reaches under ``phi``, in population order."""
+    table = _walk_table(d, phi, pop.items)
+    # each type's row of x as bytes, one 0/1 byte per item: far cheaper to make than x.tolist()
+    width, buf = len(pop.items), pop.x.tobytes()
+    return [_walk(d.source, table, buf[k:k + width]) for k in range(0, len(buf), width)]
 
 
 def reference_metrics(d: Diagram, phi: Assignment, phi_in: Assignment, pop: Population) -> Metrics:

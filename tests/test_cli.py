@@ -386,6 +386,26 @@ class TestEvalCommand:
         assert "warning" in captured.err
         assert "cost" in captured.out
 
+    def test_item_outside_the_universe_past_the_source_is_one_error_line(
+        self, workspace, capsys
+    ):
+        # every internal label is read, the last vertex's as the source's
+        tmp, _, inst_path = workspace
+        inst = read_instance(inst_path)
+        last = inst.diagram.internals[-1]
+        phi = type(inst.initial).build(
+            {**inst.initial.node_items, last: {*inst.initial.node_items[last], 99}},
+            dict(inst.initial.sink_methods),
+        )
+        phi_path = tmp / "outside.json"
+        write_assignment(phi, phi_path)
+        assert main([
+            "eval", "--instance", str(inst_path), "--assignment", str(phi_path),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {phi_path}: item 99 not in universe\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "part, vertex, label, message",
         [
@@ -928,23 +948,28 @@ class TestMalformedDocuments:
         # ids and weights are int64 columns: a value they cannot hold is never wrapped
         assert self.population_error(tmp_path, capsys, edits) == message
 
-    @pytest.mark.parametrize("value", [{}, {"0": 1}], ids=["empty", "keyed"])
+    @pytest.mark.parametrize("value", [{}, {"0": 1}, "01"], ids=["empty", "keyed", "string"])
     @pytest.mark.parametrize(
         "at, message",
         [
             (("population", "types"), "types must be a list"),
             (("population", "types", 0, "x1"), "x1 must be a list"),
             (("population", "types", 1, "y1"), "y1 must be a list"),
+            (("instance", "vertices"), "vertices must be a list"),
             (("instance", "categories"), "categories must be a list"),
             (("instance", "categories", 0), "a category must be a list"),
             (("instance", "roles", "r"), "role of r must be a list"),
             (("instance", "initial", "nodes", "r"), "label at r must be a list"),
             (("assignment", "nodes", "r"), "label at r must be a list"),
         ],
-        ids=["types", "x1", "y1", "categories", "category", "role", "initial-label", "label"],
+        ids=[
+            "types", "x1", "y1", "vertices", "categories", "category", "role", "initial-label",
+            "label",
+        ],
     )
     def test_object_for_a_list_is_one_error_line(self, tmp_path, capsys, at, message, value):
-        # an object is never read as the list of its keys, an empty one as no entries
+        # an object is never read as the list of its keys, an empty one as no
+        # entries, a string as its characters
         kind, *path = at
         docs = _file_docs()
         docs["instance"]["categories"] = [[0]]

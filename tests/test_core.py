@@ -19,18 +19,19 @@ from diagopt.core import (
     ItemUniverse,
     Metrics,
     MethodUniverse,
-    _walk,
-    _walk_table,
     evaluate,
-    reached_sinks,
+    routes,
     sink_totals,
 )
 from conftest import (
     TypeRow,
+    _walk,
+    _walk_table,
     make_type,
     one_test_diagram,
     population_from_rows,
     random_toy_instance,
+    reached_sinks,
     reference_metrics,
     valid_diagram,
 )
@@ -211,16 +212,23 @@ class TestDiagramProperties:
 
 def route(d, phi, t):
     """The method ``t`` ends up with and the vertices it visits, re-walked
-    step by step; the walk must end at the last of them."""
+    step by step; the walk must end at the last of them, and ``routes`` must
+    mark exactly those vertices visited and the arcs taken."""
     x = t[2]
     path = [d.source]
+    labels = {}
     while path[-1] in phi.node_items:
-        label = int(any(x[ITEMS.index(i)] for i in phi.node_items[path[-1]]))
-        path.append(d.heads[path[-1]][label])
+        labels[path[-1]] = int(any(x[ITEMS.index(i)] for i in phi.node_items[path[-1]]))
+        path.append(d.heads[path[-1]][labels[path[-1]]])
         assert len(set(path)) == len(path) <= len(d.vertices)
     pop = population_from_rows(ITEMS, METHODS, [t])
     assert _walk(d.source, _walk_table(d, phi, ITEMS), x) == path[-1]
     assert reached_sinks(d, phi, pop) == [path[-1]]
+    visits, ones = routes(d, phi, pop)
+    assert {v for v, mask in visits.items() if mask[0]} == set(path)
+    assert {u: int(mask[0]) for u, mask in ones.items()} == {
+        u: labels.get(u, 0) for u in d.internals
+    }
     return phi.sink_methods[path[-1]], frozenset(path)
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagopt.candidates import CandidateFamily
-from diagopt.core import Assignment, InputError, evaluate, reached_sinks
+from diagopt.core import Assignment, InputError, evaluate
 from diagopt.datagen import GenConfig, generate_population
 from diagopt.encoder import (
     VariablePoint,
@@ -28,6 +28,7 @@ from conftest import (
     point_metrics,
     population_from_rows,
     random_toy_instance,
+    reached_sinks,
     reference_compiled,
     reference_lp,
     reference_rows,
@@ -467,6 +468,53 @@ class TestParallelArcs:
             slow = brute_force(inst, setting)
             assert fast.status == slow.status
             assert fast.assignment == slow.assignment
+
+
+class TestShortcutArc:
+    """r's 0-arc leads through v on to s1, r's 1-successor, so a type can
+    leave r by its 0-arc and still visit s1: r's 1-arc types are not the
+    types that visit both r and s1."""
+
+    def test_beta_matches_the_walk(self):
+        from diagopt.core import Arc, Diagram, ItemUniverse, MethodUniverse
+        from conftest import _walk, _walk_table, family, make_type, population_from_rows
+
+        items = ItemUniverse((0, 1))
+        methods = MethodUniverse(methods=(0, 1), costs=(0, 100))
+        pop = population_from_rows(items, methods, (
+            make_type(ti, 1, xs, {1}, 0, items, methods)
+            for ti, xs in enumerate((set(), {0}, {1}, {0, 1}))
+        ))
+        d = Diagram(
+            vertices=("r", "v", "s0", "s1"),
+            arcs=(Arc("r", "v", 0), Arc("r", "s1", 1), Arc("v", "s0", 0), Arc("v", "s1", 1)),
+        )
+        phi = Assignment.build({"r": {0}, "v": {1}}, {"s0": 0, "s1": 1})
+        inst = Instance(
+            diagram=d,
+            population=pop,
+            families={"r": family("r", [set(), {0}], {0, 1}),
+                      "v": family("v", [set(), {1}], {0, 1})},
+            initial=phi,
+            budget=1000,
+            targets=(3, 1, 1),
+        )
+        model = build_model(inst, 1)
+        pt = encode_assignment(model, phi)
+        assert structural_violations(model, pt) == ()
+        table = _walk_table(d, phi, items)
+        for ti, x in enumerate(pop.x.tolist()):
+            for ui, u in enumerate(d.internals):
+                # a walk stops at u exactly when it visits u, and one step
+                # from u takes the arc the type leaves u by
+                visits = _walk(d.source, {v: s for v, s in table.items() if v != u}, x) == u
+                label = d.heads[u].index(_walk(u, {u: table[u]}, x))
+                for lb in (0, 1):
+                    assert pt.values[model.beta[ti, ui, lb]] == (visits and label == lb)
+        # type 2 (item 1 only) leaves r by its 0-arc and reaches s1 through v
+        s1 = inst.positions.index("s1")
+        assert pt.values[model.alpha[2, [0, s1]]].tolist() == [1, 1]
+        assert pt.values[model.beta[2, 0]].tolist() == [1, 0]
 
 
 class TestDegenerateDiagram:
