@@ -82,7 +82,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_make_instance(args: argparse.Namespace) -> int:
     tpl = instance_template(args.id)
     doc = instance_doc_from_template(tpl, population_path=args.population)
-    inst = doc.build(Path(args.out))
+    pop = doc.load_population(Path(args.out))
+    try:
+        inst = doc.instance(pop)
+    except InputError as exc:  # the template is sound, so the population is at fault
+        raise InputError(f"{args.population}: {exc}") from exc
     write_instance_doc(doc, args.out)
     sizes = ", ".join(
         f"{u}:{len(inst.families[u])}" for u in inst.diagram.internals
@@ -94,7 +98,10 @@ def cmd_make_instance(args: argparse.Namespace) -> int:
 
 def cmd_encode(args: argparse.Namespace) -> int:
     inst = read_instance(args.instance)
-    model = build_model(inst, args.setting)
+    try:
+        model = build_model(inst, args.setting)
+    except InputError as exc:  # a side row past the int64 range
+        raise InputError(f"{args.instance}: {exc}") from exc
     write_text(args.out, export_lp(model))
     counts = model.variable_counts
     per_kind = ", ".join(f"{k}={v}" for k, v in counts.items())

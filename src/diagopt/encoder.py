@@ -21,7 +21,6 @@ from itertools import accumulate, compress, product
 from math import ceil, floor
 
 import numpy as np
-from scipy import sparse
 
 from .core import Assignment, InputError, routes
 from .problem import FIELDS, Goal, Instance
@@ -30,6 +29,7 @@ Term = tuple[int, int]  # (coefficient, variable index)
 
 _LINE_WIDTH = 72
 _SENSES = {"<=": -1, "=": 0, ">=": 1}
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,14 @@ class IPModel:
     formatted once. The model also holds the constraint rows in family order
     as row blocks (one template per family, repeated for every type; see
     ``_RowBlock``), from which the LP text (rendered from per-group token
-    tables, see ``_block_lp``), one integer CSR matrix, the row names
-    ``violations`` reports and the ``LinRow`` objects ``rows`` yields are all
-    read; the linking rows' keep masks read ``Instance.fires``. It holds the
-    objective (integer terms, divided exactly by ``objective_divisor`` unless
-    it is ``None``), and ``exprs``, the linear expressions of the ``FIELDS``
-    (cost and the three indicators). Safe to share read-only.
+    tables, see ``_block_lp``), the int64 arrays ``violations`` sums
+    (``_compiled``), the row names it reports and the ``LinRow`` objects
+    ``rows`` yields are all read; the linking rows' keep masks read
+    ``Instance.fires``. A side row that int64 cannot hold is an
+    ``InputError``. It holds the objective (integer terms, divided exactly
+    by ``objective_divisor`` unless it is ``None``), and ``exprs``, the
+    linear expressions of the ``FIELDS`` (cost and the three indicators).
+    Safe to share read-only.
     """
 
     def __init__(self, instance: Instance, setting: int):
@@ -268,14 +270,17 @@ class IPModel:
                 ]
             blocks.append(row_block(ag))
 
-        # per-setting side rows
+        # per-setting side rows; every other row has coefficients of +-1. The
+        # absolute sum of a row's coefficients bounds its left-hand side at
+        # any 0/1 point, so within int64 no sum in ``violations`` wraps
         exprs = dict(zip(FIELDS, self.exprs))
-        blocks.append(
-            row_block(
-                [(name, exprs[field], sense, rhs) for name, field, sense, rhs in goal.rows],
-                per_type=False,
-            )
-        )
+        side = [(name, exprs[field], sense, rhs) for name, field, sense, rhs in goal.rows]
+        for name, terms, _, rhs in side:
+            if sum(abs(c) for c, _ in terms) > _INT64_MAX:
+                raise InputError(f"side row {name}: coefficients sum past the int64 range")
+            if rhs > _INT64_MAX:
+                raise InputError(f"side row {name}: right-hand side {rhs} past the int64 range")
+        blocks.append(row_block(side, per_type=False))
         self._blocks: tuple[_RowBlock, ...] = tuple(blocks)
         self._row_starts = np.cumsum([0] + [b.num_rows for b in blocks]).tolist()
 
@@ -304,24 +309,32 @@ class IPModel:
     # ------------------------------------------------------------------
 
     @cached_property
-    def _compiled(self) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
-        """Integer (A, sense, rhs) for exact vectorized row checking.
+    def _compiled(self) -> tuple[np.ndarray, ...]:
+        """The rows as int64 arrays for exact vectorized row checking:
+        ``indptr``, ``indices`` and ``data`` in CSR layout (row ``i`` holds
+        terms ``indptr[i]:indptr[i + 1]``), then each row's sense (-1, 0 or 1
+        for ``<=``, ``=`` or ``>=``, as int8) and right-hand side.
 
         Every coefficient is an integer, so a fractional right-hand side is
         rounded as :class:`Goal` rounds it, keeping the row's integer
-        solutions: down for ``<=``, up for ``>=``.
+        solutions: down for ``<=``, up for ``>=``. No row's sum at a 0/1
+        point leaves int64 (see ``_build_rows``).
         """
         lengths, indices, data, senses, rhs = (
             np.concatenate(part) for part in zip(*(b.compiled() for b in self._blocks))
         )
         indptr = np.concatenate(([0], np.cumsum(lengths)))
-        a = sparse.csr_matrix((data, indices, indptr), shape=(len(lengths), self.num_variables))
-        return a, senses, rhs
+        return indptr, indices, data, senses, rhs
 
     def violations(self, point: "VariablePoint") -> tuple[str, ...]:
         """Names of every constraint row the point violates."""
-        a, senses, rhs = self._compiled
-        lhs = a @ point.values.astype(np.int64)
+        indptr, indices, data, senses, rhs = self._compiled
+        # reduceat sums each start's terms up to the next start, so only the
+        # rows with terms take part; a row without terms keeps lhs 0
+        starts = indptr[:-1]
+        has_terms = starts < indptr[1:]
+        lhs = np.zeros(len(senses), dtype=np.int64)
+        lhs[has_terms] = np.add.reduceat(data * point.values[indices], starts[has_terms])
         bad = ((senses == -1) & (lhs > rhs)) | ((senses == 0) & (lhs != rhs)) | (
             (senses == 1) & (lhs < rhs)
         )
@@ -535,8 +548,6 @@ def _block_lp(block: _RowBlock, names: Sequence[str]) -> list[str]:
     cuts = (*block.groups, len(block.names))
     per_run = []
     for r0, r1 in zip(cuts, cuts[1:]):
-        if r0 == r1:
-            continue
         k0, k1 = bounds[r0], bounds[r1]
         sample, inverse = _keep_patterns(block.keep[:, k0:k1])
         pieces: list[list[str]] = []

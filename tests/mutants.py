@@ -137,6 +137,55 @@ MUTANTS: tuple[Mutant, ...] = (
         "_LINE_WIDTH = 80",
         ("tests/test_encoder.py::TestExportLp::test_lp_bytes_are_pinned",),
     ),
+    Mutant(
+        "sibling-without-deployed-check",
+        "solver.py",
+        "if low < ci and ci != match:",
+        "if low < ci:",
+        ("tests/test_solver.py::TestOracleEquivalence::test_matches_brute_force",),
+    ),
+    Mutant(
+        "narrowed-floor-without-w1",
+        "solver.py",
+        "floor = below - self.weights[1]",
+        "floor = below",
+        ("tests/test_solver.py::TestOracleEquivalence::test_matches_brute_force",),
+    ),
+    Mutant(
+        "narrowed-cost-strict",
+        "solver.py",
+        "parts) <= cap",
+        "parts) < cap",
+        ("tests/test_solver.py::TestOracleEquivalence::test_matches_brute_force",),
+    ),
+    Mutant(
+        "violations-ignore-point",
+        "encoder.py",
+        "np.add.reduceat(data * point.values[indices], starts[has_terms])",
+        "np.add.reduceat(data, starts[has_terms])",
+        ("tests/test_encoder.py::TestEncode::test_encoded_points_satisfy_all_structural_rows",),
+    ),
+    Mutant(
+        "violations-empty-rows-summed",
+        "encoder.py",
+        "has_terms = starts < indptr[1:]",
+        "has_terms = starts <= indptr[1:]",
+        ("tests/test_encoder.py::TestEncode::test_encoded_points_satisfy_all_structural_rows",),
+    ),
+    Mutant(
+        "int64-sum-guard-off-by-one",
+        "encoder.py",
+        "sum(abs(c) for c, _ in terms) > _INT64_MAX",
+        "sum(abs(c) for c, _ in terms) >= _INT64_MAX",
+        ("tests/test_encoder.py::TestInt64Rows",),
+    ),
+    Mutant(
+        "int64-rhs-guard-off-by-one",
+        "encoder.py",
+        "if rhs > _INT64_MAX:",
+        "if rhs >= _INT64_MAX:",
+        ("tests/test_encoder.py::TestInt64Rows",),
+    ),
 )
 
 

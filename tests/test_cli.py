@@ -228,6 +228,21 @@ class TestInstanceFiles:
             read_instance(bad)
         assert str(bad) in str(excinfo.value)
 
+    def test_population_mismatch_names_the_population(self, tmp_path, capsys):
+        cfg = genconfig_doc(GenConfig(0, 0))
+        cfg["methods"] = cfg["methods"][:3]  # methods 0, 1 and 2
+        del cfg["response_probs"]["3"]
+        paths = _write_docs(tmp_path, {"genconfig": cfg})
+        pop, out = tmp_path / "pop.json", tmp_path / "inst.json"
+        argv = ["--config", str(paths["genconfig"]), "--seed", "1", "--n", "20"]
+        assert main(["generate", *argv, "--out", str(pop)]) == 0
+        capsys.readouterr()
+        argv = ["--id", "1", "--population", str(pop), "--out", str(out)]
+        assert main(["make-instance", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {pop}: population method universe differs from the instance's\n"
+        assert not out.exists()
+
     def test_missing_population_key_rejected(self, workspace, tmp_path):
         _, _, inst_path = workspace
         obj = json.loads(inst_path.read_text())
@@ -262,6 +277,23 @@ class TestEncodeCommand:
         parsed = parse_lp(lp_path.read_text())
         assert parsed.variable_count == model.num_variables
         assert parsed.constraint_count == model.num_constraints
+
+    @pytest.mark.parametrize("setting", ["1", "3"])
+    def test_budget_coefficient_past_int64_is_one_error_line(self, tmp_path, capsys, setting):
+        docs = _file_docs()
+        docs["population"]["types"][0]["weight"] = 2**62  # times a cost of 200 or more
+        paths = _write_docs(tmp_path, docs)
+        lp_path = tmp_path / "model.lp"
+        argv = ["--instance", str(paths["instance"]), "--out", str(lp_path)]
+        assert main(["encode", *argv, "--setting", "2"]) == 0  # no budget row
+        lp_path.unlink()
+        capsys.readouterr()
+        assert main(["encode", *argv, "--setting", setting]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {paths['instance']}: side row budget: coefficients sum past the int64 range\n"
+        )
+        assert not lp_path.exists()
 
     def test_reencode_is_byte_identical(self, workspace):
         tmp, _, inst_path = workspace
@@ -828,16 +860,34 @@ def _bit_with_value(docs):
     pred["value"] = 1
 
 
+def _duplicate_method(kind):
+    """List method 0 a second time, at method 1's cost, in the document of ``kind``."""
+
+    def corrupt(docs):
+        methods = docs[kind]["methods"]
+        assert methods[0][0] == 0
+        methods.append([0, methods[1][1]])
+
+    corrupt.__name__ = f"_duplicate_method_in_{kind}"
+    return corrupt
+
+
 def _inline_and_path_population(docs):
     assert "population_path" in docs["instance"]
     docs["instance"]["population"] = docs["population"]
 
 
-def _run_on_files(tmp: Path, kind: str, docs: dict, n: int = 5) -> int:
-    """Write the documents and run the command that reads the one of ``kind``."""
+def _write_docs(tmp: Path, docs: dict) -> dict[str, Path]:
+    """Write each document as ``<name>.json`` in ``tmp``; their paths by name."""
     paths = {name: tmp / f"{name}.json" for name in docs}
     for name, obj in docs.items():
         paths[name].write_text(json.dumps(obj))
+    return paths
+
+
+def _run_on_files(tmp: Path, kind: str, docs: dict, n: int = 5) -> int:
+    """Write the documents and run the command that reads the one of ``kind``."""
+    paths = _write_docs(tmp, docs)
     if kind == "genconfig":
         argv = ["generate", "--config", str(paths[kind]), "--seed", "1", "--n", str(n),
                 "--out", str(tmp / "out.json")]
@@ -864,6 +914,7 @@ class TestMalformedDocuments:
             ("population", _item_outside_universe),
             ("population", _method_outside_universe),
             ("population", _population_list),
+            ("population", _duplicate_method("population")),
             ("instance", _inline_null_weight),
             ("instance", _inline_and_path_population),
             ("instance", _instance_value("targets", [3, 1], "_two_targets")),
@@ -871,6 +922,7 @@ class TestMalformedDocuments:
             ("instance", _instance_value("roles", {}, "_role_missing")),
             ("instance", _instance_value("budget", -1, "_negative_budget")),
             ("instance", _instance_value("targets", [3, 0, 1], "_zero_target")),
+            ("instance", _duplicate_method("instance")),
             ("assignment", _assignment_list),
             ("assignment", _null_node_label),
             ("assignment", _assignment_covering_nothing),
@@ -892,6 +944,7 @@ class TestMalformedDocuments:
             ("genconfig", _table_row_not_a_pair),
             ("genconfig", _ge_with_upper),
             ("genconfig", _bit_with_value),
+            ("genconfig", _duplicate_method("genconfig")),
         ],
     )
     def test_one_error_line(self, tmp_path, capsys, kind, corrupt):

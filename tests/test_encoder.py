@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import hashlib
+import operator
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -386,6 +388,86 @@ class TestDecode:
             decode(model, VariablePoint(model=model, values=values))
 
 
+_HOLDS = {"<=": operator.le, "=": operator.eq, ">=": operator.ge}
+
+
+def python_violations(model, values: np.ndarray) -> tuple[str, ...]:
+    """The rows a 0/1 point breaks, each summed exactly in Python integers."""
+    x = values.tolist()
+    return tuple(
+        row.name
+        for row in model.rows
+        if not _HOLDS[row.sense](sum(c * x[i] for c, i in row.terms), row.rhs)
+    )
+
+
+class TestInt64Rows:
+    """A side row whose sums could leave int64 is one InputError at build time."""
+
+    @staticmethod
+    def target_sum_instance(extra_weight: int) -> Instance:
+        """Two types whose target_obj2 coefficients sum to 2**63 - 2 + extra_weight."""
+        return tiny_instance(
+            n_methods=2,
+            weights=(2**62 - 1, extra_weight),
+            positive=({0}, set()),
+            responds=({0, 1}, {1}),
+            improves=(1, 1),
+        )
+
+    def test_budget_coefficients_past_int64_rejected(self):
+        # instance 1 at n=30, every weight 2**53: each budget coefficient fits
+        # int64, but the deployed cost does not, so an int64 lhs would wrap
+        pop = generate_population(GenConfig(n=30, seed=1))
+        pop = replace(pop, weights=np.full(len(pop), 2**53, dtype=np.int64))
+        inst = replace(build_instance(1, pop), budget=2**62)
+        cost = evaluate(inst.diagram, inst.initial, inst.initial, inst.population).cost
+        assert cost > 2**63
+        for setting in (1, 3):
+            with pytest.raises(
+                InputError, match="^side row budget: coefficients sum past the int64 range$"
+            ):
+                build_model(inst, setting)
+
+    def test_coefficient_sum_just_past_int64_rejected(self):
+        with pytest.raises(
+            InputError, match="^side row target_obj2: coefficients sum past the int64 range$"
+        ):
+            build_model(self.target_sum_instance(2), 2)
+
+    def test_coefficient_sum_at_int64_max_builds_and_sums_exactly(self, rng):
+        model = build_model(self.target_sum_instance(1), 2)
+        target = next(row for row in model.rows if row.name == "target_obj2")
+        assert sum(abs(c) for c, _ in target.terms) == 2**63 - 1
+        n = model.num_variables
+        points = [
+            encode_assignment(model, model.instance.initial).values,
+            np.ones(n, dtype=np.int8),  # target_obj2's lhs is 2**63 - 1
+            np.zeros(n, dtype=np.int8),
+        ]
+        points += [np.array([rng.randint(0, 1) for _ in range(n)], np.int8) for _ in range(20)]
+        for values in points:
+            want = python_violations(model, values)
+            assert model.violations(VariablePoint(model=model, values=values)) == want
+        assert "target_obj2" not in python_violations(model, points[1])
+
+    @pytest.mark.parametrize("setting", [1, 3])
+    def test_budget_past_int64_rejected(self, setting):
+        with pytest.raises(
+            InputError,
+            match=f"^side row budget: right-hand side {2**63} past the int64 range$",
+        ):
+            build_model(tiny_instance(budget=2**63), setting)
+
+    @pytest.mark.parametrize("setting", [1, 3])
+    def test_budget_at_int64_max_builds_and_sums_exactly(self, rng, setting):
+        model = build_model(tiny_instance(budget=2**63 - 1), setting)
+        encoded = encode_assignment(model, random_feasible(model.instance, rng)).values
+        for values in (encoded, np.ones(model.num_variables, dtype=np.int8)):
+            want = python_violations(model, values)
+            assert model.violations(VariablePoint(model=model, values=values)) == want
+
+
 class TestExhaustiveCorrespondence:
     def test_satisfying_points_are_exactly_the_assignments(self):
         """Every 0/1 solution of the row system is an encoded assignment."""
@@ -396,8 +478,10 @@ class TestExhaustiveCorrespondence:
 
         grid = ((np.arange(1 << nv, dtype=np.uint32)[:, None] >> np.arange(nv)[None, :]) & 1
                 ).astype(np.int8)
-        a, senses, rhs = model._compiled
-        lhs = grid @ a.toarray().astype(np.int64).T
+        indptr, indices, data, senses, rhs = model._compiled
+        a = np.zeros((len(senses), nv), dtype=np.int64)
+        np.add.at(a, (np.repeat(np.arange(len(senses)), np.diff(indptr)), indices), data)
+        lhs = grid @ a.T
         ok = np.ones(len(grid), dtype=bool)
         ok &= ((senses != -1) | (lhs <= rhs)).all(axis=1)
         ok &= ((senses != 0) | (lhs == rhs)).all(axis=1)
@@ -696,16 +780,17 @@ def wrapped_typed_rows(text: str, family: str) -> int:
 
 
 class TestBlockWriter:
-    """The per-type block writer and compiled matrix against row-by-row references."""
+    """The per-type block writer and compiled arrays against row-by-row references."""
 
     @staticmethod
     def assert_matches_reference(model):
         assert export_lp(model) == reference_lp(model)
         assert list(model.rows) == reference_rows(model)
-        (a, senses, rhs), (ref_a, ref_senses, ref_rhs) = model._compiled, reference_compiled(model)
-        assert a.shape == ref_a.shape
-        for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(a, part), getattr(ref_a, part))
+        *csr, senses, rhs = model._compiled
+        ref_a, ref_senses, ref_rhs = reference_compiled(model)
+        assert (len(senses), model.num_variables) == ref_a.shape
+        for got, part in zip(csr, ("indptr", "indices", "data")):
+            assert np.array_equal(got, getattr(ref_a, part))
         assert senses.dtype == ref_senses.dtype and np.array_equal(senses, ref_senses)
         assert rhs.dtype == ref_rhs.dtype and np.array_equal(rhs, ref_rhs)
 

@@ -101,9 +101,8 @@ def test_one_exception_type_for_bad_input():
     assert handlers == ["(InputError, OSError)"]
 
 
-def test_file_formats_do_not_import_the_search():
-    """Reading and writing documents loads no search code."""
-    code = "import sys, diagopt.fileio, diagopt.instances; print('diagopt.solver' in sys.modules)"
+def _fresh_stdout(code: str) -> str:
+    """What ``code`` prints in a new interpreter that imports the package from ``src``."""
     path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
     run = subprocess.run(
         [sys.executable, "-c", code],
@@ -112,7 +111,24 @@ def test_file_formats_do_not_import_the_search():
         text=True,
         check=True,
     )
-    assert run.stdout == "False\n"
+    return run.stdout
+
+
+def test_file_formats_do_not_import_the_search():
+    """Reading and writing documents loads no search code."""
+    code = "import sys, diagopt.fileio, diagopt.instances; print('diagopt.solver' in sys.modules)"
+    assert _fresh_stdout(code) == "False\n"
+
+
+def test_package_does_not_import_scipy():
+    """numpy is the one runtime dependency: every module loaded, scipy is not."""
+    modules = [f"diagopt.{info.name}" for info in pkgutil.iter_modules([str(PACKAGE)])]
+    assert "diagopt.encoder" in modules and "diagopt.cli" in modules
+    code = (
+        f"import sys, {', '.join(modules)}; "
+        "print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])"
+    )
+    assert _fresh_stdout(code) == "[]\n"
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):
