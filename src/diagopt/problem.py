@@ -132,10 +132,10 @@ class Instance:
 def side_rows(inst: Instance) -> dict[str, tuple[str, str, int | Fraction]]:
     """Every side row by name, as (Metrics field, sense, right-hand side).
 
-    The search's node bound checks rows on optimistic totals, one per
-    sink-method combination (cost from below, indicators from above), which
-    stays admissible only while every row caps the cost or floors an
-    indicator.
+    The search checks every row in one place, ``solver._Search._holds``, on
+    optimistic totals, one per sink-method combination (cost from below,
+    indicators from above), which stays admissible only while every row caps
+    the cost or floors an indicator.
     """
     th1, th2, th3 = inst.targets
     return {

@@ -22,8 +22,8 @@ internal prefix scores the sink-method combinations.
 One scorer serves every node: it splits the types into regions by the set
 of sinks they reach and scores the sink-method combinations still *live*
 at the node. A node passes to its children only the combinations that its
-bound's relaxed part leaves able to beat the incumbent within the budget,
-as local bounds filter a decision diagram's nodes; no combination dropped
+bound's relaxed part leaves able to beat the incumbent within every side
+row, as local bounds filter a decision diagram's nodes; no combination dropped
 there can win anywhere below it (see ``_Search``). A node is
 scored in two parts, a relaxed reach and the deployed completion, as a
 width-2 relaxed decision diagram over the open positions would; a complete
@@ -55,7 +55,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .core import Assignment, InputError, Metrics, evaluate, sink_totals
-from .problem import Goal, Instance, Solution, SolveStats
+from .problem import FIELDS, Goal, Instance, Solution, SolveStats
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -86,8 +86,8 @@ class _Live:
 
 # per live combination its score; per region its mask, its weight, its
 # method subsets and the subset each live combination takes, from which
-# _best sums a checked combination's totals; the obj1 base the
-# combinations' kept sinks add to; and the live combinations scored
+# _holds sums a combination's side rows; the obj1 base the combinations'
+# kept sinks add to; and the live combinations scored
 _Scored = tuple[
     list[int], list[tuple[int, int, list[tuple[int, int, int]], list[int]]], int, _Live
 ]
@@ -262,32 +262,29 @@ class _Search:
 
     Each node also carries the combinations still *live* (a ``_Live``) and
     scores only those. It passes on to its children those whose relaxed
-    score plus w1 beats the node's threshold and whose relaxed cost fits the
-    budget (``_narrowed``). A dropped combination cannot win below the node:
-    per combination, neither part of a child exceeds its parent's relaxed
-    part plus w1 (reach only shrinks, the deployed completion keeps one
-    more match, and wc <= 0 <= w1, w2, w3, as ``problem.Setting`` requires),
-    the threshold never falls along a path, and no completion pays less
-    than the relaxed part, whose regions each pay their cheapest method.
-    ``bound`` and the root's bound score every combination.
+    score plus w1 beats the node's threshold and that pass every side row
+    with one more match (``_narrowed``, ``_holds``). A dropped combination
+    cannot win below the node: per combination, neither part of a child
+    exceeds its parent's relaxed part plus w1 (reach only shrinks, the
+    deployed completion keeps one more match, and wc <= 0 <= w1, w2, w3, as
+    ``problem.Setting`` requires), the threshold never falls along a path,
+    and no completion pays less or counts more responders than the relaxed
+    part, whose regions pay their cheapest method and respond under any of
+    theirs (``problem.side_rows``). ``bound`` and the root's bound score
+    every combination.
     """
 
     def __init__(self, tb: _Tables, goal: Goal, node_limit: int | None, time_limit: float | None):
-        self.feasible = goal.feasible
         self.weights = goal.signed_weights
+        # per side row, its FIELDS index and the range Goal gives it
+        self.rows = [(k, *goal.ranges[k]) for k in (FIELDS.index(f) for _, f, _, _ in goal.rows)]
         self.tb = tb
         self.node_limit = node_limit
         self.deadline = None if time_limit is None else time.perf_counter() + time_limit
         # responder counts are tallied for every method subset when the score
-        # weighs them, and per checked combination when a row reads them; a
-        # field no row reads is checked as 0, inside the range Goal gives it
+        # weighs them, and per checked combination when a row reads them
         _, _, w2, w3 = self.weights
         self.scores_responders = bool(w2 or w3)
-        self.rows_read_responders = any(f in ("obj2", "obj3") for _, f, _, _ in goal.rows)
-        self.obj1_range = goal.ranges[1]
-        # the budget, when a row caps the cost
-        caps_cost = any(f == "cost" for _, f, _, _ in goal.rows)
-        self.cost_cap = goal.ranges[0][1] if caps_cost else None
 
         self.nodes = 0
         self.dominated = 0
@@ -335,7 +332,7 @@ class _Search:
         """
         tb = self.tb
         # each region adds to every combination's score, as Goal's score is
-        # linear; a combination's totals are summed only when _best checks
+        # linear; a combination's totals are summed only when _holds checks
         # its rows, and so are its responders when the score omits them
         wc, w1, w2, w3 = self.weights
         tally = tb.tally
@@ -430,21 +427,32 @@ class _Search:
             return narrowed
         return None
 
+    def _holds(self, part: _Scored, j: int, extra_obj1: int = 0) -> bool:
+        """Whether live combination ``j`` of ``part`` passes every side row:
+        cost sums each region's cheapest method, obj1 is the base plus the
+        sinks ``j`` keeps plus ``extra_obj1``, and obj2 and obj3 count each
+        region's responders under any of its methods. Exact at a leaf."""
+        _, parts, base_obj1, live = part
+        tally = self.tb.tally
+        for k, lo, hi in self.rows:
+            if k == 0:
+                v = sum(w * tables[picks[j]][0] for _, w, tables, picks in parts)
+            elif k == 1:
+                v = base_obj1 + live.kept[j] + extra_obj1
+            else:  # obj2 or obj3, from the region's y or y∧z union
+                v = sum(tally(r & tables[picks[j]][k - 1]) for r, _, tables, picks in parts)
+            if not lo <= v <= hi:
+                return False
+        return True
+
     def _narrowed(self, relaxed: _Scored, below: int | None) -> _Live | None:
         """The combinations of a node's relaxed part that a completion could
-        still win with: those whose score plus w1 beats ``below`` and whose
-        optimistic cost fits the budget; ``None`` when none does."""
-        scores, parts, _, live = relaxed
-        if below is not None:
-            floor = below - self.weights[1]
-            keep = [j for j, scaled in enumerate(scores) if scaled > floor]
-        else:
-            keep = range(len(scores))
-        cap = self.cost_cap
-        if cap is not None:
-            keep = [
-                j for j in keep if sum(w * tables[picks[j]][0] for _, w, tables, picks in parts) <= cap
-            ]
+        still win with: those whose score plus w1 beats ``below`` and that
+        pass every side row with one more match (the deployed completion
+        keeps one more); ``None`` when none does."""
+        scores, _, _, live = relaxed
+        floor = -math.inf if below is None else below - self.weights[1]
+        keep = [j for j, s in enumerate(scores) if s > floor and self._holds(relaxed, j, 1)]
         if len(keep) == len(scores):
             return live
         if not keep:
@@ -453,32 +461,17 @@ class _Search:
         return self._live(tuple([combos[j] for j in keep]))
 
     def _best(self, part: _Scored, below: int | None) -> tuple[int, int] | None:
-        """The best feasible combination of ``part`` that scores above
-        ``below`` (any score when ``None``), as its score and its index into
-        ``sink_vectors``; ``None`` when none does. Only a combination that
-        would raise the best score has its rows checked, so the first of
-        equal scores wins."""
-        scores, parts, base_obj1, live = part
+        """The best combination of ``part`` that scores above ``below`` (any
+        score when ``None``) and passes every side row (``_holds``), as its
+        score and its index into ``sink_vectors``; ``None`` when none does.
+        Only a combination that would raise the best score has its rows
+        checked, so the first of equal scores wins."""
+        scores, _, _, live = part
         if below is not None and max(scores) <= below:
             return None
-        tally, feasible, kept = self.tb.tally, self.feasible, live.kept
-        responders = self.rows_read_responders
-        lo1, hi1 = self.obj1_range
         found = None
         for j, scaled in enumerate(scores):
-            if below is not None and scaled <= below:
-                continue
-            obj1 = base_obj1 + kept[j]
-            if not lo1 <= obj1 <= hi1:
-                continue  # the obj1 row fails, with nothing tallied
-            cost = obj2 = obj3 = 0
-            for r, w, tables, picks in parts:
-                c, y, yz = tables[picks[j]]
-                cost += w * c
-                if responders:
-                    obj2 += tally(r & y)
-                    obj3 += tally(r & yz)
-            if feasible((cost, obj1, obj2, obj3)):
+            if (below is None or scaled > below) and self._holds(part, j):
                 below = scaled
                 found = (scaled, live.combos[j])
         return found

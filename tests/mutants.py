@@ -147,16 +147,42 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "narrowed-floor-without-w1",
         "solver.py",
-        "floor = below - self.weights[1]",
-        "floor = below",
+        "else below - self.weights[1]",
+        "else below",
         ("tests/test_solver.py::TestOracleEquivalence::test_matches_brute_force",),
     ),
     Mutant(
-        "narrowed-cost-strict",
+        "narrowed-without-the-extra-match",
         "solver.py",
-        "parts) <= cap",
-        "parts) < cap",
-        ("tests/test_solver.py::TestOracleEquivalence::test_matches_brute_force",),
+        "self._holds(relaxed, j, 1)",
+        "self._holds(relaxed, j, 0)",
+        (
+            "tests/test_solver.py::TestOracleEquivalence",
+            "tests/test_solver.py::TestReachStateOracle",
+            "tests/test_solver.py::TestBound",
+        ),
+    ),
+    Mutant(
+        "side-row-range-strict",
+        "solver.py",
+        "if not lo <= v <= hi:",
+        "if not lo < v <= hi:",
+        (
+            "tests/test_solver.py::TestOracleEquivalence",
+            "tests/test_solver.py::TestReachStateOracle",
+            "tests/test_solver.py::TestBound",
+        ),
+    ),
+    Mutant(
+        "improvers-tallied-from-y",
+        "solver.py",
+        "tables[picks[j]][k - 1]",
+        "tables[picks[j]][1]",
+        (
+            "tests/test_solver.py::TestOracleEquivalence",
+            "tests/test_solver.py::TestReachStateOracle",
+            "tests/test_solver.py::TestBound",
+        ),
     ),
     Mutant(
         "violations-ignore-point",

@@ -1,6 +1,6 @@
 """The package's public surface: every public definition has a caller, every
-private one is named in the package, bad input has one exception type, and
-README's library example runs as written."""
+private one is named in the package, bad input has one exception type, the
+search names no ``Metrics`` field, and README's library example runs as written."""
 from __future__ import annotations
 
 import ast
@@ -11,6 +11,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+from diagopt.core import Metrics
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "diagopt"
@@ -99,6 +101,19 @@ def test_one_exception_type_for_bad_input():
     main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
     handlers = [ast.unparse(n.type) for n in ast.walk(main) if isinstance(n, ast.ExceptHandler)]
     assert handlers == ["(InputError, OSError)"]
+
+
+def test_search_names_no_metrics_field():
+    """The search reads the side rows from ``Goal.rows`` by ``FIELDS`` index,
+    so no string constant in the solver names a ``Metrics`` field: a row
+    special-cased by name would be a second definition of the rows."""
+    tree = ast.parse((PACKAGE / "solver.py").read_text())
+    named = [
+        f"{node.lineno}: {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in Metrics._fields
+    ]
+    assert named == []
 
 
 def _fresh_stdout(code: str) -> str:
