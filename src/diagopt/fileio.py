@@ -13,9 +13,10 @@ and reads integer fields through ``_int``, which rejects a float or a bool
 instead of truncating it, and real fields through ``_float``, which rejects a
 string, a bool or a non-finite number. Every reader also rejects a key its
 objects do not declare (``_declared_keys``). Populations, the largest
-documents, are read in one pass into numpy columns and written from a
-per-type template, byte for byte what ``dump_canonical`` gives for their
-document.
+documents, are read one field at a time over all their types, each check
+keeping a mask of the types that fail it, and the first error is computed
+from the masks (``_TypeColumns``); they are written from a per-type
+template, byte for byte what ``dump_canonical`` gives for their document.
 """
 from __future__ import annotations
 
@@ -25,8 +26,9 @@ import os
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from itertools import chain, compress
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Mapping, TypeVar
+from typing import Any, Callable, Mapping, NoReturn, Sequence, TypeVar
 
 import numpy as np
 
@@ -140,29 +142,44 @@ def _list(value: Any, what: str) -> list[Any]:
     return value
 
 
-def _positions(ids: Any, positions: dict[int, int], what: str) -> list[int]:
-    """The positions of a type's ``x1`` or ``y1`` ids, each inside the universe."""
+def _ints(values: Sequence[int]) -> np.ndarray:
+    """Python ints as an int64 array, or as an object array when one does not fit."""
     try:
-        return [positions[_int(i)] for i in ids]
-    except KeyError:
-        # every id is checked to be an integer before any is checked to lie inside
-        outside = set(map(_int, ids)) - positions.keys()
-        raise ValueError(f"{what} {min(outside)} outside the universe") from None
+        return np.fromiter(values, dtype=np.int64, count=len(values))
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
-def _int64s(values: tuple[int, ...], what: str) -> np.ndarray:
-    """An int64 column of ``values``; a value int64 cannot hold is an error, never wrapped."""
-    for v in values:
-        if not -(2**63) <= v < 2**63:
-            raise ValueError(f"{what} {v} does not fit in 64 bits")
-    return np.array(values, dtype=np.int64)
+def _int64(column: np.ndarray, what: str) -> np.ndarray:
+    """An ``_ints`` column as int64: a value int64 cannot hold is an error, never wrapped."""
+    if column.dtype == object:
+        wide = np.flatnonzero((column < -(2**63)) | (column >= 2**63))
+        raise ValueError(f"{what} {column[wide[0]]} does not fit in 64 bits")
+    return column
 
 
-def _scatter(rows: tuple[list[int], ...], width: int) -> np.ndarray:
-    """A bool matrix of ``width`` columns, True in row ``t`` where ``rows[t]`` lists."""
-    m = np.zeros((len(rows), width), dtype=bool)
-    m[np.repeat(np.arange(len(rows)), list(map(len, rows))), list(chain.from_iterable(rows))] = True
-    return m
+def _typed(values: list[Any], kind: type, default: Any) -> tuple[list[Any], np.ndarray | None]:
+    """``values`` with ``default`` in place of each whose type is not ``kind``,
+    and the mask of those (``None`` when there is none)."""
+    if set(map(type, values)) <= {kind}:
+        return values, None
+    wrong = np.array([type(v) is not kind for v in values], dtype=bool)
+    return [default if w else v for v, w in zip(values, wrong)], wrong
+
+
+def _universe_positions(ids: list[int], universe: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Each id's position in ``universe`` and whether it lies outside it, from
+    one ``searchsorted`` over the sorted universe (on Python ints when an id
+    does not fit in int64)."""
+    u, v = _ints(universe), _ints(ids)
+    order = np.argsort(u)
+    # an id above the largest is compared with the largest, which it differs from
+    at = order[np.minimum(np.searchsorted(u[order], v), len(u) - 1)]
+    return at, u[at] != v
+
+
+def _reject(message: str) -> NoReturn:
+    raise ValueError(message)
 
 
 def _declared_keys(obj: Mapping[str, Any], keys: frozenset[str]) -> None:
@@ -215,30 +232,110 @@ def assignment_from_obj(obj: Mapping[str, Any]) -> Assignment:
 
 
 _POPULATION_KEYS = frozenset(("kind", "items", "methods", "types"))
-_TYPE_KEYS = frozenset(("id", "weight", "x1", "y1", "z"))
+# a type's fields in the order the reader checks them
+_TYPE_FIELDS = ("x1", "y1", "id", "weight", "z")
+_TYPE_KEYS = frozenset(_TYPE_FIELDS)
+_MISSING = object()  # the value of a field a type lacks
+
+
+class _TypeColumns:
+    """A population's types as one column per field, each checked once over
+    all the types.
+
+    Every check records the mask of the types that fail it (``fail``), in
+    the order the checks of one type run: ``x1`` and then ``y1`` is present,
+    a list, of integers, inside the universe; ``id``, ``weight`` and ``z``
+    are present and integers; weight >= 1; z is 0 or 1; and the type holds
+    no undeclared key. ``raise_first`` raises the error of the first type
+    with a fault, from the first check it fails: the error a reader checking
+    the types one by one in document order would raise.
+    """
+
+    def __init__(self, rows: list[Any]):
+        self.rows = rows
+        self.masks: list[np.ndarray] = []
+        self.checks: list[Callable[[int], object]] = []
+        try:
+            columns = [list(map(itemgetter(f), rows)) for f in _TYPE_FIELDS]
+            objects = rows
+        except (KeyError, TypeError):  # a type that is not an object or lacks a field
+            objects = [row if type(row) is dict else {} for row in rows]
+            columns = [[o.get(f, _MISSING) for o in objects] for f in _TYPE_FIELDS]
+        self.columns = dict(zip(_TYPE_FIELDS, columns))
+        # a type holding every field holds an undeclared key when it holds more
+        self.sizes = np.fromiter(map(len, objects), dtype=np.intp, count=len(rows))
+
+    def fail(self, mask: np.ndarray | None, check: Callable[[int], object]) -> None:
+        """Record the types ``mask`` flags (``None``: none); ``check(t)`` raises type ``t``'s error."""
+        if mask is not None and mask.any():
+            self.masks.append(mask)
+            self.checks.append(check)
+
+    def raise_first(self) -> None:
+        """Raise the error of the first type with a fault, from the first check it fails."""
+        if self.masks:
+            bad = np.array(self.masks)
+            t = int(bad.any(axis=0).argmax())
+            self.checks[int(bad[:, t].argmax())](t)
+            raise AssertionError(f"type {t} passes the check that flags it")
+
+    def field(self, f: str, kind: type, default: Any, check: Callable[[Any], object]) -> list[Any]:
+        """Field ``f``'s values, ``default`` in place of each that is not a ``kind``;
+        a type lacking the field fails, then one whose value ``check`` rejects."""
+        values = self.columns[f]
+        typed, wrong = _typed(values, kind, default)
+        if wrong is not None:
+            missing = np.array([v is _MISSING for v in values], dtype=bool)
+            self.fail(missing, lambda t: self.rows[t][f])
+            self.fail(wrong, lambda t: check(values[t]))
+        return typed
+
+    def owned(self, owner: np.ndarray, mask: np.ndarray | None) -> np.ndarray | None:
+        """The types owning an entry ``mask`` flags, from each entry's type ``owner``."""
+        if mask is None:
+            return None
+        types = np.zeros(len(self.rows), dtype=bool)
+        types[owner[mask]] = True
+        return types
+
+    def scatter(self, f: str, universe: tuple[int, ...], what: str) -> np.ndarray:
+        """Field ``f``'s id lists as a bool matrix over ``universe``, whose ids are ``what``s."""
+        lists = self.field(f, list, [], lambda v: _list(v, f))
+        owner = np.repeat(np.arange(len(lists)), list(map(len, lists)))
+        flat, wrong = _typed(list(chain.from_iterable(lists)), int, 0)
+        self.fail(self.owned(owner, wrong), lambda t: list(map(_int, lists[t])))
+        at, outside = _universe_positions(flat, universe)
+        self.fail(
+            self.owned(owner, outside),
+            lambda t: _reject(f"{what} {min(set(lists[t]).difference(universe))} outside the universe"),
+        )
+        m = np.zeros((len(lists), len(universe)), dtype=bool)
+        m[owner, at] = True
+        return m
+
+    def ints(self, f: str) -> np.ndarray:
+        """Field ``f``'s ``_ints`` column."""
+        return _ints(self.field(f, int, 0, _int))
 
 
 def population_from_obj(obj: Mapping[str, Any]) -> Population:
-    """One pass checks each type in document order; ``x`` and ``y`` are then
-    scattered from the types' id positions at once."""
+    """The types are read as columns (``_TypeColumns``); their first error,
+    if any, is raised before the document's keys and the int64 columns are
+    checked."""
     items = ItemUniverse(tuple(map(_int, obj["items"])))
     methods = _methods_from_obj(obj["methods"])
-    types = []
-    for row in _list(obj["types"], "types"):
-        xs = _positions(_list(row["x1"], "x1"), items.positions, "item")
-        ys = _positions(_list(row["y1"], "y1"), methods.positions, "method")
-        tid, weight, z = _int(row["id"]), _int(row["weight"]), _int(row["z"])
-        if weight < 1:
-            raise ValueError(f"type {tid}: weight must be >= 1")
-        if z not in (0, 1):
-            raise ValueError(f"type {tid}: z must be 0 or 1")
-        _declared_keys(row, _TYPE_KEYS)
-        types.append((tid, weight, xs, ys, z))
+    types = _TypeColumns(_list(obj["types"], "types"))
+    x = types.scatter("x1", items.items, "item")
+    y = types.scatter("y1", methods.methods, "method")
+    ids, weights, z = types.ints("id"), types.ints("weight"), types.ints("z")
+    tids = types.columns["id"]
+    types.fail(weights < 1, lambda t: _reject(f"type {tids[t]}: weight must be >= 1"))
+    types.fail((z != 0) & (z != 1), lambda t: _reject(f"type {tids[t]}: z must be 0 or 1"))
+    types.fail(types.sizes > len(_TYPE_FIELDS), lambda t: _declared_keys(types.rows[t], _TYPE_KEYS))
+    types.raise_first()
     _declared_keys(obj, _POPULATION_KEYS)
-    ids, weights, xs, ys, zs = zip(*types) if types else ((),) * 5
-    ids, weights = _int64s(ids, "type id"), _int64s(weights, "weight")
-    x, y = _scatter(xs, len(items)), _scatter(ys, len(methods))
-    return Population(items, methods, ids, weights, x, y, np.array(zs, dtype=bool))
+    ids, weights = _int64(ids, "type id"), _int64(weights, "weight")
+    return Population(items, methods, ids, weights, x, y, z == 1)
 
 
 def _sorted_ids(ids: tuple[Any, ...]) -> tuple[list[str], list[int]]:

@@ -278,6 +278,8 @@ class _Search:
         self.weights = goal.signed_weights
         # per side row, its FIELDS index and the range Goal gives it
         self.rows = [(k, *goal.ranges[k]) for k in (FIELDS.index(f) for _, f, _, _ in goal.rows)]
+        # obj1's range (FIELDS index 1), [0, top] when no row reads obj1
+        self.obj1_range = goal.ranges[1]
         self.tb = tb
         self.node_limit = node_limit
         self.deadline = None if time_limit is None else time.perf_counter() + time_limit
@@ -413,16 +415,26 @@ class _Search:
 
         It decides as the full bound would, computing the deployed part only
         when the relaxed part does not reach the threshold, and only over
-        the combinations it passes on: no other can reach it.
+        the combinations it passes on: no other can reach it. Whether the
+        relaxed part reaches it is read from the kept combinations, whose
+        side rows ``_narrowed`` has already summed: each passed every row
+        with one more match, and obj1's row is a floor (``problem.side_rows``),
+        so one reaches it when it scores above ``below`` and its obj1 lies in
+        range without the extra match.
         """
         below = self._below(prefix)
         depth = len(prefix)
         relaxed = self._relaxed(depth, frontier, matches, live)
-        narrowed = self._narrowed(relaxed, below)
-        if narrowed is None:
+        keep = self._narrowed(relaxed, below)
+        if not keep:
             return None
-        if self._best(relaxed, below) is not None:
-            return narrowed
+        combos = live.combos
+        narrowed = live if len(keep) == len(combos) else self._live(tuple([combos[j] for j in keep]))
+        scores, _, base_obj1, _ = relaxed
+        lo, hi = self.obj1_range
+        for j in keep:
+            if (below is None or scores[j] > below) and lo <= base_obj1 + live.kept[j] <= hi:
+                return narrowed
         if self._best(self._deployed(depth, frontier, matches, narrowed), below) is not None:
             return narrowed
         return None
@@ -445,20 +457,14 @@ class _Search:
                 return False
         return True
 
-    def _narrowed(self, relaxed: _Scored, below: int | None) -> _Live | None:
-        """The combinations of a node's relaxed part that a completion could
-        still win with: those whose score plus w1 beats ``below`` and that
-        pass every side row with one more match (the deployed completion
-        keeps one more); ``None`` when none does."""
-        scores, _, _, live = relaxed
+    def _narrowed(self, relaxed: _Scored, below: int | None) -> list[int]:
+        """The indices of the live combinations of a node's relaxed part that
+        a completion could still win with: those whose score plus w1 beats
+        ``below`` and that pass every side row with one more match (the
+        deployed completion keeps one more)."""
+        scores = relaxed[0]
         floor = -math.inf if below is None else below - self.weights[1]
-        keep = [j for j, s in enumerate(scores) if s > floor and self._holds(relaxed, j, 1)]
-        if len(keep) == len(scores):
-            return live
-        if not keep:
-            return None
-        combos = live.combos
-        return self._live(tuple([combos[j] for j in keep]))
+        return [j for j, s in enumerate(scores) if s > floor and self._holds(relaxed, j, 1)]
 
     def _best(self, part: _Scored, below: int | None) -> tuple[int, int] | None:
         """The best combination of ``part`` that scores above ``below`` (any

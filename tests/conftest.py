@@ -41,7 +41,15 @@ from diagopt.datagen import (
     sample_response,
 )
 from diagopt.encoder import _LINE_WIDTH, _SENSES, Instance, LinRow, _fmt_number
-from diagopt.fileio import dump_canonical
+from diagopt.fileio import (
+    _POPULATION_KEYS,
+    _TYPE_KEYS,
+    _declared_keys,
+    _int,
+    _list,
+    _methods_from_obj,
+    dump_canonical,
+)
 from diagopt.problem import FIELDS, Goal
 from diagopt.solver import Solution, SolveStats, _frontier, _Search, _solution, _Tables
 
@@ -312,6 +320,55 @@ def population_doc(pop: Population) -> dict:
             for tid, weight, x, y, z in zip(*columns)
         ],
     }
+
+
+def _positions(ids, positions: dict[int, int], what: str) -> list[int]:
+    """The positions of a type's ``x1`` or ``y1`` ids, each inside the universe."""
+    try:
+        return [positions[_int(i)] for i in ids]
+    except KeyError:
+        # every id is checked to be an integer before any is checked to lie inside
+        outside = set(map(_int, ids)) - positions.keys()
+        raise ValueError(f"{what} {min(outside)} outside the universe") from None
+
+
+def _int64s(values: tuple[int, ...], what: str) -> np.ndarray:
+    """An int64 column of ``values``; a value int64 cannot hold is an error, never wrapped."""
+    for v in values:
+        if not -(2**63) <= v < 2**63:
+            raise ValueError(f"{what} {v} does not fit in 64 bits")
+    return np.array(values, dtype=np.int64)
+
+
+def _scatter(rows: tuple[list[int], ...], width: int) -> np.ndarray:
+    """A bool matrix of ``width`` columns, True in row ``t`` where ``rows[t]`` lists."""
+    m = np.zeros((len(rows), width), dtype=bool)
+    m[np.repeat(np.arange(len(rows)), list(map(len, rows))), list(itertools.chain.from_iterable(rows))] = True
+    return m
+
+
+def reference_population_from_obj(obj: Mapping) -> Population:
+    """A population document read type by type, each checked in full before
+    the next: the reference for ``fileio.population_from_obj``, which checks
+    each field once over all the types and must raise the same first error."""
+    items = ItemUniverse(tuple(map(_int, obj["items"])))
+    methods = _methods_from_obj(obj["methods"])
+    types = []
+    for row in _list(obj["types"], "types"):
+        xs = _positions(_list(row["x1"], "x1"), items.positions, "item")
+        ys = _positions(_list(row["y1"], "y1"), methods.positions, "method")
+        tid, weight, z = _int(row["id"]), _int(row["weight"]), _int(row["z"])
+        if weight < 1:
+            raise ValueError(f"type {tid}: weight must be >= 1")
+        if z not in (0, 1):
+            raise ValueError(f"type {tid}: z must be 0 or 1")
+        _declared_keys(row, _TYPE_KEYS)
+        types.append((tid, weight, xs, ys, z))
+    _declared_keys(obj, _POPULATION_KEYS)
+    ids, weights, xs, ys, zs = zip(*types) if types else ((),) * 5
+    ids, weights = _int64s(ids, "type id"), _int64s(weights, "weight")
+    x, y = _scatter(xs, len(items)), _scatter(ys, len(methods))
+    return Population(items, methods, ids, weights, x, y, np.array(zs, dtype=bool))
 
 
 def sample_raw(specs: Iterable[AttributeSpec], rng: random.Random) -> dict[str, float]:

@@ -119,9 +119,22 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "population-weight-checked-after-every-type",
         "fileio.py",
-        '        if weight < 1:\n            raise ValueError(f"type {tid}: weight must be >= 1")\n',
+        '    types.fail(weights < 1, lambda t: _reject(f"type {tids[t]}: weight must be >= 1"))\n',
         "",
-        ("tests/test_cli.py::TestMalformedDocuments::test_error_names_the_first_bad_type",),
+        (
+            "tests/test_cli.py::TestMalformedDocuments::test_error_names_the_first_bad_type",
+            "tests/test_cli.py::TestPopulationReader::test_matches_the_reference_on_mutated_populations",
+        ),
+    ),
+    Mutant(
+        "population-last-faulty-type",
+        "fileio.py",
+        "t = int(bad.any(axis=0).argmax())",
+        "t = len(self.rows) - 1 - int(bad.any(axis=0)[::-1].argmax())",
+        (
+            "tests/test_cli.py::TestMalformedDocuments::test_error_names_the_first_bad_type",
+            "tests/test_cli.py::TestPopulationReader::test_matches_the_reference_on_mutated_populations",
+        ),
     ),
     Mutant(
         "target-obj1-rounded-down",
@@ -161,6 +174,13 @@ MUTANTS: tuple[Mutant, ...] = (
             "tests/test_solver.py::TestReachStateOracle",
             "tests/test_solver.py::TestBound",
         ),
+    ),
+    Mutant(
+        "relaxed-part-wins-without-obj1",
+        "solver.py",
+        " and lo <= base_obj1 + live.kept[j] <= hi",
+        "",
+        ("tests/test_solver.py::TestSearchOrder",),
     ),
     Mutant(
         "side-row-range-strict",

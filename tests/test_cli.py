@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagopt import datagen
+from diagopt import datagen, fileio
 from diagopt.cli import main
 from diagopt.core import (
     Assignment,
@@ -42,6 +43,7 @@ from conftest import (
     population_doc,
     population_from_rows,
     reference_population,
+    reference_population_from_obj,
     write_assignment,
 )
 from lp_reader import parse_lp
@@ -1261,3 +1263,152 @@ class TestFuzzDocuments:
             assert _run_on_files(Path(tmp), kind, docs) == 1
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         assert str(Path(tmp) / f"{kind}.json") in err.getvalue()
+
+
+_FAULTS = (None, "x", [], {}, 1.5, True, 0, -1, 2, 2**63, 2**64, -(2**63) - 1)
+
+
+def _population_edits(pop: dict) -> list[tuple[tuple, object]]:
+    """Every one-fault edit of a population document, as (key path, value):
+    each location dropped (``_DROP``) or set to each of ``_FAULTS``, each of
+    them appended to each list (the list's length as the key), and a key
+    ``wieght`` added to each object."""
+    edits = []
+    objects = [()]
+    for at in _locations(pop):
+        edits += [(at, v) for v in (_DROP, *_FAULTS)]
+        value = _at(pop, at)
+        if isinstance(value, list):
+            edits += [(at + (len(value),), v) for v in _FAULTS]
+        elif isinstance(value, dict):
+            objects.append(at)
+    return edits + [(at + ("wieght",), 3) for at in objects]
+
+
+def _at(obj, at: tuple):
+    for key in at:
+        obj = obj[key]
+    return obj
+
+
+def _edited(pop: dict, edits) -> dict:
+    """A copy of ``pop`` with each edit applied whose parent is still there."""
+    pop = json.loads(json.dumps(pop))
+    for at, value in edits:
+        try:
+            parent = _at(pop, at[:-1])
+        except (KeyError, IndexError, TypeError):
+            continue
+        key = at[-1]
+        if isinstance(parent, list) and isinstance(key, int) and key <= len(parent):
+            if value is _DROP:
+                if key < len(parent):
+                    del parent[key]
+            elif key == len(parent):
+                parent.append(value)
+            else:
+                parent[key] = value
+        elif isinstance(parent, dict):
+            if value is _DROP:
+                parent.pop(key, None)
+            else:
+                parent[key] = value
+    return pop
+
+
+def _read_outcome(read):
+    """The columns of the population ``read`` gives, or its error's text."""
+    try:
+        pop = read()
+    except InputError as exc:
+        return str(exc)
+    return pop.items, pop.methods, [c.tolist() for c in (pop.ids, pop.weights, pop.x, pop.y, pop.z)]
+
+
+class TestPopulationReader:
+    """``fileio.population_from_obj`` checks each field once over all the types;
+    ``conftest.reference_population_from_obj`` checks one type after another.
+    Both give the same columns, or the same first error."""
+
+    @staticmethod
+    def outcomes(tmp_path: Path, pop: dict, inline: bool) -> tuple:
+        """The reader's and the reference's outcome on ``pop``, written as a
+        file or inline in the toy instance."""
+        docs = _file_docs()
+        if inline:
+            docs["instance"]["population"] = pop
+            del docs["instance"]["population_path"]
+        paths = _write_docs(tmp_path, {"instance": docs["instance"], "population": pop})
+        if inline:
+            def read():
+                return read_instance_doc(paths["instance"]).load_population(paths["instance"])
+        else:
+            def read():
+                return read_population(paths["population"])
+        got = _read_outcome(read)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fileio, "population_from_obj", reference_population_from_obj)
+            want = _read_outcome(read)
+        return got, want
+
+    @pytest.mark.parametrize("inline", [False, True], ids=["file", "inline"])
+    def test_matches_the_reference_on_mutated_populations(self, tmp_path, inline):
+        pop = _file_docs()["population"]
+        edits = _population_edits(pop)
+        # two faults in the types half the time: the first type's first check must win
+        in_types = [e for e in edits if e[0][0] == "types"]
+        rng = random.Random(20240601)
+        cases = [[e] for e in edits]
+        cases += [rng.sample(rng.choice([edits, in_types]), 2) for _ in range(len(edits))]
+        errors = 0
+        for case in cases:
+            got, want = self.outcomes(tmp_path, _edited(pop, case), inline)
+            assert got == want, case
+            errors += isinstance(want, str)
+        # most edits are faults; some (a 0 for a 1, a dropped list entry) are not
+        assert len(cases) > 1000 and len(cases) // 2 < errors < len(cases)
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({0: {"x1": [2**64]}}, f"item {2**64} outside the universe"),
+            ({1: {"y1": [-(2**65)]}}, f"method {-(2**65)} outside the universe"),
+            ({0: {"x1": [9, 8]}}, "item 8 outside the universe"),
+            ({0: {"x1": [7, "a"]}}, "'a' is not an integer"),
+            ({0: {"x1": [2**64, "a", 9]}}, "'a' is not an integer"),
+            ({0: {"weight": 2**64}, 1: {"weight": 2**63}}, f"weight {2**64} does not fit in 64 bits"),
+        ],
+        ids=["item-2**64", "method-minus-2**65", "smallest-outside", "non-int-after-outside",
+             "non-int-between-outside", "first-wide-weight"],
+    )
+    def test_error(self, tmp_path, capsys, edits, message):
+        # an id int64 cannot hold is outside the universe, never an overflow;
+        # within one list, any non-integer beats any outside id
+        assert TestMalformedDocuments.population_error(tmp_path, capsys, edits) == message
+
+    @pytest.mark.parametrize(
+        "items, methods, types",
+        [
+            (
+                [0, 2**70],
+                [[0, 0], [1, 5]],
+                [{"id": 3, "weight": 2, "x1": [0, 2**70], "y1": [1], "z": 1}],
+            ),
+            (
+                [0, 1],
+                [[0, 0], [2**65, 5]],
+                [{"id": 3, "weight": 2, "x1": [1], "y1": [2**65], "z": 0}],
+            ),
+            ([0, 1], [[0, 0]], []),
+        ],
+        ids=["item-2**70", "method-2**65", "no-types"],
+    )
+    @pytest.mark.parametrize("inline", [False, True], ids=["file", "inline"])
+    def test_reads_and_round_trips(self, tmp_path, items, methods, types, inline):
+        doc = {"kind": "population", "items": items, "methods": methods, "types": types}
+        got, want = self.outcomes(tmp_path, doc, inline)
+        assert got == want and not isinstance(got, str)
+        pop = read_population(tmp_path / "population.json")
+        assert population_doc(pop) == doc
+        write_population(pop, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_text() == dump_canonical(doc)
